@@ -19,6 +19,8 @@ let create_with ?(backend = Fatlock.Parker) runtime =
 let create runtime = create_with runtime
 let stats ctx = ctx.stats
 
+let my_index (env : Tl_runtime.Runtime.env) = env.descriptor.Tl_runtime.Tid.index
+
 (* Find the object's monitor, installing one on first use.  Losing the
    installation race frees the unused slot back to the table. *)
 let rec monitor_of ctx obj =
@@ -41,24 +43,22 @@ let acquire ctx env obj =
   let queued = not (Fatlock.try_acquire env fat) in
   if queued then Fatlock.acquire env fat;
   let depth = Fatlock.count fat in
-  if depth = 1 && not queued then Lock_stats.record_acquire_unlocked ctx.stats obj
-  else if depth > 1 then Lock_stats.record_acquire_nested ctx.stats ~depth
-  else Lock_stats.record_acquire_fat ctx.stats obj ~queued ~depth
+  Lock_stats.record_monitor_acquire ctx.stats ~tid:(my_index env) obj ~queued ~depth
 
 let release ctx env obj =
   Fatlock.release env (monitor_of ctx obj);
-  Lock_stats.record_release ctx.stats `Fat
+  Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
 
 let wait ?timeout ctx env obj =
-  Lock_stats.record_wait ctx.stats;
+  Lock_stats.record_wait ctx.stats ~tid:(my_index env);
   Fatlock.wait ?timeout env (monitor_of ctx obj)
 
 let notify ctx env obj =
-  Lock_stats.record_notify ctx.stats;
+  Lock_stats.record_notify ctx.stats ~tid:(my_index env);
   Fatlock.notify env (monitor_of ctx obj)
 
 let notify_all ctx env obj =
-  Lock_stats.record_notify_all ctx.stats;
+  Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
   Fatlock.notify_all env (monitor_of ctx obj)
 
 let holds ctx env obj =

@@ -50,6 +50,8 @@ let create_with ?(params = default_params) runtime =
 let create runtime = create_with runtime
 let stats ctx = ctx.stats
 
+let my_index (env : Tl_runtime.Runtime.env) = env.descriptor.Tl_runtime.Tid.index
+
 (* Hot encoding in the header word: the shape bit marks "hot-lock
    pointer installed", the 23 index bits name the slot — the
    displaced-header trick of the paper, with the 8 low header bits kept
@@ -125,15 +127,11 @@ let unpin ctx obj entry =
   end;
   Mutex.unlock ctx.cache_mutex
 
-let record_acquire ctx obj ~queued ~depth =
-  if depth = 1 && not queued then Lock_stats.record_acquire_unlocked ctx.stats obj
-  else if depth > 1 then Lock_stats.record_acquire_nested ctx.stats ~depth
-  else Lock_stats.record_acquire_fat ctx.stats obj ~queued ~depth
-
 let fat_op_acquire ctx env obj fat =
   let queued = not (Fatlock.try_acquire env fat) in
   if queued then Fatlock.acquire env fat;
-  record_acquire ctx obj ~queued ~depth:(Fatlock.count fat)
+  Lock_stats.record_monitor_acquire ctx.stats ~tid:(my_index env) obj ~queued
+    ~depth:(Fatlock.count fat)
 
 let acquire ctx env obj =
   let slot = hot_slot_of_word (Atomic.get (Obj_model.lockword obj)) in
@@ -153,12 +151,12 @@ let release ctx env obj =
   if slot > 0 then begin
     Lock_stats.add_extra ctx.stats "hot.fast_ops" 1;
     Fatlock.release env (hot_lock ctx slot);
-    Lock_stats.record_release ctx.stats `Fat
+    Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
   end
   else begin
     let entry = pin ctx obj in
     (match Fatlock.release env entry.fat with
-    | () -> Lock_stats.record_release ctx.stats `Fat
+    | () -> Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
     | exception e ->
         unpin ctx obj entry;
         raise e);
@@ -183,15 +181,15 @@ let with_monitor ctx obj f =
   end
 
 let wait ?timeout ctx env obj =
-  Lock_stats.record_wait ctx.stats;
+  Lock_stats.record_wait ctx.stats ~tid:(my_index env);
   with_monitor ctx obj (fun fat -> Fatlock.wait ?timeout env fat)
 
 let notify ctx env obj =
-  Lock_stats.record_notify ctx.stats;
+  Lock_stats.record_notify ctx.stats ~tid:(my_index env);
   with_monitor ctx obj (fun fat -> Fatlock.notify env fat)
 
 let notify_all ctx env obj =
-  Lock_stats.record_notify_all ctx.stats;
+  Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
   with_monitor ctx obj (fun fat -> Fatlock.notify_all env fat)
 
 let holds ctx env obj =

@@ -37,6 +37,8 @@ let create_with ?(params = default_params) runtime =
 let create runtime = create_with runtime
 let stats ctx = ctx.stats
 
+let my_index (env : Tl_runtime.Runtime.env) = env.descriptor.Tl_runtime.Tid.index
+
 (* Look the object's monitor up in the cache, pinning it so that it
    cannot be recycled while this operation is in flight.  Holds the
    global cache mutex for the duration of the lookup — the scalability
@@ -93,15 +95,13 @@ let acquire ctx env obj =
   let queued = not (Fatlock.try_acquire env entry.fat) in
   if queued then Fatlock.acquire env entry.fat;
   let depth = Fatlock.count entry.fat in
-  if depth = 1 && not queued then Lock_stats.record_acquire_unlocked ctx.stats obj
-  else if depth > 1 then Lock_stats.record_acquire_nested ctx.stats ~depth
-  else Lock_stats.record_acquire_fat ctx.stats obj ~queued ~depth;
+  Lock_stats.record_monitor_acquire ctx.stats ~tid:(my_index env) obj ~queued ~depth;
   unpin ctx obj entry
 
 let release ctx env obj =
   let entry = pin ctx obj in
   (match Fatlock.release env entry.fat with
-  | () -> Lock_stats.record_release ctx.stats `Fat
+  | () -> Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
   | exception e ->
       unpin ctx obj entry;
       raise e);
@@ -109,7 +109,7 @@ let release ctx env obj =
 
 let wait ?timeout ctx env obj =
   let entry = pin ctx obj in
-  Lock_stats.record_wait ctx.stats;
+  Lock_stats.record_wait ctx.stats ~tid:(my_index env);
   (match Fatlock.wait ?timeout env entry.fat with
   | () -> ()
   | exception e ->
@@ -119,7 +119,7 @@ let wait ?timeout ctx env obj =
 
 let notify ctx env obj =
   let entry = pin ctx obj in
-  Lock_stats.record_notify ctx.stats;
+  Lock_stats.record_notify ctx.stats ~tid:(my_index env);
   (match Fatlock.notify env entry.fat with
   | () -> ()
   | exception e ->
@@ -129,7 +129,7 @@ let notify ctx env obj =
 
 let notify_all ctx env obj =
   let entry = pin ctx obj in
-  Lock_stats.record_notify_all ctx.stats;
+  Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
   (match Fatlock.notify_all env entry.fat with
   | () -> ()
   | exception e ->

@@ -133,13 +133,14 @@ let unlock_mon env mon =
 let acquire ctx env obj =
   let mon = monitor_of ctx obj in
   match lock_mon env mon with
-  | `Fast -> Lock_stats.record_acquire_unlocked ctx.stats obj
-  | `Nested depth -> Lock_stats.record_acquire_nested ctx.stats ~depth
-  | `Contended -> Lock_stats.record_acquire_fat ctx.stats obj ~queued:true ~depth:1
+  | `Fast -> Lock_stats.record_acquire_unlocked ctx.stats ~tid:(my_index env) obj
+  | `Nested depth -> Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env) ~depth
+  | `Contended ->
+      Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:true ~depth:1
 
 let release ctx env obj =
   unlock_mon env (monitor_of ctx obj);
-  Lock_stats.record_release ctx.stats `Fat
+  Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
 
 let full_unlock env mon =
   ignore env;
@@ -161,7 +162,7 @@ let wait ?timeout ctx env obj =
   let me = my_index env in
   if mon.owner <> me then
     raise (Tl_monitor.Fatlock.Illegal_monitor_state "mcs wait: not owner");
-  Lock_stats.record_wait ctx.stats;
+  Lock_stats.record_wait ctx.stats ~tid:(my_index env);
   let saved = mon.count in
   let w = { parker = env.Tl_runtime.Runtime.parker; notified = false } in
   Queue.push w mon.wait_set;
@@ -187,7 +188,7 @@ let notify ctx env obj =
   let mon = monitor_of ctx obj in
   if mon.owner <> my_index env then
     raise (Tl_monitor.Fatlock.Illegal_monitor_state "mcs notify: not owner");
-  Lock_stats.record_notify ctx.stats;
+  Lock_stats.record_notify ctx.stats ~tid:(my_index env);
   if not (Queue.is_empty mon.wait_set) then begin
     let w = Queue.pop mon.wait_set in
     w.notified <- true;
@@ -198,7 +199,7 @@ let notify_all ctx env obj =
   let mon = monitor_of ctx obj in
   if mon.owner <> my_index env then
     raise (Tl_monitor.Fatlock.Illegal_monitor_state "mcs notifyAll: not owner");
-  Lock_stats.record_notify_all ctx.stats;
+  Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
   while not (Queue.is_empty mon.wait_set) do
     let w = Queue.pop mon.wait_set in
     w.notified <- true;

@@ -278,7 +278,7 @@ let inflate_locked ctx env (entry : entry) ~cause =
   entry.owner <- 0;
   entry.depth <- 0;
   Atomic.incr ctx.created;
-  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats cause;
+  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
   if ctx.tracing then
     emit_lifecycle ctx ~tid:(my_index env) Ev.Cjm_monitor_create ~arg:entry.key;
   fat
@@ -293,7 +293,7 @@ let fat_acquire ctx env obj sh (entry : entry) fat =
   if queued then Fatlock.acquire env fat;
   let depth = Fatlock.count fat in
   if ctx.config.record_stats then
-    Lock_stats.record_acquire_fat ctx.stats obj ~queued ~depth;
+    Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth;
   if ctx.tracing then
     emit ctx ~tid:(my_index env)
       (if queued then Ev.Acquire_fat_queued else Ev.Acquire_fat)
@@ -315,14 +315,14 @@ let acquire ctx env obj =
       if ctx.tracing then emit ctx ~tid:me Ev.Acquire_fast ~arg:id;
       Mutex.unlock sh.lock;
       if ctx.config.record_stats then
-        Lock_stats.record_acquire_unlocked ctx.stats obj
+        Lock_stats.record_acquire_unlocked ctx.stats ~tid:me obj
   | None when entry.owner = me ->
       entry.depth <- entry.depth + 1;
       let depth = entry.depth in
       if ctx.tracing then emit ctx ~tid:me Ev.Acquire_nested ~arg:id;
       Mutex.unlock sh.lock;
       if ctx.config.record_stats then
-        Lock_stats.record_acquire_nested ctx.stats ~depth
+        Lock_stats.record_acquire_nested ctx.stats ~tid:me ~depth
   | None ->
       (* Contended inline entry: the *contender* inflates (unlike thin
          locks, where only the owner can — there is no header word to
@@ -362,7 +362,7 @@ let release ctx env obj =
         entry.depth <- entry.depth - 1;
         if ctx.tracing then emit ctx ~tid:me Ev.Release_nested ~arg:id;
         Mutex.unlock sh.lock;
-        if ctx.config.record_stats then Lock_stats.record_release ctx.stats `Nested
+        if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Nested
       end
       else begin
         entry.owner <- 0;
@@ -372,7 +372,7 @@ let release ctx env obj =
         if entry.refs = 0 then remove_at sh i;
         if ctx.tracing then emit ctx ~tid:me Ev.Release_fast ~arg:id;
         Mutex.unlock sh.lock;
-        if ctx.config.record_stats then Lock_stats.record_release ctx.stats `Fast
+        if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Fast
       end
   | Some fat ->
       (match Fatlock.release env fat with
@@ -383,7 +383,7 @@ let release ctx env obj =
       if ctx.tracing then emit ctx ~tid:me Ev.Release_fat ~arg:id;
       if entry.refs = 0 then evaporate_if_idle ctx env sh i;
       Mutex.unlock sh.lock;
-      if ctx.config.record_stats then Lock_stats.record_release ctx.stats `Fat
+      if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Fat
 
 let wait ?timeout ctx env obj =
   let id = Obj_model.id obj in
@@ -412,7 +412,7 @@ let wait ?timeout ctx env obj =
         inflate_locked ctx env entry ~cause:`Wait
   in
   Mutex.unlock sh.lock;
-  if ctx.config.record_stats then Lock_stats.record_wait ctx.stats;
+  if ctx.config.record_stats then Lock_stats.record_wait ctx.stats ~tid:me;
   if ctx.tracing then emit ctx ~tid:me Ev.Wait_op ~arg:id;
   (match Fatlock.wait ?timeout env fat with
   | () -> ()
@@ -451,8 +451,8 @@ let notify_common ctx env obj ~all =
     emit ctx ~tid:me (if all then Ev.Notify_all_op else Ev.Notify_op) ~arg:id;
   Mutex.unlock sh.lock;
   if ctx.config.record_stats then
-    if all then Lock_stats.record_notify_all ctx.stats
-    else Lock_stats.record_notify ctx.stats
+    if all then Lock_stats.record_notify_all ctx.stats ~tid:me
+    else Lock_stats.record_notify ctx.stats ~tid:me
 
 let notify ctx env obj = notify_common ctx env obj ~all:false
 let notify_all ctx env obj = notify_common ctx env obj ~all:true

@@ -1,24 +1,41 @@
 let depth_buckets = 64 (* depths >= 63 share the last bucket *)
 
+(* A per-thread block is a flat [int array] of counters and depth
+   buckets.  Only the block's current holder writes it.  Every acquire
+   and release kind, and the depth-1 bucket, come first: a lock episode
+   touches only the block's first eight words, which keeps the working
+   set small when thousands of fibers each own a block.  Depth 0 is
+   never recorded (an acquisition leaves the count at 1 or more), so
+   the buckets start at depth 1. *)
+let c_acquires_unlocked = 0
+let c_acquires_nested = 1
+let c_acquires_fat_fast = 2
+let c_acquires_fat_queued = 3
+let c_releases_fast = 4
+let c_releases_nested = 5
+let c_releases_fat = 6
+let c_depths = 6 (* depth bucket d >= 1 lives at [c_depths + d] *)
+let c_contended_spins = c_depths + depth_buckets
+let c_contended_episodes = c_contended_spins + 1
+let c_inflations_contention = c_contended_spins + 2
+let c_inflations_wait = c_contended_spins + 3
+let c_inflations_overflow = c_contended_spins + 4
+let c_wait_ops = c_contended_spins + 5
+let c_notify_ops = c_contended_spins + 6
+let c_notify_all_ops = c_contended_spins + 7
+let c_objects_synchronized = c_contended_spins + 8
+let block_size = c_objects_synchronized + 1
+
+(* The table's "no block yet" sentinel, told apart by physical
+   equality; it is never written. *)
+let no_block : int array = [||]
+
 type t = {
-  acquires_unlocked : int Atomic.t;
-  acquires_nested : int Atomic.t;
-  acquires_fat_fast : int Atomic.t;
-  acquires_fat_queued : int Atomic.t;
-  contended_spins : int Atomic.t;
-  contended_episodes : int Atomic.t;
-  releases_fast : int Atomic.t;
-  releases_nested : int Atomic.t;
-  releases_fat : int Atomic.t;
-  inflations_contention : int Atomic.t;
-  inflations_wait : int Atomic.t;
-  inflations_overflow : int Atomic.t;
-  wait_ops : int Atomic.t;
-  notify_ops : int Atomic.t;
-  notify_all_ops : int Atomic.t;
-  deflations : int Atomic.t;
-  objects_synchronized : int Atomic.t;
-  depths : int Atomic.t array; (* index = min depth (depth_buckets-1) *)
+  blocks : int array array; (* by thread index: that index's block, or [no_block] *)
+  (* Every block ever created, newest first.  Blocks are only added, so
+     [snapshot] and [reset] walk exactly the indices that recorded. *)
+  registered : int array list Atomic.t;
+  deflations : int Atomic.t; (* recorded by the deflater, which has no env *)
   (* Immutable assoc list behind an atomic: lookups are plain reads of
      a consistent snapshot, and key creation is a CAS — no mutex, no
      read/publish race. *)
@@ -30,89 +47,92 @@ type t = {
 
 let create () =
   {
-    acquires_unlocked = Atomic.make 0;
-    acquires_nested = Atomic.make 0;
-    acquires_fat_fast = Atomic.make 0;
-    acquires_fat_queued = Atomic.make 0;
-    contended_spins = Atomic.make 0;
-    contended_episodes = Atomic.make 0;
-    releases_fast = Atomic.make 0;
-    releases_nested = Atomic.make 0;
-    releases_fat = Atomic.make 0;
-    inflations_contention = Atomic.make 0;
-    inflations_wait = Atomic.make 0;
-    inflations_overflow = Atomic.make 0;
-    wait_ops = Atomic.make 0;
-    notify_ops = Atomic.make 0;
-    notify_all_ops = Atomic.make 0;
+    blocks = Array.make (Tl_runtime.Tid.max_index + 1) no_block;
+    registered = Atomic.make [];
     deflations = Atomic.make 0;
-    objects_synchronized = Atomic.make 0;
-    depths = Array.init depth_buckets (fun _ -> Atomic.make 0);
     extra = Atomic.make [];
     gauges = Atomic.make [];
   }
 
 let reset t =
-  let z a = Atomic.set a 0 in
-  z t.acquires_unlocked;
-  z t.acquires_nested;
-  z t.acquires_fat_fast;
-  z t.acquires_fat_queued;
-  z t.contended_spins;
-  z t.contended_episodes;
-  z t.releases_fast;
-  z t.releases_nested;
-  z t.releases_fat;
-  z t.inflations_contention;
-  z t.inflations_wait;
-  z t.inflations_overflow;
-  z t.wait_ops;
-  z t.notify_ops;
-  z t.notify_all_ops;
-  z t.deflations;
-  z t.objects_synchronized;
-  Array.iter z t.depths;
-  List.iter (fun (_, a) -> z a) (Atomic.get t.extra)
+  List.iter (fun b -> Array.fill b 0 block_size 0) (Atomic.get t.registered);
+  Atomic.set t.deflations 0;
+  List.iter (fun (_, a) -> Atomic.set a 0) (Atomic.get t.extra)
 
-let bump a = ignore (Atomic.fetch_and_add a 1)
+let block_count t = List.length (Atomic.get t.registered)
 
-let record_depth t depth = bump t.depths.(min depth (depth_buckets - 1))
+(* First record by [tid] in this [t]: create its block and publish it.
+   The table slot is a plain store: only the index's holder reads it,
+   and a later holder is ordered after this one by the tid lease. *)
+let new_block t tid =
+  let b = Array.make block_size 0 in
+  t.blocks.(tid) <- b;
+  let rec register () =
+    let l = Atomic.get t.registered in
+    if not (Atomic.compare_and_set t.registered l (b :: l)) then register ()
+  in
+  register ();
+  b
 
-let record_first_sync t obj =
-  if Tl_heap.Obj_model.mark_synced obj then bump t.objects_synchronized
+let[@inline] block t tid =
+  let b = t.blocks.(tid) in
+  if b != no_block then b else new_block t tid
 
-let record_acquire_unlocked t obj =
-  bump t.acquires_unlocked;
-  record_depth t 1;
-  record_first_sync t obj
+let[@inline] add b i n = Array.unsafe_set b i (Array.unsafe_get b i + n)
+let[@inline] bump b i = add b i 1
+let[@inline] bump_depth b depth = bump b (c_depths + max 1 (min depth (depth_buckets - 1)))
 
-let record_acquire_nested t ~depth =
-  bump t.acquires_nested;
-  record_depth t depth
+(* The field test spares the common case (an object already counted) a
+   call into another module. *)
+let[@inline] record_first_sync b (obj : Tl_heap.Obj_model.t) =
+  if (not obj.ever_synced) && Tl_heap.Obj_model.mark_synced obj then
+    bump b c_objects_synchronized
 
-let record_acquire_fat t obj ~queued ~depth =
-  bump (if queued then t.acquires_fat_queued else t.acquires_fat_fast);
-  record_depth t depth;
-  record_first_sync t obj
+let[@inline] record_acquire_unlocked t ~tid obj =
+  let b = block t tid in
+  bump b c_acquires_unlocked;
+  bump b (c_depths + 1);
+  record_first_sync b obj
 
-let record_contended_spin t ~spins =
-  bump t.contended_episodes;
-  ignore (Atomic.fetch_and_add t.contended_spins spins)
+let[@inline] record_acquire_nested t ~tid ~depth =
+  let b = block t tid in
+  bump b c_acquires_nested;
+  bump_depth b depth
 
-let record_release t = function
-  | `Fast -> bump t.releases_fast
-  | `Nested -> bump t.releases_nested
-  | `Fat -> bump t.releases_fat
+let record_acquire_fat t ~tid obj ~queued ~depth =
+  let b = block t tid in
+  bump b (if queued then c_acquires_fat_queued else c_acquires_fat_fast);
+  bump_depth b depth;
+  record_first_sync b obj
 
-let record_inflation t = function
-  | `Contention -> bump t.inflations_contention
-  | `Wait -> bump t.inflations_wait
-  | `Overflow -> bump t.inflations_overflow
+let record_monitor_acquire t ~tid obj ~queued ~depth =
+  if depth = 1 && not queued then record_acquire_unlocked t ~tid obj
+  else if depth > 1 then record_acquire_nested t ~tid ~depth
+  else record_acquire_fat t ~tid obj ~queued ~depth
 
-let record_wait t = bump t.wait_ops
-let record_notify t = bump t.notify_ops
-let record_notify_all t = bump t.notify_all_ops
-let record_deflation t = bump t.deflations
+let record_contended_spin t ~tid ~spins =
+  let b = block t tid in
+  bump b c_contended_episodes;
+  add b c_contended_spins spins
+
+let[@inline] record_release t ~tid kind =
+  bump (block t tid)
+    (match kind with
+    | `Fast -> c_releases_fast
+    | `Nested -> c_releases_nested
+    | `Fat -> c_releases_fat)
+
+let record_inflation t ~tid cause =
+  bump (block t tid)
+    (match cause with
+    | `Contention -> c_inflations_contention
+    | `Wait -> c_inflations_wait
+    | `Overflow -> c_inflations_overflow)
+
+let record_wait t ~tid = bump (block t tid) c_wait_ops
+let record_notify t ~tid = bump (block t tid) c_notify_ops
+let record_notify_all t ~tid = bump (block t tid) c_notify_all_ops
+let record_deflation t = Atomic.incr t.deflations
 let deflation_count t = Atomic.get t.deflations
 
 let add_extra t key n =
@@ -157,33 +177,40 @@ type snapshot = {
 }
 
 let snapshot t =
+  let sum = Array.make block_size 0 in
+  List.iter
+    (fun b ->
+      for i = 0 to block_size - 1 do
+        sum.(i) <- sum.(i) + b.(i)
+      done)
+    (Atomic.get t.registered);
   let depth_hist = ref [] in
-  for i = depth_buckets - 1 downto 0 do
-    let c = Atomic.get t.depths.(i) in
-    if c > 0 then depth_hist := (i, c) :: !depth_hist
+  for d = depth_buckets - 1 downto 1 do
+    let c = sum.(c_depths + d) in
+    if c > 0 then depth_hist := (d, c) :: !depth_hist
   done;
   let extra =
     List.rev_map (fun (k, a) -> (k, Atomic.get a)) (Atomic.get t.extra)
     @ List.rev_map (fun (k, f) -> (k, f ())) (Atomic.get t.gauges)
   in
   {
-    acquires_unlocked = Atomic.get t.acquires_unlocked;
-    acquires_nested = Atomic.get t.acquires_nested;
-    acquires_fat_fast = Atomic.get t.acquires_fat_fast;
-    acquires_fat_queued = Atomic.get t.acquires_fat_queued;
-    contended_spins = Atomic.get t.contended_spins;
-    contended_episodes = Atomic.get t.contended_episodes;
-    releases_fast = Atomic.get t.releases_fast;
-    releases_nested = Atomic.get t.releases_nested;
-    releases_fat = Atomic.get t.releases_fat;
-    inflations_contention = Atomic.get t.inflations_contention;
-    inflations_wait = Atomic.get t.inflations_wait;
-    inflations_overflow = Atomic.get t.inflations_overflow;
-    wait_ops = Atomic.get t.wait_ops;
-    notify_ops = Atomic.get t.notify_ops;
-    notify_all_ops = Atomic.get t.notify_all_ops;
+    acquires_unlocked = sum.(c_acquires_unlocked);
+    acquires_nested = sum.(c_acquires_nested);
+    acquires_fat_fast = sum.(c_acquires_fat_fast);
+    acquires_fat_queued = sum.(c_acquires_fat_queued);
+    contended_spins = sum.(c_contended_spins);
+    contended_episodes = sum.(c_contended_episodes);
+    releases_fast = sum.(c_releases_fast);
+    releases_nested = sum.(c_releases_nested);
+    releases_fat = sum.(c_releases_fat);
+    inflations_contention = sum.(c_inflations_contention);
+    inflations_wait = sum.(c_inflations_wait);
+    inflations_overflow = sum.(c_inflations_overflow);
+    wait_ops = sum.(c_wait_ops);
+    notify_ops = sum.(c_notify_ops);
+    notify_all_ops = sum.(c_notify_all_ops);
     deflations = Atomic.get t.deflations;
-    objects_synchronized = Atomic.get t.objects_synchronized;
+    objects_synchronized = sum.(c_objects_synchronized);
     depth_hist = !depth_hist;
     extra;
   }

@@ -3,44 +3,73 @@
     Counters classify every acquire into the paper's scenario ranking
     (§2: unlocked ≫ shallow nested ≫ deep nested ≫ contended without
     queue ≫ contended with queue) and record the nesting depth of every
-    acquisition, which is what Figure 3 plots.  All counters are
-    atomic, so multi-threaded workloads may record concurrently; the
-    cost is a handful of uncontended atomic adds per operation, paid
-    identically by every scheme so comparisons stay fair. *)
+    acquisition, which is what Figure 3 plots.
+
+    Operations that run with an env record into a {e per-thread block}:
+    a flat [int array] of counters and depth buckets owned by the
+    recording thread's index ([~tid], the env's [descriptor.index]).
+    The owner finds its block in a per-[t] table, creating and
+    registering it on first use, and increments it with plain writes —
+    no shared cache line, no atomic, so the uncontended path costs a
+    few loads and stores.  This is sound because an index has one live
+    holder at a time and the tid table's lease/release order successive
+    holders: a recycled index keeps adding to the same block.  All
+    recording into one [t] must therefore come from the envs of one
+    runtime (two runtimes may lease the same index at once).
+
+    Counters recorded without an env — deflations (the deflater walks
+    the monitor table) and the scheme-specific {!add_extra} keys — are
+    shared atomics, as are the gauges. *)
 
 type t
 
 val create : unit -> t
+
 val reset : t -> unit
+(** Zero every registered block, the deflation count and the extra
+    counters.  Call it only while no thread records: a concurrent
+    plain increment may survive the reset. *)
+
+val block_count : t -> int
+(** Per-thread blocks registered so far: the number of distinct thread
+    indices that have recorded into [t] ({!reset} keeps them). *)
 
 (** {1 Recording — called by locking schemes} *)
 
-val record_acquire_unlocked : t -> Tl_heap.Obj_model.t -> unit
+val record_acquire_unlocked : t -> tid:int -> Tl_heap.Obj_model.t -> unit
 (** Scenario 1: CAS on an unlocked object succeeded (depth 1). *)
 
-val record_acquire_nested : t -> depth:int -> unit
+val record_acquire_nested : t -> tid:int -> depth:int -> unit
 (** Scenarios 2–3: owner re-locked; [depth] is the lock count after
     this acquire (≥ 2). *)
 
-val record_acquire_fat : t -> Tl_heap.Obj_model.t -> queued:bool -> depth:int -> unit
+val record_acquire_fat : t -> tid:int -> Tl_heap.Obj_model.t -> queued:bool -> depth:int -> unit
 (** Acquire through a fat monitor; [queued] says the thread had to
     block (scenario 5) rather than enter immediately (scenario 4
     shape). *)
 
-val record_contended_spin : t -> spins:int -> unit
+val record_monitor_acquire :
+  t -> tid:int -> Tl_heap.Obj_model.t -> queued:bool -> depth:int -> unit
+(** Classify an acquire through an always-present monitor (the
+    fat-only and monitor-cache baselines): entered at depth 1 without
+    queueing counts as unlocked, a re-entry as nested, anything else as
+    a fat acquire. *)
+
+val record_contended_spin : t -> tid:int -> spins:int -> unit
 (** A thin-lock contender spun [spins] backoff steps before forcing
     inflation (scenario 4). *)
 
-val record_release : t -> [ `Fast | `Nested | `Fat ] -> unit
+val record_release : t -> tid:int -> [ `Fast | `Nested | `Fat ] -> unit
 
-val record_inflation : t -> [ `Contention | `Wait | `Overflow ] -> unit
-val record_wait : t -> unit
-val record_notify : t -> unit
-val record_notify_all : t -> unit
+val record_inflation : t -> tid:int -> [ `Contention | `Wait | `Overflow ] -> unit
+val record_wait : t -> tid:int -> unit
+val record_notify : t -> tid:int -> unit
+val record_notify_all : t -> tid:int -> unit
 
 val record_deflation : t -> unit
 (** A fat lock was deflated back to a thin word and its monitor-table
-    slot reclaimed (the quiescence-point deflation extension). *)
+    slot reclaimed (the quiescence-point deflation extension).  Needs
+    no env: the count is a shared atomic. *)
 
 val deflation_count : t -> int
 
@@ -79,6 +108,9 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
+(** Sum the registered blocks and read the shared counters.  Safe while
+    threads record: each counter of a live snapshot is at least its
+    value in any earlier snapshot (only {!reset} lowers a count). *)
 
 val total_acquires : snapshot -> int
 val total_inflations : snapshot -> int

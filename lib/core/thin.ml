@@ -101,7 +101,7 @@ let inflate_owned ctx env obj ~locks ~cause =
   let monitor_index = Montable.allocate ~shard_hint:(my_index env) ~lockword:lw ctx.montable fat in
   let hdr = Header.hdr_bits (Atomic.get lw) in
   Atomic.set lw (Header.inflated_word ~hdr ~monitor_index);
-  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats cause;
+  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
   if ctx.tracing then begin
     let kind =
       match cause with
@@ -121,7 +121,7 @@ let rec contended ctx env obj backoff =
   let word = Atomic.get lw in
   if Header.is_inflated word then begin
     if ctx.config.record_stats then
-      Lock_stats.record_contended_spin ctx.stats ~spins:(Backoff.steps backoff);
+      Lock_stats.record_contended_spin ctx.stats ~tid:(my_index env) ~spins:(Backoff.steps backoff);
     fat_acquire ctx env obj (Header.monitor_index word)
   end
   else
@@ -132,10 +132,11 @@ let rec contended ctx env obj backoff =
     then begin
       (* We own the thin lock now; complete the transition. *)
       if ctx.config.record_stats then
-        Lock_stats.record_contended_spin ctx.stats ~spins:(Backoff.steps backoff);
+        Lock_stats.record_contended_spin ctx.stats ~tid:(my_index env)
+          ~spins:(Backoff.steps backoff);
       ignore (inflate_owned ctx env obj ~locks:1 ~cause:`Contention);
       if ctx.config.record_stats then
-        Lock_stats.record_acquire_fat ctx.stats obj ~queued:false ~depth:1;
+        Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:false ~depth:1;
       if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:(Obj_model.id obj)
     end
     else begin
@@ -152,7 +153,8 @@ and acquire ctx env obj =
   if Atomic.compare_and_set lw unlocked_pattern (unlocked_pattern lor env.Runtime.shifted_index)
   then begin
     (* Scenario 1: locking an unlocked object. *)
-    if ctx.config.record_stats then Lock_stats.record_acquire_unlocked ctx.stats obj;
+    if ctx.config.record_stats then
+      Lock_stats.record_acquire_unlocked ctx.stats ~tid:(my_index env) obj;
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fast ~arg:(Obj_model.id obj)
   end
   else
@@ -165,7 +167,8 @@ and acquire ctx env obj =
          store. *)
       Atomic.set lw (word + Header.count_increment);
       if ctx.config.record_stats then
-        Lock_stats.record_acquire_nested ctx.stats ~depth:(Header.thin_count word + 2);
+        Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env)
+          ~depth:(Header.thin_count word + 2);
       if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_nested ~arg:(Obj_model.id obj)
     end
     else if Header.is_inflated word then fat_acquire ctx env obj (Header.monitor_index word)
@@ -177,7 +180,8 @@ and acquire ctx env obj =
          overflows into a fat lock (§2.3). *)
       let locks = Header.thin_count word + 2 in
       ignore (inflate_owned ctx env obj ~locks ~cause:`Overflow);
-      if ctx.config.record_stats then Lock_stats.record_acquire_nested ctx.stats ~depth:locks;
+      if ctx.config.record_stats then
+        Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env) ~depth:locks;
       (* Traced as a fat acquisition: the thread leaves holding the fat
          monitor, and the [Inflate_overflow] event names the cause. *)
       if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:(Obj_model.id obj)
@@ -220,7 +224,8 @@ and fat_acquire ctx env obj monitor_ref =
       match Fatlock.try_acquire_live env fat with
       | `Acquired ->
           if ctx.config.record_stats then
-            Lock_stats.record_acquire_fat ctx.stats obj ~queued:false ~depth:(Fatlock.count fat);
+            Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:false
+              ~depth:(Fatlock.count fat);
           if ctx.tracing then
             emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:(Obj_model.id obj)
       | `Retired -> retired_retry ()
@@ -235,7 +240,8 @@ and fat_acquire ctx env obj monitor_ref =
 and record_fat_entry ctx env obj fat entry =
   let queued = Fatlock.entry_queued entry in
   if ctx.config.record_stats then begin
-    Lock_stats.record_acquire_fat ctx.stats obj ~queued ~depth:(Fatlock.count fat);
+    Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued
+      ~depth:(Fatlock.count fat);
     if entry = Fatlock.Entry_spun then
       Lock_stats.add_extra ctx.stats "fatlock.spin_avoided_parks" 1
   end;
@@ -268,18 +274,18 @@ let release ctx env obj =
   if word = held_once_pattern then begin
     (* Most common: owned once by me — store the unlocked pattern. *)
     owner_store ctx lw ~old_word:word ~new_word:(Header.hdr_bits word);
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats `Fast;
+    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fast;
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fast ~arg:(Obj_model.id obj)
   end
   else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then begin
     (* Thin, mine, count >= 1: decrement with a plain store. *)
     owner_store ctx lw ~old_word:word ~new_word:(word - Header.count_increment);
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats `Nested;
+    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Nested;
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_nested ~arg:(Obj_model.id obj)
   end
   else if Header.is_inflated word then begin
     Fatlock.release env (Montable.get ctx.montable (Header.monitor_index word));
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats `Fat;
+    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat;
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fat ~arg:(Obj_model.id obj)
   end
   else not_owner "release" env word
@@ -328,7 +334,7 @@ let wait ?timeout ctx env obj =
       inflate_owned ctx env obj ~locks:(Header.thin_count word + 1) ~cause:`Wait
     else not_owner "wait" env word
   in
-  if ctx.config.record_stats then Lock_stats.record_wait ctx.stats;
+  if ctx.config.record_stats then Lock_stats.record_wait ctx.stats ~tid:(my_index env);
   if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Wait_op ~arg:(Obj_model.id obj);
   Fatlock.wait ?timeout env fat
 
@@ -340,7 +346,7 @@ let notify ctx env obj =
     (* Thin lock held by me: no thread can possibly be waiting. *)
     ()
   else not_owner "notify" env word;
-  if ctx.config.record_stats then Lock_stats.record_notify ctx.stats;
+  if ctx.config.record_stats then Lock_stats.record_notify ctx.stats ~tid:(my_index env);
   if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_op ~arg:(Obj_model.id obj)
 
 let notify_all ctx env obj =
@@ -349,7 +355,7 @@ let notify_all ctx env obj =
     Fatlock.notify_all env (Montable.get ctx.montable (Header.monitor_index word))
   else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then ()
   else not_owner "notifyAll" env word;
-  if ctx.config.record_stats then Lock_stats.record_notify_all ctx.stats;
+  if ctx.config.record_stats then Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
   if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_all_op ~arg:(Obj_model.id obj)
 
 let holds ctx env obj =

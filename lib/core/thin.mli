@@ -32,8 +32,11 @@ type config = {
           per lock and unlock, standing in for PowerPC
           [isync]/[sync]. *)
   record_stats : bool;
-      (** Maintain {!Lock_stats} counters (default true).  Turn off
-          for pure time measurements. *)
+      (** Maintain {!Lock_stats} counters (default true): a few plain
+          stores into the calling thread's own counter block per op.
+          Off, the lock path alone is timed (the [thin-nostats]
+          registry entry, the statistics-free rung of the benchmark's
+          layer ladder). *)
   fat_backend : Tl_monitor.Fatlock.backend;
       (** Contended-path engine for monitors born from inflation
           (default [Parker]; see [Fatlock.backend]).  [Hapax] admits

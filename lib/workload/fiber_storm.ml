@@ -220,6 +220,10 @@ let run ?(trace = true) ?(oracle = true) config =
      reaper-facing state out for the result. *)
   let controller_ref = ref None in
   let stats_ref = ref None in
+  (* Every worker records lock statistics under its leased index, so
+     the scheme's registered per-thread stats blocks count the distinct
+     indices — traced or not. *)
+  let tids_seen = ref (fun () -> 0) in
   let elapsed, overflow_waits, leaked_entries =
     Scheduler.run ~domains:config.domains runtime (fun genv ->
         (* The lock under the storm: thin locks by default, or the CJM
@@ -234,6 +238,7 @@ let run ?(trace = true) ?(oracle = true) config =
           match config.scheme with
           | "cjm" ->
               let ctx = Tl_cjm.Cjm.create_with ~events:sink runtime in
+              tids_seen := (fun () -> Tl_core.Lock_stats.block_count (Tl_cjm.Cjm.stats ctx));
               ( (fun env o body ->
                   let t0 = Tl_util.Timer.now_ns () in
                   Tl_cjm.Cjm.acquire ctx env o;
@@ -246,6 +251,7 @@ let run ?(trace = true) ?(oracle = true) config =
                 Thin.create_with ~config:thin_config ~events:sink runtime
               in
               stats_ref := Some (Thin.stats ctx);
+              tids_seen := (fun () -> Tl_core.Lock_stats.block_count (Thin.stats ctx));
               (match reap_mode with
               | None -> ()
               | Some (Policy_lab.Reap_fixed policy) ->
@@ -351,7 +357,7 @@ let run ?(trace = true) ?(oracle = true) config =
     max_us = (if ops = 0 then 0.0 else lat.(ops - 1));
     completed = Atomic.get completed;
     overflow_waits;
-    distinct_tids = List.length (Sink.active_tids sink);
+    distinct_tids = !tids_seen ();
     events = Array.length drained.Sink.events;
     dropped =
       List.fold_left (fun a (_, n) -> a + n) 0 drained.Sink.dropped;

@@ -72,7 +72,10 @@ type result = {
   max_us : float;
   completed : int;
   overflow_waits : int;  (** tid-lease overflow episodes *)
-  distinct_tids : int;  (** indices that ever emitted (trace only) *)
+  distinct_tids : int;
+      (** thread indices that ever recorded a lock statistic: the
+          scheme's registered per-thread stats blocks, so it is counted
+          with or without tracing *)
   events : int;
   dropped : int;
   leaked_entries : int;

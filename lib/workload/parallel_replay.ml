@@ -138,8 +138,13 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
   let total_runs =
     Array.fold_left (fun acc (l : lane) -> acc + Array.length l.runs) 0 lanes
   in
-  let heap = Tl_heap.Heap.create () in
-  let pool = Tl_heap.Heap.alloc_many heap trace.Tracegen.pool_size in
+  (* Affinity mode gives each domain the objects [obj mod domains];
+     allocating them shard by shard keeps one domain's lock words off
+     the cache lines another domain's CASes write. *)
+  let pool =
+    let shards = match config.mode with Affinity -> config.domains | Shuffle -> 1 in
+    Tl_heap.Heap.alloc_many ~shards (Tl_heap.Heap.create ()) trace.Tracegen.pool_size
+  in
   let shards = assignments ~config lanes in
   (* In shuffle mode every run is its own item, so the deques must be
      able to hold (in the worst stealing pattern) every item at once. *)
@@ -160,8 +165,12 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
   in
   let tallies = Array.make config.domains dummy_tally in
   (* One reset before the domains start, one snapshot after they all
-     join: the scheme's counters are shared atomics, so any per-domain
-     reset or snapshot would race and double-count. *)
+     join.  The scheme's counters are per-thread blocks written with
+     plain stores, so a reset must not overlap recording (a worker's
+     increment could survive it), and only the join orders every
+     worker's last increment before the snapshot; a per-domain reset or
+     snapshot would also double-count the shared deflation and extra
+     counters. *)
   scheme.Scheme_intf.reset_stats ();
   let worker d env =
     let t0 = Tl_util.Timer.now () in
@@ -172,35 +181,44 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
     and lanes_started = ref 0
     and steals = ref 0 in
     let since_tick = ref 0 in
-    let exec_run (lane : lane) =
-      let r = lane.runs.(lane.next_run) in
-      lane.next_run <- lane.next_run + 1;
-      Array.iter
-        (fun op ->
-          if op > 0 then begin
-            scheme.Scheme_intf.acquire env pool.(op - 1);
-            incr acquires
+    let exec_run (r : run) =
+      (* Allocation-free on purpose: every minor collection stops all
+         domains at once. *)
+      let ops = r.ops in
+      for k = 0 to Array.length ops - 1 do
+        let op = ops.(k) in
+        if op > 0 then begin
+          scheme.Scheme_intf.acquire env pool.(op - 1);
+          incr acquires
+        end
+        else scheme.Scheme_intf.release env pool.(-op - 1);
+        if config.work_per_op > 0 then Replay.spin_work config.work_per_op;
+        incr ops_executed;
+        if config.tick_every > 0 then begin
+          incr since_tick;
+          if !since_tick >= config.tick_every then begin
+            since_tick := 0;
+            tick env
           end
-          else scheme.Scheme_intf.release env pool.(-op - 1);
-          if config.work_per_op > 0 then Replay.spin_work config.work_per_op;
-          incr ops_executed;
-          if config.tick_every > 0 then begin
-            incr since_tick;
-            if !since_tick >= config.tick_every then begin
-              since_tick := 0;
-              tick env
-            end
-          end)
-        r.ops;
-      incr runs_executed;
-      Atomic.decr remaining
+        end
+      done
     in
+    (* [remaining] drops once per slice, by the runs the slice ran: the
+       count stays exact (a slice's runs leave it only once they have
+       all executed), and the uncontended replay pays one shared atomic
+       per slice instead of one per few-op run. *)
     let exec_slice (lane : lane) =
       incr lanes_started;
-      let budget = min config.slice_runs (Array.length lane.runs - lane.next_run) in
-      for _ = 1 to budget do
-        exec_run lane
+      (* The cursor is written once per slice: lanes of different
+         domains can share a cache line. *)
+      let first = lane.next_run in
+      let budget = min config.slice_runs (Array.length lane.runs - first) in
+      for k = first to first + budget - 1 do
+        exec_run lane.runs.(k)
       done;
+      lane.next_run <- first + budget;
+      runs_executed := !runs_executed + budget;
+      ignore (Atomic.fetch_and_add remaining (-budget));
       if lane.next_run < Array.length lane.runs then Ws_deque.push dq lane
     in
     let backoff =

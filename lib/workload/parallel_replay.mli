@@ -36,11 +36,13 @@
 
     {b Statistics.}  The scheme's [Lock_stats] counters are reset once
     before the domains start and snapshot once after they all join —
-    never per domain, which would double-count the shared atomic
-    counters (the racy pattern this module exists to replace).
-    Replay-local counters (ops, acquires, runs, steals, per-domain
-    time) are tallied in plain per-domain records, each written by
-    exactly one domain and merged after the join. *)
+    never per domain.  Most counters are per-thread blocks written with
+    plain stores, which a reset must not race and only the join makes
+    visible in full; the rest are shared atomics that a per-domain
+    snapshot would double-count.  Replay-local counters (ops, acquires,
+    runs, steals, per-domain time) are tallied in plain per-domain
+    records, each written by exactly one domain and merged after the
+    join. *)
 
 type mode = Affinity | Shuffle
 
@@ -110,8 +112,8 @@ type result = {
   steals : int;  (** total across domains *)
   tallies : domain_tally array;  (** index = domain *)
   stats : Tl_core.Lock_stats.snapshot;
-      (** one post-join snapshot of the scheme's (shared, atomic)
-          counters — see the module comment on why it is taken once *)
+      (** one post-join snapshot of the scheme's counters — see the
+          module comment on why it is taken once *)
 }
 
 val run :

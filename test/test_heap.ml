@@ -160,6 +160,20 @@ let test_alloc_many_parallel () =
   let all = List.concat (Array.to_list collected) in
   check_int "all allocated" 4000 (List.length (List.sort_uniq compare all))
 
+let test_alloc_many_sharded () =
+  (* [shards] changes only the allocation order: ids stay consecutive
+     in index order, and the census counts every object once *)
+  List.iter
+    (fun (shards, n) ->
+      let heap = Heap.create () in
+      ignore (Heap.alloc heap);
+      let objs = Heap.alloc_many ~shards heap n in
+      check_int "length" n (Array.length objs);
+      Array.iteri (fun i o -> check_int "id in index order" (i + 2) (Obj_model.id o)) objs;
+      check_int "census" (n + 1) (Heap.objects_allocated heap);
+      check_int "next id follows the block" (n + 2) (Obj_model.id (Heap.alloc heap)))
+    [ (1, 10); (2, 9); (4, 10); (3, 1); (5, 3); (2, 0) ]
+
 let () =
   Alcotest.run "heap"
     [
@@ -180,5 +194,6 @@ let () =
           Alcotest.test_case "mark synced" `Quick test_mark_synced;
           Alcotest.test_case "parallel allocation unique ids" `Slow
             test_alloc_many_parallel;
+          Alcotest.test_case "sharded allocation keeps ids" `Quick test_alloc_many_sharded;
         ] );
     ]

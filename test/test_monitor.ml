@@ -5,6 +5,7 @@ module Fatlock = Tl_monitor.Fatlock
 module Montable = Tl_monitor.Montable
 module Index_table = Tl_monitor.Index_table
 module Runtime = Tl_runtime.Runtime
+module Domain_checks = Tl_test_helpers.Domain_checks
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -376,19 +377,23 @@ let test_concurrent_alloc_free_stress () =
   let sentinel = Index_table.allocate t (-1) in
   let domains = 4 in
   let cycles = 2_000 in
+  (* The workers check through [Domain_checks]: Alcotest itself may only
+     be called from the main domain. *)
+  let wc = Domain_checks.create () in
   Runtime.run_parallel ~backend:Runtime.Domain_backend runtime domains (fun i _env ->
       for j = 1 to cycles do
         let h = Index_table.allocate ~shard_hint:i t ((i * 100_000) + j) in
         (* Our own handle must stay valid until we free it... *)
-        check_int "own handle valid" ((i * 100_000) + j) (Index_table.get t h);
+        Domain_checks.check_int wc "own handle valid" ((i * 100_000) + j) (Index_table.get t h);
         (* ...and probing the shared sentinel must never observe a
            recycled occupant: Some (-1) before its free, None after. *)
         (match Index_table.find t sentinel with
-        | Some v -> check_int "sentinel value intact" (-1) v
+        | Some v -> Domain_checks.check_int wc "sentinel value intact" (-1) v
         | None -> ());
         if i = 0 && j = cycles / 2 then Index_table.free t sentinel;
         Index_table.free t h
       done);
+  Domain_checks.assert_none wc;
   check_int "all slots reclaimed" 0 (Index_table.live t);
   check_int "census" ((domains * cycles) + 1) (Index_table.allocated t);
   Alcotest.(check bool) "free lists recycled slots" true (Index_table.reuses t > 0)

@@ -225,8 +225,18 @@ let per_object_kind_sequences ~domains trace =
   let config = { Thin.default_config with Thin.count_width = 1 } in
   let ctx = Thin.create_with ~config ~events:sink runtime in
   let scheme = Scheme_intf.pack (module Thin) ctx in
-  let pconfig = { Parallel_replay.default_config with Parallel_replay.domains } in
-  ignore (Parallel_replay.run ~config:pconfig ~scheme ~runtime trace);
+  (* A lane can migrate mid-way (a thief steals it between slices), and
+     the sink orders two threads' events only across an epoch boundary:
+     within one epoch the drain sorts by tid.  Advancing the epoch after
+     every op makes the drained per-object order the executed order,
+     whichever domains ran the object's runs. *)
+  let pconfig =
+    { Parallel_replay.default_config with Parallel_replay.domains; tick_every = 1 }
+  in
+  ignore
+    (Parallel_replay.run ~config:pconfig
+       ~tick:(fun _ -> Sink.advance_epoch sink)
+       ~scheme ~runtime trace);
   let d = Sink.drain sink in
   check "no events dropped" true (d.Sink.dropped = []);
   let tbl : (int, Event.kind list) Hashtbl.t = Hashtbl.create 64 in

@@ -35,6 +35,28 @@ rm -f "$build_log"
 echo "== dune runtest"
 dune runtest
 
+echo "== stress: domain-parallel suites, 20 runs each"
+# A concurrency test that passes once can still fail on the next
+# interleaving.  Each run gets its own qcheck seed; a failure prints the
+# suite, the iteration and the seed (rerun with QCHECK_SEED=<seed>).
+dune build test/test_monitor.exe test/test_stats.exe test/test_parallel.exe
+for suite in test_monitor test_stats test_parallel; do
+  i=1
+  while [ "$i" -le 20 ]; do
+    seed=$((1998 * 1000 + i))
+    log=$(mktemp)
+    if ! QCHECK_SEED=$seed "./_build/default/test/$suite.exe" >"$log" 2>&1; then
+      cat "$log"
+      rm -f "$log"
+      echo "FAIL: $suite failed on iteration $i/20 (QCHECK_SEED=$seed)." >&2
+      exit 1
+    fi
+    rm -f "$log"
+    i=$((i + 1))
+  done
+  echo "  $suite: 20/20 passed"
+done
+
 echo "== event-codec golden test"
 dune exec test/test_events.exe -- test codec
 
