@@ -709,12 +709,23 @@ let greedy_linearise ~max_thin ~cjm (queues : Event.t array array) =
         true
     | _ -> false
   in
-  let heap_destr = ref 0 in
+  (* A contention inflation is held back while a fast acquire is
+     among the heads: the inflater contended because another thread
+     held the lock thin, and that holder's episode may carry a later
+     stamp in the same epoch.  Taking the inflation first would strand
+     the episode behind a monitor.  [heap_fast] counts the fast
+     acquires in the heap. *)
+  let fast qi = queues.(qi).(idx.(qi)).Event.kind = Event.Acquire_fast in
+  let inflation qi =
+    queues.(qi).(idx.(qi)).Event.kind = Event.Inflate_contention
+  in
+  let heap_destr = ref 0 and heap_fast = ref 0 in
   let push qi =
     heap.(!heap_n) <- qi;
     incr heap_n;
     up (!heap_n - 1);
-    if destructive qi then incr heap_destr
+    if destructive qi then incr heap_destr;
+    if fast qi then incr heap_fast
   in
   let pop () =
     let q = heap.(0) in
@@ -722,6 +733,7 @@ let greedy_linearise ~max_thin ~cjm (queues : Event.t array array) =
     heap.(0) <- heap.(!heap_n);
     if !heap_n > 0 then down 0;
     if destructive q then decr heap_destr;
+    if fast q then decr heap_fast;
     q
   in
   for qi = 0 to nq - 1 do
@@ -831,7 +843,10 @@ let greedy_linearise ~max_thin ~cjm (queues : Event.t array array) =
   while (not !give_up) && !result = None do
     if !heap_n > 0 then begin
       let qi = pop () in
-      if destructive qi && !heap_n - !heap_destr > 0 then begin
+      if
+        (destructive qi && !heap_n - !heap_destr > 0)
+        || (inflation qi && !heap_fast > 0)
+      then begin
         incr parked_n;
         Queue.push qi deferred
       end

@@ -5,11 +5,15 @@
    cache line) per event; every emitting domain serialised through it
    and the enabled fast path cost ~40 ns/event.  Now a mutator emit is:
    tid range check, kind/sampling filter, one plain [Atomic.get] of the
-   epoch, and a single-writer ring append (two stores + head bump) —
-   no atomic read-modify-write at all.
+   epoch, and a single-writer ring append (two stores + index bump) —
+   no atomic read-modify-write at all.  Rings grow with use (see
+   [Ring]), so a sink costs memory in proportion to what it records,
+   however many tids a run leases.
 
-   Ordering comes back at drain time.  Events are sorted by
-   (stamp, ring id, ring position) and reassigned dense seqs:
+   Ordering comes back at drain time.  Each ring is already in stamp
+   order, so [drain] heap-merges the rings by (stamp, ring id), which
+   orders events by (stamp, ring id, ring position), and reassigns
+   dense seqs:
 
    - per-tid program order is always exact (same ring => same stamp
      order by position);
@@ -150,13 +154,14 @@ let[@inline] emit t ~tid ~kind ~arg =
         (* tid is range-checked above; skip ring_for's assert *)
         let ring = Atomic.get (Array.unsafe_get t.rings tid) in
         let ring = if ring == no_ring then ring_slow t tid else ring in
-        let i = ring.Ring.head in
-        if i < ring.Ring.capacity then begin
-          Array.unsafe_set ring.Ring.meta i
-            (((2 * Atomic.get t.epoch) lsl Event.kind_bits) lor k);
-          Array.unsafe_set ring.Ring.args i arg
-        end;
-        ring.Ring.head <- i + 1
+        let meta = ((2 * Atomic.get t.epoch) lsl Event.kind_bits) lor k in
+        let chunk = ring.Ring.chunk and j = ring.Ring.fill in
+        if j < Array.length chunk then begin
+          Array.unsafe_set chunk j meta;
+          Array.unsafe_set chunk (j + 1) arg;
+          ring.Ring.fill <- j + 2
+        end
+        else Ring.emit_full ring meta arg
       end
 
 (* Causally-ordered mutator emission: takes a ticket stamp like
@@ -187,14 +192,16 @@ let emit_system t ~kind ~arg =
       Mutex.unlock t.system_lock
     end
 
-let emitted t =
-  let n = ref 0 in
-  Array.iter
-    (fun cell ->
+let sum_rings t f =
+  Array.fold_left
+    (fun n cell ->
       let ring = Atomic.get cell in
-      if ring != no_ring then n := !n + Ring.written ring + Ring.dropped ring)
-    t.rings;
-  !n
+      if ring != no_ring then n + f ring else n)
+    0 t.rings
+
+let emitted t = sum_rings t (fun ring -> Ring.written ring + Ring.dropped ring)
+let buffered_words t = sum_rings t (fun ring -> 2 * Ring.slots ring)
+let total_dropped t = sum_rings t Ring.dropped
 
 let active_tids t =
   let acc = ref [] in
@@ -207,62 +214,99 @@ type drained = { events : Event.t array; dropped : (int * int) list }
 
 let empty = { events = [||]; dropped = [] }
 
-(* One pre-merge cell; (stamp, rid, pos) is a total order over distinct
-   keys, so the (unstable) sort is deterministic. *)
-type raw = { r_stamp : int; r_rid : int; r_pos : int; r_k : int; r_arg : int }
-
 let kind_mask_bits = (1 lsl Event.kind_bits) - 1
 
+(* A k-way merge of the non-empty rings through a binary heap of ring
+   indices keyed by (stamp of the ring's next event, ring id).  Each
+   ring is already in (stamp, position) order, so popping the least
+   head yields exactly the (stamp, rid, pos) order — without a cell per
+   event or a comparison sort:
+
+   - a ring has one writer at a time, and that writer's epoch loads
+     never go backwards; a ticket it takes is larger than any stamp it
+     placed before and smaller than any it places after;
+   - a recycled tid's next holder leases the index only after the
+     previous holder released it, so it reads an epoch at least as new.
+
+   The merge asserts the per-ring order as it advances each cursor. *)
 let drain t =
   if not t.enabled then empty
   else begin
-    let cells = ref [] in
+    let live = ref [] in
     let dropped = ref [] in
     (* walk tids high-to-low so the accumulated lists end up in tid
        order without a final reverse *)
     for rid = Array.length t.rings - 1 downto 0 do
       let ring = Atomic.get t.rings.(rid) in
       if ring != no_ring then begin
-          for pos = Ring.written ring - 1 downto 0 do
-            let m = ring.Ring.meta.(pos) in
-            cells :=
-              {
-                r_stamp = m lsr Event.kind_bits;
-                r_rid = rid;
-                r_pos = pos;
-                r_k = m land kind_mask_bits;
-                r_arg = ring.Ring.args.(pos);
-              }
-              :: !cells
-          done;
-          let d = Ring.dropped ring in
-          if d > 0 then dropped := (rid, d) :: !dropped
+        if Ring.written ring > 0 then live := (rid, ring) :: !live;
+        let d = Ring.dropped ring in
+        if d > 0 then dropped := (rid, d) :: !dropped
       end
     done;
-    let arr = Array.of_list !cells in
-    Array.sort
-      (fun a b ->
-        if a.r_stamp <> b.r_stamp then compare a.r_stamp b.r_stamp
-        else if a.r_rid <> b.r_rid then compare a.r_rid b.r_rid
-        else compare a.r_pos b.r_pos)
-      arr;
-    let events =
-      Array.mapi
-        (fun i c ->
-          let kind =
-            match Event.kind_of_int c.r_k with
-            | Some k -> k
-            | None -> assert false (* rings only ever hold valid kinds *)
-          in
-          { Event.seq = i; tid = c.r_rid; kind; arg = c.r_arg })
-        arr
+    let live = Array.of_list !live in
+    let k = Array.length live in
+    let rid = Array.map fst live in
+    let chunks = Array.map (fun (_, r) -> Ring.chunks r) live in
+    (* ring [j]'s cursor: chunk [ci.(j)], word [w.(j)], [left.(j)]
+       events still to merge *)
+    let ci = Array.make k 0 and w = Array.make k 0 in
+    let left = Array.map (fun (_, r) -> Ring.written r) live in
+    let stamp = Array.map (fun cs -> cs.(0).(0) lsr Event.kind_bits) chunks in
+    (* ring indices follow ring ids, so the index breaks stamp ties *)
+    let before a b = stamp.(a) < stamp.(b) || (stamp.(a) = stamp.(b) && a < b) in
+    let heap = Array.init k Fun.id in
+    let size = ref k in
+    let sift_down i =
+      let j = heap.(i) in
+      let rec go i =
+        let l = (2 * i) + 1 in
+        if l >= !size then heap.(i) <- j
+        else
+          let c = if l + 1 < !size && before heap.(l + 1) heap.(l) then l + 1 else l in
+          if before heap.(c) j then begin
+            heap.(i) <- heap.(c);
+            go c
+          end
+          else heap.(i) <- j
+      in
+      go i
     in
-    { events; dropped = !dropped }
+    for i = (k / 2) - 1 downto 0 do
+      sift_down i
+    done;
+    let next seq =
+      let j = heap.(0) in
+      let chunk = chunks.(j).(ci.(j)) and p = w.(j) in
+      let m = chunk.(p) in
+      let kind =
+        match Event.kind_of_int (m land kind_mask_bits) with
+        | Some kind -> kind
+        | None -> assert false (* rings only ever hold valid kinds *)
+      in
+      let e = { Event.seq; tid = rid.(j); kind; arg = chunk.(p + 1) } in
+      left.(j) <- left.(j) - 1;
+      if p + 2 < Array.length chunk then w.(j) <- p + 2
+      else begin
+        ci.(j) <- ci.(j) + 1;
+        w.(j) <- 0
+      end;
+      if left.(j) > 0 then begin
+        let s = chunks.(j).(ci.(j)).(w.(j)) lsr Event.kind_bits in
+        assert (s >= stamp.(j));
+        stamp.(j) <- s
+      end
+      else begin
+        decr size;
+        heap.(0) <- heap.(!size)
+      end;
+      sift_down 0;
+      e
+    in
+    let total = Array.fold_left ( + ) 0 left in
+    (* [Array.init] applies [next] to 0, 1, … in order *)
+    { events = Array.init total next; dropped = !dropped }
   end
-
-let total_dropped t =
-  match drain t with
-  | d -> List.fold_left (fun acc (_, n) -> acc + n) 0 d.dropped
 
 let count_kind (d : drained) kind =
   Array.fold_left

@@ -12,8 +12,9 @@
     {b Ordering guarantees.}  There is no longer a global order ticket
     on the emit path.  Each mutator event is stamped with a plain load
     of the sink's {e epoch}; {!advance_epoch} bumps it at every
-    quiescence point.  {!drain} sorts by (stamp, tid, ring position)
-    and reassigns dense [seq]s (0, 1, …, n−1), which gives:
+    quiescence point.  {!drain} merges the rings in (stamp, tid, ring
+    position) order and reassigns dense [seq]s (0, 1, …, n−1), which
+    gives:
 
     - {e per-tid program order is exact} — one thread's events keep
       their emit order;
@@ -44,7 +45,7 @@ val disabled : t
     is empty.  Shared; never records. *)
 
 val default_capacity : int
-(** Per-ring default: 65536 events. *)
+(** Per-ring default cap: 65536 events. *)
 
 val max_tids : int
 (** Thread-id space per sink (matches [Tl_runtime.Tid.bits]).  Valid
@@ -65,13 +66,14 @@ type sampling =
 
 val create :
   ?ring_capacity:int -> ?system_capacity:int -> ?sampling:sampling -> unit -> t
-(** An enabled sink whose rings each hold [ring_capacity] events
-    (default {!default_capacity}).  Size it to the workload when drops
-    matter: roughly [2×ops + inflations + extras] per thread.
-    [system_capacity] (default [ring_capacity]) sizes ring 0 alone —
-    fiber storms keep mutator rings small (events spread over 32 k
-    recycled tids) while the system stream absorbs every deflation,
-    reaper scan and overflow mark of the run. *)
+(** An enabled sink whose rings each hold at most [ring_capacity]
+    events (default {!default_capacity}); events past the cap are
+    dropped and counted.  The cap reserves nothing: a ring starts at
+    [Ring.initial_slots] and grows with the events it is given (see
+    {!Ring}), so a generous cap costs memory only when it is used.
+    [system_capacity] (default [ring_capacity]) caps ring 0 alone, the
+    system stream that absorbs every deflation, reaper scan and
+    overflow mark of the run. *)
 
 val enabled : t -> bool
 
@@ -124,11 +126,19 @@ val empty : drained
 
 val drain : t -> drained
 (** Merge every ring into one ordered stream (see the ordering
-    guarantees above).  Requires producers to have quiesced; may be
+    guarantees above): a k-way heap merge over the non-empty rings,
+    each already in stamp order, in O(n log rings).  Requires producers to have quiesced; may be
     called repeatedly (it reads, never consumes) and is deterministic:
     two drains of a quiesced sink yield identical streams. *)
 
 val total_dropped : t -> int
+(** Events lost to ring overflow, summed over every ring: the total of
+    [(drain t).dropped] without building the stream. *)
+
+val buffered_words : t -> int
+(** Words of event storage allocated across all rings (two per slot):
+    what tracing currently costs in memory.  Grows with the events
+    recorded, not with the caps. *)
 
 val count_kind : drained -> Event.kind -> int
 (** Occurrences of one kind in a drained stream (scoring helper). *)

@@ -14,13 +14,14 @@
    but the acquire-latency tail (p50/p99/p999), which is where a
    scheduler that livelocks or a lock that convoys shows up first.
 
-   Tracing a storm needs asymmetric ring sizing: lease recycling keeps
-   the set of distinct tids near the admission window (the free list
-   is FIFO, so roughly [in_flight] indices cycle), each hosting
-   [fibers / in_flight] lease segments.  [ring_capacity_for] sizes the
-   mutator rings to that product with headroom, while the system ring
-   absorbs every quiescence announcement and overflow mark of the
-   run. *)
+   A traced storm spreads its events over up to [in_flight] recycled
+   tids plus the system stream.  Rings grow with the events they are
+   given, so the storm predicts none of that traffic: every ring gets
+   one generous cap, [ring_cap], which bounds a runaway ring and never
+   binds a real run (a tid records a few events per lease segment, the
+   system stream a few per quiescence point, overflow or deflation),
+   and the memory tracing costs, [buffered_words], follows the events
+   actually written. *)
 
 open Tl_runtime
 module Scheduler = Tl_fiber.Scheduler
@@ -94,6 +95,7 @@ type result = {
   distinct_tids : int;
   events : int;
   dropped : int;
+  buffered_words : int;  (** event storage the sink allocated, in words *)
   leaked_entries : int;
   reaper_scans : int;  (** census walks run by the reaper (0 when [reap = "none"]) *)
   deflations : int;  (** successful concurrent deflations under the storm *)
@@ -150,39 +152,14 @@ let sample_cdf cdf u =
   done;
   !lo
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-(* Events per mutator ring: [fibers / in_flight] lease segments each of
-   [ops] episodes, up to ~8 events per contended episode, doubled for
-   headroom against recycling imbalance. *)
-let ring_capacity_for c =
-  let segments = (c.fibers / max 1 c.in_flight) + 1 in
-  let per_segment = (c.ops_per_fiber * 8) + 4 in
-  next_pow2 (max 256 (2 * segments * per_segment))
-
-(* With a reaper mounted, the system stream also carries every
-   concurrent deflation, the per-scan marks and the controller's
-   switch decisions — size it to the op count so an eager policy's
-   churn cannot drop events out from under the oracle. *)
-let system_capacity_for c =
-  let base = max 65536 (c.fibers / 8) in
-  next_pow2
-    (if c.reap = "none" then base
-     else max base (2 * c.fibers * c.ops_per_fiber))
+(* Events per ring before drops: 16M, or 256 MB of one ring's slots —
+   a cap, not a reservation. *)
+let ring_cap = 1 lsl 24
 
 let run ?(trace = true) ?(oracle = true) config =
   validate config;
   let runtime = Runtime.create () in
-  let sink =
-    if trace then
-      Sink.create
-        ~ring_capacity:(ring_capacity_for config)
-        ~system_capacity:(system_capacity_for config)
-        ()
-    else Sink.disabled
-  in
+  let sink = if trace then Sink.create ~ring_capacity:ring_cap () else Sink.disabled in
   (* the runtime-level sink is where overflow marks land *)
   Runtime.set_event_sink runtime sink;
   let fat_backend =
@@ -359,8 +336,8 @@ let run ?(trace = true) ?(oracle = true) config =
     overflow_waits;
     distinct_tids = !tids_seen ();
     events = Array.length drained.Sink.events;
-    dropped =
-      List.fold_left (fun a (_, n) -> a + n) 0 drained.Sink.dropped;
+    dropped = Sink.total_dropped sink;
+    buffered_words = Sink.buffered_words sink;
     leaked_entries;
     reaper_scans =
       (match !stats_ref with
@@ -414,8 +391,8 @@ let pp ppf (r : result) =
                  shards)))
   | None -> ());
   if r.events > 0 || r.dropped > 0 then
-    Format.fprintf ppf "@\n  trace        %d event(s), %d dropped" r.events
-      r.dropped;
+    Format.fprintf ppf "@\n  trace        %d event(s), %d dropped, %d buffered word(s)"
+      r.events r.dropped r.buffered_words;
   match r.oracle with
   | Some rep ->
       Format.fprintf ppf "@\n  oracle       %s"

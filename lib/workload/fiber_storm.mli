@@ -78,6 +78,10 @@ type result = {
           with or without tracing *)
   events : int;
   dropped : int;
+  buffered_words : int;
+      (** words of event storage the sink allocated across its rings
+          ([Sink.buffered_words]): proportional to [events], not to the
+          tids leased; 0 untraced *)
   leaked_entries : int;
       (** CJM runs: table entries still live after every fiber drained
           (must be 0 — the conservation invariant); always 0 for thin *)
@@ -96,14 +100,9 @@ type result = {
 
 val run : ?trace:bool -> ?oracle:bool -> config -> result
 (** Run one storm on a fresh runtime and scheduler.  [trace] (default
-    true) attaches an event sink with storm-appropriate asymmetric ring
-    sizing; [oracle] (default true, requires [trace]) verifies the
-    drained stream in relaxed mode.  Untraced runs are the
-    configuration for pure throughput numbers. *)
-
-val ring_capacity_for : config -> int
-(** The mutator ring sizing rule (exposed for the benchmark harness):
-    roughly [2 × (fibers/in_flight) × (8×ops + 4)], min 256, rounded to
-    a power of two. *)
+    true) attaches an event sink whose rings grow with use; [oracle]
+    (default true, requires [trace]) verifies the drained stream in
+    relaxed mode.  Untraced runs are the configuration for pure
+    throughput numbers. *)
 
 val pp : Format.formatter -> result -> unit

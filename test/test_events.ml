@@ -148,6 +148,9 @@ let test_sink_reports_drops_per_tid () =
   check_int "accepted = recorded + dropped" 101 (Sink.emitted sink);
   check "per-tid drop counts" true (d.Sink.dropped = [ (5, 84) ]);
   check_int "total_dropped" 84 (Sink.total_dropped sink);
+  check_int "total_dropped sums the drained counts"
+    (List.fold_left (fun n (_, k) -> n + k) 0 d.Sink.dropped)
+    (Sink.total_dropped sink);
   check_int "count_kind sees survivors" 16 (Sink.count_kind d Event.Release_fast)
 
 (* Regression (drop-induced seq holes): the old global ticket was
@@ -360,6 +363,141 @@ let prop_drain_reconstruction_is_legal =
       && !dense && !per_tid_ok
       && Oracle.ok (Oracle.check ~mode:Oracle.Relaxed ~count_width:8 d)
       && Sink.drain sink = d)
+
+(* --- merge drain vs a reference sort (qcheck) --- *)
+
+(* One step of a tid's lease segment.  [Emit] and [Ordered] land on
+   the segment's tid, [System] on the system stream. *)
+type step =
+  | Emit of Event.kind * int
+  | Ordered of Event.kind * int
+  | System of Event.kind * int
+  | Advance
+
+(* A test-only model of the sink's stamping (plain emits stamp [2e];
+   tickets stamp [2e+1] and bump [e]) and the drain's contract: the
+   surviving events of every ring, numbered in (stamp, rid, pos)
+   order, and the per-ring overflow counts. *)
+let reference_drain ~cap ~system_cap segments =
+  let epoch = ref 0 in
+  let appends = Hashtbl.create 64 in
+  let cells = ref [] in
+  let append rid stamp kind arg =
+    let pos = Option.value ~default:0 (Hashtbl.find_opt appends rid) in
+    Hashtbl.replace appends rid (pos + 1);
+    if pos < (if rid = 0 then system_cap else cap) then
+      cells := (stamp, rid, pos, kind, arg) :: !cells
+  in
+  let ticket () =
+    let e = !epoch in
+    incr epoch;
+    (2 * e) + 1
+  in
+  List.iter
+    (fun (tid, steps) ->
+      List.iter
+        (function
+          | Emit (kind, arg) -> append tid (2 * !epoch) kind arg
+          | Ordered (kind, arg) -> append tid (ticket ()) kind arg
+          | System (kind, arg) -> append 0 (ticket ()) kind arg
+          | Advance -> incr epoch)
+        steps)
+    segments;
+  (* (stamp, rid, pos) is unique per cell, so the sort never looks
+     past it *)
+  let events =
+    List.sort compare !cells
+    |> List.mapi (fun seq (_, tid, _, kind, arg) -> { Event.seq; tid; kind; arg })
+    |> Array.of_list
+  in
+  let dropped =
+    Hashtbl.fold
+      (fun rid n acc ->
+        let d = n - if rid = 0 then system_cap else cap in
+        if d > 0 then (rid, d) :: acc else acc)
+      appends []
+    |> List.sort compare
+  in
+  { Sink.events; dropped }
+
+let replay_segments sink segments =
+  List.iter
+    (fun (tid, steps) ->
+      List.iter
+        (function
+          | Emit (kind, arg) -> Sink.emit sink ~tid ~kind ~arg
+          | Ordered (kind, arg) -> Sink.emit_ordered sink ~tid ~kind ~arg
+          | System (kind, arg) -> Sink.emit_system sink ~kind ~arg
+          | Advance -> Sink.advance_epoch sink)
+        steps)
+    segments
+
+(* Many tids, leased in segments from a pool so that indices recur the
+   way recycled leases do; plain, ordered and system emits; epoch
+   advances; caps small enough that rings overflow (and straddle the
+   initial ring size). *)
+let arb_segments =
+  let open QCheck.Gen in
+  let kind = oneofl Event.all_kinds in
+  let step =
+    frequency
+      [
+        (16, map2 (fun k a -> Emit (k, a)) kind small_signed_int);
+        (2, map2 (fun k a -> Ordered (k, a)) kind small_signed_int);
+        (1, map2 (fun k a -> System (k, a)) kind small_signed_int);
+        (2, return Advance);
+      ]
+  in
+  let gen =
+    int_range 1 80 >>= fun cap ->
+    int_range 1 80 >>= fun system_cap ->
+    list_size (int_range 1 300) (int_range 1 (Sink.max_tids - 1)) >>= fun pool ->
+    list_size (int_range 0 80) (pair (oneofl pool) (list_size (int_range 1 40) step))
+    >|= fun segments -> (cap, system_cap, segments)
+  in
+  QCheck.make gen ~print:(fun (cap, system_cap, segments) ->
+      Printf.sprintf "cap %d, system cap %d, %d segment(s): %s" cap system_cap
+        (List.length segments)
+        (String.concat "; "
+           (List.map
+              (fun (tid, steps) -> Printf.sprintf "tid %d x %d" tid (List.length steps))
+              segments)))
+
+let prop_merge_drain_matches_reference_sort =
+  QCheck.Test.make ~name:"merge drain equals the (stamp, rid, pos) sort" ~count:200
+    arb_segments (fun (cap, system_cap, segments) ->
+      let sink = Sink.create ~ring_capacity:cap ~system_capacity:system_cap () in
+      replay_segments sink segments;
+      let d = Sink.drain sink in
+      let rings = List.length (Sink.active_tids sink) in
+      d = reference_drain ~cap ~system_cap segments
+      && Sink.total_dropped sink = List.fold_left (fun n (_, k) -> n + k) 0 d.Sink.dropped
+      && Sink.buffered_words sink
+         <= (4 * Array.length d.Sink.events) + (rings * 2 * Ring.initial_slots))
+
+(* A ring holds at most max(initial, 2N) slots after N writes and never
+   more than its cap, while drop counts and fold order stay those of a
+   fixed-size buffer. *)
+let prop_ring_grows_with_use =
+  QCheck.Test.make ~name:"ring slots follow writes, under the cap" ~count:200
+    QCheck.(pair (int_range 1 300) (int_range 0 700))
+    (fun (cap, n) ->
+      let ring = Ring.create cap in
+      let bounded = ref (Ring.slots ring <= Ring.initial_slots) in
+      for i = 1 to n do
+        Ring.emit ring ~stamp:i ~kind:Event.Acquire_fast ~arg:(-i);
+        let s = Ring.slots ring in
+        if s > max Ring.initial_slots (2 * i) || s > cap || s < min i cap then
+          bounded := false
+      done;
+      let kept = min n cap in
+      let stored =
+        List.rev (Ring.fold (fun acc ~stamp ~kind:_ ~arg -> (stamp, arg) :: acc) [] ring)
+      in
+      !bounded
+      && Ring.written ring = kept
+      && Ring.dropped ring = max 0 (n - cap)
+      && stored = List.init kept (fun i -> (i + 1, -(i + 1))))
 
 (* --- text codec (the golden suite tools/check.sh runs) --- *)
 
@@ -820,6 +958,7 @@ let () =
           Alcotest.test_case "overflow drops a suffix" `Quick test_ring_overflow_drops_suffix;
           Alcotest.test_case "wide stamps survive packing" `Quick test_ring_packs_wide_stamps;
           Alcotest.test_case "zero capacity rejected" `Quick test_ring_rejects_zero_capacity;
+          QCheck_alcotest.to_alcotest prop_ring_grows_with_use;
         ] );
       ( "sink",
         [
@@ -838,6 +977,7 @@ let () =
             test_system_events_interleave_exactly;
           Alcotest.test_case "multithreaded emit" `Quick test_sink_multithreaded_emit;
           QCheck_alcotest.to_alcotest prop_drain_reconstruction_is_legal;
+          QCheck_alcotest.to_alcotest prop_merge_drain_matches_reference_sort;
         ] );
       ( "sampling",
         [

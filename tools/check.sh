@@ -207,11 +207,39 @@ else
   echo "BENCH.json: key smoke (python3 unavailable)"
 fi
 
+# Run one traced fiber storm (the arguments follow `fiber-storm`) and
+# gate its trace line: nothing dropped, and event storage proportional
+# to the events written.  A ring holds at most twice its events or its
+# initial 32 slots (64 words), over at most one ring per leased tid
+# plus the generator's and the system stream's; a return to up-front
+# ring reservation breaks the bound.
+storm_gate() {
+  if ! out=$(dune exec bin/thinlocks.exe -- fiber-storm "$@"); then
+    echo "$out"
+    exit 1
+  fi
+  echo "$out"
+  echo "$out" | awk '
+    /tid leases/ { tids = $3 }
+    $1 == "trace" { events = $2; dropped = $4; words = $6; seen = 1 }
+    END {
+      if (!seen) { print "FAIL: storm printed no trace line" > "/dev/stderr"; exit 1 }
+      if (dropped != 0) { print "FAIL: storm trace dropped " dropped " event(s)" > "/dev/stderr"; exit 1 }
+      bound = 4 * events + (tids + 2) * 64
+      if (words > bound) {
+        print "FAIL: " words " buffered words for " events " events over " tids \
+          " tids (bound " bound ")" > "/dev/stderr"
+        exit 1
+      }
+      print "  trace memory " words " words <= bound " bound
+    }'
+}
+
 echo "== fiber storm smoke (100k fibers, 1 domain, relaxed oracle must be clean)"
-dune exec bin/thinlocks.exe -- fiber-storm --fibers 100000 --domains 1
+storm_gate --fibers 100000 --domains 1
 
 echo "== fiber storm on the cjm table (100k fibers, oracle + conservation)"
-dune exec bin/thinlocks.exe -- fiber-storm --fibers 100000 --domains 1 --scheme cjm
+storm_gate --fibers 100000 --domains 1 --scheme cjm
 
 echo "== parallel replay smoke (2 domains, shuffle, must contend)"
 dune exec bin/thinlocks.exe -- replay-par -b javacup --domains 2 --shuffle \
@@ -283,14 +311,13 @@ for domains in 1 2 4; do
 done
 
 echo "== fiber storm under the feedback controller (100k fibers, oracle must be clean)"
-dune exec bin/thinlocks.exe -- fiber-storm --fibers 100000 --domains 1 --reap controlled
+storm_gate --fibers 100000 --domains 1 --reap controlled
 
 echo "== fiber storm on the hapax backend (100k fibers, relaxed oracle must be clean)"
 # Window 512: FIFO admission hands off to one exact fiber per release,
 # so each grant costs a run-queue rotation -- the default 4096-fiber
 # window makes that a multi-minute gate without testing anything more.
-dune exec bin/thinlocks.exe -- fiber-storm --fibers 100000 --domains 1 \
-  --in-flight 512 --fat-backend hapax
+storm_gate --fibers 100000 --domains 1 --in-flight 512 --fat-backend hapax
 
 echo "== cjm protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
 for domains in 1 2 4; do
