@@ -18,6 +18,8 @@ module Runtime = Tl_runtime.Runtime
 module Scheme = Tl_core.Scheme_intf
 module Registry = Tl_baselines.Registry
 
+let thin = Registry.find_entry_exn "thin"
+
 let smoke = Array.exists (String.equal "smoke") Sys.argv
 let quick = smoke || Array.exists (String.equal "quick") Sys.argv
 
@@ -543,13 +545,9 @@ let bench_events_overhead () =
     Tl_workload.Tracegen.generate ~seed:77 ~max_syncs:(if quick then 3_000 else 8_000)
       profile
   in
-  let policy =
-    match Tl_workload.Policy_lab.policy_of_string "always-idle" with
-    | Some p -> p
-    | None -> failwith "bench_events_overhead: always-idle policy missing"
-  in
+  let reap = Tl_workload.Policy_lab.Reap_fixed Tl_lifecycle.Policy.always_idle in
   let stream ?sampling () =
-    snd (Tl_workload.Policy_lab.replay_traced ?sampling ~policy trace)
+    (Tl_workload.Policy_lab.replay_traced ?sampling ~reap thin trace).drained
   in
   let full = stream () in
   let n_full = max 1 (Array.length full.Tl_events.Sink.events) in
@@ -598,13 +596,9 @@ let bench_oracle_overhead () =
     | None -> failwith "bench_oracle_overhead: javacup profile missing"
   in
   let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs profile in
-  let policy =
-    match Tl_workload.Policy_lab.policy_of_string "always-idle" with
-    | Some p -> p
-    | None -> failwith "bench_oracle_overhead: always-idle policy missing"
-  in
+  let reap = Tl_workload.Policy_lab.Reap_fixed Tl_lifecycle.Policy.always_idle in
   let t0 = Unix.gettimeofday () in
-  let _ctx, drained = Tl_workload.Policy_lab.replay_traced ~policy trace in
+  let drained = (Tl_workload.Policy_lab.replay_traced ~reap thin trace).drained in
   let replay_s = Unix.gettimeofday () -. t0 in
   let events = Array.length drained.Tl_events.Sink.events in
   let per_event seconds = 1e9 *. seconds /. float_of_int (max 1 events) in
@@ -740,7 +734,9 @@ let bench_fiber_storm () =
     "domains" "ops/sec" "p50us" "p99us" "p999us" "tids" "oracle";
   List.iter
     (fun (scheme, fibers, traced) ->
-      let config = { FS.default_config with FS.fibers; scheme } in
+      let config =
+        { FS.default_config with FS.fibers; scheme = Registry.find_entry_exn scheme }
+      in
       let r = FS.run ~trace:traced ~oracle:traced config in
       let clean =
         match r.FS.oracle with Some rep -> Tl_events.Oracle.ok rep | None -> true
@@ -873,14 +869,14 @@ let bench_fat_backend () =
   Printf.printf "  %-10s %12s %9s %9s %9s %7s\n" "backend" "ops/sec" "p50us" "p99us"
     "p999us" "oracle";
   List.iter
-    (fun (backend, _) ->
+    (fun (backend, scheme_name) ->
       let config =
         {
           FS.default_config with
           FS.fibers;
           domains = 2;
           in_flight = 512;
-          fat_backend = backend;
+          scheme = Registry.find_entry_exn scheme_name;
         }
       in
       let r = FS.run ~trace:true ~oracle:true config in
@@ -1042,16 +1038,18 @@ let bench_controller () =
       in
       let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs profile in
       let fixed =
-        List.map (fun policy -> PL.run_one ~policy trace) PL.shipped_policies
+        List.map
+          (fun policy -> PL.run_one ~reap:(PL.Reap_fixed policy) thin trace)
+          Tl_lifecycle.Policy.shipped
       in
       let best =
         List.fold_left
           (fun acc s -> if PL.lab_score s < PL.lab_score acc then s else acc)
           (List.hd fixed) (List.tl fixed)
       in
-      let controller, ctl =
-        PL.run_one_reap ~reap:(PL.Reap_controlled Ctl.default_config) trace
-      in
+      let reap = PL.Reap_controlled Ctl.default_config in
+      let replayed = PL.replay_traced ~reap thin trace in
+      let controller, ctl = (replayed.PL.controller, PL.score ~reap replayed) in
       let score_ratio = PL.lab_score ctl /. Float.max 1e-9 (PL.lab_score best) in
       let switches =
         match controller with Some c -> Ctl.switches_total c | None -> 0
@@ -1083,7 +1081,9 @@ let bench_controller () =
   (* --- the fiber storm: tail latency without per-workload tuning --- *)
   let storm_fibers = if quick then 20_000 else 100_000 in
   let storm_one reap =
-    let config = { FS.default_config with FS.fibers = storm_fibers; reap } in
+    let config =
+      { FS.default_config with FS.fibers = storm_fibers; reap = PL.reap_of_string reap }
+    in
     FS.run config
   in
   Printf.printf "\n  fiber storm, %d fibers (acquire-latency tail, us):\n" storm_fibers;
@@ -1411,13 +1411,13 @@ let () =
     (Tl_workload.Report.monitor_lifecycle ~cycles:(if quick then 5_000 else 20_000) ());
 
   section "Policy lab: deflation policies scored from the event stream";
-  print_string (Tl_workload.Policy_lab.table ~max_syncs:(if quick then 5_000 else 20_000) ());
+  print_string (Tl_workload.Policy_lab.table ~max_syncs:(if quick then 5_000 else 20_000) thin);
 
   section "Policy lab, parallel: policies under real contention (4 domains, shuffle)";
   print_string
     (Tl_workload.Policy_lab.table_par
        ~max_syncs:(if quick then 4_000 else 10_000)
-       ~domains:4 ~mode:Tl_workload.Parallel_replay.Shuffle ());
+       ~domains:4 ~mode:Tl_workload.Parallel_replay.Shuffle thin);
   flush stdout;
 
   write_bench_json ();

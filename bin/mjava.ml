@@ -29,9 +29,10 @@ let time_arg =
 
 let reap_arg =
   let doc =
-    "Hook the monitor-lifecycle reaper onto the VM's quiescence points (thin scheme \
-     only): every safepoint-driven announcement runs a deflation scan under this \
-     policy (never, always-idle, idle-for-4, zero-contended-episodes)."
+    "Hook the monitor-lifecycle reaper onto the VM's quiescence points (schemes \
+     whose monitors deflate: thin and its variants): every safepoint-driven \
+     announcement runs a deflation scan under this policy (never, always-idle, \
+     idle-for-4, zero-contended-episodes)."
   in
   Arg.(value & opt (some string) None & info [ "reap" ] ~docv:"POLICY" ~doc)
 
@@ -45,15 +46,17 @@ let safepoint_arg =
     & opt int Tl_jvm.Vm.default_safepoint_interval
     & info [ "safepoint-interval" ] ~docv:"N" ~doc)
 
-(* A thin scheme with a quiescence-hooked reaper attached before the VM
+(* The scheme with a quiescence-hooked reaper attached before the VM
    starts — the --reap wiring. *)
-let reaping_thin_scheme policy runtime =
-  let ctx = Tl_core.Thin.create runtime in
-  Tl_lifecycle.Reaper.on_quiescence ~policy runtime ctx;
-  Tl_core.Scheme_intf.pack
-    ~deflate_idle:(Tl_core.Thin.deflate_idle ctx)
-    (module Tl_core.Thin)
-    ctx
+let reaping_scheme (entry : Tl_baselines.Registry.entry) policy runtime =
+  let scheme = entry.make runtime in
+  match scheme.Tl_core.Scheme_intf.lifecycle with
+  | Deflates ctx ->
+      Tl_lifecycle.Reaper.on_quiescence ~policy runtime ctx;
+      scheme
+  | Evaporates _ | Static ->
+      Printf.eprintf "--reap needs a scheme whose monitors deflate (got %s)\n" entry.name;
+      exit 1
 
 let run file scheme_name reap safepoint_interval stats disasm time =
   try
@@ -67,28 +70,13 @@ let run file scheme_name reap safepoint_interval stats disasm time =
       let scheme_of =
         match reap with
         | None -> None
-        | Some policy_name ->
-            if scheme_name <> "thin" then begin
-              Printf.eprintf "--reap requires the thin scheme (got %s)\n" scheme_name;
-              exit 1
-            end;
-            let policy =
-              match
-                List.find_opt
-                  (fun p -> p.Tl_lifecycle.Policy.name = policy_name)
-                  [
-                    Tl_lifecycle.Policy.never;
-                    Tl_lifecycle.Policy.always_idle;
-                    Tl_lifecycle.Policy.idle_for ~quiescence_points:4;
-                    Tl_lifecycle.Policy.zero_contended_episodes;
-                  ]
-              with
-              | Some p -> p
-              | None ->
-                  Printf.eprintf "unknown policy %S\n" policy_name;
-                  exit 1
-            in
-            Some (reaping_thin_scheme policy)
+        | Some policy_name -> (
+            match Tl_lifecycle.Policy.of_string policy_name with
+            | Some policy ->
+                Some (reaping_scheme (Tl_baselines.Registry.find_entry_exn scheme_name) policy)
+            | None ->
+                Printf.eprintf "unknown policy %S\n" policy_name;
+                exit 1)
       in
       let t0 = Unix.gettimeofday () in
       let vm =

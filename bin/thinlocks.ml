@@ -22,6 +22,33 @@ let print s =
   print_string s;
   if String.length s = 0 || s.[String.length s - 1] <> '\n' then print_newline ()
 
+(* A --scheme value is a registry entry; unknown names fail at parse
+   time with the list of known ones. *)
+let scheme_arg ~doc =
+  let parse name =
+    match Tl_baselines.Registry.find name with
+    | Some e -> Ok e
+    | None ->
+        Error
+          (`Msg
+            (Printf.sprintf "unknown scheme %S (known: %s)" name
+               (String.concat ", " (Tl_baselines.Registry.names ()))))
+  in
+  let print ppf (e : Tl_baselines.Registry.entry) = Format.pp_print_string ppf e.name in
+  Arg.(
+    value
+    & opt (conv (parse, print)) (Tl_baselines.Registry.find_entry_exn "thin")
+    & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
+
+(* The storm and the lab reject what a scheme cannot do (a reaper for
+   monitors that never deflate, a lab over a scheme with no lifecycle)
+   with Invalid_argument; report it as a usage error. *)
+let or_usage_error f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "%s\n" msg;
+    exit 2
+
 let table1_cmd =
   let run max_syncs seed = print (Tl_workload.Report.table1 ~max_syncs ~seed ()) in
   Cmd.v
@@ -88,15 +115,12 @@ let micro_cmd =
                callsync, nestedcallsync, threads:N." in
     Arg.(value & opt string "sync" & info [ "kernel"; "k" ] ~docv:"KERNEL" ~doc)
   in
-  let scheme_arg =
-    let doc = "Locking scheme (registry name)." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
-  in
+  let scheme_arg = scheme_arg ~doc:"Locking scheme (registry name)." in
   let list_arg =
     let doc = "List available kernels and schemes, then exit." in
     Arg.(value & flag & info [ "list" ] ~doc)
   in
-  let run iterations kernel_name scheme_name list =
+  let run iterations kernel_name (entry : Tl_baselines.Registry.entry) list =
     if list then begin
       print_endline "kernels:";
       List.iter
@@ -114,11 +138,11 @@ let micro_cmd =
       | None -> Printf.eprintf "unknown kernel %S (try --list)\n" kernel_name
       | Some kernel ->
           let runtime = Tl_runtime.Runtime.create () in
-          let scheme = Tl_baselines.Registry.find_exn scheme_name runtime in
+          let scheme = entry.make runtime in
           let m = Tl_workload.Micro.run ~iterations ~scheme ~runtime kernel in
           Printf.printf "%s on %s: %s total, %.1f ns/iteration (%d iterations)\n"
             (Tl_workload.Micro.kernel_name kernel)
-            scheme_name
+            entry.name
             (Tl_util.Timer.seconds_to_string m.Tl_workload.Micro.seconds)
             m.Tl_workload.Micro.ns_per_iteration iterations
   in
@@ -152,62 +176,62 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Generate a lock trace and serialize it")
     Term.(const run $ benchmark_arg $ output_arg $ max_syncs_arg $ seed_arg)
 
+(* Check a traced re-replay with the scheme's own oracle call; exit 1 on
+   a violation or a leaked table entry, 2 if the scheme emits no events. *)
+let verify_replay ~mode (r : Tl_workload.Policy_lab.replayed) =
+  let scheme = r.Tl_workload.Policy_lab.scheme in
+  match scheme.Tl_core.Scheme_intf.verify with
+  | None ->
+      Printf.eprintf "scheme %s emits no lock events: there is no stream to verify\n"
+        scheme.name;
+      exit 2
+  | Some verify ->
+      (match scheme.lifecycle with
+      | Evaporates live when live () <> 0 ->
+          Printf.eprintf "%s: %d table entries leaked after the replay drained\n" scheme.name
+            (live ());
+          exit 1
+      | Evaporates _ | Deflates _ | Static -> ());
+      let report = verify ~mode r.drained in
+      Format.printf "%a@." Tl_events.Oracle.pp report;
+      if not (Tl_events.Oracle.ok report) then exit 1
+
 let replay_cmd =
   let file_arg =
     let doc = "Trace file produced by 'thinlocks trace'." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
-  let scheme_arg =
-    let doc = "Locking scheme." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
-  in
+  let scheme_arg = scheme_arg ~doc:"Locking scheme." in
   let oracle_arg =
-    let doc = "After the timed replay, re-replay the trace with event tracing on \
-               and verify the stream with the protocol oracle; exit 1 on \
-               violation.  The traced re-replay runs the thin scheme (1-bit \
-               nest count) unless --scheme is cjm, which re-replays CJM and \
-               checks the no-deflation-handshake protocol variant." in
+    let doc = "After the timed replay, re-replay the trace under the same scheme \
+               with event tracing on (1-bit nest count) and verify the stream \
+               with the scheme's protocol oracle; exit 1 on violation.  A \
+               scheme that emits no events has no oracle: exit 2." in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
-  let run file scheme_name oracle =
+  let run file (entry : Tl_baselines.Registry.entry) oracle =
     let trace = Tl_workload.Trace_io.load file in
     let runtime = Tl_runtime.Runtime.create () in
-    let scheme = Tl_baselines.Registry.find_exn scheme_name runtime in
+    let scheme = entry.make runtime in
     let env = Tl_runtime.Runtime.main_env runtime in
     let result = Tl_workload.Replay.run ~scheme ~env trace in
     Printf.printf "%d acquires in %s under %s (%.1f ns/op)\n"
       result.Tl_workload.Replay.acquires
       (Tl_util.Timer.seconds_to_string result.Tl_workload.Replay.elapsed)
-      scheme_name
+      entry.name
       (result.Tl_workload.Replay.elapsed *. 1e9
       /. float_of_int (max 1 (2 * result.Tl_workload.Replay.acquires)));
     Format.printf "%a@." Tl_core.Lock_stats.pp result.Tl_workload.Replay.stats;
-    if oracle then begin
-      let report =
-        if String.equal scheme_name "cjm" then begin
-          let _ctx, drained = Tl_workload.Policy_lab.replay_traced_cjm trace in
-          Tl_events.Oracle.check ~mode:Tl_events.Oracle.Strict
-            ~protocol:Tl_events.Oracle.Cjm drained
-        end
-        else begin
-          let policy = Option.get (Tl_workload.Policy_lab.policy_of_string "never") in
-          let _ctx, drained = Tl_workload.Policy_lab.replay_traced ~policy trace in
-          Tl_events.Oracle.check ~mode:Tl_events.Oracle.Strict ~count_width:1 drained
-        end
-      in
-      Format.printf "%a@." Tl_events.Oracle.pp report;
-      if not (Tl_events.Oracle.ok report) then exit 1
-    end
+    if oracle then
+      verify_replay ~mode:Tl_events.Oracle.Strict
+        (Tl_workload.Policy_lab.replay_traced entry trace)
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Replay a serialized trace under a scheme")
     Term.(const run $ file_arg $ scheme_arg $ oracle_arg)
 
 let stress_cmd =
-  let scheme_arg =
-    let doc = "Scheme to stress." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
-  in
+  let scheme_arg = scheme_arg ~doc:"Scheme to stress." in
   let seconds_arg =
     let doc = "How long to run." in
     Arg.(value & opt float 5.0 & info [ "seconds" ] ~docv:"S" ~doc)
@@ -216,18 +240,17 @@ let stress_cmd =
     let doc = "Worker threads." in
     Arg.(value & opt int 6 & info [ "threads"; "t" ] ~docv:"N" ~doc)
   in
-  let run scheme_name seconds threads =
+  let run (entry : Tl_baselines.Registry.entry) seconds threads =
     let runtime = Tl_runtime.Runtime.create () in
     let scheme =
-      Tl_core.Validate.with_validation
-        (Tl_core.Validate.with_chaos (Tl_baselines.Registry.find_exn scheme_name runtime))
+      Tl_core.Validate.with_validation (Tl_core.Validate.with_chaos (entry.make runtime))
     in
     let heap = Tl_heap.Heap.create () in
     let objs = Tl_heap.Heap.alloc_many heap 32 in
     let deadline = Unix.gettimeofday () +. seconds in
     let ops = Atomic.make 0 in
     Printf.printf "stressing %s with %d threads for %.1fs (chaos + validation)...\n%!"
-      scheme_name threads seconds;
+      entry.name threads seconds;
     (try
        Tl_runtime.Runtime.run_parallel runtime threads (fun t env ->
            let prng = Tl_util.Prng.create (t lxor 0x5735) in
@@ -333,7 +356,7 @@ let events_cmd =
     Arg.(value & flag & info [ "contended-only" ] ~doc)
   in
   let run benchmark policy_name output summary binary sample contended max_syncs seed =
-    match Tl_workload.Policy_lab.policy_of_string policy_name with
+    match Tl_lifecycle.Policy.of_string policy_name with
     | None -> Printf.eprintf "unknown policy %S\n" policy_name
     | Some policy -> (
         match Tl_workload.Profiles.find benchmark with
@@ -352,8 +375,12 @@ let events_cmd =
               | n, false -> Some (Tl_events.Sink.One_in_n n)
             in
             let trace = Tl_workload.Tracegen.generate ~seed ~max_syncs profile in
-            let _ctx, drained =
-              Tl_workload.Policy_lab.replay_traced ?sampling ~policy trace
+            let drained =
+              (Tl_workload.Policy_lab.replay_traced ?sampling
+                 ~reap:(Tl_workload.Policy_lab.Reap_fixed policy)
+                 (Tl_baselines.Registry.find_entry_exn "thin")
+                 trace)
+                .drained
             in
             if summary then begin
               Printf.printf "%d events (%d dropped) from %s under %s:\n"
@@ -408,21 +435,35 @@ let backend_arg =
 let fat_backend_arg =
   let doc =
     "Contended-path engine for inflated fat monitors: $(b,parker) (entry \
-     queue with spin-before-park, the default), $(b,hapax) (constant-time \
-     FIFO ticket admission) or $(b,delegate) (hapax admission plus \
-     flat-combining delegation)."
+     queue with spin-before-park), $(b,hapax) (constant-time FIFO ticket \
+     admission) or $(b,delegate) (hapax admission plus flat-combining \
+     delegation).  Selects the --scheme's registry sibling with that \
+     engine (thin + hapax is thin-hapax); omitted, the scheme runs as \
+     named (thin and fat use parker)."
   in
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("parker", Tl_monitor.Fatlock.Parker);
-             ("hapax", Tl_monitor.Fatlock.Hapax);
-             ("delegate", Tl_monitor.Fatlock.Delegate);
-           ])
-        Tl_monitor.Fatlock.Parker
+        (some
+           (enum
+              [
+                ("parker", Tl_monitor.Fatlock.Parker);
+                ("hapax", Tl_monitor.Fatlock.Hapax);
+                ("delegate", Tl_monitor.Fatlock.Delegate);
+              ]))
+        None
     & info [ "fat-backend" ] ~docv:"ENGINE" ~doc)
+
+(* The entry a --scheme/--fat-backend pair names, by registry data. *)
+let with_fat_backend (entry : Tl_baselines.Registry.entry) = function
+  | None -> entry
+  | Some b -> (
+      match Tl_baselines.Registry.with_fat_backend entry b with
+      | Some e -> e
+      | None ->
+          Printf.eprintf "scheme %s has no pluggable fat backend (--fat-backend %s)\n"
+            entry.name (Tl_monitor.Fatlock.backend_name b);
+          exit 2)
 
 (* Controller knobs, shared by every subcommand that can mount the
    self-tuning reaper (--reap controlled). *)
@@ -484,22 +525,17 @@ let controller_config_term =
     const build $ epoch_scans_arg $ patience_arg $ margin_arg $ thrash_arg
     $ budget_arg $ refill_arg $ initial_arg)
 
-let reap_arg ~default ~doc = Arg.(value & opt string default & info [ "reap" ] ~docv:"MODE" ~doc)
+let reap_arg ~doc = Arg.(value & opt string "none" & info [ "reap" ] ~docv:"MODE" ~doc)
 
-(* Schemes with a pluggable fat backend resolve to their registry
-   variant; anything else must stay on the default parker engine. *)
-let apply_fat_backend scheme_name fat_backend =
-  match fat_backend with
-  | Tl_monitor.Fatlock.Parker -> scheme_name
-  | b -> (
-      let suffix = Tl_monitor.Fatlock.backend_name b in
-      match scheme_name with
-      | "thin" -> "thin-" ^ suffix
-      | "fat" -> "fat-" ^ suffix
-      | s ->
-          Printf.eprintf
-            "scheme %S has no pluggable fat backend (--fat-backend needs thin or fat)\n"
-            s;
+(* A --reap value: none, a shipped policy name, or controlled (tuned by
+   the --ctl-* knobs). *)
+let parse_reap ~ctl = function
+  | "none" -> None
+  | r -> (
+      match Tl_workload.Policy_lab.reap_of_string ~controller:ctl r with
+      | Some reap -> Some reap
+      | None ->
+          Printf.eprintf "unknown --reap mode %S (none, controlled or a policy name)\n" r;
           exit 2)
 
 let policy_lab_cmd =
@@ -525,24 +561,22 @@ let policy_lab_cmd =
     Arg.(value & flag & info [ "affinity" ] ~doc)
   in
   let lab_scheme_arg =
-    let doc = "Lock under the lab: 'thin' (default; one table row per deflation \
-               policy) or 'cjm' (the headerless transient monitor table — no \
-               policy dimension, one head-to-head row per trace)." in
-    Arg.(value & opt string "thin" & info [ "scheme" ] ~docv:"SCHEME" ~doc)
+    scheme_arg
+      ~doc:
+        "Lock under the lab: any registry entry that emits events.  A scheme \
+         whose monitors deflate (thin and its variants) gets one table row per \
+         deflation policy; one whose monitors evaporate (cjm) gets a single \
+         head-to-head row per trace."
   in
   let lab_reap_arg =
-    reap_arg ~default:"none"
+    reap_arg
       ~doc:
         "Extra table row: $(b,controlled) appends the self-tuning feedback \
-         controller to each thin-scheme table so it ranks against the fixed \
-         policies ($(b,none) = fixed policies only)."
+         controller to each table of a deflating scheme so it ranks against \
+         the fixed policies ($(b,none) = fixed policies only)."
   in
-  let run max_syncs seed benchmarks domains affinity backend scheme fat_backend reap
-      ctl =
-    if scheme = "cjm" && fat_backend <> Tl_monitor.Fatlock.Parker then begin
-      Printf.eprintf "the cjm scheme has no pluggable fat backend\n";
-      exit 2
-    end;
+  let run max_syncs seed benchmarks domains affinity backend entry fat_backend reap ctl =
+    let entry = with_fat_backend entry fat_backend in
     let controlled =
       match reap with
       | "none" -> None
@@ -554,18 +588,17 @@ let policy_lab_cmd =
             r;
           exit 2
     in
-    if domains <= 1 then
-      print
-        (Tl_workload.Policy_lab.table ~max_syncs ~seed ~benchmarks ~scheme
-           ~fat_backend ?controlled ())
-    else
-      let mode =
-        if affinity then Tl_workload.Parallel_replay.Affinity
-        else Tl_workload.Parallel_replay.Shuffle
-      in
-      print
-        (Tl_workload.Policy_lab.table_par ~max_syncs ~seed ~benchmarks ~backend
-           ~scheme ~fat_backend ?controlled ~domains ~mode ())
+    or_usage_error (fun () ->
+        if domains <= 1 then
+          print (Tl_workload.Policy_lab.table ~max_syncs ~seed ~benchmarks ?controlled entry)
+        else
+          let mode =
+            if affinity then Tl_workload.Parallel_replay.Affinity
+            else Tl_workload.Parallel_replay.Shuffle
+          in
+          print
+            (Tl_workload.Policy_lab.table_par ~max_syncs ~seed ~benchmarks ~backend ?controlled
+               ~domains ~mode entry))
   in
   Cmd.v
     (Cmd.info "policy-lab"
@@ -590,10 +623,7 @@ let replay_par_cmd =
                episodes of hot objects overlap across domains (manufactures contention)." in
     Arg.(value & flag & info [ "shuffle" ] ~doc)
   in
-  let scheme_arg =
-    let doc = "Locking scheme (registry name)." in
-    Arg.(value & opt string "thin" & info [ "scheme"; "s" ] ~docv:"SCHEME" ~doc)
-  in
+  let scheme_arg = scheme_arg ~doc:"Locking scheme (registry name)." in
   let work_arg =
     let doc = "Spin-work iterations per replayed op (lengthens critical sections)." in
     Arg.(value & opt int 0 & info [ "work" ] ~docv:"N" ~doc)
@@ -615,26 +645,27 @@ let replay_par_cmd =
     Arg.(value & flag & info [ "expect-contention" ] ~doc)
   in
   let oracle_arg =
-    let doc = "After the timed replay, re-replay the trace with event tracing on \
-               (same domains and decomposition) and verify the drained stream with \
-               the protocol oracle — strict for one domain, relaxed above; exit 1 \
-               on violation.  The traced re-replay runs the thin scheme (1-bit \
-               nest count) unless --scheme is cjm, which re-replays CJM, checks \
-               the no-deflation-handshake protocol variant, and asserts the \
-               monitor table drained." in
+    let doc = "After the timed replay, re-replay the trace under the same scheme \
+               with event tracing on (same domains and decomposition, 1-bit nest \
+               count) and verify the drained stream with the scheme's protocol \
+               oracle — strict for one domain, relaxed above; exit 1 on violation \
+               or on a table entry left live by a scheme whose monitors \
+               evaporate.  A scheme that emits no events has no oracle: exit 2." in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
   let par_reap_arg =
-    reap_arg ~default:"never"
+    reap_arg
       ~doc:
-        "Deflation mode for the traced --oracle re-replay: a fixed policy name \
-         (never, always-idle, idle-for-4, zero-contended-episodes) or \
-         $(b,controlled) for the self-tuning per-shard feedback controller — \
-         its Policy_switch decisions land in the verified stream."
+        "Deflation mode for the traced --oracle re-replay of a scheme whose \
+         monitors deflate: $(b,none) (no reaper), a fixed policy name (never, \
+         always-idle, idle-for-4, zero-contended-episodes) or $(b,controlled) \
+         for the self-tuning per-shard feedback controller — its \
+         Policy_switch decisions land in the verified stream."
   in
-  let run benchmark domains shuffle scheme_name work tick_every interleave expect oracle
-      backend max_syncs seed fat_backend reap ctl =
-    let scheme_name = apply_fat_backend scheme_name fat_backend in
+  let run benchmark domains shuffle entry work tick_every interleave expect oracle backend
+      max_syncs seed fat_backend reap ctl =
+    let entry = with_fat_backend entry fat_backend in
+    let reap = parse_reap ~ctl reap in
     match Tl_workload.Profiles.find benchmark with
     | None ->
         Printf.eprintf "unknown benchmark %S\n" benchmark;
@@ -644,7 +675,7 @@ let replay_par_cmd =
         let mode = if shuffle then PR.Shuffle else PR.Affinity in
         let attempt () =
           let runtime = Tl_runtime.Runtime.create () in
-          let scheme = Tl_baselines.Registry.find_exn scheme_name runtime in
+          let scheme = entry.make runtime in
           let tick env =
             Tl_runtime.Runtime.quiescence_point ~env runtime;
             if interleave then
@@ -677,7 +708,7 @@ let replay_par_cmd =
         in
         let r = go 4 (attempt ()) in
         Printf.printf "replayed %s under %s: %d ops (%d acquires), %d lanes / %d runs\n"
-          benchmark scheme_name r.PR.ops r.PR.acquires r.PR.lanes r.PR.runs;
+          benchmark entry.name r.PR.ops r.PR.acquires r.PR.lanes r.PR.runs;
         Printf.printf "%d %s, %s mode: %.0f ops/sec in %s; %d steals\n\n" domains
           (match backend with
           | PR.Os_domains -> "domains"
@@ -710,46 +741,19 @@ let replay_par_cmd =
           let omode =
             if domains <= 1 then Tl_events.Oracle.Strict else Tl_events.Oracle.Relaxed
           in
-          let report =
-            if String.equal scheme_name "cjm" then begin
-              let _r, ctx, drained =
-                Tl_workload.Policy_lab.replay_traced_par_cjm ~interleave ~backend
-                  ~domains ~mode trace
-              in
-              let leaked = Tl_cjm.Cjm.live_entries ctx in
-              if leaked <> 0 then begin
-                Printf.eprintf "cjm: %d table entries leaked after the replay drained\n"
-                  leaked;
-                exit 1
-              end;
-              Tl_events.Oracle.check ~mode:omode ~protocol:Tl_events.Oracle.Cjm drained
-            end
-            else begin
-              let reap_mode =
-                match Tl_workload.Policy_lab.reap_of_string ~controller:ctl reap with
-                | Some r -> r
-                | None ->
-                    Printf.eprintf
-                      "unknown --reap mode %S (policy name or controlled)\n" reap;
-                    exit 2
-              in
-              let _r, controller, drained =
-                Tl_workload.Policy_lab.replay_traced_par_reap ~interleave ~backend
-                  ~fat_backend ~domains ~mode ~reap:reap_mode trace
-              in
-              (match controller with
-              | Some c ->
-                  Printf.printf
-                    "controller: %d policy switch(es) across %d shard(s) in the \
-                     verified stream\n"
-                    (Tl_lifecycle.Controller.switches_total c)
-                    (Tl_lifecycle.Controller.nshards c)
-              | None -> ());
-              Tl_events.Oracle.check ~mode:omode ~count_width:1 drained
-            end
+          let _r, replayed =
+            or_usage_error (fun () ->
+                Tl_workload.Policy_lab.replay_traced_par ~interleave ~backend ?reap ~domains
+                  ~mode entry trace)
           in
-          Format.printf "%a@." Tl_events.Oracle.pp report;
-          if not (Tl_events.Oracle.ok report) then exit 1
+          Option.iter
+            (fun c ->
+              Printf.printf
+                "controller: %d policy switch(es) across %d shard(s) in the verified stream\n"
+                (Tl_lifecycle.Controller.switches_total c)
+                (Tl_lifecycle.Controller.nshards c))
+            replayed.controller;
+          verify_replay ~mode:omode replayed
         end
   in
   Cmd.v
@@ -806,22 +810,24 @@ let fiber_storm_cmd =
     Arg.(value & flag & info [ "no-oracle" ] ~doc)
   in
   let storm_scheme_arg =
-    let doc =
-      "Locking scheme under the storm: $(b,thin) (header lock word) or \
-       $(b,cjm) (headerless transient monitor table)."
-    in
-    Arg.(value & opt string "thin" & info [ "scheme" ] ~docv:"SCHEME" ~doc)
+    scheme_arg
+      ~doc:
+        "Locking scheme under the storm: any registry entry (thin = header lock \
+         word, cjm = headerless transient monitor table, jdk111, ibm112, fat, \
+         mcs, ...).  Traced runs verify with the scheme's own oracle; schemes \
+         that emit no events trace only the system stream."
   in
   let storm_reap_arg =
-    reap_arg ~default:"none"
+    reap_arg
       ~doc:
         "Deflation under the storm: $(b,none) (monitors stay fat), a fixed \
          policy name (never, always-idle, idle-for-4, zero-contended-episodes) \
          or $(b,controlled) — the self-tuning per-shard feedback controller.  \
-         Thin scheme only; scans ride the quiescence announcements."
+         Only for a scheme whose monitors deflate; scans ride the quiescence \
+         announcements."
   in
   let run fibers domains objects zipf ops in_flight rate no_yield no_trace no_oracle
-      scheme fat_backend reap ctl seed =
+      entry fat_backend reap ctl seed =
     let config =
       {
         FS.default_config with
@@ -833,21 +839,22 @@ let fiber_storm_cmd =
         in_flight;
         arrival_rate = rate;
         yield_in_cs = not no_yield;
-        scheme;
-        fat_backend = Tl_monitor.Fatlock.backend_name fat_backend;
-        reap;
-        controller = ctl;
+        scheme = with_fat_backend entry fat_backend;
+        reap = parse_reap ~ctl reap;
         seed;
       }
     in
-    let r = FS.run ~trace:(not no_trace) ~oracle:(not (no_trace || no_oracle)) config in
+    let r =
+      or_usage_error (fun () ->
+          FS.run ~trace:(not no_trace) ~oracle:(not (no_trace || no_oracle)) config)
+    in
     Format.printf "%a@." FS.pp r;
     if r.FS.completed <> fibers then begin
       Printf.eprintf "storm lost fibers: %d of %d completed\n" r.FS.completed fibers;
       exit 1
     end;
     if r.FS.leaked_entries > 0 then begin
-      Printf.eprintf "cjm table leak: %d entries live after drain\n"
+      Printf.eprintf "%s table leak: %d entries live after drain\n" config.scheme.name
         r.FS.leaked_entries;
       exit 1
     end;
@@ -857,8 +864,8 @@ let fiber_storm_cmd =
   in
   Cmd.v
     (Cmd.info "fiber-storm"
-       ~doc:"Storm N lightweight fibers over thin or cjm locks on a fixed \
-             domain pool, reporting throughput and the acquire-latency tail")
+       ~doc:"Storm N lightweight fibers over any registry scheme's locks on a \
+             fixed domain pool, reporting throughput and the acquire-latency tail")
     Term.(
       const run $ fibers_arg $ domains_arg $ objects_arg $ zipf_arg $ ops_arg
       $ in_flight_arg $ rate_arg $ no_yield_arg $ no_trace_arg $ no_oracle_arg

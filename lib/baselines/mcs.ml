@@ -63,15 +63,17 @@ let rec monitor_of ctx obj =
 
 let my_index (env : Tl_runtime.Runtime.env) = env.Tl_runtime.Runtime.descriptor.Tl_runtime.Tid.index
 
-(* Classic MCS acquire: one atomic exchange; spin on our own node. *)
-let mcs_lock mon node =
+(* Classic MCS acquire: one atomic exchange; spin on our own node.  The
+   spin backs off through the waiter's parker, so a fiber waiter yields
+   to a holder queued on its own carrier instead of sleeping it. *)
+let mcs_lock env mon node =
   Atomic.set node.next None;
   let pred = Atomic.exchange mon.tail node in
   if pred == nil then false (* uncontended *)
   else begin
     Atomic.set node.must_wait true;
     Atomic.set pred.next (Some node);
-    let backoff = Backoff.create () in
+    let backoff = Backoff.create ~parker:env.Tl_runtime.Runtime.parker () in
     while Atomic.get node.must_wait do
       Backoff.once backoff
     done;
@@ -81,14 +83,14 @@ let mcs_lock mon node =
 (* Classic MCS release: one compare-and-swap in the common case — the
    atomic operation the paper contrasts with thin locks' plain
    store. *)
-let mcs_unlock mon node =
+let mcs_unlock env mon node =
   match Atomic.get node.next with
   | Some successor -> Atomic.set successor.must_wait false
   | None ->
       if Atomic.compare_and_set mon.tail node nil then ()
       else begin
         (* A successor is linking itself in; wait for the link. *)
-        let backoff = Backoff.create () in
+        let backoff = Backoff.create ~parker:env.Tl_runtime.Runtime.parker () in
         let rec await () =
           match Atomic.get node.next with
           | Some successor -> Atomic.set successor.must_wait false
@@ -107,7 +109,7 @@ let lock_mon env mon =
   end
   else begin
     let node = fresh_node () in
-    let contended = mcs_lock mon node in
+    let contended = mcs_lock env mon node in
     mon.owner <- me;
     mon.count <- 1;
     mon.holder_node <- node;
@@ -127,7 +129,7 @@ let unlock_mon env mon =
     mon.owner <- 0;
     mon.count <- 0;
     mon.holder_node <- nil;
-    mcs_unlock mon node
+    mcs_unlock env mon node
   end
 
 let acquire ctx env obj =
@@ -143,13 +145,12 @@ let release ctx env obj =
   Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
 
 let full_unlock env mon =
-  ignore env;
   let node = mon.holder_node in
   assert (node != nil);
   mon.owner <- 0;
   mon.count <- 0;
   mon.holder_node <- nil;
-  mcs_unlock mon node
+  mcs_unlock env mon node
 
 let remove_waiter q w =
   let keep = Queue.create () in

@@ -1,93 +1,113 @@
 open Tl_core
+module Fatlock = Tl_monitor.Fatlock
+module Oracle = Tl_events.Oracle
 
-let pack_thin ?config runtime =
-  let ctx = Thin.create_with ?config runtime in
-  Scheme_intf.pack ~deflate_idle:(Thin.deflate_idle ctx) (module Thin) ctx
+type entry = {
+  name : string;
+  describe : string;
+  backend : (string * Fatlock.backend) option;
+  make :
+    ?events:Tl_events.Sink.t -> ?count_width:int -> Tl_runtime.Runtime.t -> Scheme_intf.packed;
+}
 
-let rename name packed = { packed with Scheme_intf.name }
+let thin name config ?events ?count_width runtime =
+  let config =
+    match count_width with Some count_width -> { config with Thin.count_width } | None -> config
+  in
+  let ctx = Thin.create_with ~config ?events runtime in
+  let sync = if config.Thin.fat_backend = Fatlock.Delegate then Some (Thin.sync ctx) else None in
+  let verify ~mode d = Oracle.check ~mode ~count_width:config.Thin.count_width d in
+  {
+    (Scheme_intf.pack ~deflate_idle:(Thin.deflate_idle ctx) ?sync ~lifecycle:(Deflates ctx) ~verify
+       (module Thin) ctx)
+    with
+    name;
+  }
 
-let thin_variant name config runtime = rename name (pack_thin ~config runtime)
+let cjm ?events ?count_width:_ runtime =
+  let ctx = Tl_cjm.Cjm.create_with ?events runtime in
+  Scheme_intf.pack
+    ~lifecycle:(Evaporates (fun () -> Tl_cjm.Cjm.live_entries ctx))
+    ~verify:(fun ~mode d -> Oracle.check ~mode ~protocol:Oracle.Cjm d)
+    (module Tl_cjm.Cjm) ctx
 
-let table : (string * string * (Tl_runtime.Runtime.t -> Scheme_intf.packed)) list =
+(* Schemes that emit no events take neither a sink nor a count width. *)
+let plain (type a) (module M : Scheme_intf.S with type ctx = a) (create : _ -> a) ?events:_
+    ?count_width:_ runtime =
+  Scheme_intf.pack (module M) (create runtime)
+
+let fat name backend ?events:_ ?count_width:_ runtime =
+  { (Scheme_intf.pack (module Fat_only) (Fat_only.create_with ~backend runtime)) with name }
+
+let entry name describe make = { name; describe; backend = None; make }
+
+(* [family]: the entry belongs to the set of thin schemes that differ
+   only in their fat monitors' engine, which [with_fat_backend] walks. *)
+let thin_entry ?(family = false) name describe config =
+  {
+    (entry name describe (thin name config)) with
+    backend = (if family then Some ("thin", config.Thin.fat_backend) else None);
+  }
+
+let fat_entry name describe backend =
+  { (entry name describe (fat name backend)) with backend = Some ("fat", backend) }
+
+let table =
+  let d = Thin.default_config in
   [
-    ("thin", "thin locks, paper's final configuration", pack_thin ?config:None);
-    ( "thin-unlkcas",
-      "thin locks releasing with compare-and-swap (Fig. 6 UnlkC&S)",
-      thin_variant "thin-unlkcas" { Thin.default_config with unlock_with_cas = true } );
-    ( "thin-mpsync",
-      "thin locks with an extra fence per operation (Fig. 6 MP Sync)",
-      thin_variant "thin-mpsync" { Thin.default_config with extra_fence = true } );
-    ( "thin-busy",
-      "thin locks with pure busy-wait contention spinning",
-      thin_variant "thin-busy"
-        { Thin.default_config with backoff_policy = Tl_runtime.Backoff.Busy } );
-    ( "thin-yield",
-      "thin locks spinning with yields but never sleeping",
-      thin_variant "thin-yield"
-        { Thin.default_config with backoff_policy = Tl_runtime.Backoff.Yield } );
-    ( "thin-count2",
-      "thin locks with a 2-bit nest count (count-width ablation, §3.2)",
-      thin_variant "thin-count2" { Thin.default_config with count_width = 2 } );
-    ( "thin-count4",
-      "thin locks with a 4-bit nest count",
-      thin_variant "thin-count4" { Thin.default_config with count_width = 4 } );
-    ( "thin-nostats",
-      "thin locks without statistics recording (pure-time runs)",
-      thin_variant "thin-nostats" { Thin.default_config with record_stats = false } );
-    ( "thin-hapax",
-      "thin locks inflating to FIFO ticket-admission monitors (Hapax contended path)",
-      thin_variant "thin-hapax"
-        { Thin.default_config with fat_backend = Tl_monitor.Fatlock.Hapax } );
-    ( "thin-delegate",
-      "thin locks inflating to flat-combining monitors (delegated critical sections)",
-      thin_variant "thin-delegate"
-        { Thin.default_config with fat_backend = Tl_monitor.Fatlock.Delegate } );
-    ( "jdk111",
-      "Sun JDK 1.1.1 port: global monitor cache with recycling",
-      fun runtime -> Scheme_intf.pack (module Jdk111) (Jdk111.create runtime) );
-    ( "ibm112",
-      "IBM JDK 1.1.2: 32 hot locks over a monitor cache",
-      fun runtime -> Scheme_intf.pack (module Ibm112) (Ibm112.create runtime) );
-    ( "cjm",
-      "Compact Java Monitors: headerless, transient hash-table monitors",
-      fun runtime -> Scheme_intf.pack (module Tl_cjm.Cjm) (Tl_cjm.Cjm.create runtime) );
-    ( "fat",
-      "always-inflated control: a dedicated fat monitor per object",
-      fun runtime -> Scheme_intf.pack (module Fat_only) (Fat_only.create runtime) );
-    ( "fat-hapax",
-      "always-inflated control over FIFO ticket-admission monitors",
-      fun runtime ->
-        rename "fat-hapax"
-          (Scheme_intf.pack (module Fat_only)
-             (Fat_only.create_with ~backend:Tl_monitor.Fatlock.Hapax runtime)) );
-    ( "fat-delegate",
-      "always-inflated control over flat-combining monitors",
-      fun runtime ->
-        rename "fat-delegate"
-          (Scheme_intf.pack (module Fat_only)
-             (Fat_only.create_with ~backend:Tl_monitor.Fatlock.Delegate runtime)) );
-    ( "mcs",
-      "MCS queue locks with monitor semantics layered on top (§4.1)",
-      fun runtime -> Scheme_intf.pack (module Mcs) (Mcs.create runtime) );
-    ( "nosync",
-      "no locking at all (Fig. 6 NOP; not a correct monitor!)",
-      fun runtime -> Scheme_intf.pack (module Nosync) (Nosync.create runtime) );
+    thin_entry ~family:true "thin" "thin locks, paper's final configuration" d;
+    thin_entry "thin-unlkcas" "thin locks releasing with compare-and-swap (Fig. 6 UnlkC&S)"
+      { d with unlock_with_cas = true };
+    thin_entry "thin-mpsync" "thin locks with an extra fence per operation (Fig. 6 MP Sync)"
+      { d with extra_fence = true };
+    thin_entry "thin-busy" "thin locks with pure busy-wait contention spinning"
+      { d with backoff_policy = Tl_runtime.Backoff.Busy };
+    thin_entry "thin-yield" "thin locks spinning with yields but never sleeping"
+      { d with backoff_policy = Tl_runtime.Backoff.Yield };
+    thin_entry "thin-count2" "thin locks with a 2-bit nest count (count-width ablation, §3.2)"
+      { d with count_width = 2 };
+    thin_entry "thin-count4" "thin locks with a 4-bit nest count" { d with count_width = 4 };
+    thin_entry "thin-nostats" "thin locks without statistics recording (pure-time runs)"
+      { d with record_stats = false };
+    thin_entry ~family:true "thin-hapax"
+      "thin locks inflating to FIFO ticket-admission monitors (Hapax contended path)"
+      { d with fat_backend = Fatlock.Hapax };
+    thin_entry ~family:true "thin-delegate"
+      "thin locks inflating to flat-combining monitors (delegated critical sections)"
+      { d with fat_backend = Fatlock.Delegate };
+    entry "jdk111" "Sun JDK 1.1.1 port: global monitor cache with recycling"
+      (plain (module Jdk111) Jdk111.create);
+    entry "ibm112" "IBM JDK 1.1.2: 32 hot locks over a monitor cache"
+      (plain (module Ibm112) Ibm112.create);
+    entry "cjm" "Compact Java Monitors: headerless, transient hash-table monitors" cjm;
+    fat_entry "fat" "always-inflated control: a dedicated fat monitor per object" Fatlock.Parker;
+    fat_entry "fat-hapax" "always-inflated control over FIFO ticket-admission monitors"
+      Fatlock.Hapax;
+    fat_entry "fat-delegate" "always-inflated control over flat-combining monitors"
+      Fatlock.Delegate;
+    entry "mcs" "MCS queue locks with monitor semantics layered on top (§4.1)"
+      (plain (module Mcs) Mcs.create);
+    entry "nosync" "no locking at all (Fig. 6 NOP; not a correct monitor!)"
+      (plain (module Nosync) Nosync.create);
   ]
 
-let names () = List.map (fun (n, _, _) -> n) table
+let names () = List.map (fun e -> e.name) table
+let find name = List.find_opt (fun e -> String.equal e.name name) table
 
-let find name =
-  List.find_map (fun (n, _, make) -> if String.equal n name then Some make else None) table
-
-let find_exn name runtime =
+let find_entry_exn name =
   match find name with
-  | Some make -> make runtime
+  | Some e -> e
   | None ->
       invalid_arg
         (Printf.sprintf "unknown scheme %S (known: %s)" name (String.concat ", " (names ())))
 
-let describe name =
-  List.find_map (fun (n, d, _) -> if String.equal n name then Some d else None) table
+let find_exn name runtime = (find_entry_exn name).make runtime
+let describe name = Option.map (fun e -> e.describe) (find name)
+
+let with_fat_backend e b =
+  match e.backend with
+  | None -> None
+  | Some (family, _) -> List.find_opt (fun s -> s.backend = Some (family, b)) table
 
 let paper_trio = [ "jdk111"; "ibm112"; "thin" ]
 let fig6_variants = [ "nosync"; "thin"; "thin-mpsync"; "thin-unlkcas" ]

@@ -11,36 +11,21 @@
     (the paper's "FnCall" configuration), which is what the generic
     harness uses. *)
 
-module type S = sig
-  type ctx
-  (** Per-run state: monitor table, caches, statistics.  Independent
-      contexts share nothing. *)
+module type S = Scheme_sig.S
 
-  val name : string
-
-  val create : Tl_runtime.Runtime.t -> ctx
-
-  val acquire : ctx -> Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit
-  (** Lock the object ([monitorenter]).  Re-entrant. *)
-
-  val release : ctx -> Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit
-  (** Unlock the object ([monitorexit]).
-      @raise Tl_monitor.Fatlock.Illegal_monitor_state if the calling
-      thread does not hold the lock. *)
-
-  val wait : ?timeout:float -> ctx -> Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit
-  (** Java [Object.wait]: release fully, block until notified (or
-      timeout), re-acquire.
-      @raise Tl_monitor.Fatlock.Illegal_monitor_state if not owner. *)
-
-  val notify : ctx -> Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit
-  val notify_all : ctx -> Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit
-
-  val stats : ctx -> Lock_stats.t
-
-  val holds : ctx -> Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> bool
-  (** Does the calling thread currently own the object's lock? *)
-end
+(** What happens to a scheme's fat monitors once they go idle — the
+    one thing about a scheme that the storm, the lab and the CLIs
+    branch on. *)
+type lifecycle =
+  | Deflates of Thin.ctx
+      (** Header-word thin locks: monitors stay fat until a deflation
+          handshake retires them.  The reaper and the feedback
+          controller attach to this ctx. *)
+  | Evaporates of (unit -> int)
+      (** Monitors vanish on their own when a releaser finds them idle
+          (CJM's transient table).  The closure counts the entries still
+          live, which must be 0 once every lock is released. *)
+  | Static  (** nothing to deflate and nothing to census *)
 
 type packed = {
   name : string;
@@ -50,15 +35,35 @@ type packed = {
   notify : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit;
   notify_all : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit;
   holds : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> bool;
+  sync : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> (unit -> unit) -> unit;
+      (* Run a critical section: acquire, body, release — or, on a
+         delegating fat backend, possibly hand the body to the owner
+         ([Thin.sync]).  The body must not raise. *)
   stats : unit -> Lock_stats.snapshot;
   reset_stats : unit -> unit;
+  stats_blocks : unit -> int;
+      (* per-thread statistics blocks registered so far: the distinct
+         thread indices that ever recorded a lock operation *)
   deflate_idle : Tl_heap.Obj_model.t -> bool;
       (* Quiescence-point deflation hook; schemes without a deflatable
          representation keep the default (always [false]). *)
+  lifecycle : lifecycle;
+  verify : (mode:Tl_events.Oracle.mode -> Tl_events.Sink.drained -> Tl_events.Oracle.report) option;
+      (* The oracle call for this scheme's event stream, with its
+         protocol and nest-count width; [None] when it emits no events. *)
 }
 
-let pack (type a) ?(deflate_idle = fun _ -> false) (module M : S with type ctx = a) (ctx : a)
-    : packed =
+let pack (type a) ?(deflate_idle = fun _ -> false) ?sync ?(lifecycle = Static) ?verify
+    (module M : S with type ctx = a) (ctx : a) : packed =
+  let sync =
+    match sync with
+    | Some f -> f
+    | None ->
+        fun env obj body ->
+          M.acquire ctx env obj;
+          body ();
+          M.release ctx env obj
+  in
   {
     name = M.name;
     acquire = M.acquire ctx;
@@ -67,9 +72,13 @@ let pack (type a) ?(deflate_idle = fun _ -> false) (module M : S with type ctx =
     notify = M.notify ctx;
     notify_all = M.notify_all ctx;
     holds = M.holds ctx;
+    sync;
     stats = (fun () -> Lock_stats.snapshot (M.stats ctx));
     reset_stats = (fun () -> Lock_stats.reset (M.stats ctx));
+    stats_blocks = (fun () -> Lock_stats.block_count (M.stats ctx));
     deflate_idle;
+    lifecycle;
+    verify;
   }
 
 let synchronized (scheme : packed) env obj f =

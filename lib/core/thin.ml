@@ -190,9 +190,7 @@ and acquire ctx env obj =
       (* Scenario 4/5: held by another thread. *)
       if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Contended_begin ~arg:(Obj_model.id obj);
       contended ctx env obj
-        (Backoff.create ~policy:ctx.config.backoff_policy
-           ~yield:(fun () -> Parker.yield env.Runtime.parker)
-           ());
+        (Backoff.create ~policy:ctx.config.backoff_policy ~parker:env.Runtime.parker ());
       if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Contended_end ~arg:(Obj_model.id obj)
     end
 

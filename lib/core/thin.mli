@@ -47,7 +47,7 @@ type config = {
 
 val default_config : config
 
-include Scheme_intf.S
+include Scheme_sig.S
 
 val create_with :
   ?config:config -> ?events:Tl_events.Sink.t -> Tl_runtime.Runtime.t -> ctx

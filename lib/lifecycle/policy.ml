@@ -24,6 +24,9 @@ let zero_contended_episodes =
     decide = (fun c -> c.idle_scans >= 1 && c.contended_episodes = 0);
   }
 
+let shipped = [ never; always_idle; idle_for ~quiescence_points:4; zero_contended_episodes ]
+let of_string name = List.find_opt (fun p -> String.equal p.name name) shipped
+
 let both a b =
   { name = Printf.sprintf "%s&%s" a.name b.name; decide = (fun c -> a.decide c && b.decide c) }
 

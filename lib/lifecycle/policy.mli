@@ -47,6 +47,13 @@ val zero_contended_episodes : t
     by [wait] or count overflow, not by contention); contended locks
     stay fat forever. *)
 
+val shipped : t list
+(** The four policies the CLI and the lab offer by name: [never],
+    [always-idle], [idle-for-4], [zero-contended-episodes]. *)
+
+val of_string : string -> t option
+(** Look a {!shipped} policy up by its name. *)
+
 val both : t -> t -> t
 (** Conjunction. *)
 

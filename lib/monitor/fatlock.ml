@@ -134,9 +134,7 @@ let parker_enter env t =
   emit_contended t me Tl_events.Event.Contended_begin;
   (* Spin phase: watch the owner field (racy read — the latch-guarded
      claim below re-checks) for a bounded budget before parking. *)
-  let backoff =
-    Backoff.create ~policy:Backoff.Yield ~yield:(fun () -> Parker.yield env.parker) ()
-  in
+  let backoff = Backoff.create ~policy:Backoff.Yield ~parker:env.parker () in
   let try_claim () =
     Spinlock.acquire t.latch;
     if t.retired then begin
@@ -370,11 +368,7 @@ let delegate_or_acquire env t f =
         end
         else begin
           emit_contended t me Tl_events.Event.Contended_begin;
-          let backoff =
-            Backoff.create ~policy:Backoff.Yield
-              ~yield:(fun () -> Parker.yield env.parker)
-              ()
-          in
+          let backoff = Backoff.create ~policy:Backoff.Yield ~parker:env.parker () in
           let rec await_combiner () =
             if
               Backoff.bounded backoff ~budget:delegation_wait_budget (fun () ->

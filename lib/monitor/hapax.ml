@@ -90,7 +90,7 @@ let await env t ticket =
     (* Yield policy, through the parker: when the holder is a fiber
        queued on this very carrier domain, a bare spin would starve
        it. *)
-    let b = Backoff.create ~policy:Backoff.Yield ~yield:(fun () -> Parker.yield parker) () in
+    let b = Backoff.create ~policy:Backoff.Yield ~parker () in
     if Backoff.bounded b ~budget:t.spin (fun () -> granted t ticket) then `Spun
     else begin
       let slot = slot_for t ticket in

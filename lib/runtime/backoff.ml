@@ -1,9 +1,8 @@
 type policy = Busy | Yield | Yield_sleep
 
-type t = { policy : policy; yield : unit -> unit; mutable step : int }
+type t = { policy : policy; parker : Parker.t option; mutable step : int }
 
-let create ?(policy = Yield_sleep) ?(yield = Thread.yield) () =
-  { policy; yield; step = 0 }
+let create ?(policy = Yield_sleep) ?parker () = { policy; parker; step = 0 }
 
 let spin_batch = 32
 let yield_steps = 8
@@ -16,20 +15,28 @@ let busy_spin () =
     relax ()
   done
 
+let yield t = match t.parker with Some p -> Parker.yield p | None -> Thread.yield ()
+let cooperative t = match t.parker with Some p -> Parker.cooperative p | None -> false
+
+(* The one place the carrier rule lives: past its first spins, a fiber
+   waiter yields on every step, whatever the policy — it never sleeps
+   its carrier domain, and never busy-spins it while the holder it
+   waits for may be queued behind it. *)
 let once t =
   let step = t.step in
   t.step <- step + 1;
-  match t.policy with
-  | Busy -> busy_spin ()
-  | Yield -> if step < 2 then busy_spin () else t.yield ()
-  | Yield_sleep ->
-      if step < 2 then busy_spin ()
-      else if step < 2 + yield_steps then t.yield ()
-      else begin
-        let exponent = min (step - 2 - yield_steps) 10 in
-        let d = Float.min max_sleep (1e-6 *. float_of_int (1 lsl exponent)) in
-        Unix.sleepf d
-      end
+  if step < 2 then busy_spin ()
+  else if cooperative t then yield t
+  else
+    match t.policy with
+    | Busy -> busy_spin ()
+    | Yield -> yield t
+    | Yield_sleep ->
+        if step < 2 + yield_steps then yield t
+        else begin
+          let exponent = min (step - 2 - yield_steps) 10 in
+          Unix.sleepf (Float.min max_sleep (1e-6 *. float_of_int (1 lsl exponent)))
+        end
 
 let reset t = t.step <- 0
 let steps t = t.step

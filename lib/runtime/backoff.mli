@@ -14,13 +14,14 @@ type policy =
 
 type t
 
-val create : ?policy:policy -> ?yield:(unit -> unit) -> unit -> t
-(** Fresh backoff state for one waiting episode.  [yield] (default
-    [Thread.yield]) is what the [Yield]/[Yield_sleep] policies call to
-    give up the processor; fiber contexts pass [Parker.yield] so a spin
-    on a lock held by a fiber queued on this very carrier domain lets
-    the holder run instead of yielding an OS thread that has nothing
-    else to do. *)
+val create : ?policy:policy -> ?parker:Parker.t -> unit -> t
+(** Fresh backoff state for one waiting episode.  The [Yield] and
+    [Yield_sleep] policies give up the processor through [parker]
+    ([Parker.yield]; [Thread.yield] without one).  Waiters pass their
+    [env.parker].  On a {!Parker.cooperative} (fiber) parker every step
+    after the first two yields, whatever the policy: a spin on a lock
+    held by a fiber queued on this very carrier domain lets the holder
+    run, and no policy sleeps or busy-spins the carrier. *)
 
 val once : t -> unit
 (** Wait a little, escalating on each call. *)

@@ -12,16 +12,20 @@ type t = {
   unpark : unit -> unit;
   has_permit : unit -> bool;
   yield : unit -> unit;
+  cooperative : bool;
 }
 
+(* A parker built here belongs to a fiber, which shares its carrier
+   domain with every other fiber queued on it. *)
 let make ~park ~park_timeout ~unpark ~has_permit ~yield =
-  { park; park_timeout; unpark; has_permit; yield }
+  { park; park_timeout; unpark; has_permit; yield; cooperative = true }
 
 let park t = t.park ()
 let park_timeout t ~seconds = t.park_timeout ~seconds
 let unpark t = t.unpark ()
 let has_permit t = t.has_permit ()
 let yield t = t.yield ()
+let cooperative t = t.cooperative
 
 (* ------------------------------------------------------------------ *)
 (* OS-thread implementation.                                          *)
@@ -91,4 +95,5 @@ let create () =
     unpark = (fun () -> os_unpark o);
     has_permit = (fun () -> os_has_permit o);
     yield = Thread.yield;
+    cooperative = false;
   }

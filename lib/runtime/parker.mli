@@ -29,7 +29,7 @@ val make :
 (** Assemble a parker from an alternative blocking substrate.  The
     closures must implement permit semantics: [park] consumes, [unpark]
     deposits at most one, [park_timeout] returns whether a permit was
-    consumed (false = deadline hit). *)
+    consumed (false = deadline hit).  Such a parker is {!cooperative}. *)
 
 val create : unit -> t
 (** The OS-thread implementation: park blocks the calling thread on a
@@ -66,3 +66,10 @@ val yield : t -> unit
     else) on the fiber implementation.  Spin loops that may be waiting
     on a {e fiber} scheduled on this very carrier domain must use this
     instead of [Thread.yield], or the holder never gets to run. *)
+
+val cooperative : t -> bool
+(** Built by {!make}: the parker of a fiber, which shares its carrier
+    domain with the other fibers queued on it.  A waiter on such a
+    parker must never sleep the carrier, nor spin it for long — the
+    holder it waits for may be queued behind it.  [Backoff] enforces
+    that for every spin loop given the waiter's parker. *)

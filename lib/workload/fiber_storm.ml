@@ -1,13 +1,15 @@
 (* The fiber storm: an open-loop workload that pushes the fiber
-   runtime to a million lightweight threads contending for thin locks.
+   runtime to a million lightweight threads contending for the locks
+   of any registry scheme.
 
    A generator fiber admits up to [in_flight] worker fibers at a time
    (an admission window — completions return their slot and unpark the
    generator), optionally pacing admissions as a Poisson process.
-   Each worker fiber picks objects by Zipf popularity, acquires,
-   optionally burns critical-section work and {e yields while holding}
-   — parking contenders on the inflated monitor and exercising
-   cross-suspension lock handoff — then releases and thinks.
+   Each worker fiber picks objects by Zipf popularity, runs a critical
+   section through the scheme's [sync], optionally burning work and
+   {e yielding while holding} inside it — parking contenders on the
+   inflated monitor and exercising cross-suspension lock handoff — and
+   then thinks.
 
    Every acquire is individually timed into a preallocated flat array
    (one fetch-and-add per op), so the run reports not just throughput
@@ -26,9 +28,7 @@
 open Tl_runtime
 module Scheduler = Tl_fiber.Scheduler
 module Sink = Tl_events.Sink
-module Event = Tl_events.Event
 module Oracle = Tl_events.Oracle
-module Thin = Tl_core.Thin
 module Controller = Tl_lifecycle.Controller
 
 type config = {
@@ -42,21 +42,11 @@ type config = {
   yield_in_cs : bool;  (** suspend while holding (manufactures parking) *)
   arrival_rate : float;  (** admissions/sec, Poisson; 0 = window-limited *)
   in_flight : int;  (** admission window: max live worker fibers *)
-  count_width : int;  (** thin nest-count width, for lock + oracle *)
   quiescence_every : int;  (** announce every N admissions; 0 = auto *)
-  scheme : string;  (** locking scheme under the storm: "thin" or "cjm" *)
-  fat_backend : string;
-      (** contended-path engine for inflated monitors ("parker",
-          "hapax" or "delegate"; thin scheme only).  Under "delegate"
-          the critical section runs through [Thin.sync], so a busy
-          monitor executes it on the current owner instead of parking
-          the fiber. *)
-  reap : string;
-      (** deflation under the storm ("none" = leave monitors fat): a
-          shipped policy name or "controlled" for the feedback
-          controller; thin scheme only.  Scans ride the quiescence
-          announcements. *)
-  controller : Controller.config;  (** knobs for [reap = "controlled"] *)
+  scheme : Tl_baselines.Registry.entry;  (** the lock under the storm *)
+  reap : Policy_lab.reap option;
+      (** deflation under the storm (None = leave monitors fat); scans
+          ride the quiescence announcements *)
   seed : int;
 }
 
@@ -72,12 +62,9 @@ let default_config =
     yield_in_cs = true;
     arrival_rate = 0.0;
     in_flight = 4096;
-    count_width = 8;
     quiescence_every = 0;
-    scheme = "thin";
-    fat_backend = "parker";
-    reap = "none";
-    controller = Controller.default_config;
+    scheme = Tl_baselines.Registry.find_entry_exn "thin";
+    reap = None;
     seed = 0x57084;
   }
 
@@ -96,11 +83,12 @@ type result = {
   events : int;
   dropped : int;
   buffered_words : int;  (** event storage the sink allocated, in words *)
+  evaporates : bool;  (** the scheme's monitors evaporate: it keeps a table census *)
   leaked_entries : int;
-  reaper_scans : int;  (** census walks run by the reaper (0 when [reap = "none"]) *)
-  deflations : int;  (** successful concurrent deflations under the storm *)
+  reaper_scans : int;  (** census walks run by the reaper (0 without one) *)
+  deflations : int;  (** monitors the scheme retired, from its statistics *)
   controller : Controller.shard_snapshot array option;
-      (** per-shard controller state at storm end ([reap = "controlled"]) *)
+      (** per-shard controller state at storm end ([Reap_controlled]) *)
   policy_switches : int;  (** controller switches over the whole storm *)
   oracle : Oracle.report option;
 }
@@ -111,24 +99,7 @@ let validate c =
   if c.objects < 1 then invalid_arg "Fiber_storm: objects";
   if c.ops_per_fiber < 1 then invalid_arg "Fiber_storm: ops_per_fiber";
   if c.in_flight < 1 then invalid_arg "Fiber_storm: in_flight";
-  if c.zipf < 0.0 then invalid_arg "Fiber_storm: zipf";
-  if c.scheme <> "thin" && c.scheme <> "cjm" then
-    invalid_arg "Fiber_storm: scheme (expected \"thin\" or \"cjm\")";
-  (match Tl_monitor.Fatlock.backend_of_string c.fat_backend with
-  | Some _ -> ()
-  | None ->
-      invalid_arg "Fiber_storm: fat_backend (expected parker, hapax or delegate)");
-  if c.scheme = "cjm" && c.fat_backend <> "parker" then
-    invalid_arg "Fiber_storm: the cjm scheme has no pluggable fat backend";
-  if c.reap <> "none" then begin
-    (match Policy_lab.reap_of_string ~controller:c.controller c.reap with
-    | Some _ -> ()
-    | None ->
-        invalid_arg
-          "Fiber_storm: reap (expected none, controlled or a shipped policy name)");
-    if c.scheme <> "thin" then
-      invalid_arg "Fiber_storm: reap needs the thin scheme (cjm evaporates on its own)"
-  end
+  if c.zipf < 0.0 then invalid_arg "Fiber_storm: zipf"
 
 (* Zipf sampling over [n] ranks via the precomputed CDF and a binary
    search per draw — [Prng.categorical] is a linear scan, far too slow
@@ -162,20 +133,8 @@ let run ?(trace = true) ?(oracle = true) config =
   let sink = if trace then Sink.create ~ring_capacity:ring_cap () else Sink.disabled in
   (* the runtime-level sink is where overflow marks land *)
   Runtime.set_event_sink runtime sink;
-  let fat_backend =
-    match Tl_monitor.Fatlock.backend_of_string config.fat_backend with
-    | Some b -> b
-    | None -> assert false (* validated above *)
-  in
-  let thin_config =
-    {
-      Thin.default_config with
-      count_width = config.count_width;
-      (* never put a carrier domain to sleep while fibers are runnable *)
-      backoff_policy = Backoff.Yield;
-      fat_backend;
-    }
-  in
+  let scheme = config.scheme.make ~events:sink runtime in
+  let controller = Policy_lab.attach_reaper ?reap:config.reap runtime scheme in
   let heap = Tl_heap.Heap.create () in
   let total_ops = config.fibers * config.ops_per_fiber in
   (* microseconds, sampled on the ns clock: gettimeofday's µs
@@ -189,74 +148,8 @@ let run ?(trace = true) ?(oracle = true) config =
   in
   let completed = Atomic.make 0 in
   let cdf = zipf_cdf ~theta:config.zipf config.objects in
-  let reap_mode =
-    if config.reap = "none" then None
-    else Policy_lab.reap_of_string ~controller:config.controller config.reap
-  in
-  (* The thin ctx lives inside the scheduler closure; these smuggle the
-     reaper-facing state out for the result. *)
-  let controller_ref = ref None in
-  let stats_ref = ref None in
-  (* Every worker records lock statistics under its leased index, so
-     the scheme's registered per-thread stats blocks count the distinct
-     indices — traced or not. *)
-  let tids_seen = ref (fun () -> 0) in
-  let elapsed, overflow_waits, leaked_entries =
+  let elapsed, overflow_waits =
     Scheduler.run ~domains:config.domains runtime (fun genv ->
-        (* The lock under the storm: thin locks by default, or the CJM
-           transient table — same acquire/release shape, so the worker
-           body is scheme-blind.  [leaked] is the post-drain census: a
-           CJM table must be empty once every fiber has released. *)
-        (* [episode env o body] is one timed lock episode: the latency
-           sample covers entry — until the fiber holds the monitor, or
-           (delegate backend) until its critical section starts running
-           on whichever fiber combines it. *)
-        let episode, leaked =
-          match config.scheme with
-          | "cjm" ->
-              let ctx = Tl_cjm.Cjm.create_with ~events:sink runtime in
-              tids_seen := (fun () -> Tl_core.Lock_stats.block_count (Tl_cjm.Cjm.stats ctx));
-              ( (fun env o body ->
-                  let t0 = Tl_util.Timer.now_ns () in
-                  Tl_cjm.Cjm.acquire ctx env o;
-                  record_latency t0;
-                  body ();
-                  Tl_cjm.Cjm.release ctx env o),
-                fun () -> Tl_cjm.Cjm.live_entries ctx )
-          | _ ->
-              let ctx =
-                Thin.create_with ~config:thin_config ~events:sink runtime
-              in
-              stats_ref := Some (Thin.stats ctx);
-              tids_seen := (fun () -> Tl_core.Lock_stats.block_count (Thin.stats ctx));
-              (match reap_mode with
-              | None -> ()
-              | Some (Policy_lab.Reap_fixed policy) ->
-                  Tl_lifecycle.Reaper.on_quiescence ~policy runtime ctx
-              | Some (Policy_lab.Reap_controlled cc) ->
-                  let c =
-                    Controller.create ~config:cc
-                      ~nshards:
-                        (Tl_monitor.Montable.shard_count (Thin.montable ctx))
-                      ()
-                  in
-                  controller_ref := Some c;
-                  Tl_lifecycle.Reaper.on_quiescence ~controller:c runtime ctx);
-              let run =
-                if fat_backend = Tl_monitor.Fatlock.Delegate then fun env o body ->
-                  let t0 = Tl_util.Timer.now_ns () in
-                  Thin.sync ctx env o (fun () ->
-                      record_latency t0;
-                      body ())
-                else fun env o body ->
-                  let t0 = Tl_util.Timer.now_ns () in
-                  Thin.acquire ctx env o;
-                  record_latency t0;
-                  body ();
-                  Thin.release ctx env o
-              in
-              (run, fun () -> 0)
-        in
         let objs = Tl_heap.Heap.alloc_many heap config.objects in
         let slots = Atomic.make config.in_flight in
         let gen_parker = genv.Runtime.parker in
@@ -265,9 +158,14 @@ let run ?(trace = true) ?(oracle = true) config =
           for _ = 1 to config.ops_per_fiber do
             let o = objs.(sample_cdf cdf (Tl_util.Prng.float prng 1.0)) in
             if config.think_work > 0 then Replay.spin_work config.think_work;
-            episode env o (fun () ->
-                if config.critical_work > 0 then
-                  Replay.spin_work config.critical_work;
+            (* One timed lock episode: the sample covers entry, until the
+               critical section starts running — on this fiber once it
+               holds the monitor, or on whichever fiber combines it under
+               a delegating backend. *)
+            let t0 = Tl_util.Timer.now_ns () in
+            scheme.sync env o (fun () ->
+                record_latency t0;
+                if config.critical_work > 0 then Replay.spin_work config.critical_work;
                 if config.yield_in_cs then Scheduler.yield ())
           done;
           Atomic.incr completed;
@@ -306,23 +204,15 @@ let run ?(trace = true) ?(oracle = true) config =
         done;
         let elapsed = Tl_util.Timer.now () -. t0 in
         Runtime.quiescence_point ~env:genv runtime;
-        (elapsed, Scheduler.overflow_waits (), leaked ()))
+        (elapsed, Scheduler.overflow_waits ()))
   in
   let ops = Atomic.get lat_n in
   let lat = if ops = Array.length latencies then latencies else Array.sub latencies 0 ops in
   Array.sort Float.compare lat;
   let pct p = if ops = 0 then 0.0 else Tl_util.Stats.percentile lat p in
   let drained = if trace then Sink.drain sink else Sink.empty in
-  let report =
-    if trace && oracle then
-      Some
-        (match config.scheme with
-        | "cjm" -> Oracle.check ~mode:Oracle.Relaxed ~protocol:Oracle.Cjm drained
-        | _ ->
-            Oracle.check ~mode:Oracle.Relaxed ~count_width:config.count_width
-              drained)
-    else None
-  in
+  let stats = scheme.stats () in
+  let live = match scheme.lifecycle with Evaporates live -> Some live | Deflates _ | Static -> None in
   {
     config;
     elapsed;
@@ -334,28 +224,24 @@ let run ?(trace = true) ?(oracle = true) config =
     max_us = (if ops = 0 then 0.0 else lat.(ops - 1));
     completed = Atomic.get completed;
     overflow_waits;
-    distinct_tids = !tids_seen ();
+    (* every worker records lock statistics under its leased index *)
+    distinct_tids = scheme.stats_blocks ();
     events = Array.length drained.Sink.events;
     dropped = Sink.total_dropped sink;
     buffered_words = Sink.buffered_words sink;
-    leaked_entries;
+    (* the post-drain census: an evaporating table must be empty once
+       every fiber has released *)
+    evaporates = Option.is_some live;
+    leaked_entries = Option.fold ~none:0 ~some:(fun live -> live ()) live;
     reaper_scans =
-      (match !stats_ref with
-      | Some stats when config.reap <> "none" ->
-          let snap = Tl_core.Lock_stats.snapshot stats in
-          (try List.assoc "reaper.scans" snap.Tl_core.Lock_stats.extra
-           with Not_found -> 0)
-      | _ -> 0);
-    deflations =
-      (match !stats_ref with
-      | Some stats -> Tl_core.Lock_stats.deflation_count stats
-      | None -> 0);
-    controller = Option.map Controller.snapshot !controller_ref;
-    policy_switches =
-      (match !controller_ref with
-      | Some c -> Controller.switches_total c
-      | None -> 0);
-    oracle = report;
+      Option.value ~default:0 (List.assoc_opt "reaper.scans" stats.Tl_core.Lock_stats.extra);
+    deflations = stats.Tl_core.Lock_stats.deflations;
+    controller = Option.map Controller.snapshot controller;
+    policy_switches = Option.fold ~none:0 ~some:Controller.switches_total controller;
+    oracle =
+      (match scheme.verify with
+      | Some verify when trace && oracle -> Some (verify ~mode:Oracle.Relaxed drained)
+      | _ -> None);
   }
 
 let pp ppf (r : result) =
@@ -366,18 +252,19 @@ let pp ppf (r : result) =
     \  throughput   %.0f ops/sec@\n\
     \  acquire lat  p50 %.1fus  p99 %.1fus  p999 %.1fus  max %.1fus@\n\
     \  tid leases   %d distinct indices, %d overflow wait(s)"
-    (if r.config.fat_backend = "parker" then r.config.scheme
-     else r.config.scheme ^ "/" ^ r.config.fat_backend)
-    r.config.fibers r.config.ops_per_fiber r.config.domains
+    r.config.scheme.name r.config.fibers r.config.ops_per_fiber r.config.domains
     r.config.objects r.config.zipf r.completed r.elapsed r.ops_per_sec
     r.p50_us r.p99_us r.p999_us r.max_us r.distinct_tids r.overflow_waits;
-  if r.config.scheme = "cjm" then
-    Format.fprintf ppf "@\n  cjm table    %d leaked entr%s after drain"
+  if r.evaporates then
+    Format.fprintf ppf "@\n  %-12s %d leaked entr%s after drain"
+      (r.config.scheme.name ^ " table")
       r.leaked_entries
       (if r.leaked_entries = 1 then "y" else "ies");
-  if r.config.reap <> "none" then
-    Format.fprintf ppf "@\n  reaper       %s: %d scan(s), %d deflation(s)"
-      r.config.reap r.reaper_scans r.deflations;
+  Option.iter
+    (fun reap ->
+      Format.fprintf ppf "@\n  reaper       %s: %d scan(s), %d deflation(s)"
+        (Policy_lab.reap_name reap) r.reaper_scans r.deflations)
+    r.config.reap;
   (match r.controller with
   | Some shards ->
       Format.fprintf ppf

@@ -13,8 +13,10 @@
     spawner takes the oracle-visible overflow path
     ([Event.Tid_overflow] on the system stream) instead of failing.
 
-    Traced runs verify with the {e relaxed} oracle — fibers emit into
-    per-tid rings whose cross-thread order is only epoch-bounded. *)
+    The lock is any registry entry: episodes run through its [sync],
+    and traced runs verify with its own oracle call in {e relaxed}
+    mode — fibers emit into per-tid rings whose cross-thread order is
+    only epoch-bounded. *)
 
 type config = {
   fibers : int;  (** total fibers over the whole run *)
@@ -27,27 +29,11 @@ type config = {
   yield_in_cs : bool;  (** suspend while holding (manufactures parking) *)
   arrival_rate : float;  (** admissions/sec, Poisson; 0 = window-limited *)
   in_flight : int;  (** admission window: max live worker fibers *)
-  count_width : int;  (** thin nest-count width, for lock + oracle *)
   quiescence_every : int;  (** announce every N admissions; 0 = auto *)
-  scheme : string;
-      (** locking scheme under the storm: ["thin"] (default) or
-          ["cjm"], which swaps the header lock word for the transient
-          monitor table and verifies against the CJM oracle protocol *)
-  fat_backend : string;
-      (** contended-path engine for inflated monitors: ["parker"]
-          (default), ["hapax"] (FIFO ticket admission) or ["delegate"]
-          (flat combining — critical sections run through [Thin.sync],
-          so a fiber that finds the monitor busy hands its section to
-          the owner instead of parking).  Thin scheme only. *)
-  reap : string;
-      (** deflation under the storm: ["none"] (default — monitors stay
-          fat once inflated), a shipped policy name
-          ([Policy_lab.shipped_policies]) or ["controlled"] for the
-          self-tuning feedback controller.  The reaper rides the
-          quiescence announcements ([quiescence_every]).  Thin scheme
-          only. *)
-  controller : Tl_lifecycle.Controller.config;
-      (** knobs for [reap = "controlled"]; ignored otherwise *)
+  scheme : Tl_baselines.Registry.entry;  (** the lock under the storm *)
+  reap : Policy_lab.reap option;
+      (** deflation for a scheme that [Deflates] ([None]: monitors stay
+          fat); scans ride the quiescence announcements *)
   seed : int;
 }
 
@@ -82,19 +68,23 @@ type result = {
       (** words of event storage the sink allocated across its rings
           ([Sink.buffered_words]): proportional to [events], not to the
           tids leased; 0 untraced *)
+  evaporates : bool;  (** the scheme's monitors [Evaporates] *)
   leaked_entries : int;
-      (** CJM runs: table entries still live after every fiber drained
-          (must be 0 — the conservation invariant); always 0 for thin *)
+      (** [Evaporates] schemes: table entries still live after every
+          fiber drained (must be 0 — the conservation invariant); 0 for
+          every other lifecycle *)
   reaper_scans : int;
-      (** census walks the quiescence-mounted reaper ran (0 when
-          [reap = "none"]) *)
-  deflations : int;  (** successful concurrent deflations under the storm *)
+      (** census walks the quiescence-mounted reaper ran (0 without
+          [reap]) *)
+  deflations : int;
+      (** monitors the scheme retired under the storm, from its
+          statistics: reaper deflations, or CJM evaporations *)
   controller : Tl_lifecycle.Controller.shard_snapshot array option;
-      (** per-shard controller state at storm end, [reap = "controlled"]
+      (** per-shard controller state at storm end, [Reap_controlled]
           runs only — switch counts, estimated rates, dwell histograms *)
   policy_switches : int;
       (** controller policy switches over the whole storm (exploration
-          legs included); 0 unless [reap = "controlled"] *)
+          legs included); 0 unless [Reap_controlled] *)
   oracle : Tl_events.Oracle.report option;
 }
 
@@ -102,7 +92,10 @@ val run : ?trace:bool -> ?oracle:bool -> config -> result
 (** Run one storm on a fresh runtime and scheduler.  [trace] (default
     true) attaches an event sink whose rings grow with use; [oracle]
     (default true, requires [trace]) verifies the drained stream in
-    relaxed mode.  Untraced runs are the configuration for pure
-    throughput numbers. *)
+    relaxed mode with the scheme's [verify] (none for a scheme that
+    emits no events).  Untraced runs are the configuration for pure
+    throughput numbers.
+    @raise Invalid_argument on a degenerate config, or a [reap] for a
+    scheme that does not deflate. *)
 
 val pp : Format.formatter -> result -> unit

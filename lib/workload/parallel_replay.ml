@@ -1,6 +1,7 @@
 open Tl_core
 module Runtime = Tl_runtime.Runtime
 module Backoff = Tl_runtime.Backoff
+module Ws_deque = Tl_fiber.Ws_deque
 
 type mode = Affinity | Shuffle
 
@@ -221,16 +222,9 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
       ignore (Atomic.fetch_and_add remaining (-budget));
       if lane.next_run < Array.length lane.runs then Ws_deque.push dq lane
     in
-    let backoff =
-      match config.backend with
-      | Os_domains -> Backoff.create ~policy:Backoff.Yield_sleep ()
-      | Fibers ->
-          (* Never sleep a carrier: yielding through the env parker
-             reschedules this fiber and runs whoever else is ready. *)
-          Backoff.create ~policy:Backoff.Yield
-            ~yield:(fun () -> Tl_runtime.Parker.yield env.Runtime.parker)
-            ()
-    in
+    (* Through the env parker: a fiber carrier yields where an OS
+       domain would sleep. *)
+    let backoff = Backoff.create ~parker:env.Runtime.parker () in
     let rec drive () =
       match Ws_deque.pop dq with
       | Some lane ->

@@ -19,13 +19,12 @@
     overflow-inflate (giving each benchmark its profile's inflation
     pressure even single-threaded) and announce a quiescence point
     every [quiescence_every] ops to drive the quiescence-hooked
-    reaper. *)
+    reaper.
 
-val shipped_policies : Tl_lifecycle.Policy.t list
-(** [never], [always-idle], [idle-for-4], [zero-contended-episodes]. *)
-
-val policy_of_string : string -> Tl_lifecycle.Policy.t option
-(** Look a shipped policy up by its name. *)
+    The lock under the lab is any {!Tl_baselines.Registry.entry} that
+    emits events; its [lifecycle] decides the rows.  A scheme that
+    [Deflates] gets one row per shipped policy; one whose monitors
+    [Evaporates] (CJM) gets a single head-to-head row per trace. *)
 
 (** {1 Reap modes}
 
@@ -44,64 +43,72 @@ val reap_name : reap -> string
 
 val reap_of_string :
   ?controller:Tl_lifecycle.Controller.config -> string -> reap option
-(** Shipped-policy names resolve to [Reap_fixed]; ["controlled"] to
-    [Reap_controlled controller] (default {!Tl_lifecycle.Controller.default_config}). *)
+(** Shipped-policy names ([Tl_lifecycle.Policy.of_string]) resolve to
+    [Reap_fixed]; ["controlled"] to [Reap_controlled controller]
+    (default {!Tl_lifecycle.Controller.default_config}). *)
 
-val controlled_label : Tl_lifecycle.Policy.t
-(** Labels controlled-mode score rows ["controlled"]; its [decide] is
-    never consulted (decisions live in the controller). *)
+val attach_reaper :
+  ?reap:reap ->
+  Tl_runtime.Runtime.t ->
+  Tl_core.Scheme_intf.packed ->
+  Tl_lifecycle.Controller.t option
+(** Mount the quiescence-hooked reaper on a scheme that [Deflates]
+    (nothing without [reap]).  Returns the controller of a
+    [Reap_controlled] mount, created with the ctx's monitor-table
+    shard count.
+    @raise Invalid_argument if [reap] is given for any other
+    lifecycle. *)
+
+(** {1 Traced replays} *)
+
+type replayed = {
+  scheme : Tl_core.Scheme_intf.packed;
+      (** the scheme after the replay: statistics, lifecycle census
+          and its own oracle call ([verify]) *)
+  controller : Tl_lifecycle.Controller.t option;
+      (** the feedback controller, [Reap_controlled] replays only *)
+  drained : Tl_events.Sink.drained;
+}
 
 val replay_traced :
   ?count_width:int ->
   ?quiescence_every:int ->
   ?sampling:Tl_events.Sink.sampling ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  policy:Tl_lifecycle.Policy.t ->
+  ?reap:reap ->
+  Tl_baselines.Registry.entry ->
   Tracegen.t ->
-  Tl_core.Thin.ctx * Tl_events.Sink.drained
-(** Replay one trace on a fresh runtime/heap under [policy]
-    ([count_width] default 1, [quiescence_every] default 64), tracing
-    every lock event into a sink sized so nothing drops; [sampling]
-    (default every event) spot-checks production-style sampled streams.
-    [fat_backend] (default [Parker]) selects the monitors' contended
-    path — see [Tl_monitor.Fatlock.backend].
-    Returns the ctx (for counter inspection) and the drained stream. *)
+  replayed
+(** Replay one trace on a fresh runtime, heap and instance of the
+    entry ([count_width] default 1, [quiescence_every] default 64),
+    tracing every lock event into a sink sized so nothing drops;
+    [sampling] (default every event) spot-checks production-style
+    sampled streams.  [reap] (default none) attaches the reaper, driven
+    by a fixed policy or the controller, and settles with 16 extra
+    quiescence announcements after the trace.
+    @raise Invalid_argument if [reap] is given for a scheme that does
+    not [Deflates]. *)
 
-val replay_traced_reap :
+val replay_traced_par :
   ?count_width:int ->
-  ?quiescence_every:int ->
-  ?sampling:Tl_events.Sink.sampling ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  reap:reap ->
-  Tracegen.t ->
-  Tl_core.Thin.ctx * Tl_lifecycle.Controller.t option * Tl_events.Sink.drained
-(** {!replay_traced} generalised over the {!reap} mode.  In
-    [Reap_controlled] mode the controller (created with the ctx's
-    monitor-table shard count) is returned for snapshot inspection;
-    its [Policy_switch] decisions are in the drained stream. *)
-
-val replay_traced_cjm :
-  ?quiescence_every:int ->
-  ?sampling:Tl_events.Sink.sampling ->
-  Tracegen.t ->
-  Tl_cjm.Cjm.ctx * Tl_events.Sink.drained
-(** {!replay_traced} for the headerless CJM scheme: same no-drop sink
-    and quiescence cadence, but no count width (inline depth is a full
-    int) and no deflation policy (monitors evaporate on their own).
-    Check the stream with [Oracle.check ~protocol:Cjm]. *)
-
-val replay_traced_par_cjm :
   ?quiescence_every:int ->
   ?interleave:bool ->
   ?backend:Parallel_replay.backend ->
+  ?reap:reap ->
   domains:int ->
   mode:Parallel_replay.mode ->
+  Tl_baselines.Registry.entry ->
   Tracegen.t ->
-  Parallel_replay.result * Tl_cjm.Cjm.ctx * Tl_events.Sink.drained
-(** {!replay_traced_par} for CJM — same scheduler, ticks and
-    [interleave] deschedule, packing the transient-table scheme with
-    no reaper attached.  Also returns the ctx so callers can assert
-    the table census drained ([Cjm.live_entries] = 0). *)
+  Parallel_replay.result * replayed
+(** {!replay_traced} across [domains] domains through
+    {!Parallel_replay} (real domains, work stealing).  Quiescence is
+    announced from each domain every [quiescence_every] ops, so
+    controller decision epochs ride the single-flight quiescence scans.
+    [interleave] (default [false]) adds a 50 µs voluntary deschedule to
+    each announcement — the stand-in for involuntary preemption that
+    makes lock episodes overlap even when the host has fewer cores than
+    domains (a fiber sleep under the [Fibers] backend, so carriers stay
+    busy).  [backend] (default [Os_domains]) selects what carries a
+    worker — see {!Parallel_replay.backend}. *)
 
 type score = {
   policy : string;
@@ -117,36 +124,26 @@ type score = {
   dropped : int;  (** ring-overflow losses — 0 in lab replays *)
 }
 
-val score_stream : policy:Tl_lifecycle.Policy.t -> Tl_events.Sink.drained -> score
+val score_stream : label:string -> Tl_events.Sink.drained -> score
+(** Reduce a drained stream to a row named [label]. *)
 
 val lab_score : score -> float
 (** Composite ranking key: slow-path percentage + thrash; lower is
     better. *)
 
+val score : ?reap:reap -> replayed -> score
+(** {!score_stream} of the replay, labelled by what drove deflation:
+    the reap mode's name, [<scheme> (evaporate)] for a scheme whose
+    monitors evaporate, or the scheme's name. *)
+
 val run_one :
   ?count_width:int ->
   ?quiescence_every:int ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  policy:Tl_lifecycle.Policy.t ->
+  ?reap:reap ->
+  Tl_baselines.Registry.entry ->
   Tracegen.t ->
   score
-(** {!replay_traced} then {!score_stream}. *)
-
-val run_one_reap :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  reap:reap ->
-  Tracegen.t ->
-  Tl_lifecycle.Controller.t option * score
-(** {!replay_traced_reap} then {!score_stream} (controlled rows are
-    labelled ["controlled"]). *)
-
-val run_one_cjm : ?quiescence_every:int -> Tracegen.t -> score
-(** {!replay_traced_cjm} then {!score_stream}: CJM's intrinsic
-    evaporate-on-idle lifecycle scored by the same metrics (inflations
-    count monitor creations, deflations evaporations), labelled
-    ["cjm (evaporate)"] for head-to-head rows against the policies. *)
+(** {!replay_traced} then {!score}. *)
 
 val default_benchmarks : string list
 
@@ -154,104 +151,27 @@ val table :
   ?max_syncs:int ->
   ?seed:int ->
   ?benchmarks:string list ->
-  ?scheme:string ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
   ?controlled:Tl_lifecycle.Controller.config ->
-  unit ->
+  Tl_baselines.Registry.entry ->
   string
 (** Render the comparison: one table per benchmark trace (default
-    {!default_benchmarks}, 20k ops each) with every shipped policy's
-    metrics, followed by a lab-score ranking line.  [scheme] (default
-    ["thin"]) selects the lock under the lab: ["cjm"] replays each
-    trace on the transient monitor table instead — one row per trace,
-    no policy dimension — for comparison against the thin tables.
-    [controlled] appends a feedback-controller row to each thin table
-    so the self-tuning mode ranks against the fixed policies. *)
+    {!default_benchmarks}, 20k ops each) with a row per shipped policy
+    and a lab-score ranking line — or, for a scheme whose monitors
+    evaporate, one unranked row per trace.  [controlled] appends a
+    feedback-controller row to each table so the self-tuning mode ranks
+    against the fixed policies.
+    @raise Invalid_argument for a [Static] scheme, or [controlled] on a
+    scheme that does not deflate. *)
 
 (** {1 Multi-domain lab}
 
     The single-threaded lab can never produce a contended episode, so
     [zero_contended_episodes] is indistinguishable from [always_idle]
     there.  The parallel lab replays the trace through
-    {!Parallel_replay} (real domains, work stealing), with the reaper's
-    quiescence announcements riding the scheduler's per-domain tick —
-    in shuffle mode, overlapping episodes of hot objects queue for
-    real, and the policies separate. *)
-
-val replay_traced_par :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  policy:Tl_lifecycle.Policy.t ->
-  Tracegen.t ->
-  Parallel_replay.result * Tl_events.Sink.drained
-(** Replay one trace across [domains] domains under [policy], tracing
-    into a no-drop sink.  Quiescence is announced from each domain
-    every [quiescence_every] ops (default 64).  [interleave] (default
-    [false]) adds a 50 µs voluntary deschedule to each announcement —
-    the stand-in for involuntary preemption that makes lock episodes
-    overlap even when the host has fewer cores than domains (a fiber
-    sleep under the [Fibers] backend, so carriers stay busy).
-    [backend] (default [Os_domains]) selects what carries a worker —
-    see {!Parallel_replay.backend}; [fat_backend] (default [Parker])
-    the monitors' contended path — see [Tl_monitor.Fatlock.backend]. *)
-
-val run_one_par :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  policy:Tl_lifecycle.Policy.t ->
-  Tracegen.t ->
-  Parallel_replay.result * score
-(** {!replay_traced_par} then {!score_stream}. *)
-
-val replay_traced_par_reap :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  reap:reap ->
-  Tracegen.t ->
-  Parallel_replay.result * Tl_lifecycle.Controller.t option * Tl_events.Sink.drained
-(** {!replay_traced_par} generalised over the {!reap} mode; the
-    controller is returned in [Reap_controlled] mode.  Decision epochs
-    ride the single-flight quiescence scans, so switches land between
-    census walks no matter how many domains announce. *)
-
-val run_one_par_reap :
-  ?count_width:int ->
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  reap:reap ->
-  Tracegen.t ->
-  Parallel_replay.result * Tl_lifecycle.Controller.t option * score
-(** {!replay_traced_par_reap} then {!score_stream}. *)
-
-val run_one_par_cjm :
-  ?quiescence_every:int ->
-  ?interleave:bool ->
-  ?backend:Parallel_replay.backend ->
-  domains:int ->
-  mode:Parallel_replay.mode ->
-  Tracegen.t ->
-  Parallel_replay.result * score
-(** {!replay_traced_par_cjm} then {!score_stream} — the multi-domain
-    counterpart of {!run_one_cjm}. *)
+    {!Parallel_replay}, with the reaper's quiescence announcements
+    riding the scheduler's per-domain tick — in shuffle mode,
+    overlapping episodes of hot objects queue for real, and the
+    policies separate. *)
 
 val table_par :
   ?max_syncs:int ->
@@ -259,15 +179,12 @@ val table_par :
   ?benchmarks:string list ->
   ?interleave:bool ->
   ?backend:Parallel_replay.backend ->
-  ?scheme:string ->
-  ?fat_backend:Tl_monitor.Fatlock.backend ->
   ?controlled:Tl_lifecycle.Controller.config ->
   domains:int ->
   mode:Parallel_replay.mode ->
-  unit ->
+  Tl_baselines.Registry.entry ->
   string
-(** The parallel counterpart of {!table}: one table per benchmark with
-    a contended-episode column, [interleave] on by default.  Shuffle
-    mode is the interesting one — it is where the contended column goes
-    non-zero and the ranking can reorder.  [controlled] appends the
-    feedback-controller row, as in {!table}. *)
+(** The parallel counterpart of {!table}, with a contended-episode
+    column and [interleave] on by default.  Shuffle mode is the
+    interesting one — it is where the contended column goes non-zero
+    and the ranking can reorder. *)

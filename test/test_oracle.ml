@@ -407,25 +407,27 @@ let test_sim_owner_skip_solo_is_unlock_without_lock () =
 
 (* --- real replay streams: acceptance + residency cross-check --- *)
 
-let policy name = Option.get (Policy_lab.policy_of_string name)
+let policy name = Option.get (Tl_lifecycle.Policy.of_string name)
+let reap name = Policy_lab.Reap_fixed (policy name)
+let thin = Tl_baselines.Registry.find_entry_exn "thin"
+
+(* The thin scheme whose fat monitors use [backend]. *)
+let thin_on backend = Option.get (Tl_baselines.Registry.with_fat_backend thin backend)
 
 let trace_of name =
   Tracegen.generate ~seed:1998 ~max_syncs:6_000
     (Option.get (Profiles.find name))
 
 let test_replay_stream_accepted name () =
-  let _ctx, d =
-    Policy_lab.replay_traced ~policy:(policy "always-idle") (trace_of name)
-  in
+  let d = (Policy_lab.replay_traced ~reap:(reap "always-idle") thin (trace_of name)).drained in
   check "no drops" true (d.Sink.dropped = []);
   let r = Oracle.check ~count_width:1 d in
   if not (Oracle.ok r) then
     Alcotest.failf "%s replay rejected: %s" name (report_str r)
 
 let test_replay_par_stream_accepted name domains mode () =
-  let _res, d =
-    Policy_lab.replay_traced_par ~domains ~mode ~policy:(policy "always-idle")
-      (trace_of name)
+  let _res, { Policy_lab.drained = d; _ } =
+    Policy_lab.replay_traced_par ~domains ~mode ~reap:(reap "always-idle") thin (trace_of name)
   in
   check "no drops" true (d.Sink.dropped = []);
   let omode = if domains > 1 then Oracle.Relaxed else Oracle.Strict in
@@ -439,9 +441,9 @@ let test_replay_par_stream_accepted name domains mode () =
    oracle verifies under the same strict/relaxed rules as the parker
    entry queue. *)
 let test_replay_backend_stream_accepted name backend () =
-  let _ctx, d =
-    Policy_lab.replay_traced ~fat_backend:backend ~policy:(policy "always-idle")
-      (trace_of name)
+  let d =
+    (Policy_lab.replay_traced ~reap:(reap "always-idle") (thin_on backend) (trace_of name))
+      .drained
   in
   check "no drops" true (d.Sink.dropped = []);
   let r = Oracle.check ~mode:Oracle.Strict ~count_width:1 d in
@@ -451,9 +453,9 @@ let test_replay_backend_stream_accepted name backend () =
       (report_str r)
 
 let test_replay_par_backend_stream_accepted name domains mode backend () =
-  let _res, d =
-    Policy_lab.replay_traced_par ~domains ~mode ~fat_backend:backend
-      ~policy:(policy "always-idle") (trace_of name)
+  let _res, { Policy_lab.drained = d; _ } =
+    Policy_lab.replay_traced_par ~domains ~mode ~reap:(reap "always-idle") (thin_on backend)
+      (trace_of name)
   in
   check "no drops" true (d.Sink.dropped = []);
   let omode = if domains > 1 then Oracle.Relaxed else Oracle.Strict in
@@ -501,9 +503,8 @@ let controlled_reap =
     { Ctl.default_config with Ctl.epoch_scans = 1; patience = 1 }
 
 let test_replay_par_controlled_accepted name domains mode () =
-  let _res, controller, d =
-    Policy_lab.replay_traced_par_reap ~domains ~mode ~reap:controlled_reap
-      (trace_of name)
+  let _res, { Policy_lab.controller; drained = d; _ } =
+    Policy_lab.replay_traced_par ~domains ~mode ~reap:controlled_reap thin (trace_of name)
   in
   check "no drops" true (d.Sink.dropped = []);
   let controller =
@@ -540,9 +541,8 @@ let test_replay_par_controlled_accepted name domains mode () =
   if domains = 1 then assert_clean ~mode:Oracle.Strict ~count_width:1 d
 
 let test_residency_matches_policy_lab name pname () =
-  let p = policy pname in
-  let _ctx, d = Policy_lab.replay_traced ~policy:p (trace_of name) in
-  let score = Policy_lab.score_stream ~policy:p d in
+  let d = (Policy_lab.replay_traced ~reap:(reap pname) thin (trace_of name)).drained in
+  let score = Policy_lab.score_stream ~label:pname d in
   let s = Residency.of_drained d in
   (* bit-for-bit equality: the online integral replicates the offline
      accumulation order exactly *)

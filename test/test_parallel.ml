@@ -5,6 +5,7 @@
    across domain counts in affinity mode. *)
 
 open Tl_workload
+module Ws_deque = Tl_fiber.Ws_deque
 module Runtime = Tl_runtime.Runtime
 module Thin = Tl_core.Thin
 module Scheme_intf = Tl_core.Scheme_intf

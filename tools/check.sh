@@ -241,6 +241,29 @@ storm_gate --fibers 100000 --domains 1
 echo "== fiber storm on the cjm table (100k fibers, oracle + conservation)"
 storm_gate --fibers 100000 --domains 1 --scheme cjm
 
+echo "== fiber storm over the baselines (untraced, 20k fibers each): any registry entry runs"
+# MCS is the carrier-rule regression: a waiter that slept or busy-spun
+# its carrier instead of yielding would never let a holder queued on
+# the same domain run, and this stage would hang.
+for scheme in jdk111 ibm112 fat mcs; do
+  dune exec bin/thinlocks.exe -- fiber-storm --fibers 20000 --domains 1 --no-trace \
+    --scheme "$scheme" >/dev/null
+  echo "  $scheme: every fiber completed"
+done
+
+echo "== replay --oracle verifies the named scheme (exit non-zero without events)"
+tmpdir=$(mktemp -d)
+dune exec bin/thinlocks.exe -- trace -b javalex --max-syncs 2000 -o "$tmpdir/t.trace" >/dev/null
+dune exec bin/thinlocks.exe -- replay "$tmpdir/t.trace" --scheme cjm --oracle >/dev/null
+if dune exec bin/thinlocks.exe -- replay "$tmpdir/t.trace" --scheme jdk111 --oracle \
+  >/dev/null 2>&1; then
+  rm -rf "$tmpdir"
+  echo "FAIL: replay --scheme jdk111 --oracle reported a verdict for a scheme with no events." >&2
+  exit 1
+fi
+rm -rf "$tmpdir"
+echo "  cjm verified under its own protocol; jdk111 refused"
+
 echo "== parallel replay smoke (2 domains, shuffle, must contend)"
 dune exec bin/thinlocks.exe -- replay-par -b javacup --domains 2 --shuffle \
   --interleave --max-syncs 8000 --expect-contention
