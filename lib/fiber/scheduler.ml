@@ -48,10 +48,9 @@ type _ Effect.t +=
   | Yield : unit Effect.t
   | Suspend : ((bool -> unit) -> unit) -> bool Effect.t
 
+(* The mutable fields are guarded by the scheduler's [join_mutex]. *)
 type fiber = {
   f_name : string;
-  f_mutex : Mutex.t;
-  f_cond : Condition.t; (* for OS-thread joiners *)
   mutable f_result : (unit, exn) result option;
   mutable f_waiters : Blocker.t list; (* fiber-context joiners *)
   mutable f_claimed : bool; (* some joiner consumed the result *)
@@ -65,6 +64,10 @@ type worker = {
   mutable w_thread : int; (* Thread.id of the carrier, set at loop entry *)
   mutable w_tick : int;
   mutable w_rr : int; (* steal round-robin cursor *)
+  (* owner-only counts, summed when [run] ends *)
+  mutable w_dispatches : int;
+  mutable w_yields : int;
+  mutable w_suspends : int;
 }
 
 and t = {
@@ -82,7 +85,11 @@ and t = {
   overflow_count : int Atomic.t;
   mutable strays : (fiber * exn) list; (* failed, possibly unjoined *)
   stray_mutex : Mutex.t;
+  join_mutex : Mutex.t; (* guards every fiber's join fields *)
+  join_cond : Condition.t; (* for OS-thread joiners *)
 }
+
+type counts = { dispatches : int; yields : int; suspends : int }
 
 let deque_capacity = 8192
 
@@ -119,7 +126,9 @@ let schedule sched task =
 (* Yields: back of the FIFO, never the deque (see header). *)
 let schedule_yield sched task =
   match current_worker () with
-  | Some w when w.w_sched == sched -> Queue.push task w.w_local
+  | Some w when w.w_sched == sched ->
+      w.w_yields <- w.w_yields + 1;
+      Queue.push task w.w_local
   | _ -> inject sched task
 
 let pop_injector sched =
@@ -268,12 +277,12 @@ let on_released sched () =
 (* ------------------------------------------------------------------ *)
 
 let finish sched fb result =
-  Mutex.lock fb.f_mutex;
+  Mutex.lock sched.join_mutex;
   fb.f_result <- Some result;
   let waiters = fb.f_waiters in
   fb.f_waiters <- [];
-  Condition.broadcast fb.f_cond;
-  Mutex.unlock fb.f_mutex;
+  Condition.broadcast sched.join_cond;
+  Mutex.unlock sched.join_mutex;
   List.iter
     (fun b -> match Blocker.unpark b with Some w -> w true | None -> ())
     waiters;
@@ -300,6 +309,9 @@ let handler sched fb =
         | Suspend register ->
             Some
               (fun (k : (c, unit) Effect.Deep.continuation) ->
+                (match current_worker () with
+                | Some w -> w.w_suspends <- w.w_suspends + 1
+                | None -> ());
                 (* The resume closure may be invoked from any thread —
                    [schedule] routes it appropriately at call time.
                    The blocker/cancel protocol guarantees it runs at
@@ -323,41 +335,32 @@ let start_fiber sched fb f =
 let rec join_fiber sched fb =
   match current_worker () with
   | Some w when w.w_sched == sched -> (
-      Mutex.lock fb.f_mutex;
+      Mutex.lock sched.join_mutex;
       match fb.f_result with
       | Some r -> (
           fb.f_claimed <- true;
-          Mutex.unlock fb.f_mutex;
+          Mutex.unlock sched.join_mutex;
           match r with Ok () -> () | Error e -> raise e)
       | None ->
           let b = Blocker.create () in
           fb.f_waiters <- b :: fb.f_waiters;
-          Mutex.unlock fb.f_mutex;
+          Mutex.unlock sched.join_mutex;
           park_on b;
           join_fiber sched fb)
   | _ -> (
       (* OS-thread joiner (e.g. [Runtime.join] called after [run]
          returned, or from a thread outside the scheduler). *)
-      Mutex.lock fb.f_mutex;
+      Mutex.lock sched.join_mutex;
       while fb.f_result = None do
-        Condition.wait fb.f_cond fb.f_mutex
+        Condition.wait sched.join_cond sched.join_mutex
       done;
       let r = match fb.f_result with Some r -> r | None -> assert false in
       fb.f_claimed <- true;
-      Mutex.unlock fb.f_mutex;
+      Mutex.unlock sched.join_mutex;
       match r with Ok () -> () | Error e -> raise e)
 
 let spawn_fiber sched name f =
-  let fb =
-    {
-      f_name = name;
-      f_mutex = Mutex.create ();
-      f_cond = Condition.create ();
-      f_result = None;
-      f_waiters = [];
-      f_claimed = false;
-    }
-  in
+  let fb = { f_name = name; f_result = None; f_waiters = []; f_claimed = false } in
   Atomic.incr sched.live;
   schedule sched (fun () -> start_fiber sched fb f);
   fun () -> join_fiber sched fb
@@ -396,6 +399,7 @@ let worker_loop sched w =
   let dispatch task =
     idle := 0;
     nap := 2e-5;
+    w.w_dispatches <- w.w_dispatches + 1;
     task ()
   in
   while not (Atomic.get sched.finished) do
@@ -450,6 +454,8 @@ let create_sched runtime n =
       overflow_count = Atomic.make 0;
       strays = [];
       stray_mutex = Mutex.create ();
+      join_mutex = Mutex.create ();
+      join_cond = Condition.create ();
     }
   in
   sched.workers <-
@@ -462,6 +468,9 @@ let create_sched runtime n =
           w_thread = -1;
           w_tick = 0;
           w_rr = (i + 1) mod max n 1;
+          w_dispatches = 0;
+          w_yields = 0;
+          w_suspends = 0;
         });
   sched
 
@@ -472,7 +481,20 @@ let check_strays sched =
   | [] -> ()
   | (_, e) :: _ -> raise e
 
-let run ?(domains = 1) runtime main =
+(* Read after every worker has left its loop (the other carriers are
+   joined), so the plain per-worker counts are final and visible. *)
+let counts_of sched =
+  Array.fold_left
+    (fun c w ->
+      {
+        dispatches = c.dispatches + w.w_dispatches;
+        yields = c.yields + w.w_yields;
+        suspends = c.suspends + w.w_suspends;
+      })
+    { dispatches = 0; yields = 0; suspends = 0 }
+    sched.workers
+
+let run_counted ?(domains = 1) runtime main =
   if domains < 1 then invalid_arg "Fiber.Scheduler.run: domains";
   let sched = create_sched runtime domains in
   Runtime.set_fiber_spawner runtime (Some (fun name f -> spawn_fiber sched name f));
@@ -495,8 +517,10 @@ let run ?(domains = 1) runtime main =
       join_main ();
       check_strays sched;
       match !result with
-      | Some v -> v
+      | Some v -> (v, counts_of sched)
       | None -> failwith "Fiber.Scheduler.run: main fiber did not complete")
+
+let run ?domains runtime main = fst (run_counted ?domains runtime main)
 
 let yield () = Effect.perform Yield
 

@@ -42,6 +42,19 @@ val run : ?domains:int -> Tl_runtime.Runtime.t -> (Tl_runtime.Runtime.env -> 'a)
     same} runtime concurrently is not supported (they would fight over
     the spawner seam). *)
 
+type counts = {
+  dispatches : int;  (** tasks the workers ran: fiber starts and resumes *)
+  yields : int;  (** [Yield]s: a fiber requeued at the back of its worker's FIFO *)
+  suspends : int;  (** [Suspend]s: a fiber parked on a blocker *)
+}
+(** Scheduler work over one {!run_counted}, summed over the workers.
+    Each worker keeps plain counts of its own; they are added up once
+    every worker has stopped. *)
+
+val run_counted :
+  ?domains:int -> Tl_runtime.Runtime.t -> (Tl_runtime.Runtime.env -> 'a) -> 'a * counts
+(** {!run}, also returning the scheduler's {!counts}. *)
+
 val spawn : ?name:string -> (Tl_runtime.Runtime.env -> unit) -> unit -> unit
 (** [spawn f] creates a fiber running [f] and returns its join thunk
     (idempotent; re-raises the fiber's uncaught exception, once).

@@ -114,16 +114,21 @@ let[@inline] emit_contended t me kind =
   if Tl_events.Sink.enabled t.events then
     Tl_events.Sink.emit t.events ~tid:me ~kind ~arg:t.tag
 
-(* Backoff step budget a queued parker-backend entrant burns before its
-   first park — the spin phase that turns a short-hold handoff into no
-   park/unpark round trip at all.  Yield-flavored, so on this one-core
-   testbed (and under the fiber scheduler) the spin lets the holder
-   run. *)
+(* Backoff step budget a queued parker-backend entrant on an OS thread
+   burns before its first park — the spin phase that turns a short-hold
+   handoff into no park/unpark round trip at all.  A fiber waiter skips
+   it: its holder shares the carrier, so every spin step past the first
+   two is a full rotation of the run queue that only requeues the
+   waiter behind the holder it is waiting for. *)
 let spin_before_park_budget = 12
 
-(* Parker-backend contended entry.  Mesa-style with barging: a released
-   monitor may be grabbed by any arriving thread; a woken entrant that
-   loses the race re-queues (at the back).  Called with the latch held;
+(* Parker-backend contended entry.  Mesa-style with barging for OS
+   threads: a released monitor may be grabbed by any arriving thread; a
+   woken entrant that loses the race re-queues (at the back).  A fiber
+   waiter (cooperative parker) parks at once and is handed the monitor
+   by the release that pops it ([release_ownership_locked]): it wakes
+   already owning it, so no arrival can barge and the entry queue, not
+   the run queue, decides who goes next.  Called with the latch held;
    releases it. *)
 let parker_enter env t =
   let me = my_index env in
@@ -132,12 +137,15 @@ let parker_enter env t =
   t.contended_episodes <- t.contended_episodes + 1;
   Spinlock.release t.latch;
   emit_contended t me Tl_events.Event.Contended_begin;
-  (* Spin phase: watch the owner field (racy read — the latch-guarded
-     claim below re-checks) for a bounded budget before parking. *)
-  let backoff = Backoff.create ~policy:Backoff.Yield ~parker:env.parker () in
   let try_claim () =
     Spinlock.acquire t.latch;
-    if t.retired then begin
+    if t.owner = me && not w.in_queue then begin
+      (* handed off by the release that popped us *)
+      Spinlock.release t.latch;
+      emit_contended t me Tl_events.Event.Contended_end;
+      `Claimed
+    end
+    else if t.retired then begin
       (* Retirement requires an empty entry queue, so our record was
          already popped (by the final release) before the deflater
          could retire — nothing to clean up, and no wakeup is lost:
@@ -166,17 +174,24 @@ let parker_enter env t =
       `Busy
     end
   in
-  let rec spin () =
+  (* Spin phase (OS threads only): watch the owner field (racy read —
+     the latch-guarded claim re-checks) for a bounded budget before
+     parking. *)
+  let rec spin backoff =
     if Backoff.bounded backoff ~budget:spin_before_park_budget (fun () ->
            t.owner = 0 || t.retired)
     then
       match try_claim () with
       | `Retired -> `Retired
       | `Claimed -> `Acquired Entry_spun
-      | `Busy -> spin ()
+      | `Busy -> spin backoff
     else `Give_up
   in
-  match spin () with
+  let spun =
+    if Parker.cooperative env.parker then `Give_up
+    else spin (Backoff.create ~policy:Backoff.Yield ~parker:env.parker ())
+  in
+  match spun with
   | (`Retired | `Acquired _) as r -> r
   | `Give_up ->
       let rec wait_turn () =
@@ -269,7 +284,11 @@ let try_acquire env t =
    and wake the next entrant, if any.  Must be called with the latch
    held; releases it.  Admission backends grant the oldest pending
    ticket instead of popping the entry queue — exactly one waiter is
-   handed the (exclusive) right to claim, so no re-race, no re-queue. *)
+   handed the (exclusive) right to claim, so no re-race, no re-queue.
+   A popped fiber waiter is handed the monitor itself: it becomes the
+   owner here, under the latch, before it is unparked, so the monitor
+   is never unowned (nor idle, nor retirable) between this release and
+   the waiter's resume.  A popped OS-thread waiter re-competes. *)
 let release_ownership_locked t =
   t.owner <- 0;
   t.count <- 0;
@@ -284,7 +303,11 @@ let release_ownership_locked t =
       let next =
         if Queue.is_empty t.entry_queue then None else Some (Queue.pop t.entry_queue)
       in
-      (match next with Some w -> w.in_queue <- false | None -> ());
+      (match next with
+      | Some w ->
+          w.in_queue <- false;
+          if Parker.cooperative w.env.parker then claim_locked t (my_index w.env)
+      | None -> ());
       Spinlock.release t.latch;
       match next with None -> () | Some w -> Parker.unpark w.env.parker)
 

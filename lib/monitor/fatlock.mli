@@ -15,10 +15,14 @@
     The {e contended path} — what happens to an entrant that finds the
     monitor held — is pluggable (see {!backend}):
 
-    - [Parker] (default): the classic entry queue.  Mesa barging: a
-      released monitor may be grabbed by any arriving thread; a woken
-      entrant that loses the race re-queues.  Entrants spin briefly
-      before the first park.
+    - [Parker] (default): the classic entry queue.  For OS threads,
+      Mesa barging: a released monitor may be grabbed by any arriving
+      thread; a woken entrant that loses the race re-queues.  OS-thread
+      entrants spin briefly before the first park.  A fiber entrant
+      (cooperative parker) parks at once, and the release that pops it
+      hands it the monitor directly (owner set under the latch before
+      the unpark), so nothing barges past a fiber waiter and the entry
+      queue sets the order of grants.
     - [Hapax]: value-based FIFO admission through a {!Hapax} engine —
       constant-time ticketed arrival, constant-time grant on unlock,
       strict arrival-order admission with no barging among waiters.
@@ -111,8 +115,9 @@ val delegate_or_acquire :
     is exactly {!acquire_live}. *)
 
 val release : Tl_runtime.Runtime.env -> t -> unit
-(** Unlock once; on the last release wakes one queued entrant (Parker)
-    or grants the oldest pending ticket (Hapax/Delegate).  Under
+(** Unlock once; on the last release wakes one queued entrant (Parker;
+    a fiber entrant wakes owning the monitor) or grants the oldest
+    pending ticket (Hapax/Delegate).  Under
     [Delegate], first executes pending delegation requests (bounded
     rounds) while still owner.
     @raise Illegal_monitor_state if the caller is not the owner. *)

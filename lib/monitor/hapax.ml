@@ -24,14 +24,21 @@ type request = {
          the submitter after observing it — published by the atomic *)
 }
 
+(* The waiters parked on one ring slot: tickets [slots] apart share a
+   slot, each with its own entry, so a collision costs a list cell, not
+   a yield-poll.  Immutable cells behind one atomic head: a push or a
+   withdrawal is a CAS of the head, and a head that is physically
+   unchanged has unchanged contents, so there is no ABA. *)
+type waiters = Nil | Waiter of { ticket : int; parker : Parker.t; next : waiters }
+
 type t = {
   word : int Atomic.t;
   mutable claimed : int;
       (* tickets retired into ownership; touched only under the
          embedding lock's latch (and by at most one granted waiter at a
          time), so a plain field suffices *)
-  slots : Parker.t option Atomic.t array; (* length is a power of two *)
-  spin : int; (* Backoff step budget before a granted-pending waiter parks *)
+  slots : waiters Atomic.t array; (* length is a power of two *)
+  spin : int; (* Backoff step budget before an OS-thread waiter parks *)
   combine : request option Atomic.t array;
   pending : int Atomic.t; (* announced, unfinished delegation requests *)
 }
@@ -40,23 +47,22 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
-(* The slot ring must out-size realistic queue depths: a waiter whose
-   slot is still occupied by the ticket [slots] ahead of it has nowhere
-   to publish and can only yield-poll, and thousands of yield-polling
-   fibers convoy the carrier's run queue.  1024 slots cost 8 KB per
-   engine — engines are per-inflation and transient — and cover the
-   deepest queues the storms produce. *)
+(* The slot ring spreads parked waiters so that [wake] and a waiter's
+   withdrawal walk short lists: 1024 slots keep a 4096-fiber queue at
+   four waiters a slot.  Deeper queues only lengthen the lists.  Each
+   slot is one atomic, and engines are per-inflation and transient. *)
 (* The spin budget is deliberately long compared with the parker
-   backend's spin-before-park: a hapax waiter spins on one immutable
-   word (no latch, no cache-line fight), which is exactly the property
-   value-based admission buys, so grants overwhelmingly land mid-spin
-   and the park/unpark syscall pair never happens. *)
+   backend's spin-before-park: an OS-thread waiter spins on one
+   immutable word (no latch, no cache-line fight), which is exactly the
+   property value-based admission buys, so grants overwhelmingly land
+   mid-spin and the park/unpark syscall pair never happens.  A fiber
+   waiter does not spin at all (see [await]). *)
 let create ?(slots = 1024) ?(combine_slots = 64) ?(spin = 96) () =
   if slots < 1 || combine_slots < 1 || spin < 0 then invalid_arg "Hapax.create";
   {
     word = Atomic.make 0;
     claimed = 0;
-    slots = Array.init (next_pow2 slots) (fun _ -> Atomic.make None);
+    slots = Array.init (next_pow2 slots) (fun _ -> Atomic.make Nil);
     spin;
     combine = Array.init combine_slots (fun _ -> Atomic.make None);
     pending = Atomic.make 0;
@@ -83,62 +89,56 @@ let pending_tickets t = arrivals_of (Atomic.get t.word) - t.claimed
 
 let slot_for t ticket = t.slots.(ticket land (Array.length t.slots - 1))
 
+let rec without ticket = function
+  | Nil -> Nil
+  | Waiter w when w.ticket = ticket -> w.next
+  | Waiter w -> Waiter { w with next = without ticket w.next }
+
+let rec publish slot ticket parker =
+  let l = Atomic.get slot in
+  if not (Atomic.compare_and_set slot l (Waiter { ticket; parker; next = l })) then
+    publish slot ticket parker
+
+let rec withdraw slot ticket =
+  let l = Atomic.get slot in
+  if not (Atomic.compare_and_set slot l (without ticket l)) then withdraw slot ticket
+
 let await env t ticket =
+  let parker = env.Runtime.parker in
   if granted t ticket then `Spun
+  else if
+    (* An OS-thread waiter spins (yield policy) before parking.  A
+       fiber waiter parks at once: its holder shares the carrier, so a
+       spin step only requeues the waiter behind the holder it waits
+       for. *)
+    (not (Parker.cooperative parker))
+    && Backoff.bounded
+         (Backoff.create ~policy:Backoff.Yield ~parker ())
+         ~budget:t.spin
+         (fun () -> granted t ticket)
+  then `Spun
   else begin
-    let parker = env.Runtime.parker in
-    (* Yield policy, through the parker: when the holder is a fiber
-       queued on this very carrier domain, a bare spin would starve
-       it. *)
-    let b = Backoff.create ~policy:Backoff.Yield ~parker () in
-    if Backoff.bounded b ~budget:t.spin (fun () -> granted t ticket) then `Spun
-    else begin
-      let slot = slot_for t ticket in
-      let parked = ref false in
-      let rec with_slot () =
-        if granted t ticket then ()
-        else if Atomic.get slot = None && Atomic.compare_and_set slot None (Some parker)
-        then begin
-          (* Re-check after publishing: the granter may have read the
-             slot (and found nobody) before our store — seq-cst
-             atomics guarantee that in that case we see the grant. *)
-          let rec block () =
-            if not (granted t ticket) then begin
-              parked := true;
-              Parker.park parker;
-              (* stale permits from earlier episodes park-return early;
-                 the word is the truth *)
-              block ()
-            end
-          in
-          block ();
-          (* Only this ticket may occupy the slot until it is granted,
-             so a plain clear is race-free; ticket + slots CASes in
-             only after seeing None. *)
-          Atomic.set slot None
-        end
-        else begin
-          (* Collision: the slot still belongs to ticket - slots, a
-             queue position [slots] ahead of us.  The default ring is
-             sized past realistic queue depths, so this is the rare
-             overflow path, not the steady state — yield the processor
-             toward whoever is draining the queue and retry.  (A timed
-             sleep would be kinder to the run queue, but en-masse
-             timers melt the fiber scheduler's timer list; see
-             lib/fiber.) *)
-          Parker.yield parker;
-          with_slot ()
-        end
-      in
-      with_slot ();
-      if !parked then `Parked else `Spun
-    end
+    let slot = slot_for t ticket in
+    publish slot ticket parker;
+    (* Re-check after publishing: the granter may have read the slot
+       (and found nobody) before our push — seq-cst atomics guarantee
+       that in that case we see the grant.  Stale permits from earlier
+       episodes make park return early; the word is the truth. *)
+    let parked = ref false in
+    while not (granted t ticket) do
+      parked := true;
+      Parker.park parker
+    done;
+    withdraw slot ticket;
+    if !parked then `Parked else `Spun
   end
 
 let wake t ticket =
-  match Atomic.get (slot_for t ticket) with
-  | Some p -> Parker.unpark p
-  | None -> () (* still spinning; the word grant is enough *)
+  let rec find = function
+    | Nil -> () (* still spinning, or not yet published: the word grant is enough *)
+    | Waiter w -> if w.ticket = ticket then Parker.unpark w.parker else find w.next
+  in
+  find (Atomic.get (slot_for t ticket))
 
 (* --- delegation (flat combining) --- *)
 

@@ -22,14 +22,16 @@
       one granted-but-unclaimed ticket — so a granted waiter's claim
       is uncontested provided the embedding lock refuses fresh
       (ticketless) entries while the pipeline is non-empty.
-    - {b Waiting} is value-based: the waiter spins on the word until
-      its ticket is granted ([Tl_runtime.Backoff], bounded), then
-      publishes its parker in a slot indexed [ticket mod slots] and
-      parks.  No per-waiter allocation: the parker already exists in
-      the waiter's env, and slots are reused ring-style.  All slot
-      races (publish vs. wake, slot collision between tickets [t] and
-      [t + slots]) resolve through permit semantics — a spurious
-      unpark just re-checks the word.
+    - {b Waiting} is value-based: an OS-thread waiter spins on the
+      word until its ticket is granted ([Tl_runtime.Backoff], bounded);
+      a fiber waiter (cooperative parker) skips the spin.  Either then
+      pushes a [(ticket, parker)] entry onto the list of the ring slot
+      indexed [ticket mod slots] and parks; the grant's [wake] unparks
+      the entry with the matching ticket, and the granted waiter
+      withdraws its own entry.  Tickets [slots] apart share a slot's
+      list, so a queue deeper than the ring parks like any other.  One
+      list cell per parked waiter; a waiter granted mid-spin allocates
+      nothing.  A spurious or stale unpark just re-checks the word.
     - {b Delegation} (flat combining): instead of waiting for the
       monitor, a contender publishes its critical section as a closure
       in a combining slot; the current owner executes pending closures
@@ -47,17 +49,17 @@
 type t
 
 val create : ?slots:int -> ?combine_slots:int -> ?spin:int -> unit -> t
-(** [slots] (default 1024, rounded up to a power of two) bounds the
-    parker-publication ring; a waiter deeper than [slots] positions in
-    the queue has nowhere to publish and degrades to yield-polling, so
-    the ring is sized past realistic queue depths (8 KB per transient
-    engine).  [combine_slots] (default 64) bounds
+(** [slots] (default 1024, rounded up to a power of two) is the length
+    of the parked-waiter ring; waiters whose tickets collide share a
+    slot's list, so the size only sets list lengths (four per slot at
+    a 4096-deep queue).  [combine_slots] (default 64) bounds
     concurrently-published delegation requests; publication failure
     falls back to the admission path.  [spin] (default 96) is the
-    [Backoff] step budget a granted-pending waiter burns before
-    parking — long relative to the parker backend's spin-before-park
-    because each step is one uncontended load of the packed word, so
-    most grants land mid-spin and skip the park/unpark pair. *)
+    [Backoff] step budget an OS-thread waiter burns before parking —
+    long relative to the parker backend's spin-before-park because
+    each step is one uncontended load of the packed word, so most
+    grants land mid-spin and skip the park/unpark pair.  Fiber waiters
+    park at once. *)
 
 (** {1 Admission (FIFO tickets)} *)
 
@@ -71,7 +73,8 @@ val granted : t -> int -> bool
 
 val await : Tl_runtime.Runtime.env -> t -> int -> [ `Spun | `Parked ]
 (** Wait (outside the latch) until the ticket is granted: bounded spin
-    with yields, then publish the env's parker and park.  Returns how
+    with yields (OS threads only), then publish the env's parker in
+    the ticket's slot and park.  Returns how
     the wait ended — [`Spun] means no park was needed. *)
 
 val admit : t -> int option
@@ -81,8 +84,9 @@ val admit : t -> int option
     one grant may be outstanding. *)
 
 val wake : t -> int -> unit
-(** Unpark whoever published in the granted ticket's slot (no-op if
-    the waiter is still spinning — it will observe the word). *)
+(** Unpark the waiter that published the granted ticket in its slot
+    (no-op if it has not published yet — it re-checks the word after
+    publishing). *)
 
 val claim : t -> unit
 (** Retire my granted ticket into ownership.  Latch held. *)

@@ -18,10 +18,13 @@ let busy_spin () =
 let yield t = match t.parker with Some p -> Parker.yield p | None -> Thread.yield ()
 let cooperative t = match t.parker with Some p -> Parker.cooperative p | None -> false
 
-(* The one place the carrier rule lives: past its first spins, a fiber
+(* The carrier rule for spin loops: past its first spins, a fiber
    waiter yields on every step, whatever the policy — it never sleeps
    its carrier domain, and never busy-spins it while the holder it
-   waits for may be queued behind it. *)
+   waits for may be queued behind it.  A waiter that can park instead
+   (the fat lock's entry queue, hapax admission) skips the spin on a
+   cooperative parker altogether: each yield only requeues it behind
+   that holder. *)
 let once t =
   let step = t.step in
   t.step <- step + 1;

@@ -21,7 +21,9 @@ val create : ?policy:policy -> ?parker:Parker.t -> unit -> t
     [env.parker].  On a {!Parker.cooperative} (fiber) parker every step
     after the first two yields, whatever the policy: a spin on a lock
     held by a fiber queued on this very carrier domain lets the holder
-    run, and no policy sleeps or busy-spins the carrier. *)
+    run, and no policy sleeps or busy-spins the carrier.  Waiters that
+    can park rather than spin (the fat lock's entry queue, hapax
+    admission) do not spin on such a parker at all. *)
 
 val once : t -> unit
 (** Wait a little, escalating on each call. *)

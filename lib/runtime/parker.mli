@@ -72,4 +72,5 @@ val cooperative : t -> bool
     domain with the other fibers queued on it.  A waiter on such a
     parker must never sleep the carrier, nor spin it for long — the
     holder it waits for may be queued behind it.  [Backoff] enforces
-    that for every spin loop given the waiter's parker. *)
+    that for every spin loop given the waiter's parker, and the fat
+    lock's parking paths skip their spin phase for such a waiter. *)

@@ -79,6 +79,7 @@ type result = {
   max_us : float;
   completed : int;
   overflow_waits : int;
+  sched : Scheduler.counts;  (** the scheduler's dispatches, yields, suspends *)
   distinct_tids : int;
   events : int;
   dropped : int;
@@ -148,8 +149,8 @@ let run ?(trace = true) ?(oracle = true) config =
   in
   let completed = Atomic.make 0 in
   let cdf = zipf_cdf ~theta:config.zipf config.objects in
-  let elapsed, overflow_waits =
-    Scheduler.run ~domains:config.domains runtime (fun genv ->
+  let (elapsed, overflow_waits), sched =
+    Scheduler.run_counted ~domains:config.domains runtime (fun genv ->
         let objs = Tl_heap.Heap.alloc_many heap config.objects in
         let slots = Atomic.make config.in_flight in
         let gen_parker = genv.Runtime.parker in
@@ -224,6 +225,7 @@ let run ?(trace = true) ?(oracle = true) config =
     max_us = (if ops = 0 then 0.0 else lat.(ops - 1));
     completed = Atomic.get completed;
     overflow_waits;
+    sched;
     (* every worker records lock statistics under its leased index *)
     distinct_tids = scheme.stats_blocks ();
     events = Array.length drained.Sink.events;
@@ -251,10 +253,12 @@ let pp ppf (r : result) =
     \  completed    %d fiber(s) in %.3fs@\n\
     \  throughput   %.0f ops/sec@\n\
     \  acquire lat  p50 %.1fus  p99 %.1fus  p999 %.1fus  max %.1fus@\n\
-    \  tid leases   %d distinct indices, %d overflow wait(s)"
+    \  tid leases   %d distinct indices, %d overflow wait(s); scheduler %d \
+     dispatch(es), %d yield(s), %d suspend(s)"
     r.config.scheme.name r.config.fibers r.config.ops_per_fiber r.config.domains
     r.config.objects r.config.zipf r.completed r.elapsed r.ops_per_sec
-    r.p50_us r.p99_us r.p999_us r.max_us r.distinct_tids r.overflow_waits;
+    r.p50_us r.p99_us r.p999_us r.max_us r.distinct_tids r.overflow_waits
+    r.sched.dispatches r.sched.yields r.sched.suspends;
   if r.evaporates then
     Format.fprintf ppf "@\n  %-12s %d leaked entr%s after drain"
       (r.config.scheme.name ^ " table")

@@ -58,6 +58,9 @@ type result = {
   max_us : float;
   completed : int;
   overflow_waits : int;  (** tid-lease overflow episodes *)
+  sched : Tl_fiber.Scheduler.counts;
+      (** the scheduler's dispatches, yields and suspends over the
+          storm: which layer the fibers' time went to *)
   distinct_tids : int;
       (** thread indices that ever recorded a lock statistic: the
           scheme's registered per-thread stats blocks, so it is counted

@@ -164,6 +164,62 @@ let test_unpark_from_os_thread () =
       Parker.park parker;
       Thread.join t)
 
+(* The counts [run_counted] sums over its workers.  Every task run ends
+   in exactly one yield, suspend or fiber exit, so the dispatches are
+   their sum (the fibers plus the main fiber exit once each). *)
+let test_scheduler_counts () =
+  let runtime = Runtime.create () in
+  let fibers = 16 in
+  let (), c =
+    Scheduler.run_counted runtime (fun _env ->
+        let joins =
+          List.init fibers (fun _ ->
+              Scheduler.spawn (fun env ->
+                  Scheduler.yield ();
+                  ignore (Parker.park_timeout env.Runtime.parker ~seconds:1e-4 : bool)))
+        in
+        List.iter (fun j -> j ()) joins)
+  in
+  Alcotest.(check int) "one yield per fiber" fibers c.Scheduler.yields;
+  Alcotest.(check bool)
+    (Printf.sprintf "a timed park per fiber (%d suspends)" c.Scheduler.suspends)
+    true (c.Scheduler.suspends >= fibers);
+  Alcotest.(check int) "dispatches = yields + suspends + exits"
+    (c.Scheduler.yields + c.Scheduler.suspends + fibers + 1)
+    c.Scheduler.dispatches
+
+(* An OS thread joins a fiber while the scheduler runs: it blocks on
+   the scheduler's joiner condition and the fiber's finish wakes it. *)
+let test_os_thread_joins_fiber () =
+  let runtime = Runtime.create () in
+  Scheduler.run runtime (fun _env ->
+      let started = Atomic.make false and release = Atomic.make false in
+      let j =
+        Scheduler.spawn (fun _env ->
+            while not (Atomic.get release) do
+              Scheduler.yield ()
+            done)
+      in
+      let joined = Atomic.make false in
+      let t =
+        Thread.create
+          (fun () ->
+            Atomic.set started true;
+            j ();
+            Atomic.set joined true)
+          ()
+      in
+      while not (Atomic.get started) do
+        Thread.yield ()
+      done;
+      Alcotest.(check bool) "join blocks while the fiber runs" false (Atomic.get joined);
+      Atomic.set release true;
+      while not (Atomic.get joined) do
+        Scheduler.yield ();
+        Thread.yield ()
+      done;
+      Thread.join t)
+
 (* ------------------------------------------------------------------ *)
 (* Locks on fibers.                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -250,6 +306,26 @@ let test_wait_notify_fibers () =
       waiter ();
       notifier ();
       Alcotest.(check bool) "handshake completed" true (!state = `Done))
+
+(* Hapax at the storm's default window: 4096 waiters on a 1024-slot
+   ring share slots, and every one of them parks instead of polling. *)
+let test_hapax_storm_window_4096 () =
+  let module FS = Tl_workload.Fiber_storm in
+  let r =
+    FS.run
+      {
+        FS.default_config with
+        FS.fibers = 20_000;
+        in_flight = 4096;
+        scheme = Tl_baselines.Registry.find_entry_exn "thin-hapax";
+      }
+  in
+  Alcotest.(check int) "every fiber completed" 20_000 r.FS.completed;
+  Alcotest.(check int) "nothing dropped" 0 r.FS.dropped;
+  match r.FS.oracle with
+  | Some rep when Oracle.ok rep -> ()
+  | Some rep -> Alcotest.failf "oracle: %s" (Format.asprintf "%a" Oracle.pp rep)
+  | None -> Alcotest.fail "hapax storm produced no verdict"
 
 (* ------------------------------------------------------------------ *)
 (* Tid leasing under churn (satellite 3).                             *)
@@ -383,6 +459,8 @@ let () =
             test_sleep_and_timeout;
           Alcotest.test_case "unpark from OS thread" `Quick
             test_unpark_from_os_thread;
+          Alcotest.test_case "counts" `Quick test_scheduler_counts;
+          Alcotest.test_case "OS thread joins a fiber" `Quick test_os_thread_joins_fiber;
         ] );
       ( "locks on fibers",
         [
@@ -391,6 +469,8 @@ let () =
           Alcotest.test_case "thin contention, 2 domains" `Quick
             test_thin_contention_two_domains;
           Alcotest.test_case "wait/notify" `Quick test_wait_notify_fibers;
+          Alcotest.test_case "hapax storm, window 4096" `Slow
+            test_hapax_storm_window_4096;
         ] );
       ( "tid leasing",
         [

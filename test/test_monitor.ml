@@ -425,6 +425,139 @@ let test_montable_is_index_table_of_fatlocks () =
   check "same fat back" true (Montable.get t idx == fat);
   check_int "census" 1 (Montable.allocated t)
 
+(* --- fiber waiters: park at once, handed the monitor on release --- *)
+
+module Scheduler = Tl_fiber.Scheduler
+module Parker = Tl_runtime.Parker
+
+let index (env : Runtime.env) = env.Runtime.descriptor.Tl_runtime.Tid.index
+
+let acquired env fat =
+  match Fatlock.acquire_live env fat with
+  | `Acquired e -> e
+  | `Retired -> Alcotest.fail "retired without a deflater"
+
+(* One carrier, K waiters, a holder that yields in its critical
+   section and releases while the waiters are still fresh in the queue.
+   A spinning waiter would see the monitor unowned and barge past the
+   head; a handed-off monitor is never unowned, so grants follow the
+   entry queue exactly and nobody claims in a spin phase. *)
+let test_fiber_grants_in_queue_order () =
+  let runtime = Runtime.create () in
+  let k = 8 in
+  let queued = ref [] and granted = ref [] and entries = ref [] in
+  Scheduler.run runtime (fun env ->
+      let fat = Fatlock.create () in
+      Fatlock.acquire env fat;
+      let joins =
+        List.init k (fun i ->
+            Scheduler.spawn (fun env' ->
+                (* nothing yields between the note and the enqueue *)
+                queued := i :: !queued;
+                entries := acquired env' fat :: !entries;
+                granted := i :: !granted;
+                Scheduler.yield ();
+                Fatlock.release env' fat))
+      in
+      while Fatlock.entry_queue_length fat < k do
+        Scheduler.yield ()
+      done;
+      Scheduler.yield ();
+      Fatlock.release env fat;
+      List.iter (fun j -> j ()) joins;
+      check "idle after the last grant" true (Fatlock.is_idle fat));
+  Alcotest.(check (list int)) "grants in queue order" (List.rev !queued) (List.rev !granted);
+  check "every fiber waiter parked without spinning" true
+    (List.for_all (fun e -> e = Fatlock.Entry_parked) !entries)
+
+(* Between the release that hands the monitor to a parked fiber and
+   that fiber's resume, the monitor is owned by the waiter: a fresh
+   arrival cannot take it and a deflater cannot retire it. *)
+let test_handoff_window () =
+  let runtime = Runtime.create () in
+  Scheduler.run runtime (fun env ->
+      let fat = Fatlock.create () in
+      Fatlock.acquire env fat;
+      let waiter = ref 0 and entry = ref Fatlock.Entry_immediate and count = ref 0 in
+      let j =
+        Scheduler.spawn (fun env' ->
+            waiter := index env';
+            entry := acquired env' fat;
+            count := Fatlock.count fat;
+            Fatlock.release env' fat)
+      in
+      while Fatlock.entry_queue_length fat < 1 do
+        Scheduler.yield ()
+      done;
+      Fatlock.release env fat;
+      (* the waiter has not run since: this fiber never yielded *)
+      check_int "owned by the waiter" !waiter (Fatlock.owner fat);
+      let arrival = Runtime.register_current runtime ~name:"arrival" in
+      check "fresh arrival refused" false (Fatlock.try_acquire arrival fat);
+      Runtime.unregister arrival;
+      check "not idle" false (Fatlock.is_idle fat);
+      check "not retirable" false (Fatlock.retire_if_idle fat);
+      j ();
+      check "waiter resumed as owner" true (!entry = Fatlock.Entry_parked);
+      check_int "handed over with count 1" 1 !count;
+      check "retirable once released" true (Fatlock.retire_if_idle fat))
+
+(* A permit left over from another monitor wakes the second waiter
+   before the first one, to whom the release handed the monitor, has
+   run.  The second waiter must find the monitor owned and park again,
+   not claim it. *)
+let test_stale_permit_waits_for_handoff () =
+  let runtime = Runtime.create () in
+  let granted = ref [] in
+  Scheduler.run runtime (fun env ->
+      let fat = Fatlock.create () in
+      Fatlock.acquire env fat;
+      let parkers = Array.make 2 None in
+      let waiter i =
+        Scheduler.spawn (fun env' ->
+            parkers.(i) <- Some env'.Runtime.parker;
+            ignore (acquired env' fat : Fatlock.entry);
+            granted := i :: !granted;
+            Fatlock.release env' fat)
+      in
+      let j0 = waiter 0 in
+      while Fatlock.entry_queue_length fat < 1 do
+        Scheduler.yield ()
+      done;
+      let j1 = waiter 1 in
+      while Fatlock.entry_queue_length fat < 2 do
+        Scheduler.yield ()
+      done;
+      Fatlock.release env fat;
+      Parker.unpark (Option.get parkers.(1));
+      j1 ();
+      j0 ());
+  Alcotest.(check (list int)) "grants in queue order" [ 0; 1 ] (List.rev !granted)
+
+(* OS threads keep the spin phase: a holder that releases while its
+   waiter is still spinning lets the waiter claim without parking.  On
+   one domain the waiter's yield is what runs the holder, so this
+   happens within a few trials. *)
+let test_os_waiter_spins () =
+  with_env (fun runtime env ->
+      let fat = Fatlock.create () in
+      let rec trial n =
+        Fatlock.acquire env fat;
+        let entry = ref Fatlock.Entry_immediate in
+        let h =
+          Runtime.spawn runtime (fun env' ->
+              entry := acquired env' fat;
+              Fatlock.release env' fat)
+        in
+        while Fatlock.entry_queue_length fat < 1 do
+          Thread.yield ()
+        done;
+        Fatlock.release env fat;
+        Runtime.join h;
+        !entry = Fatlock.Entry_spun || (n > 1 && trial (n - 1))
+      in
+      check "an OS-thread waiter claims in its spin phase" true (trial 50))
+
 let () =
   Alcotest.run "monitor"
     [
@@ -450,6 +583,14 @@ let () =
             test_delegation_propagates_exception;
           Alcotest.test_case "backend names round trip" `Quick
             test_backend_names_round_trip;
+        ] );
+      ( "fiber handoff",
+        [
+          Alcotest.test_case "grants in queue order" `Quick test_fiber_grants_in_queue_order;
+          Alcotest.test_case "handoff window is owned" `Quick test_handoff_window;
+          Alcotest.test_case "stale permit waits its turn" `Quick
+            test_stale_permit_waits_for_handoff;
+          Alcotest.test_case "OS-thread waiters still spin" `Slow test_os_waiter_spins;
         ] );
       ( "index table",
         [

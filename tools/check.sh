@@ -238,6 +238,12 @@ storm_gate() {
 echo "== fiber storm smoke (100k fibers, 1 domain, relaxed oracle must be clean)"
 storm_gate --fibers 100000 --domains 1
 
+echo "== fiber storm on 2 carrier domains (100k fibers, relaxed oracle must be clean)"
+storm_gate --fibers 100000 --domains 2
+
+echo "== fiber storm at a held-out seed (100k fibers, relaxed oracle must be clean)"
+storm_gate --fibers 100000 --domains 1 --seed 7
+
 echo "== fiber storm on the cjm table (100k fibers, oracle + conservation)"
 storm_gate --fibers 100000 --domains 1 --scheme cjm
 
@@ -336,11 +342,8 @@ done
 echo "== fiber storm under the feedback controller (100k fibers, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --reap controlled
 
-echo "== fiber storm on the hapax backend (100k fibers, relaxed oracle must be clean)"
-# Window 512: FIFO admission hands off to one exact fiber per release,
-# so each grant costs a run-queue rotation -- the default 4096-fiber
-# window makes that a multi-minute gate without testing anything more.
-storm_gate --fibers 100000 --domains 1 --in-flight 512 --fat-backend hapax
+echo "== fiber storm on the hapax backend (100k fibers, window 4096, relaxed oracle must be clean)"
+storm_gate --fibers 100000 --domains 1 --fat-backend hapax
 
 echo "== cjm protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
 for domains in 1 2 4; do
