@@ -583,7 +583,7 @@ let bench_events_overhead () =
 
 (* Oracle overhead: what a post-hoc verification pass costs relative
    to producing the stream.  One traced javacup replay, then the
-   protocol oracle (both modes) and the online residency monitor are
+   protocol oracle and the online residency monitor are
    each timed over the same drained stream.  The oracle must come back
    clean — a violation here means the replay path itself regressed, so
    it fails the bench run loudly rather than recording garbage ns. *)
@@ -607,29 +607,27 @@ let bench_oracle_overhead () =
     let r = f () in
     (Unix.gettimeofday () -. t0, r)
   in
-  let check mode () = Tl_events.Oracle.check ~mode ~count_width:1 drained in
-  let strict_s, strict_report = time_pass (check Tl_events.Oracle.Strict) in
-  let relaxed_s, relaxed_report = time_pass (check Tl_events.Oracle.Relaxed) in
+  let verify_s, report =
+    time_pass (fun () -> Tl_events.Oracle.check ~count_width:1 drained)
+  in
   let residency_s, summary = time_pass (fun () -> Tl_events.Residency.of_drained drained) in
-  if not (Tl_events.Oracle.ok strict_report && Tl_events.Oracle.ok relaxed_report) then begin
-    Format.printf "%a@." Tl_events.Oracle.pp strict_report;
+  if not (Tl_events.Oracle.ok report) then begin
+    Format.printf "%a@." Tl_events.Oracle.pp report;
     failwith "bench_oracle_overhead: oracle rejected a clean replay stream"
   end;
   Printf.printf "  stream: javacup, %d events (traced replay took %.1f ns/event)\n\n" events
     (per_event replay_s);
-  Printf.printf "  %-26s %8.1f ns/event\n" "oracle, strict" (per_event strict_s);
-  Printf.printf "  %-26s %8.1f ns/event\n" "oracle, relaxed" (per_event relaxed_s);
+  Printf.printf "  %-26s %8.1f ns/event\n" "oracle" (per_event verify_s);
   Printf.printf "  %-26s %8.1f ns/event\n" "residency monitor" (per_event residency_s);
   Printf.printf
     "\n  (verification is clean on this stream; fat residency %.3f over %d objects)\n\n%!"
-    summary.Tl_events.Residency.fat_residency strict_report.Tl_events.Oracle.objects;
+    summary.Tl_events.Residency.fat_residency report.Tl_events.Oracle.objects;
   add_json "oracle_overhead"
     (J.Obj
        [
          ("events", J.Int events);
          ("replay_ns_per_event", J.Float (per_event replay_s));
-         ("strict_ns_per_event", J.Float (per_event strict_s));
-         ("relaxed_ns_per_event", J.Float (per_event relaxed_s));
+         ("verify_ns_per_event", J.Float (per_event verify_s));
          ("residency_ns_per_event", J.Float (per_event residency_s));
          ("violations", J.Int 0);
        ])
@@ -724,7 +722,7 @@ let bench_replay_par () =
 (* The fiber storm: the acceptance workload for the effects-based M:N
    scheduler — open-loop fiber admission against Zipf-popular locks,
    reporting throughput and the acquire-latency tail.  The smaller
-   runs trace and verify with the relaxed oracle; the million-fiber
+   runs trace and verify with the oracle; the million-fiber
    run is untraced for a pure throughput number. *)
 let bench_fiber_storm () =
   section "Fiber storm: lightweight threads under thin and cjm locks (M:N scheduler)";

@@ -178,7 +178,7 @@ let trace_cmd =
 
 (* Check a traced re-replay with the scheme's own oracle call; exit 1 on
    a violation or a leaked table entry, 2 if the scheme emits no events. *)
-let verify_replay ~mode (r : Tl_workload.Policy_lab.replayed) =
+let verify_replay (r : Tl_workload.Policy_lab.replayed) =
   let scheme = r.Tl_workload.Policy_lab.scheme in
   match scheme.Tl_core.Scheme_intf.verify with
   | None ->
@@ -192,7 +192,7 @@ let verify_replay ~mode (r : Tl_workload.Policy_lab.replayed) =
             (live ());
           exit 1
       | Evaporates _ | Deflates _ | Static -> ());
-      let report = verify ~mode r.drained in
+      let report = verify r.drained in
       Format.printf "%a@." Tl_events.Oracle.pp report;
       if not (Tl_events.Oracle.ok report) then exit 1
 
@@ -223,8 +223,7 @@ let replay_cmd =
       /. float_of_int (max 1 (2 * result.Tl_workload.Replay.acquires)));
     Format.printf "%a@." Tl_core.Lock_stats.pp result.Tl_workload.Replay.stats;
     if oracle then
-      verify_replay ~mode:Tl_events.Oracle.Strict
-        (Tl_workload.Policy_lab.replay_traced entry trace)
+      verify_replay (Tl_workload.Policy_lab.replay_traced entry trace)
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Replay a serialized trace under a scheme")
@@ -648,7 +647,7 @@ let replay_par_cmd =
     let doc = "After the timed replay, re-replay the trace under the same scheme \
                with event tracing on (same domains and decomposition, 1-bit nest \
                count) and verify the drained stream with the scheme's protocol \
-               oracle — strict for one domain, relaxed above; exit 1 on violation \
+               oracle; exit 1 on violation \
                or on a table entry left live by a scheme whose monitors \
                evaporate.  A scheme that emits no events has no oracle: exit 2." in
     Arg.(value & flag & info [ "oracle" ] ~doc)
@@ -738,9 +737,6 @@ let replay_par_cmd =
           exit 1
         end;
         if oracle then begin
-          let omode =
-            if domains <= 1 then Tl_events.Oracle.Strict else Tl_events.Oracle.Relaxed
-          in
           let _r, replayed =
             or_usage_error (fun () ->
                 Tl_workload.Policy_lab.replay_traced_par ~interleave ~backend ?reap ~domains
@@ -753,7 +749,7 @@ let replay_par_cmd =
                 (Tl_lifecycle.Controller.switches_total c)
                 (Tl_lifecycle.Controller.nshards c))
             replayed.controller;
-          verify_replay ~mode:omode replayed
+          verify_replay replayed
         end
   in
   Cmd.v
@@ -806,7 +802,7 @@ let fiber_storm_cmd =
     Arg.(value & flag & info [ "no-trace" ] ~doc)
   in
   let no_oracle_arg =
-    let doc = "Trace but skip the relaxed-oracle verification of the drained stream." in
+    let doc = "Trace but skip the oracle's verification of the drained stream." in
     Arg.(value & flag & info [ "no-oracle" ] ~doc)
   in
   let storm_scheme_arg =
@@ -900,11 +896,6 @@ let verify_trace_cmd =
     let doc = "Event-stream file (as written by 'thinlocks events -o')." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
-  let relaxed_arg =
-    let doc = "Verify feasibility under the bounded emit-window skew of multi-domain \
-               streams instead of exact ticket order." in
-    Arg.(value & flag & info [ "relaxed" ] ~doc)
-  in
   let count_width_arg =
     let doc = "Nest-count field width (1-8) of the replay that produced the stream; \
                arms the thin-depth ceiling check.  Omitted, the ceiling check is off." in
@@ -915,12 +906,10 @@ let verify_trace_cmd =
                drains, which may cut an episode in half)." in
     Arg.(value & flag & info [ "allow-held-end" ] ~doc)
   in
-  let run file relaxed count_width allow_held =
+  let run file count_width allow_held =
     let drained = load_event_stream file in
-    let mode = if relaxed then Tl_events.Oracle.Relaxed else Tl_events.Oracle.Strict in
     let report =
-      Tl_events.Oracle.check ~mode ?count_width ~require_unlocked_end:(not allow_held)
-        drained
+      Tl_events.Oracle.check ?count_width ~require_unlocked_end:(not allow_held) drained
     in
     Format.printf "%a@." Tl_events.Oracle.pp report;
     if not (Tl_events.Oracle.ok report) then exit 1
@@ -928,7 +917,7 @@ let verify_trace_cmd =
   Cmd.v
     (Cmd.info "verify-trace"
        ~doc:"Replay an event stream through the protocol oracle; exit 1 on violation")
-    Term.(const run $ file_arg $ relaxed_arg $ count_width_arg $ allow_held_arg)
+    Term.(const run $ file_arg $ count_width_arg $ allow_held_arg)
 
 let residency_cmd =
   let file_arg =

@@ -16,7 +16,7 @@ let thin name config ?events ?count_width runtime =
   in
   let ctx = Thin.create_with ~config ?events runtime in
   let sync = if config.Thin.fat_backend = Fatlock.Delegate then Some (Thin.sync ctx) else None in
-  let verify ~mode d = Oracle.check ~mode ~count_width:config.Thin.count_width d in
+  let verify d = Oracle.check ~count_width:config.Thin.count_width d in
   {
     (Scheme_intf.pack ~deflate_idle:(Thin.deflate_idle ctx) ?sync ~lifecycle:(Deflates ctx) ~verify
        (module Thin) ctx)
@@ -28,7 +28,7 @@ let cjm ?events ?count_width:_ runtime =
   let ctx = Tl_cjm.Cjm.create_with ?events runtime in
   Scheme_intf.pack
     ~lifecycle:(Evaporates (fun () -> Tl_cjm.Cjm.live_entries ctx))
-    ~verify:(fun ~mode d -> Oracle.check ~mode ~protocol:Oracle.Cjm d)
+    ~verify:(Oracle.check ~protocol:Oracle.Cjm)
     (module Tl_cjm.Cjm) ctx
 
 (* Schemes that emit no events take neither a sink nor a count width. *)

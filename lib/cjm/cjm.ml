@@ -62,18 +62,12 @@ type ctx = {
 
 let name = "cjm"
 
+(* Lock-state events are stamped by whoever holds the object (see
+   [Tl_events.Sink]): the stripe holder for inline and lifecycle
+   events — the stripe serialises every inline transition and every
+   monitor creation and evaporation — and the monitor owner for
+   fat-path events, which may run outside the stripe. *)
 let[@inline] emit ctx ~tid kind ~arg = Sink.emit ctx.events ~tid ~kind ~arg
-
-(* Lifecycle transitions take a ticket stamp (see [Sink.emit_ordered]):
-   both are emitted under the stripe lock, after every event of the
-   monitor generation they open or close, and the ticket makes the
-   drained stream agree — a creation sorts after the thin hold it
-   inflates, an evaporation after the last release that let the table
-   entry drain.  Epoch stamps would let them drift thousands of places
-   on a busy shard and the relaxed oracle would have to re-derive the
-   generation pairing by search. *)
-let[@inline] emit_lifecycle ctx ~tid kind ~arg =
-  Sink.emit_ordered ctx.events ~tid ~kind ~arg
 let[@inline] my_index (env : Runtime.env) = env.descriptor.Tid.index
 
 (* {1 The table} *)
@@ -253,7 +247,7 @@ let evaporate_if_idle ctx env sh i =
       Atomic.incr ctx.evaporated;
       if ctx.config.record_stats then Lock_stats.record_deflation ctx.stats;
       if ctx.tracing then
-        emit_lifecycle ctx ~tid:(my_index env) Ev.Cjm_monitor_evaporate ~arg:id
+        emit ctx ~tid:(my_index env) Ev.Cjm_monitor_evaporate ~arg:id
   | Some { fat = None; owner = 0; _ } -> remove_at sh i
   | Some _ | None -> ()
 
@@ -280,7 +274,7 @@ let inflate_locked ctx env (entry : entry) ~cause =
   Atomic.incr ctx.created;
   if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
   if ctx.tracing then
-    emit_lifecycle ctx ~tid:(my_index env) Ev.Cjm_monitor_create ~arg:entry.key;
+    emit ctx ~tid:(my_index env) Ev.Cjm_monitor_create ~arg:entry.key;
   fat
 
 (* {1 Operations} *)
@@ -359,28 +353,31 @@ let release ctx env obj =
         not_owner "release"
       end;
       if entry.depth > 1 then begin
-        entry.depth <- entry.depth - 1;
         if ctx.tracing then emit ctx ~tid:me Ev.Release_nested ~arg:id;
+        entry.depth <- entry.depth - 1;
         Mutex.unlock sh.lock;
         if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Nested
       end
       else begin
+        if ctx.tracing then emit ctx ~tid:me Ev.Release_fast ~arg:id;
         entry.owner <- 0;
         entry.depth <- 0;
         (* monitor-less and unowned: the entry evaporates with the
            lock unless a contender has pinned it mid-inflation *)
         if entry.refs = 0 then remove_at sh i;
-        if ctx.tracing then emit ctx ~tid:me Ev.Release_fast ~arg:id;
         Mutex.unlock sh.lock;
         if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Fast
       end
   | Some fat ->
+      (* Stamped before the monitor changes hands: a pinned entrant
+         takes it outside the stripe.  A release by a non-owner raises
+         below, after its event: the oracle flags it. *)
+      if ctx.tracing then emit ctx ~tid:me Ev.Release_fat ~arg:id;
       (match Fatlock.release env fat with
       | () -> ()
       | exception e ->
           Mutex.unlock sh.lock;
           raise e);
-      if ctx.tracing then emit ctx ~tid:me Ev.Release_fat ~arg:id;
       if entry.refs = 0 then evaporate_if_idle ctx env sh i;
       Mutex.unlock sh.lock;
       if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Fat

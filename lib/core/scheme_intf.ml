@@ -48,7 +48,7 @@ type packed = {
       (* Quiescence-point deflation hook; schemes without a deflatable
          representation keep the default (always [false]). *)
   lifecycle : lifecycle;
-  verify : (mode:Tl_events.Oracle.mode -> Tl_events.Sink.drained -> Tl_events.Oracle.report) option;
+  verify : (Tl_events.Sink.drained -> Tl_events.Oracle.report) option;
       (* The oracle call for this scheme's event stream, with its
          protocol and nest-count width; [None] when it emits no events. *)
 }

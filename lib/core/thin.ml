@@ -49,8 +49,8 @@ let create_with ?(config = default_config) ?(events = Tl_events.Sink.disabled) r
   Lock_stats.register_gauge stats "monitors.live" (fun () -> Montable.live montable);
   Lock_stats.register_gauge stats "monitors.allocated" (fun () -> Montable.allocated montable);
   Lock_stats.register_gauge stats "monitors.slot_reuses" (fun () -> Montable.reuses montable);
-  Lock_stats.register_gauge stats "events.tid_clamped" (fun () ->
-      Tl_events.Sink.tid_clamped events);
+  Lock_stats.register_gauge stats "events.clamped" (fun () ->
+      Tl_events.Sink.clamped events);
   {
     runtime;
     montable;
@@ -70,12 +70,15 @@ let montable ctx = ctx.montable
 let events ctx = ctx.events
 
 (* Every call site is guarded by [if ctx.tracing] so a disabled sink
-   costs nothing beyond the branch. *)
+   costs nothing beyond the branch.  A lock-state event is emitted while
+   this thread holds the object (see [Tl_events.Sink]): after the CAS
+   or claim that takes it, before the store or monitor release that
+   gives it up. *)
 let[@inline] emit ctx ~tid kind ~arg = Tl_events.Sink.emit ctx.events ~tid ~kind ~arg
 
 (* Deflater-side events carry no env; they go to the system stream
-   (tid 0) via the ticketed path so they order exactly against the
-   releases that made the deflation legal. *)
+   (tid 0), whose ticket stamps sort them after the releases that made
+   the deflation legal. *)
 let emit_system ctx kind ~arg = Tl_events.Sink.emit_system ctx.events ~kind ~arg
 let lock_word obj = Atomic.get (Obj_model.lockword obj)
 
@@ -100,8 +103,8 @@ let inflate_owned ctx env obj ~locks ~cause =
   let lw = Obj_model.lockword obj in
   let monitor_index = Montable.allocate ~shard_hint:(my_index env) ~lockword:lw ctx.montable fat in
   let hdr = Header.hdr_bits (Atomic.get lw) in
-  Atomic.set lw (Header.inflated_word ~hdr ~monitor_index);
-  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
+  (* Stamped while the thin word is still ours: once the inflated word
+     is published, a deflater or entrant may act on the object. *)
   if ctx.tracing then begin
     let kind =
       match cause with
@@ -109,8 +112,10 @@ let inflate_owned ctx env obj ~locks ~cause =
       | `Wait -> Ev.Inflate_wait
       | `Overflow -> Ev.Inflate_overflow
     in
-    emit ctx ~tid:(my_index env) kind ~arg:(Obj_model.id obj)
+    emit ctx ~tid:(my_index env) kind ~arg:obj.Obj_model.id
   end;
+  Atomic.set lw (Header.inflated_word ~hdr ~monitor_index);
+  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
   fat
 
 (* Contended thin lock: spin with backoff until either some other
@@ -137,7 +142,7 @@ let rec contended ctx env obj backoff =
       ignore (inflate_owned ctx env obj ~locks:1 ~cause:`Contention);
       if ctx.config.record_stats then
         Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:false ~depth:1;
-      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:(Obj_model.id obj)
+      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:obj.Obj_model.id
     end
     else begin
       Backoff.once backoff;
@@ -155,7 +160,7 @@ and acquire ctx env obj =
     (* Scenario 1: locking an unlocked object. *)
     if ctx.config.record_stats then
       Lock_stats.record_acquire_unlocked ctx.stats ~tid:(my_index env) obj;
-    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fast ~arg:(Obj_model.id obj)
+    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fast ~arg:obj.Obj_model.id
   end
   else
     let word = Atomic.get lw in
@@ -169,7 +174,7 @@ and acquire ctx env obj =
       if ctx.config.record_stats then
         Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env)
           ~depth:(Header.thin_count word + 2);
-      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_nested ~arg:(Obj_model.id obj)
+      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_nested ~arg:obj.Obj_model.id
     end
     else if Header.is_inflated word then fat_acquire ctx env obj (Header.monitor_index word)
     else if Header.is_unlocked word then
@@ -184,14 +189,14 @@ and acquire ctx env obj =
         Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env) ~depth:locks;
       (* Traced as a fat acquisition: the thread leaves holding the fat
          monitor, and the [Inflate_overflow] event names the cause. *)
-      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:(Obj_model.id obj)
+      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:obj.Obj_model.id
     end
     else begin
       (* Scenario 4/5: held by another thread. *)
-      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Contended_begin ~arg:(Obj_model.id obj);
+      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Contended_begin ~arg:obj.Obj_model.id;
       contended ctx env obj
         (Backoff.create ~policy:ctx.config.backoff_policy ~parker:env.Runtime.parker ());
-      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Contended_end ~arg:(Obj_model.id obj)
+      if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Contended_end ~arg:obj.Obj_model.id
     end
 
 and fat_acquire ctx env obj monitor_ref =
@@ -225,7 +230,7 @@ and fat_acquire ctx env obj monitor_ref =
             Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:false
               ~depth:(Fatlock.count fat);
           if ctx.tracing then
-            emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:(Obj_model.id obj)
+            emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:obj.Obj_model.id
       | `Retired -> retired_retry ()
       | `Busy -> (
           match Fatlock.acquire_live env fat with
@@ -246,7 +251,7 @@ and record_fat_entry ctx env obj fat entry =
   if ctx.tracing then
     emit ctx ~tid:(my_index env)
       (if queued then Ev.Acquire_fat_queued else Ev.Acquire_fat)
-      ~arg:(Obj_model.id obj)
+      ~arg:obj.Obj_model.id
 
 let owner_store ctx lw ~old_word ~new_word =
   if ctx.config.unlock_with_cas then begin
@@ -271,20 +276,22 @@ let release ctx env obj =
   let held_once_pattern = Header.hdr_bits word lor env.Runtime.shifted_index in
   if word = held_once_pattern then begin
     (* Most common: owned once by me — store the unlocked pattern. *)
+    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fast ~arg:obj.Obj_model.id;
     owner_store ctx lw ~old_word:word ~new_word:(Header.hdr_bits word);
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fast;
-    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fast ~arg:(Obj_model.id obj)
+    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fast
   end
   else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then begin
     (* Thin, mine, count >= 1: decrement with a plain store. *)
+    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_nested ~arg:obj.Obj_model.id;
     owner_store ctx lw ~old_word:word ~new_word:(word - Header.count_increment);
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Nested;
-    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_nested ~arg:(Obj_model.id obj)
+    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Nested
   end
   else if Header.is_inflated word then begin
+    (* Stamped before the monitor changes hands.  A release by a
+       non-owner raises below, after its event: the oracle flags it. *)
+    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fat ~arg:obj.Obj_model.id;
     Fatlock.release env (Montable.get ctx.montable (Header.monitor_index word));
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat;
-    if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fat ~arg:(Obj_model.id obj)
+    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
   end
   else not_owner "release" env word
 
@@ -333,7 +340,7 @@ let wait ?timeout ctx env obj =
     else not_owner "wait" env word
   in
   if ctx.config.record_stats then Lock_stats.record_wait ctx.stats ~tid:(my_index env);
-  if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Wait_op ~arg:(Obj_model.id obj);
+  if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Wait_op ~arg:obj.Obj_model.id;
   Fatlock.wait ?timeout env fat
 
 let notify ctx env obj =
@@ -345,7 +352,7 @@ let notify ctx env obj =
     ()
   else not_owner "notify" env word;
   if ctx.config.record_stats then Lock_stats.record_notify ctx.stats ~tid:(my_index env);
-  if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_op ~arg:(Obj_model.id obj)
+  if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_op ~arg:obj.Obj_model.id
 
 let notify_all ctx env obj =
   let word = lock_word obj in
@@ -354,7 +361,7 @@ let notify_all ctx env obj =
   else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then ()
   else not_owner "notifyAll" env word;
   if ctx.config.record_stats then Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
-  if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_all_op ~arg:(Obj_model.id obj)
+  if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_all_op ~arg:obj.Obj_model.id
 
 let holds ctx env obj =
   let word = lock_word obj in
@@ -410,7 +417,19 @@ let deflate_lockword ctx ~cause lw =
         finish word;
         `Lost_race
     | Some fat ->
+        (* Deflation runs with no env in hand (the reaper walks the
+           monitor table); events go to the system stream, tid 0, with
+           the monitor's tag recovering the object id.  Both are
+           emitted while the deflation bit is ours: the deflation holds
+           the object (its monitor retired, the word not yet rewritten),
+           and the abort reads an ordinal of the live inflation. *)
         if Fatlock.retire_if_idle fat then begin
+          if ctx.tracing then
+            emit_system ctx
+              (match cause with
+              | `Quiescent -> Ev.Deflate_quiescent
+              | `Concurrent -> Ev.Deflate_concurrent)
+              ~arg:(Fatlock.tag fat);
           finish (Header.hdr_bits word);
           Montable.free ctx.montable handle;
           if ctx.config.record_stats then begin
@@ -419,22 +438,13 @@ let deflate_lockword ctx ~cause lw =
             | `Concurrent -> Lock_stats.add_extra ctx.stats "deflations.non_quiescent" 1
             | `Quiescent -> ()
           end;
-          (* Deflation runs with no env in hand (the reaper walks the
-             monitor table); events go to the system stream, tid 0, with
-             the monitor's tag recovering the object id. *)
-          if ctx.tracing then
-            emit_system ctx
-              (match cause with
-              | `Quiescent -> Ev.Deflate_quiescent
-              | `Concurrent -> Ev.Deflate_concurrent)
-              ~arg:(Fatlock.tag fat);
           `Deflated
         end
         else begin
+          if ctx.tracing then emit_system ctx Ev.Deflate_aborted ~arg:(Fatlock.tag fat);
           finish word;
           if ctx.config.record_stats then
             Lock_stats.add_extra ctx.stats "deflation.aborted_handshakes" 1;
-          if ctx.tracing then emit_system ctx Ev.Deflate_aborted ~arg:(Fatlock.tag fat);
           `Busy
         end
   end

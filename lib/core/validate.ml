@@ -157,11 +157,8 @@ let render (v : Tl_events.Oracle.violation) =
     (Tl_events.Oracle.class_name v.Tl_events.Oracle.cls)
     v.Tl_events.Oracle.tid v.Tl_events.Oracle.obj_id v.Tl_events.Oracle.detail
 
-let check_stream ?(relaxed = false) ?count_width drained =
-  let mode =
-    if relaxed then Tl_events.Oracle.Relaxed else Tl_events.Oracle.Strict
-  in
-  let report = Tl_events.Oracle.check ~mode ?count_width drained in
+let check_stream ?count_width drained =
+  let report = Tl_events.Oracle.check ?count_width drained in
   {
     stream_events = report.Tl_events.Oracle.events;
     stream_objects = report.Tl_events.Oracle.objects;
@@ -172,7 +169,7 @@ let check_stream ?(relaxed = false) ?count_width drained =
         report.Tl_events.Oracle.violations;
   }
 
-let assert_stream_clean ?relaxed ?count_width drained =
-  match (check_stream ?relaxed ?count_width drained).stream_violations with
+let assert_stream_clean ?count_width drained =
+  match (check_stream ?count_width drained).stream_violations with
   | [] -> ()
   | (_, msg) :: _ -> raise (Violation msg)

@@ -42,11 +42,9 @@ type stream_outcome = {
           findings; empty = the stream obeys the protocol *)
 }
 
-val check_stream :
-  ?relaxed:bool -> ?count_width:int -> Tl_events.Sink.drained -> stream_outcome
-(** [relaxed] (default [false]) admits the emit-window seq skew of
-    multi-domain streams; see [Tl_events.Oracle]. *)
+val check_stream : ?count_width:int -> Tl_events.Sink.drained -> stream_outcome
+(** The protocol oracle's verdict on one drained stream, single- or
+    multi-domain alike; see [Tl_events.Oracle]. *)
 
-val assert_stream_clean :
-  ?relaxed:bool -> ?count_width:int -> Tl_events.Sink.drained -> unit
+val assert_stream_clean : ?count_width:int -> Tl_events.Sink.drained -> unit
 (** @raise Violation with the first oracle finding, if any. *)

@@ -9,7 +9,11 @@
 
 exception Parse_error of string
 
-let magic = "# thinlocks-events v1"
+let magic = "# thinlocks-events v2"
+
+(* v1 dumps predate per-object ordinals: without them the oracle cannot
+   order an object's events, so they are refused by name. *)
+let v1_magic = "# thinlocks-events v1"
 
 let to_string (d : Sink.drained) =
   let buf = Buffer.create (64 + (Array.length d.Sink.events * 24)) in
@@ -22,8 +26,8 @@ let to_string (d : Sink.drained) =
   Array.iter
     (fun (e : Event.t) ->
       Buffer.add_string buf
-        (Printf.sprintf "%d %d %s %d\n" e.Event.seq e.Event.tid
-           (Event.kind_name e.Event.kind) e.Event.arg))
+        (Printf.sprintf "%d %d %s %d %d\n" e.Event.seq e.Event.tid
+           (Event.kind_name e.Event.kind) e.Event.arg e.Event.ord))
     d.Sink.events;
   Buffer.contents buf
 
@@ -64,7 +68,11 @@ let of_string s =
         next := rest;
         l
   in
-  if take () <> magic then fail "line 1: expected %S" magic;
+  (match take () with
+  | l when l = magic -> ()
+  | l when l = v1_magic ->
+      fail "line 1: a version 1 dump (no per-object ordinals); this build reads %S" magic
+  | _ -> fail "line 1: expected %S" magic);
   let count =
     match split_fields (take ()) with
     | [ "events"; n ] ->
@@ -94,23 +102,25 @@ let of_string s =
   let events =
     Array.init count (fun _ ->
         match split_fields (take ()) with
-        | [ seq; tid; name; arg ] ->
+        | [ seq; tid; name; arg; ord ] ->
             let seq = int_of_token !lineno seq in
             let tid = int_of_token !lineno tid in
             let arg = int_of_token !lineno arg in
+            let ord = int_of_token !lineno ord in
             (* args may be negative (they round-trip), but a negative
-               seq or tid is never emitted by any sink — reject rather
-               than parse something [to_string] would reproduce yet no
-               drain could have produced. *)
+               seq, tid or ordinal is never emitted by any sink — reject
+               rather than parse something [to_string] would reproduce
+               yet no drain could have produced. *)
             if seq < 0 then fail "line %d: negative seq" !lineno;
             if tid < 0 then fail "line %d: negative tid" !lineno;
+            if ord < 0 then fail "line %d: negative ordinal" !lineno;
             let kind =
               match Event.kind_of_name name with
               | Some k -> k
               | None -> fail "line %d: unknown event kind %S" !lineno name
             in
-            { Event.seq; tid; kind; arg }
-        | _ -> fail "line %d: expected \"<seq> <tid> <kind> <arg>\"" !lineno)
+            { Event.seq; tid; kind; arg; ord }
+        | _ -> fail "line %d: expected \"<seq> <tid> <kind> <arg> <ord>\"" !lineno)
   in
   (match !next with
   | [] -> ()

@@ -3,7 +3,7 @@
    Layout (after a printable magic line so [file]/[head] still say what
    the blob is, and so auto-detection is one prefix compare):
 
-     "# thinlocks-events bin v1\n"
+     "# thinlocks-events bin v2\n"
      uvarint  event count
      uvarint  drop-entry count
      per drop entry:  uvarint tid   uvarint count      (tids ascending,
@@ -12,6 +12,7 @@
                       u8      kind                      seq itself; later
                       uvarint tid                       ones: seq - prev,
                       svarint arg (zigzag)              which must be >= 1)
+                      uvarint ord
 
    Varints are LEB128: 7 payload bits per byte, high bit = continue,
    at most 9 bytes (63-bit ints).  Signed args are zigzag-mapped first
@@ -25,7 +26,12 @@
 
 exception Parse_error = Codec.Parse_error
 
-let magic = "# thinlocks-events bin v1\n"
+let magic = "# thinlocks-events bin v2\n"
+
+(* Every version's magic starts with this; a v1 blob (no ordinals) is
+   recognised as binary and refused by name. *)
+let family = "# thinlocks-events bin "
+let v1_magic = "# thinlocks-events bin v1\n"
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
 
@@ -94,7 +100,9 @@ let to_bytes (d : Sink.drained) =
       Buffer.add_char buf (Char.chr (Event.kind_to_int e.Event.kind));
       if e.Event.tid < 0 then invalid_arg "Codec_bin.to_bytes: negative tid";
       add_uvarint buf e.Event.tid;
-      add_svarint buf e.Event.arg)
+      add_svarint buf e.Event.arg;
+      if e.Event.ord < 0 then invalid_arg "Codec_bin.to_bytes: negative ordinal";
+      add_uvarint buf e.Event.ord)
     events;
   Buffer.contents buf
 
@@ -102,8 +110,11 @@ let to_bytes (d : Sink.drained) =
 
 let of_bytes s =
   let mlen = String.length magic in
-  if String.length s < mlen || String.sub s 0 mlen <> magic then
-    fail "bad magic (expected %S)" (String.trim magic);
+  let has m = String.length s >= String.length m && String.sub s 0 (String.length m) = m in
+  if has v1_magic then
+    fail "a binary version 1 dump (no per-object ordinals); this build reads %S"
+      (String.trim magic);
+  if not (has magic) then fail "bad magic (expected %S)" (String.trim magic);
   let pos = ref mlen in
   let count = read_uvarint s pos in
   if count < 0 then fail "event count overflows";
@@ -142,7 +153,9 @@ let of_bytes s =
         in
         let tid = read_uvarint s pos in
         let arg = read_svarint s pos in
-        { Event.seq; tid; kind; arg })
+        let ord = read_uvarint s pos in
+        if ord < 0 then fail "offset %d: ordinal overflows" !pos;
+        { Event.seq; tid; kind; arg; ord })
   in
   if !pos <> String.length s then
     fail "offset %d: %d trailing bytes" !pos (String.length s - !pos);
@@ -151,8 +164,8 @@ let of_bytes s =
 (* --- auto-detection ----------------------------------------------- *)
 
 let looks_binary s =
-  let mlen = String.length magic in
-  String.length s >= mlen && String.sub s 0 mlen = magic
+  let flen = String.length family in
+  String.length s >= flen && String.sub s 0 flen = family
 
 let of_string_auto s =
   if looks_binary s then of_bytes s else Codec.of_string s

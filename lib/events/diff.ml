@@ -7,9 +7,7 @@ type report = {
   kind_deltas : (Event.kind * int * int) list;
 }
 
-let event_equal (a : Event.t) (b : Event.t) =
-  a.Event.seq = b.Event.seq && a.Event.tid = b.Event.tid && a.Event.kind = b.Event.kind
-  && a.Event.arg = b.Event.arg
+let event_equal (a : Event.t) (b : Event.t) = a = b
 
 let compare (l : Sink.drained) (r : Sink.drained) =
   let nl = Array.length l.Sink.events and nr = Array.length r.Sink.events in

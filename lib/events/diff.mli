@@ -3,7 +3,7 @@
     Two replays of the same trace under the same configuration should
     tell the same story; this module pinpoints where two drained (or
     decoded) streams stop agreeing.  Events are compared positionally
-    on every field ([seq], [tid], [kind], [arg]) — for single-threaded
+    on every field ([seq], [tid], [kind], [arg], [ord]) — for single-threaded
     replays the streams are fully deterministic, so any divergence is a
     real behavioural difference (a policy change, a code change, a
     race).  Alongside the first divergence, a per-kind census delta

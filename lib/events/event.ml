@@ -1,6 +1,6 @@
 (* One lock-lifecycle event.  Kinds are constant constructors so call
-   sites can name them without allocating, and the whole event fits in
-   four machine ints — the ring stores it unboxed. *)
+   sites can name them without allocating; on the ring an event is two
+   machine ints (see [Ring]). *)
 
 type kind =
   | Acquire_fast
@@ -28,7 +28,7 @@ type kind =
   | Cjm_monitor_evaporate
   | Policy_switch
 
-type t = { seq : int; tid : int; kind : kind; arg : int }
+type t = { seq : int; tid : int; kind : kind; arg : int; ord : int }
 
 let all_kinds =
   [
@@ -39,31 +39,10 @@ let all_kinds =
     Cjm_monitor_create; Cjm_monitor_evaporate; Policy_switch;
   ]
 
-let kind_to_int = function
-  | Acquire_fast -> 0
-  | Acquire_nested -> 1
-  | Acquire_fat -> 2
-  | Acquire_fat_queued -> 3
-  | Release_fast -> 4
-  | Release_nested -> 5
-  | Release_fat -> 6
-  | Inflate_contention -> 7
-  | Inflate_wait -> 8
-  | Inflate_overflow -> 9
-  | Deflate_quiescent -> 10
-  | Deflate_concurrent -> 11
-  | Deflate_aborted -> 12
-  | Contended_begin -> 13
-  | Contended_end -> 14
-  | Wait_op -> 15
-  | Notify_op -> 16
-  | Notify_all_op -> 17
-  | Reaper_scan -> 18
-  | Quiescence -> 19
-  | Tid_overflow -> 20
-  | Cjm_monitor_create -> 21
-  | Cjm_monitor_evaporate -> 22
-  | Policy_switch -> 23
+(* A constant constructor is the immediate int of its declaration
+   index, so the identity is the dense numbering — and, as a primitive,
+   it costs nothing on the emit path even across modules. *)
+external kind_to_int : kind -> int = "%identity"
 
 let n_kinds = List.length all_kinds
 
@@ -74,6 +53,13 @@ let kind_bits = 5
 let carries_object = function
   | Reaper_scan | Quiescence | Tid_overflow | Policy_switch -> false
   | _ -> true
+
+(* Lock-state transitions: taken by whoever holds the right to change
+   the object's state, who stamps them with the object's next ordinal.
+   The other object kinds observe the state from outside. *)
+let holder_stamped = function
+  | Contended_begin | Contended_end | Deflate_aborted -> false
+  | k -> carries_object k
 
 let fast_path = function
   | Acquire_fast | Acquire_nested | Release_fast | Release_nested -> true
@@ -86,6 +72,7 @@ let mask_of pred =
 
 let object_kind_mask = mask_of carries_object
 let fast_path_kind_mask = mask_of fast_path
+let holder_kind_mask = mask_of holder_stamped
 
 let kind_table = Array.of_list all_kinds
 
@@ -124,4 +111,4 @@ let kind_of_name =
   fun name -> Hashtbl.find_opt table name
 
 let pp ppf t =
-  Format.fprintf ppf "%d %d %s %d" t.seq t.tid (kind_name t.kind) t.arg
+  Format.fprintf ppf "%d %d %s %d %d" t.seq t.tid (kind_name t.kind) t.arg t.ord

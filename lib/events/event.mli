@@ -5,13 +5,22 @@
     deflation (or an aborted handshake), the boundaries of a contended
     episode, wait/notify traffic, a reaper scan, a quiescence point.
 
-    Events are compact — four machine ints — and kinds are constant
-    constructors, so an instrumentation site allocates nothing when it
-    names one.  [arg] is kind-dependent: the object id for lock-path,
-    inflation and deflation events (the deflater learns it from the
-    monitor's tag, see [Tl_monitor.Fatlock]); the number of monitors
-    deflated for [Reaper_scan]; the announcement count for
-    [Quiescence]. *)
+    Kinds are constant constructors, so an instrumentation site
+    allocates nothing when it names one.  [arg] is kind-dependent: the
+    object id for lock-path, inflation and deflation events (the
+    deflater learns it from the monitor's tag, see
+    [Tl_monitor.Fatlock]); the number of monitors deflated for
+    [Reaper_scan]; the announcement count for [Quiescence].
+
+    {b Per-object order.}  Only the holder of an object's state may
+    change it, so the holder also records the order of the changes:
+    every {!holder_stamped} event carries the object's next ordinal,
+    taken while its emitter holds the right to change the object's
+    state.  The other object events observe the state and carry the
+    last ordinal they saw.  Sorting one object's events by
+    ([ord], holder before observer, [seq]) recovers the order in which
+    its state actually changed, whatever the cross-thread [seq] order
+    says (see [Sink] and [Oracle]). *)
 
 type kind =
   | Acquire_fast  (** scenario 1: CAS on an unlocked word *)
@@ -53,10 +62,12 @@ type kind =
           system stream, [arg] packs shard/old/new/score (see
           [Tl_lifecycle.Controller.pack_switch]) *)
 
-type t = { seq : int; tid : int; kind : kind; arg : int }
+type t = { seq : int; tid : int; kind : kind; arg : int; ord : int }
 (** [seq] is assigned by the sink's drain-time merge: dense, starting
     at 0, a total order compatible with every thread's program order
-    (see [Sink]). *)
+    (see [Sink]).  [ord] is the object's ordinal (see above): the one
+    this event took for a holder-stamped kind, the last one seen for an
+    observation, 0 for a kind that names no object. *)
 
 val all_kinds : kind list
 
@@ -67,7 +78,10 @@ val kind_bits : int
 (** Bits needed to store a kind int; the ring packs
     [stamp lsl kind_bits lor kind] into a single word. *)
 
-val kind_to_int : kind -> int
+external kind_to_int : kind -> int = "%identity"
+(** Dense numbering in declaration order: a constant constructor's
+    immediate representation. *)
+
 val kind_of_int : int -> kind option
 
 val carries_object : kind -> bool
@@ -79,6 +93,17 @@ val carries_object : kind -> bool
 
 val object_kind_mask : int
 (** Bit [kind_to_int k] set iff [carries_object k]. *)
+
+val holder_stamped : kind -> bool
+(** The kind is a lock-state transition (acquires, releases,
+    inflations, wait, notify, deflations, CJM monitor creation and
+    evaporation): its emitter holds the right to change the object's
+    state and stamps the object's next ordinal.  [Contended_begin],
+    [Contended_end] and [Deflate_aborted] are observations: they carry
+    an object but stamp nothing. *)
+
+val holder_kind_mask : int
+(** Bit [kind_to_int k] set iff [holder_stamped k]. *)
 
 val fast_path_kind_mask : int
 (** Bit set for the four uncontended thin-path kinds

@@ -1,7 +1,7 @@
 (** Streaming lock-protocol oracle.
 
-    Folds a drained, seq-ordered event stream through a per-object
-    reference automaton of the thin-lock protocol —
+    Replays each object's events through a reference automaton of the
+    thin-lock protocol —
 
     {v flat -> thin(owner,count) -> inflating -> fat -> flat v}
 
@@ -15,20 +15,17 @@
     a bug shared by the implementation and its instrumentation still
     has to fool a second, much simpler state machine.
 
-    Two verification modes:
-
-    - {!Strict} replays events in [seq] order.  Sound for streams whose
-      ticket order {e is} the linearisation order: single-domain
-      replays, and simulator schedules (the model emits at the
-      linearisation point).
-    - {!Relaxed} admits the bounded emit-window skew of multi-domain
-      streams: [seq] tickets are taken at emit time, shortly after the
-      operation's linearisation point, so two threads' events may be
-      inverted within that window even though per-thread order is
-      exact.  Relaxed mode therefore checks whether {e some}
-      interleaving of the per-thread subsequences (preferring ticket
-      order, with bounded backtracking) satisfies the automaton —
-      i.e. the stream is feasible, not merely ticket-ordered. *)
+    {b Order.}  The order of one object's events is recorded, not
+    guessed: whoever holds the right to change the object's state stamps
+    its events with the object's next ordinal ({!Event.t.ord}, see
+    [Sink]).  The oracle takes one object at a time, sorts its events by
+    (ordinal, holder-stamped before observed, [seq]), runs the automaton
+    once over them and drops them.  [seq] order across threads is never
+    consulted, so one engine gives one verdict for every stream —
+    single-domain or multi-domain, fibers or OS threads.  The stamps are
+    checked first: two holder-stamped events of one object with the same
+    ordinal, or a thread whose ordinals on an object go backwards against
+    its [seq] order, make the stream {!Stream_malformed}. *)
 
 type violation_class =
   | Unlock_without_lock  (** release of an object nobody holds *)
@@ -45,9 +42,10 @@ type violation_class =
   | Stale_handle  (** a fat-path operation on an object with no live
                       monitor (generation-escaped handle) *)
   | Stream_malformed
-      (** the stream itself is broken: seq gap or duplicate, unmatched
-          contended-end, thread-path event on the system stream, or an
-          object left held at end of stream *)
+      (** the stream itself is broken: seq gap or duplicate, a holder
+          ordinal taken twice or a thread's ordinals going backwards,
+          unmatched contended-end, thread-path event on the system
+          stream, or an object left held at end of stream *)
 
 type violation = {
   cls : violation_class;
@@ -58,6 +56,8 @@ type violation = {
 }
 
 type mode = Strict | Relaxed
+(** Accepted by {!check} and ignored: one engine decides every stream.
+    Kept only so that callers which still pass it build. *)
 
 type protocol = Thin_lock | Cjm
 (** The locking protocol the stream claims to follow.  [Thin_lock]
@@ -72,7 +72,6 @@ type protocol = Thin_lock | Cjm
     [Stream_malformed]. *)
 
 type report = {
-  mode : mode;
   events : int;
   objects : int;  (** distinct object ids routed through the automaton *)
   violations : violation list;  (** sorted by seq, end-of-stream last *)

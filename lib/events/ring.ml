@@ -26,7 +26,8 @@
    middle).
 
    Each slot packs [stamp lsl Event.kind_bits lor kind] next to the
-   arg; the stamp is the sink's epoch (or a system-stream ticket), not
+   arg word (for object events, the sink packs the object's ordinal
+   above the id); the stamp is the sink's epoch (or a system-stream ticket), not
    a per-event sequence number — dense seqs are reconstructed at drain
    time.  There is no consumer-side synchronisation: [fold]/[written]
    are only meaningful once the producer has quiesced (joined, or

@@ -17,10 +17,16 @@
     overwritten — the surviving prefix stays intact and the loss is
     reported, rather than silently corrupting the middle of the stream.
 
-    Each slot holds an ordering {e stamp} (the sink's epoch, or a
-    system-stream ticket — not a dense sequence number) packed with the
-    kind, plus the arg.  Dense [seq]s are reconstructed by
-    [Sink.drain]'s merge.
+    Each slot is two words: an ordering {e stamp} (the sink's epoch, or
+    a system-stream ticket — not a dense sequence number) packed with
+    the kind, and an arg word.  For a kind that carries an object
+    ({!Event.carries_object}) the sink packs the arg word as
+    [ord lsl 28 lor id]: the object id in the low 28 bits (so ids are
+    below [Sink.max_objects]), the object's ordinal ({!Event.t.ord}) in
+    the 34 bits above, taken modulo [2^34] so the word stays
+    non-negative — the ordinal costs no third word.  Other kinds store
+    their arg as is.  The ring itself stores words as given; dense
+    [seq]s are reconstructed, and arg words unpacked, by [Sink.drain].
 
     Reading ([fold]/[written]) must not race with the producer: the
     index bump is a plain store, so a concurrent reader has no
@@ -32,7 +38,7 @@ type t = {
   mutable chunk : int array;
       (** the chunk being filled; slot [i]:
           [stamp lsl Event.kind_bits lor Event.kind_to_int] at [2i],
-          the arg at [2i+1] *)
+          the arg word at [2i+1] *)
   mutable fill : int;  (** words of [chunk] in use *)
   mutable sealed : int array list;  (** full chunks, newest first *)
   mutable sealed_slots : int;  (** events held in [sealed] *)
@@ -48,7 +54,8 @@ val create : int -> t
 (** [create capacity].  @raise Invalid_argument if [capacity < 1]. *)
 
 val emit : t -> stamp:int -> kind:Event.kind -> arg:int -> unit
-(** Append one event (single writer only). *)
+(** Append one event (single writer only); [arg] is the arg word,
+    stored as given. *)
 
 val emit_full : t -> int -> int -> unit
 (** [emit_full t meta arg]: the rare branch of an append, taken when

@@ -1,49 +1,56 @@
 (* The sink: per-thread-id single-writer rings stamped with a shared
-   epoch, merged into one dense-seq stream at drain time.
+   epoch, merged into one dense-seq stream at drain time, plus one
+   ordinal counter per object.
 
    The old design issued a global order ticket (fetch-and-add on one
    cache line) per event; every emitting domain serialised through it
    and the enabled fast path cost ~40 ns/event.  Now a mutator emit is:
    tid range check, kind/sampling filter, one plain [Atomic.get] of the
-   epoch, and a single-writer ring append (two stores + index bump) —
-   no atomic read-modify-write at all.  Rings grow with use (see
-   [Ring]), so a sink costs memory in proportion to what it records,
-   however many tids a run leases.
+   epoch, the object's ordinal (a plain read, and for a lock-state
+   transition a plain increment), and a single-writer ring append (two
+   stores + index bump) — no atomic read-modify-write at all.  Rings
+   grow with use (see [Ring]), so a sink costs memory in proportion to
+   what it records, however many tids a run leases.
 
-   Ordering comes back at drain time.  Each ring is already in stamp
-   order, so [drain] heap-merges the rings by (stamp, ring id), which
-   orders events by (stamp, ring id, ring position), and reassigns
-   dense seqs:
+   Per-object order comes from the ordinals.  The paper's rule is that
+   only the lock's owner writes the lock word; the sink follows it: a
+   holder-stamped event ([Event.holder_stamped]) is emitted while its
+   emitter holds the right to change the object's state, so the
+   read-increment-write of the object's counter is never raced, and the
+   lock handoff that passes the right on (an atomic on the lock word,
+   a monitor latch, a table stripe) also publishes the counter to the
+   next holder.  Observations read the counter without bumping it.  The
+   counters live in a two-level table indexed by object id: a fixed top
+   array of chunks allocated on first use under [ords_lock] and never
+   reallocated, so a counter never moves while domains share it.
+
+   Cross-thread seq order comes back at drain time.  Each ring is
+   already in stamp order, so [drain] heap-merges the rings by (stamp,
+   ring id), which orders events by (stamp, ring id, ring position),
+   and reassigns dense seqs:
 
    - per-tid program order is always exact (same ring => same stamp
      order by position);
    - the epoch advances at every quiescence point, so cross-thread
-     skew inside the merged order is bounded by one emit window
-     (<= quiescence interval) — exactly the tolerance the relaxed
-     oracle grants multi-domain streams;
-   - system events (tid 0: deflater, reaper) and CJM lifecycle events
-     ([emit_ordered]) take a *ticket* stamp.  Stamps are split by
-     parity so a ticket sorts strictly between its two epoch windows:
-     a plain emit reading epoch [e] stamps [2e]; a ticket emit
-     (fetch-and-add returning [e]) stamps [2e + 1] and bumps the epoch,
-     so later plain emits stamp [2e + 2].  A ticket is therefore
-     strictly greater than every stamp already placed and strictly
-     smaller than every stamp placed after it — by ANY thread,
-     independent of the ring-id tie-break (which only orders
-     same-window plain events and would otherwise let a lower-tid
-     thread's post-ticket events sort before the ticket).  A deflation
-     thus sorts after the releases that made it legal even in
-     single-domain strict replays.  Ticket emits are rare (deflations,
-     reaper scans, monitor creation/evaporation), so their
+     skew inside the merged order is bounded by one emit window;
+   - system events (tid 0: deflater, reaper) take a *ticket* stamp.
+     Stamps are split by parity so a ticket sorts strictly between its
+     two epoch windows: a plain emit reading epoch [e] stamps [2e]; a
+     ticket emit (fetch-and-add returning [e]) stamps [2e + 1] and
+     bumps the epoch, so later plain emits stamp [2e + 2].  A ticket is
+     therefore strictly greater than every stamp already placed and
+     strictly smaller than every stamp placed after it, by any thread.
+     Ticket emits are rare (deflations, reaper scans), so their
      fetch-and-add is off the hot path.
 
    Rings are keyed by thread id (Tid index); valid mutator tids are
    [1, max_tids) — Tid never issues index 0, which is reserved for the
-   system stream.  Out-of-range tids are counted ([tid_clamped]) and
-   dropped rather than folded onto tid 0: a misattributed event would
-   masquerade as a deflater/reaper action to the oracle and diff.
-   Tid recycling is safe: an index is only reissued after its previous
-   holder released it, so each ring has one writer at a time. *)
+   system stream.  Out-of-range tids (and object ids the arg word cannot
+   pack) are counted ([clamped]) and dropped rather than folded onto
+   tid 0: a misattributed event would masquerade as a deflater/reaper
+   action to the oracle and diff.  Tid recycling is safe: an index is
+   only reissued after its previous holder released it, so each ring
+   has one writer at a time. *)
 
 (* Matches Tl_runtime.Tid.bits without depending on the runtime. *)
 let max_tids = 1 lsl 15
@@ -55,18 +62,38 @@ type t = {
   ring_capacity : int;
   system_capacity : int; (* ring 0 may need more room than mutator rings *)
   epoch : int Atomic.t;
-  rings : Ring.t Atomic.t array; (* index = tid; [||] when disabled *)
+  rings : Ring.t array; (* index = tid; [||] when disabled *)
   kind_mask : int; (* bit per kind: record this kind at all? *)
   sample_n : int; (* 1-in-N object sampling; 0 = keep every object *)
-  tid_clamped : int Atomic.t;
+  clamped : int Atomic.t;
   system_lock : Mutex.t;
+  ords : int array array;
+      (* per-object ordinal counters: chunk [id lsr ord_chunk_bits],
+         slot [id land ord_chunk_mask]; [no_ords] until first use;
+         [||] when disabled *)
+  ords_lock : Mutex.t; (* serialises chunk allocation only *)
 }
 
 (* Sentinel for "no ring allocated yet": one shared never-written ring,
-   compared by identity.  A flat [Ring.t Atomic.t] array keeps the emit
-   load chain one link shorter than [Ring.t option] cells would — no
-   [Some] block to unbox on every event. *)
+   compared by identity.  A flat [Ring.t array] keeps the emit load
+   chain short: no [Some] block to unbox, no [Atomic.t] cell (whose
+   abstract type would also make every read a generic, float-checking
+   array load). *)
 let no_ring = Ring.create 1
+
+(* The arg word of an object event (see [Ring]): the ordinal in the 34
+   bits above a 28-bit object id.  Literal constants, so the shifts
+   compile to immediates. *)
+let obj_bits = 28
+let max_objects = 1 lsl obj_bits
+let obj_mask = max_objects - 1
+let ord_mask = (1 lsl 34) - 1
+let ord_chunk_bits = 14
+let ord_chunk_mask = (1 lsl ord_chunk_bits) - 1
+
+(* Sentinel for "chunk not allocated yet", compared by identity (a
+   real chunk is never empty). *)
+let no_ords : int array = [||]
 
 let disabled =
   {
@@ -77,8 +104,10 @@ let disabled =
     rings = [||];
     kind_mask = 0;
     sample_n = 0;
-    tid_clamped = Atomic.make 0;
+    clamped = Atomic.make 0;
     system_lock = Mutex.create ();
+    ords = [||];
+    ords_lock = Mutex.create ();
   }
 
 let default_capacity = 1 lsl 16
@@ -102,30 +131,33 @@ let create ?(ring_capacity = default_capacity) ?system_capacity
     ring_capacity;
     system_capacity;
     epoch = Atomic.make 0;
-    rings = Array.init max_tids (fun _ -> Atomic.make no_ring);
+    rings = Array.make max_tids no_ring;
     kind_mask;
     sample_n;
-    tid_clamped = Atomic.make 0;
+    clamped = Atomic.make 0;
     system_lock = Mutex.create ();
+    ords = Array.make (max_objects lsr ord_chunk_bits) no_ords;
+    ords_lock = Mutex.create ();
   }
 
 let enabled t = t.enabled
-let tid_clamped t = Atomic.get t.tid_clamped
+let clamped t = Atomic.get t.clamped
 let advance_epoch t = if t.enabled then Atomic.incr t.epoch
 
+(* A tid's first event creates its ring with a plain store: only the
+   tid's single writer (or, for tid 0, the holder of [system_lock]) ever
+   stores to its slot, the tid lease publishes the ring to the index's
+   next holder, and readers run once producers have quiesced. *)
 let[@inline never] ring_slow t tid =
-  let cell = t.rings.(tid) in
   let ring = Ring.create (if tid = 0 then t.system_capacity else t.ring_capacity) in
-  if Atomic.compare_and_set cell no_ring ring then ring
-  else
-    (* lost the race; a cell never goes back to the sentinel *)
-    Atomic.get cell
+  t.rings.(tid) <- ring;
+  ring
 
 let[@inline] ring_for t tid =
   (* Invariant: emit paths have already range-checked the tid; an
      out-of-range index here is a sink bug, not bad caller input. *)
   assert (tid >= 0 && tid < max_tids);
-  let ring = Atomic.get (Array.unsafe_get t.rings tid) in
+  let ring = Array.unsafe_get t.rings tid in
   if ring == no_ring then ring_slow t tid else ring
 
 (* Stable pseudo-random object selection: a fixed multiplicative hash
@@ -145,58 +177,81 @@ let[@inline] keep t k arg =
      || (Event.object_kind_mask lsr k) land 1 = 0
      || sample_keep t arg)
 
+let[@inline never] ord_chunk_slow t hi =
+  Mutex.lock t.ords_lock;
+  let chunk = t.ords.(hi) in
+  let chunk =
+    if chunk != no_ords then chunk
+    else begin
+      let chunk = Array.make (1 lsl ord_chunk_bits) 0 in
+      t.ords.(hi) <- chunk;
+      chunk
+    end
+  in
+  Mutex.unlock t.ords_lock;
+  chunk
+
+(* The arg word of object event [k] on object [id] (range-checked by
+   the caller): the id with the object's ordinal packed above it.  A
+   holder-stamped kind bumps the counter — plain read, plain write: the
+   caller holds the right to change the object's state, so no other
+   thread writes this counter now — and carries the new value; an
+   observation carries the value it read. *)
+let[@inline] stamp t k id =
+  let hi = id lsr ord_chunk_bits in
+  let chunk = Array.unsafe_get t.ords hi in
+  let chunk = if chunk == no_ords then ord_chunk_slow t hi else chunk in
+  let lo = id land ord_chunk_mask in
+  let ord = Array.unsafe_get chunk lo in
+  let ord =
+    if (Event.holder_kind_mask lsr k) land 1 = 1 then begin
+      Array.unsafe_set chunk lo (ord + 1);
+      ord + 1
+    end
+    else ord
+  in
+  ((ord land ord_mask) lsl obj_bits) lor id
+
+(* Does [k] carry an object?  Its arg must then be a packable id;
+   negative ids fail too, as [lsr] makes them huge. *)
+let[@inline] carries_object k = (Event.object_kind_mask lsr k) land 1 = 1
+let[@inline] unpackable arg = arg lsr obj_bits <> 0
+
 let[@inline] emit t ~tid ~kind ~arg =
   if t.enabled then
-    if tid < 1 || tid >= max_tids then Atomic.incr t.tid_clamped
-    else
-      let k = Event.kind_to_int kind in
-      if keep t k arg then begin
-        (* tid is range-checked above; skip ring_for's assert *)
-        let ring = Atomic.get (Array.unsafe_get t.rings tid) in
-        let ring = if ring == no_ring then ring_slow t tid else ring in
-        let meta = ((2 * Atomic.get t.epoch) lsl Event.kind_bits) lor k in
-        let chunk = ring.Ring.chunk and j = ring.Ring.fill in
-        if j < Array.length chunk then begin
-          Array.unsafe_set chunk j meta;
-          Array.unsafe_set chunk (j + 1) arg;
-          ring.Ring.fill <- j + 2
-        end
-        else Ring.emit_full ring meta arg
+    let k = Event.kind_to_int kind in
+    let obj = carries_object k in
+    if tid < 1 || tid >= max_tids || (obj && unpackable arg) then Atomic.incr t.clamped
+    else if keep t k arg then begin
+      let word = if obj then stamp t k arg else arg in
+      (* tid is range-checked above; skip ring_for's assert *)
+      let ring = Array.unsafe_get t.rings tid in
+      let ring = if ring == no_ring then ring_slow t tid else ring in
+      let meta = ((2 * Atomic.get t.epoch) lsl Event.kind_bits) lor k in
+      let chunk = ring.Ring.chunk and j = ring.Ring.fill in
+      if j < Array.length chunk then begin
+        Array.unsafe_set chunk j meta;
+        Array.unsafe_set chunk (j + 1) word;
+        ring.Ring.fill <- j + 2
       end
-
-(* Causally-ordered mutator emission: takes a ticket stamp like
-   [emit_system] but appends to the calling thread's own ring, so tid
-   attribution and per-thread order are kept.  The ticket is strictly
-   greater than every stamp already placed by any thread, so an event
-   that a lock or monitor-table critical section serialises {e after}
-   other threads' emissions also {e sorts} after them — the guarantee
-   the plain epoch stamp forfeits.  One fetch-and-add per call: reserve
-   it for rare lifecycle transitions (CJM monitor creation and
-   evaporation), never the acquire/release fast path. *)
-let emit_ordered t ~tid ~kind ~arg =
-  if t.enabled then
-    if tid < 1 || tid >= max_tids then Atomic.incr t.tid_clamped
-    else
-      let k = Event.kind_to_int kind in
-      if keep t k arg then
-        let stamp = (2 * Atomic.fetch_and_add t.epoch 1) + 1 in
-        Ring.emit (ring_for t tid) ~stamp ~kind ~arg
+      else Ring.emit_full ring meta word
+    end
 
 let emit_system t ~kind ~arg =
   if t.enabled then
     let k = Event.kind_to_int kind in
-    if keep t k arg then begin
+    if carries_object k && unpackable arg then Atomic.incr t.clamped
+    else if keep t k arg then begin
       Mutex.lock t.system_lock;
-      let stamp = (2 * Atomic.fetch_and_add t.epoch 1) + 1 in
-      Ring.emit (ring_for t 0) ~stamp ~kind ~arg;
+      let ticket = (2 * Atomic.fetch_and_add t.epoch 1) + 1 in
+      let word = if carries_object k then stamp t k arg else arg in
+      Ring.emit (ring_for t 0) ~stamp:ticket ~kind ~arg:word;
       Mutex.unlock t.system_lock
     end
 
 let sum_rings t f =
   Array.fold_left
-    (fun n cell ->
-      let ring = Atomic.get cell in
-      if ring != no_ring then n + f ring else n)
+    (fun n ring -> if ring != no_ring then n + f ring else n)
     0 t.rings
 
 let emitted t = sum_rings t (fun ring -> Ring.written ring + Ring.dropped ring)
@@ -206,7 +261,7 @@ let total_dropped t = sum_rings t Ring.dropped
 let active_tids t =
   let acc = ref [] in
   for tid = Array.length t.rings - 1 downto 0 do
-    if Atomic.get t.rings.(tid) != no_ring then acc := tid :: !acc
+    if t.rings.(tid) != no_ring then acc := tid :: !acc
   done;
   !acc
 
@@ -237,7 +292,7 @@ let drain t =
     (* walk tids high-to-low so the accumulated lists end up in tid
        order without a final reverse *)
     for rid = Array.length t.rings - 1 downto 0 do
-      let ring = Atomic.get t.rings.(rid) in
+      let ring = t.rings.(rid) in
       if ring != no_ring then begin
         if Ring.written ring > 0 then live := (rid, ring) :: !live;
         let d = Ring.dropped ring in
@@ -284,7 +339,12 @@ let drain t =
         | Some kind -> kind
         | None -> assert false (* rings only ever hold valid kinds *)
       in
-      let e = { Event.seq; tid = rid.(j); kind; arg = chunk.(p + 1) } in
+      let word = chunk.(p + 1) in
+      let e =
+        if Event.carries_object kind then
+          { Event.seq; tid = rid.(j); kind; arg = word land obj_mask; ord = word lsr obj_bits }
+        else { Event.seq; tid = rid.(j); kind; arg = word; ord = 0 }
+      in
       left.(j) <- left.(j) - 1;
       if p + 2 < Array.length chunk then w.(j) <- p + 2
       else begin

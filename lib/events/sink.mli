@@ -1,5 +1,6 @@
 (** The event sink: per-thread single-writer rings, epoch-stamped at
-    emit time, merged into one dense-seq stream at drain time.
+    emit time, merged into one dense-seq stream at drain time, and one
+    ordinal counter per object.
 
     A sink is either {e enabled} — it owns one {!Ring} per thread id,
     created lazily on the thread's first event — or the shared
@@ -7,29 +8,39 @@
     test {!enabled} once on their hot path (typically via a bool cached
     in their context record) and skip event construction entirely when
     tracing is off, so the disabled cost is one load and one untaken
-    branch per operation.
+    branch per operation.  The disabled sink has no ordinal table and
+    never touches one.
 
-    {b Ordering guarantees.}  There is no longer a global order ticket
-    on the emit path.  Each mutator event is stamped with a plain load
-    of the sink's {e epoch}; {!advance_epoch} bumps it at every
-    quiescence point.  {!drain} merges the rings in (stamp, tid, ring
-    position) order and reassigns dense [seq]s (0, 1, …, n−1), which
-    gives:
+    {b Ordering guarantees.}
 
-    - {e per-tid program order is exact} — one thread's events keep
-      their emit order;
-    - {e cross-thread order is exact across epochs} — an event emitted
-      before a quiescence point sorts before any event emitted after
-      it; within one epoch, threads may interleave arbitrarily.  The
-      skew is bounded by the emit window between epoch advances, which
-      is exactly what the relaxed oracle tolerates;
-    - {e ticket events are totally ordered against everything} —
-      {!emit_system} and {!emit_ordered} take a fetch-and-add ticket
-      stamp that sorts strictly after every event already emitted and
-      strictly before every event emitted later (stamps are
-      parity-split: plain emits stamp [2·epoch], tickets [2·epoch+1]).
-      A deflation therefore sorts after the releases that enabled it,
-      and single-domain replays still satisfy the strict oracle.
+    - {e Per-object order is exact.}  Only the holder of an object's
+      state changes it, and the holder stamps the change: every
+      {!Event.holder_stamped} event takes the object's next ordinal
+      (plain read, increment, write — no atomic), and its emitter must
+      hold the right to change the object's state when it calls
+      {!emit}: after the CAS or claim that gains the right, and before
+      the store or monitor release that gives it up.  The handoff that
+      passes the right on also publishes the counter to the next
+      holder, so one object's holder-stamped ordinals are distinct and
+      increase in the order its state changed.  Observations
+      ([Contended_begin], [Contended_end], [Deflate_aborted]) carry the
+      last ordinal they saw.  The counters live in a two-level table
+      indexed by object id whose chunks are allocated on first use and
+      never moved, so domains share it safely.
+    - {e Per-tid program order is exact} — one thread's events keep
+      their emit order in [seq].
+    - {e Cross-thread [seq] order is exact across epochs} — each
+      mutator event is stamped with a plain load of the sink's epoch,
+      {!advance_epoch} bumps it at every quiescence point, and {!drain}
+      merges the rings in (stamp, tid, ring position) order and
+      reassigns dense [seq]s (0, 1, …, n−1).  Within one epoch, threads
+      may interleave arbitrarily; the oracle never relies on [seq]
+      across threads.
+    - {e System events are totally ordered against everything} —
+      {!emit_system} takes a fetch-and-add ticket stamp that sorts
+      strictly after every event already emitted and strictly before
+      every event emitted later (stamps are parity-split: plain emits
+      stamp [2·epoch], tickets [2·epoch+1]).
 
     Drops (ring overflow) lose a suffix of one thread's events, never a
     middle slice, and are reported per thread id; drained [seq]s stay
@@ -46,6 +57,11 @@ val disabled : t
 
 val default_capacity : int
 (** Per-ring default cap: 65536 events. *)
+
+val max_objects : int
+(** Object ids an event may name: [\[0, max_objects)] = [\[0, 2^28)]
+    (the arg word packs the id beside its ordinal, see {!Ring}).
+    Heap ids are dense from 1. *)
 
 val max_tids : int
 (** Thread-id space per sink (matches [Tl_runtime.Tid.bits]).  Valid
@@ -73,44 +89,44 @@ val create :
     {!Ring}), so a generous cap costs memory only when it is used.
     [system_capacity] (default [ring_capacity]) caps ring 0 alone, the
     system stream that absorbs every deflation, reaper scan and
-    overflow mark of the run. *)
+    overflow mark of the run.  The ordinal table costs one 16k-entry
+    top array up front and a 16k-counter chunk per range of 16k object
+    ids the run touches. *)
 
 val enabled : t -> bool
 
 val emit : t -> tid:int -> kind:Event.kind -> arg:int -> unit
-(** Record one event on [tid]'s ring (no-op when disabled).  Requires
-    [1 <= tid < max_tids]; out-of-range tids are counted in
-    {!tid_clamped} and dropped — never folded onto the system stream,
-    where they would masquerade as deflater/reaper actions.  At most
-    one thread may emit per tid at a time (guaranteed by Tid leasing). *)
-
-val emit_ordered : t -> tid:int -> kind:Event.kind -> arg:int -> unit
-(** Record one event on the calling thread's own stream with a fresh
-    ticket stamp: it sorts strictly after every event any thread has
-    already emitted.  For rare transitions that a critical section
-    serialises against other threads' emissions (CJM monitor creation
-    and evaporation) — a plain {!emit} would stamp them with the
-    caller's current epoch and let them sort thousands of places away
-    from the takeover or drain they are causally tied to.  Costs a
-    fetch-and-add; never use it on the acquire/release fast path. *)
+(** Record one event on [tid]'s ring (no-op when disabled), stamping
+    the object's ordinal for a kind that carries an object (see the
+    ordering guarantees: a holder-stamped kind must be emitted while
+    the caller holds the object's state).  Requires
+    [1 <= tid < max_tids], and [0 <= arg < max_objects] for a kind that
+    carries an object; an event outside those ranges is counted in
+    {!clamped} and dropped — never folded onto the system stream, where
+    it would masquerade as a deflater/reaper action.  At most one thread
+    may emit per tid at a time (guaranteed by Tid leasing). *)
 
 val emit_system : t -> kind:Event.kind -> arg:int -> unit
 (** Record one event on the system stream (tid 0): deflations, reaper
     scans, quiescence announcements made outside any registered thread.
     Serialised by a mutex and stamped with a fresh ticket, so system
     events order exactly against all mutator events; safe from any
-    thread, including concurrently with itself. *)
+    thread, including concurrently with itself.  A deflation is
+    holder-stamped like any lock-state transition: its emitter must
+    hold the object (for the thin scheme, the deflation bit on a
+    retired monitor). *)
 
 val advance_epoch : t -> unit
 (** Bump the ordering epoch.  Called from quiescence points; bounds the
     cross-thread merge skew to one emit window. *)
 
-val tid_clamped : t -> int
-(** Events rejected because their tid was outside [1, max_tids). *)
+val clamped : t -> int
+(** Events rejected because their tid was outside [\[1, max_tids)] or
+    their object id outside [\[0, max_objects)]. *)
 
 val emitted : t -> int
 (** Events accepted so far (= recorded + dropped to ring overflow);
-    excludes events suppressed by sampling or {!tid_clamped}. *)
+    excludes events suppressed by sampling or {!clamped}. *)
 
 val active_tids : t -> int list
 (** Thread ids that have emitted at least one event (ring created),

@@ -125,8 +125,8 @@ val run_random :
     after a memory access executes within the same scheduling turn as
     that access, so model programs that label their linearisation
     points yield label sequences in exact linearisation order — which
-    is what makes the collected stream checkable by a strict-order
-    oracle.  Unlike {!sample} there is no invariant: the point is to
+    is what lets a checker stamp the collected stream's per-object
+    order from label order alone.  Unlike {!sample} there is no invariant: the point is to
     extract the execution trace and judge it externally.
     @raise Failure if the schedule exceeds [max_depth] (default
     200_000) steps. *)

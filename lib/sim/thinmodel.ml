@@ -32,8 +32,9 @@ let give_up ~tid = Store (Addr.gave_up_flag ~tid, 1, fun () -> Done)
    [Tl_events.Event] records (the single model object is id 1).  Each
    marker sits in continuation position immediately after the memory
    access that linearises the operation, so [Machine.run_random]
-   collects the labels in exact linearisation order and a strict-order
-   oracle can judge the stream. *)
+   collects the labels in exact linearisation order: stamped with
+   per-object ordinals in that order, the stream is what the sink's
+   lock holders would have recorded, and the oracle can judge it. *)
 let ev ~trace ~tid name k : step =
   if trace then Label (Printf.sprintf "ev %d %s" tid name, k) else k ()
 

@@ -68,8 +68,8 @@ val worker :
     as [Tl_core.Thin]'s instrumentation ([Tl_events.Event]), the
     single model object being id 1.  Collected by
     [Machine.run_random], the labels form a stream in exact
-    linearisation order, checkable by [Tl_events.Oracle] in strict
-    mode. *)
+    linearisation order; stamped with per-object ordinals in that
+    order, it is checkable by [Tl_events.Oracle]. *)
 
 val deflater : ?trace:bool -> unit -> Machine.program
 (** One shot of the real deflation handshake

@@ -242,7 +242,7 @@ let run ?(trace = true) ?(oracle = true) config =
     policy_switches = Option.fold ~none:0 ~some:Controller.switches_total controller;
     oracle =
       (match scheme.verify with
-      | Some verify when trace && oracle -> Some (verify ~mode:Oracle.Relaxed drained)
+      | Some verify when trace && oracle -> Some (verify drained)
       | _ -> None);
   }
 
@@ -287,6 +287,6 @@ let pp ppf (r : result) =
   match r.oracle with
   | Some rep ->
       Format.fprintf ppf "@\n  oracle       %s"
-        (if Oracle.ok rep then "clean (relaxed)"
+        (if Oracle.ok rep then "clean"
          else Format.asprintf "@[%a@]" Oracle.pp rep)
   | None -> ()

@@ -14,9 +14,8 @@
     ([Event.Tid_overflow] on the system stream) instead of failing.
 
     The lock is any registry entry: episodes run through its [sync],
-    and traced runs verify with its own oracle call in {e relaxed}
-    mode — fibers emit into per-tid rings whose cross-thread order is
-    only epoch-bounded. *)
+    and traced runs verify with its own oracle call, which orders each
+    object's events by the ordinals their holders stamped. *)
 
 type config = {
   fibers : int;  (** total fibers over the whole run *)
@@ -94,8 +93,8 @@ type result = {
 val run : ?trace:bool -> ?oracle:bool -> config -> result
 (** Run one storm on a fresh runtime and scheduler.  [trace] (default
     true) attaches an event sink whose rings grow with use; [oracle]
-    (default true, requires [trace]) verifies the drained stream in
-    relaxed mode with the scheme's [verify] (none for a scheme that
+    (default true, requires [trace]) verifies the drained stream with
+    the scheme's [verify] (none for a scheme that
     emits no events).  Untraced runs are the configuration for pure
     throughput numbers.
     @raise Invalid_argument on a degenerate config, or a [reap] for a

@@ -5,7 +5,23 @@ module Oracle = Tl_events.Oracle
 
 type spec = { threads : int; objects : int; steps : int; seed : int }
 
-type gen = { events : Event.t array; wait_exits : int list }
+type gen = { events : Event.t array; wait_exits : int list; queued_aborts : int list }
+
+(* Dense seqs in array order, and every ordinal stamped as the sink's
+   holders would have stamped it had the array been the order in which
+   the objects' states changed: a holder-stamped kind takes its
+   object's next ordinal, an observation carries the current one. *)
+let stamp arr =
+  let ords = Hashtbl.create 16 in
+  Array.mapi
+    (fun seq (e : Event.t) ->
+      if not (Event.carries_object e.Event.kind) then { e with Event.seq; ord = 0 }
+      else
+        let cur = Option.value ~default:0 (Hashtbl.find_opt ords e.Event.arg) in
+        let ord = if Event.holder_stamped e.Event.kind then cur + 1 else cur in
+        Hashtbl.replace ords e.Event.arg ord;
+        { e with Event.seq; ord })
+    arr
 
 (* ------------------------------------------------------------------ *)
 (* Well-formed stream generation.                                     *)
@@ -57,9 +73,10 @@ let generate spec =
   let events = ref [] in
   let count = ref 0 in
   let wait_exits = ref [] in
+  let queued_aborts = ref [] in
   let quiesced = ref 0 in
   let emit tid kind arg =
-    events := { Event.seq = !count; tid; kind; arg } :: !events;
+    events := { Event.seq = !count; tid; kind; arg; ord = 0 } :: !events;
     incr count
   in
   let free_threads_other_than t =
@@ -227,6 +244,12 @@ let generate spec =
         o.signals <- 0
     | 1 when busy_fat <> [] ->
         let o = List.nth busy_fat (Prng.int prng (List.length busy_fat)) in
+        (* An unowned, waiter-free monitor is busy only because an
+           entrant is queued on it, and the stream does not show that:
+           see [queued_aborts]. *)
+        (match o.st with
+        | OFat (0, _) when o.waiters = [] -> queued_aborts := !count :: !queued_aborts
+        | _ -> ());
         emit 0 Event.Deflate_aborted o.oid
     | 2 -> emit 0 Event.Reaper_scan (Prng.int prng 3)
     | _ ->
@@ -313,8 +336,9 @@ let generate spec =
     done
   done;
   {
-    events = Array.of_list (List.rev !events);
+    events = stamp (Array.of_list (List.rev !events));
     wait_exits = List.rev !wait_exits;
+    queued_aborts = List.rev !queued_aborts;
   }
 
 let drained g = { Sink.events = g.events; dropped = [] }
@@ -333,7 +357,8 @@ let is_object_event = function
   | Event.Reaper_scan | Event.Quiescence -> false
   | _ -> true
 
-let renumber arr = Array.mapi (fun i (e : Event.t) -> { e with Event.seq = i }) arr
+(* The mutated order is the order the automaton must judge. *)
+let renumber = stamp
 
 let drop arr i =
   Array.init (Array.length arr - 1) (fun j -> if j < i then arr.(j) else arr.(j + 1))
@@ -426,8 +451,18 @@ let mutate ~seed g =
         add "dup-deflate" Oracle.Deflation_without_handshake (fun () ->
             renumber (insert_after arr i e))
     | Event.Deflate_aborted ->
-        add "retag-aborted-as-deflated" Oracle.Deflation_without_handshake
-          (fun () -> renumber (retag arr i Event.Deflate_quiescent))
+        (* Deflating an owned or waited-on monitor breaks the handshake
+           on the spot.  Past a queued entrant the stream shows no
+           blocker (its only trace is an observation, [Contended_begin]),
+           so the deflation itself looks legal; the break shows when the
+           entrant (or anyone) next takes the fat path on the now
+           monitor-less object. *)
+        if List.mem i g.queued_aborts then
+          add "retag-queued-abort-as-deflated" Oracle.Stale_handle (fun () ->
+              renumber (retag arr i Event.Deflate_quiescent))
+        else
+          add "retag-aborted-as-deflated" Oracle.Deflation_without_handshake
+            (fun () -> renumber (retag arr i Event.Deflate_quiescent))
     | Event.Reaper_scan | Event.Quiescence | Event.Tid_overflow
     | Event.Policy_switch ->
         if i < n - 1 then

@@ -6,8 +6,9 @@
     queue), wait/notify, deflation, aborted handshakes, reaper scans
     and quiescence announcements — and emits exactly the event
     subsequences the real instrumentation would, ending in a
-    fully-unlocked state.  Every generated stream is accepted by
-    [Tl_events.Oracle] in strict mode.
+    fully-unlocked state.  Events are stamped with per-object ordinals
+    in generation order, as the sink's holders would stamp them.  Every
+    generated stream is accepted by [Tl_events.Oracle].
 
     {!mutate} then applies one targeted fault — dropping, duplicating,
     reordering or retagging a single event — chosen so the expected
@@ -29,7 +30,17 @@ type gen = {
       (** indices of [Release_fat] events that are a waiter's first
           action after an (invisible) notify resume — the events whose
           removal loses a wakeup *)
+  queued_aborts : int list;
+      (** indices of [Deflate_aborted] events on an unowned,
+          waiter-free monitor: the handshake failed only because an
+          entrant was queued, which the stream does not witness *)
 }
+
+val stamp : Tl_events.Event.t array -> Tl_events.Event.t array
+(** Renumber [seq] densely from 0 in array order and re-stamp every
+    ordinal as if the array were the order in which the objects' states
+    changed: each holder-stamped event takes its object's next ordinal,
+    each observation the current one, other kinds 0. *)
 
 val generate : spec -> gen
 (** @raise Invalid_argument on a nonsensical spec. *)

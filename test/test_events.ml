@@ -93,7 +93,7 @@ let test_sink_disabled_is_inert () =
   Sink.emit_system Sink.disabled ~kind:Event.Reaper_scan ~arg:0;
   Sink.advance_epoch Sink.disabled;
   check_int "nothing accepted" 0 (Sink.emitted Sink.disabled);
-  check_int "nothing clamped" 0 (Sink.tid_clamped Sink.disabled);
+  check_int "nothing clamped" 0 (Sink.clamped Sink.disabled);
   let d = Sink.drain Sink.disabled in
   check_int "no events" 0 (Array.length d.Sink.events);
   check "no drops" true (d.Sink.dropped = [])
@@ -129,14 +129,14 @@ let test_sink_rejects_out_of_range_tids () =
   Sink.emit sink ~tid:0 ~kind:Event.Wait_op ~arg:3 (* 0 is emit_system's *);
   let d = Sink.drain sink in
   check_int "nothing recorded" 0 (Array.length d.Sink.events);
-  check_int "rejections counted" 3 (Sink.tid_clamped sink);
+  check_int "rejections counted" 3 (Sink.clamped sink);
   check "no ring created (system stream untouched)" true (Sink.active_tids sink = []);
   check_int "not counted as emitted" 0 (Sink.emitted sink);
   (* the boundary tids are fine *)
   Sink.emit sink ~tid:1 ~kind:Event.Acquire_fast ~arg:4;
   Sink.emit sink ~tid:(Sink.max_tids - 1) ~kind:Event.Acquire_fast ~arg:5;
   check_int "boundary tids accepted" 2 (Array.length (Sink.drain sink).Sink.events);
-  check_int "no further clamps" 3 (Sink.tid_clamped sink)
+  check_int "no further clamps" 3 (Sink.clamped sink)
 
 let test_sink_reports_drops_per_tid () =
   let sink = Sink.create ~ring_capacity:16 () in
@@ -169,7 +169,7 @@ let test_drops_leave_no_seq_holes () =
   check_int "four survivors" 4 (Array.length d.Sink.events);
   check "honest drop count" true (d.Sink.dropped = [ (1, 2) ]);
   Array.iteri (fun i e -> check_int "seq dense despite drops" i e.Event.seq) d.Sink.events;
-  let report = Oracle.check ~mode:Oracle.Strict ~count_width:8 d in
+  let report = Oracle.check ~count_width:8 d in
   check "oracle accepts drops without seq holes" true (Oracle.ok report)
 
 let test_sink_one_slot_ring_satisfies_oracle () =
@@ -186,7 +186,7 @@ let test_sink_one_slot_ring_satisfies_oracle () =
 (* The oracle's density check is drop-aware, not drop-blind: declared
    drops excuse exactly that many holes, no more. *)
 let test_oracle_drop_aware_density () =
-  let ev seq = { Event.seq; tid = 1; kind = Event.Quiescence; arg = seq } in
+  let ev seq = { Event.seq; tid = 1; kind = Event.Quiescence; arg = seq; ord = 0 } in
   let holes_ok = { Sink.events = [| ev 0; ev 2 |]; dropped = [ (1, 1) ] } in
   check "1 hole, 1 drop: accepted" true (Oracle.ok (Oracle.check holes_ok));
   let holes_bad = { Sink.events = [| ev 0; ev 5 |]; dropped = [ (1, 1) ] } in
@@ -217,8 +217,8 @@ let test_system_events_interleave_exactly () =
         Event.Acquire_fast; Event.Release_fast;
       |]);
   check_int "on the system stream" 0 d.Sink.events.(5).Event.tid;
-  check "strict oracle accepts the interleaving" true
-    (Oracle.ok (Oracle.check ~mode:Oracle.Strict d))
+  check "oracle accepts the interleaving" true
+    (Oracle.ok (Oracle.check d))
 
 let test_sink_multithreaded_emit () =
   let sink = Sink.create ~ring_capacity:4096 () in
@@ -313,7 +313,7 @@ let test_sampling_contended_only () =
 (* Random multi-thread emission schedules over disjoint objects, with
    the main thread racing epoch advances: the reconstructed stream must
    be dense, keep each thread's program order exactly, satisfy the
-   relaxed oracle, and drain deterministically. *)
+   oracle, and drain deterministically. *)
 let prop_drain_reconstruction_is_legal =
   let gen = QCheck.Gen.(list_size (int_range 1 4) (int_range 0 40)) in
   let arb = QCheck.make gen ~print:QCheck.Print.(list int) in
@@ -361,32 +361,43 @@ let prop_drain_reconstruction_is_legal =
       Array.length d.Sink.events = total
       && d.Sink.dropped = []
       && !dense && !per_tid_ok
-      && Oracle.ok (Oracle.check ~mode:Oracle.Relaxed ~count_width:8 d)
+      && Oracle.ok (Oracle.check ~count_width:8 d)
       && Sink.drain sink = d)
 
 (* --- merge drain vs a reference sort (qcheck) --- *)
 
-(* One step of a tid's lease segment.  [Emit] and [Ordered] land on
-   the segment's tid, [System] on the system stream. *)
-type step =
-  | Emit of Event.kind * int
-  | Ordered of Event.kind * int
-  | System of Event.kind * int
-  | Advance
+(* One step of a tid's lease segment.  [Emit] lands on the segment's
+   tid, [System] on the system stream. *)
+type step = Emit of Event.kind * int | System of Event.kind * int | Advance
 
 (* A test-only model of the sink's stamping (plain emits stamp [2e];
-   tickets stamp [2e+1] and bump [e]) and the drain's contract: the
-   surviving events of every ring, numbered in (stamp, rid, pos)
-   order, and the per-ring overflow counts. *)
+   tickets stamp [2e+1] and bump [e]; object events outside
+   [0, max_objects) are rejected; per-object ordinals as
+   [Stream_gen.stamp] assigns them, in emission order, dropped events
+   included) and the drain's contract: the surviving events of every
+   ring, numbered in (stamp, rid, pos) order, and the per-ring overflow
+   counts. *)
 let reference_drain ~cap ~system_cap segments =
   let epoch = ref 0 in
   let appends = Hashtbl.create 64 in
+  let ords = Hashtbl.create 64 in
   let cells = ref [] in
+  let rejected kind arg = Event.carries_object kind && (arg < 0 || arg >= Sink.max_objects) in
   let append rid stamp kind arg =
-    let pos = Option.value ~default:0 (Hashtbl.find_opt appends rid) in
-    Hashtbl.replace appends rid (pos + 1);
-    if pos < (if rid = 0 then system_cap else cap) then
-      cells := (stamp, rid, pos, kind, arg) :: !cells
+    if not (rejected kind arg) then begin
+      let ord =
+        if not (Event.carries_object kind) then 0
+        else
+          let cur = Option.value ~default:0 (Hashtbl.find_opt ords arg) in
+          let ord = if Event.holder_stamped kind then cur + 1 else cur in
+          Hashtbl.replace ords arg ord;
+          ord
+      in
+      let pos = Option.value ~default:0 (Hashtbl.find_opt appends rid) in
+      Hashtbl.replace appends rid (pos + 1);
+      if pos < (if rid = 0 then system_cap else cap) then
+        cells := (stamp, rid, pos, kind, arg, ord) :: !cells
+    end
   in
   let ticket () =
     let e = !epoch in
@@ -398,8 +409,7 @@ let reference_drain ~cap ~system_cap segments =
       List.iter
         (function
           | Emit (kind, arg) -> append tid (2 * !epoch) kind arg
-          | Ordered (kind, arg) -> append tid (ticket ()) kind arg
-          | System (kind, arg) -> append 0 (ticket ()) kind arg
+          | System (kind, arg) -> if not (rejected kind arg) then append 0 (ticket ()) kind arg
           | Advance -> incr epoch)
         steps)
     segments;
@@ -407,7 +417,7 @@ let reference_drain ~cap ~system_cap segments =
      past it *)
   let events =
     List.sort compare !cells
-    |> List.mapi (fun seq (_, tid, _, kind, arg) -> { Event.seq; tid; kind; arg })
+    |> List.mapi (fun seq (_, tid, _, kind, arg, ord) -> { Event.seq; tid; kind; arg; ord })
     |> Array.of_list
   in
   let dropped =
@@ -426,25 +436,28 @@ let replay_segments sink segments =
       List.iter
         (function
           | Emit (kind, arg) -> Sink.emit sink ~tid ~kind ~arg
-          | Ordered (kind, arg) -> Sink.emit_ordered sink ~tid ~kind ~arg
           | System (kind, arg) -> Sink.emit_system sink ~kind ~arg
           | Advance -> Sink.advance_epoch sink)
         steps)
     segments
 
 (* Many tids, leased in segments from a pool so that indices recur the
-   way recycled leases do; plain, ordered and system emits; epoch
+   way recycled leases do; plain and system emits; epoch
    advances; caps small enough that rings overflow (and straddle the
-   initial ring size). *)
+   initial ring size); args include ids the arg word cannot pack. *)
 let arb_segments =
   let open QCheck.Gen in
   let kind = oneofl Event.all_kinds in
+  (* a few objects, so ordinals climb; and the odd unpackable id *)
+  let arg =
+    frequency
+      [ (12, int_range 0 5); (2, small_signed_int); (1, oneofl [ Sink.max_objects; max_int ]) ]
+  in
   let step =
     frequency
       [
-        (16, map2 (fun k a -> Emit (k, a)) kind small_signed_int);
-        (2, map2 (fun k a -> Ordered (k, a)) kind small_signed_int);
-        (1, map2 (fun k a -> System (k, a)) kind small_signed_int);
+        (18, map2 (fun k a -> Emit (k, a)) kind arg);
+        (1, map2 (fun k a -> System (k, a)) kind arg);
         (2, return Advance);
       ]
   in
@@ -522,31 +535,35 @@ let golden_stream () =
     ~arg:
       (Ctl.pack_switch
          { Ctl.shard = 0; from_policy = 0; to_policy = 3; score = 0; explore = true });
-  (* boundary values: negative arg, max tid, max-int arg *)
-  Sink.emit sink ~tid:3 ~kind:Event.Notify_op ~arg:(-42);
-  Sink.emit sink ~tid:(Sink.max_tids - 1) ~kind:Event.Wait_op ~arg:max_int;
-  (* cjm lifecycle kinds go through the ticket-stamped mutator path:
-     they must sort after everything already emitted, on their own
-     tid's stream — both facts pinned by the golden text *)
-  Sink.emit_ordered sink ~tid:2 ~kind:Event.Cjm_monitor_create ~arg:9;
-  Sink.emit_ordered sink ~tid:2 ~kind:Event.Cjm_monitor_evaporate ~arg:9;
+  (* boundary values: negative arg, max tid, max-int arg (on kinds
+     whose arg is a count), the largest packable object id *)
+  Sink.emit sink ~tid:3 ~kind:Event.Quiescence ~arg:(-42);
+  Sink.emit sink ~tid:(Sink.max_tids - 1) ~kind:Event.Quiescence ~arg:max_int;
+  Sink.emit sink ~tid:(Sink.max_tids - 1) ~kind:Event.Wait_op ~arg:(Sink.max_objects - 1);
+  (* cjm lifecycle kinds are holder-stamped like any transition, on the
+     emitter's own stream; an observation carries the ordinal it read *)
+  Sink.emit sink ~tid:2 ~kind:Event.Cjm_monitor_create ~arg:9;
+  Sink.emit sink ~tid:4 ~kind:Event.Contended_begin ~arg:9;
+  Sink.emit sink ~tid:2 ~kind:Event.Cjm_monitor_evaporate ~arg:9;
   Sink.drain sink
 
 let golden_text =
-  "# thinlocks-events v1\n\
-   events 12\n\
-   0 1 acquire-fast 7\n\
-   1 1 inflate-overflow 7\n\
-   2 2 acquire-fat-queued 7\n\
-   3 1 release-fat 7\n\
-   4 0 deflate-quiescent 7\n\
-   5 0 reaper-scan 1\n\
-   6 0 policy-switch 1310924805\n\
-   7 0 policy-switch 1099511824384\n\
-   8 3 notify -42\n\
-   9 32767 wait 4611686018427387903\n\
-   10 2 cjm-monitor-create 9\n\
-   11 2 cjm-monitor-evaporate 9\n"
+  "# thinlocks-events v2\n\
+   events 14\n\
+   0 1 acquire-fast 7 1\n\
+   1 1 inflate-overflow 7 2\n\
+   2 2 acquire-fat-queued 7 3\n\
+   3 1 release-fat 7 4\n\
+   4 0 deflate-quiescent 7 5\n\
+   5 0 reaper-scan 1 0\n\
+   6 0 policy-switch 1310924805 0\n\
+   7 0 policy-switch 1099511824384 0\n\
+   8 2 cjm-monitor-create 9 1\n\
+   9 2 cjm-monitor-evaporate 9 2\n\
+   10 3 quiescence -42 0\n\
+   11 4 contended-begin 9 1\n\
+   12 32767 quiescence 4611686018427387903 0\n\
+   13 32767 wait 268435455 1\n"
 
 let test_codec_golden () =
   check_str "golden encoding" golden_text (Codec.to_string (golden_stream ()))
@@ -566,17 +583,20 @@ let test_codec_roundtrip_is_canonical () =
   check "events survive" true (back.Sink.events = with_drops.Sink.events);
   check "drops survive" true (back.Sink.dropped = with_drops.Sink.dropped);
   let empty = Codec.to_string Sink.empty in
-  check_str "empty stream" "# thinlocks-events v1\nevents 0\n" empty;
+  check_str "empty stream" "# thinlocks-events v2\nevents 0\n" empty;
   check_str "empty roundtrip" empty (Codec.to_string (Codec.of_string empty))
 
 let test_codec_boundary_args_roundtrip () =
   (* min_int exercises the sign edge in text and the zigzag edge in
      binary; both codecs must agree with the original stream *)
-  let ev seq tid arg = { Event.seq; tid; kind = Event.Wait_op; arg } in
+  let ev seq tid arg ord = { Event.seq; tid; kind = Event.Wait_op; arg; ord } in
   let d =
     {
       Sink.events =
-        [| ev 0 1 max_int; ev 1 (Sink.max_tids - 1) min_int; ev 2 3 (-1); ev 3 4 0 |];
+        [|
+          ev 0 1 max_int max_int; ev 1 (Sink.max_tids - 1) min_int 0; ev 2 3 (-1) 1;
+          ev 3 4 0 (1 lsl 40);
+        |];
       dropped = [];
     }
   in
@@ -592,29 +612,40 @@ let test_codec_parse_errors () =
     | exception Codec.Parse_error _ -> ()
   in
   expect_parse_error "";
-  expect_parse_error "# thinlocks-events v2\nevents 0\n" (* wrong magic *);
-  expect_parse_error "# thinlocks-events v1\nevents 0" (* no trailing newline *);
-  expect_parse_error "# thinlocks-events v1\nevents 2\n0 1 acquire-fast 7\n" (* short *);
+  expect_parse_error "# thinlocks-events v3\nevents 0\n" (* wrong magic *);
+  (* a version 1 dump (no ordinals) is refused by name *)
+  (match Codec.of_string "# thinlocks-events v1\nevents 1\n0 1 acquire-fast 7\n" with
+  | _ -> Alcotest.fail "expected a v1 dump to be refused"
+  | exception Codec.Parse_error msg ->
+      check "error names version 1" true
+        (let sub = "version 1" in
+         let n = String.length msg and m = String.length sub in
+         let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+         go 0));
+  expect_parse_error "# thinlocks-events v2\nevents 0" (* no trailing newline *);
+  expect_parse_error "# thinlocks-events v2\nevents 2\n0 1 acquire-fast 7 1\n" (* short *);
   expect_parse_error
-    "# thinlocks-events v1\nevents 1\n0 1 acquire-fast 7\n1 1 release-fast 7\n"
+    "# thinlocks-events v2\nevents 1\n0 1 acquire-fast 7 1\n1 1 release-fast 7 2\n"
     (* trailing data *);
-  expect_parse_error "# thinlocks-events v1\nevents 01\n" (* leading zero *);
-  expect_parse_error "# thinlocks-events v1\nevents -1\n" (* negative count *);
-  expect_parse_error "# thinlocks-events v1\nevents 1\n0 1 acquire-warp 7\n"
+  expect_parse_error "# thinlocks-events v2\nevents 01\n" (* leading zero *);
+  expect_parse_error "# thinlocks-events v2\nevents -1\n" (* negative count *);
+  expect_parse_error "# thinlocks-events v2\nevents 1\n0 1 acquire-warp 7 1\n"
     (* unknown kind *);
-  expect_parse_error "# thinlocks-events v1\nevents 1\n0 1 acquire-fast\n"
-    (* missing field *);
-  expect_parse_error "# thinlocks-events v1\nevents 0\ndropped 3 1\ndropped 2 1\n"
+  expect_parse_error "# thinlocks-events v2\nevents 1\n0 1 acquire-fast 7\n"
+    (* missing field: the v1 shape *);
+  expect_parse_error "# thinlocks-events v2\nevents 0\ndropped 3 1\ndropped 2 1\n"
     (* tids out of order *);
-  expect_parse_error "# thinlocks-events v1\nevents 0\ndropped 2 0\n"
+  expect_parse_error "# thinlocks-events v2\nevents 0\ndropped 2 0\n"
     (* zero drop count *);
-  expect_parse_error "# thinlocks-events v1\nevents 0\ndropped 2 -3\n"
+  expect_parse_error "# thinlocks-events v2\nevents 0\ndropped 2 -3\n"
     (* negative drop count *);
   (* no sink ever emits these; the parser must not invent them either *)
-  expect_parse_error "# thinlocks-events v1\nevents 1\n-1 1 acquire-fast 7\n"
+  expect_parse_error "# thinlocks-events v2\nevents 1\n-1 1 acquire-fast 7 1\n"
     (* negative seq *);
-  expect_parse_error "# thinlocks-events v1\nevents 1\n0 -1 acquire-fast 7\n"
-    (* negative tid *)
+  expect_parse_error "# thinlocks-events v2\nevents 1\n0 -1 acquire-fast 7 1\n"
+    (* negative tid *);
+  expect_parse_error "# thinlocks-events v2\nevents 1\n0 1 acquire-fast 7 -1\n"
+    (* negative ordinal *)
 
 let drained_arb =
   let open QCheck.Gen in
@@ -629,11 +660,14 @@ let drained_arb =
          let* arg =
            oneof [ int_range (-100_000) 100_000; oneofl [ max_int; min_int; 0 ] ]
          in
-         return (tid, k, arg))
+         let* ord = oneof [ int_range 0 1000; oneofl [ max_int; 0 ] ] in
+         return (tid, k, arg, ord))
     in
     (* seqs strictly increasing, as drain produces *)
     let events =
-      Array.mapi (fun i (tid, k, arg) -> { Event.seq = seq0 + i; tid; kind = k; arg }) events
+      Array.mapi
+        (fun i (tid, k, arg, ord) -> { Event.seq = seq0 + i; tid; kind = k; arg; ord })
+        events
     in
     let* drop_tids = list_size (int_range 0 4) (int_range 0 60) in
     let drop_tids = List.sort_uniq compare drop_tids in
@@ -685,7 +719,22 @@ let test_codec_bin_parse_errors () =
   in
   let bin s = Codec_bin.magic ^ s in
   expect_error "";
-  expect_error "# thinlocks-events v1\nevents 0\n" (* text magic *);
+  expect_error "# thinlocks-events v2\nevents 0\n" (* text magic *);
+  (* a version 1 blob (no ordinals) is recognised as binary and
+     refused by name, through either entry point *)
+  let v1 = "# thinlocks-events bin v1\n\x00\x00" in
+  check "v1 blob still looks binary" true (Codec_bin.looks_binary v1);
+  List.iter
+    (fun parse ->
+      match parse v1 with
+      | _ -> Alcotest.fail "expected a binary v1 blob to be refused"
+      | exception Codec_bin.Parse_error msg ->
+          check "error names version 1" true
+            (let sub = "version 1" in
+             let n = String.length msg and m = String.length sub in
+             let rec go i = i + m <= n && (String.sub msg i m = sub || go (i + 1)) in
+             go 0))
+    [ Codec_bin.of_bytes; Codec_bin.of_string_auto ];
   expect_error (bin "") (* truncated counts *);
   expect_error (bin "\x00\x00\x00") (* trailing byte *);
   expect_error (bin "\x80\x00") (* non-minimal varint *);
@@ -742,8 +791,13 @@ let test_thin_emits_protocol_events () =
   in
   check "deflation sorts after the last fat release" true
     (seq_of Event.Deflate_quiescent > seq_of Event.Release_fat);
-  check "strict oracle accepts the single-domain stream" true
-    (Oracle.ok (Oracle.check ~mode:Oracle.Strict ~count_width:1 d))
+  (* every event is a holder-stamped transition of one object: its
+     ordinals count 1, 2, ... in emission order, the deflater's last *)
+  Array.iteri
+    (fun i (e : Event.t) -> check_int "dense holder ordinals" (i + 1) e.Event.ord)
+    d.Sink.events;
+  check "oracle accepts the single-domain stream" true
+    (Oracle.ok (Oracle.check ~count_width:1 d))
 
 let test_thin_emits_wait_and_notify () =
   let runtime = Runtime.create () in
@@ -785,8 +839,8 @@ let test_cjm_emits_protocol_events () =
     (Sink.count_kind d Event.Release_fat);
   check_int "release evaporates the monitor" 1
     (Sink.count_kind d Event.Cjm_monitor_evaporate);
-  (* lifecycle events are ticket-stamped, so they bracket the fat
-     window in the drained order *)
+  (* lifecycle events bracket the fat window, in the drained order and
+     in the object's holder-stamped ordinals *)
   let seq_of kind =
     Array.fold_left
       (fun acc (e : Event.t) -> if e.Event.kind = kind then e.Event.seq else acc)
@@ -796,6 +850,16 @@ let test_cjm_emits_protocol_events () =
     (seq_of Event.Cjm_monitor_create < seq_of Event.Wait_op);
   check "evaporation sorts after the fat release" true
     (seq_of Event.Cjm_monitor_evaporate > seq_of Event.Release_fat);
+  let ord_of kind =
+    Array.fold_left
+      (fun acc (e : Event.t) -> if e.Event.kind = kind then e.Event.ord else acc)
+      (-1) d.Sink.events
+  in
+  check "ordinals follow the lifecycle" true
+    (ord_of Event.Acquire_fast < ord_of Event.Cjm_monitor_create
+    && ord_of Event.Cjm_monitor_create < ord_of Event.Wait_op
+    && ord_of Event.Wait_op < ord_of Event.Release_fat
+    && ord_of Event.Release_fat < ord_of Event.Cjm_monitor_evaporate);
   Array.iter
     (fun (e : Event.t) ->
       match e.Event.kind with
@@ -804,8 +868,8 @@ let test_cjm_emits_protocol_events () =
             e.Event.arg
       | _ -> ())
     d.Sink.events;
-  check "strict cjm oracle accepts the stream" true
-    (Oracle.ok (Oracle.check ~mode:Oracle.Strict ~protocol:Oracle.Cjm d));
+  check "cjm oracle accepts the stream" true
+    (Oracle.ok (Oracle.check ~protocol:Oracle.Cjm d));
   (* conservation: the table is empty again and the census balances *)
   check_int "no live entries" 0 (Tl_cjm.Cjm.live_entries ctx);
   check_int "one monitor created" 1 (Tl_cjm.Cjm.monitors_created ctx);
@@ -932,6 +996,26 @@ let test_diff_arg_only_difference () =
   | None -> Alcotest.fail "expected a divergence");
   check "no kind deltas" true (report.Diff.kind_deltas = [])
 
+let test_diff_ord_only_difference () =
+  (* the same events in the same seq order, but the holders stamped a
+     different per-object order: a real divergence *)
+  let stream ords =
+    {
+      Sink.events =
+        Array.of_list
+          (List.mapi
+             (fun seq (tid, ord) -> { Event.seq; tid; kind = Event.Acquire_fat; arg = 7; ord })
+             ords);
+      dropped = [];
+    }
+  in
+  let report = Diff.compare (stream [ (1, 1); (2, 3) ]) (stream [ (1, 1); (2, 2) ]) in
+  check "not identical" false (Diff.identical report);
+  (match report.Diff.divergence with
+  | Some d -> check_int "diverges at the ordinal mismatch" 1 d.Diff.index
+  | None -> Alcotest.fail "expected a divergence");
+  check "no kind deltas" true (report.Diff.kind_deltas = [])
+
 let test_diff_length_mismatch () =
   let left = drained_of_emits [ (1, Event.Acquire_fast, 7); (1, Event.Release_fast, 7) ] in
   let right = drained_of_emits [ (1, Event.Acquire_fast, 7) ] in
@@ -1019,5 +1103,6 @@ let () =
           Alcotest.test_case "one-event prefix truncation" `Quick
             test_diff_one_event_prefix_truncation;
           Alcotest.test_case "arg-only difference" `Quick test_diff_arg_only_difference;
+          Alcotest.test_case "ordinal-only difference" `Quick test_diff_ord_only_difference;
         ] );
     ]

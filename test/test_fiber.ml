@@ -250,7 +250,7 @@ let contended_counter ~domains ~fibers ~iters () =
   Alcotest.(check int) "no lost updates" (fibers * iters) !counter;
   let d = Sink.drain sink in
   Alcotest.(check int) "no drops" 0 (List.length d.Sink.dropped);
-  let report = Oracle.check ~mode:Oracle.Relaxed d in
+  let report = Oracle.check d in
   if not (Oracle.ok report) then
     Alcotest.failf "oracle: %s" (Format.asprintf "%a" Oracle.pp report);
   (* holding across a yield under contention must have inflated *)
@@ -333,7 +333,7 @@ let test_hapax_storm_window_4096 () =
 
 (* Cycle through 10× more fibers than the 15-bit index space, traced,
    in bounded-concurrency waves.  Every index gets recycled ~10 times;
-   the relaxed oracle proves the per-tid streams were never
+   the oracle proves the per-tid streams were never
    misattributed (a recycled tid whose new holder's events interleaved
    with the old holder's would show up as unpaired acquires/releases on
    some object).  Kept cheap: tiny rings (events spread over all 32 k
@@ -376,7 +376,7 @@ let test_churn_recycling_streams () =
   Alcotest.(check int) "no overflow needed" 0 (Scheduler.overflow_waits ());
   let d = Sink.drain sink in
   Alcotest.(check int) "no rings overflowed" 0 (List.length d.Sink.dropped);
-  let report = Oracle.check ~mode:Oracle.Relaxed d in
+  let report = Oracle.check d in
   if not (Oracle.ok report) then
     Alcotest.failf "churned stream rejected: %s"
       (Format.asprintf "%a" Oracle.pp report);

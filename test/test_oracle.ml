@@ -18,23 +18,25 @@ module Header = Tl_heap.Header
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let ev seq tid kind arg = { Event.seq; tid; kind; arg }
+let ev ?(ord = 0) seq tid kind arg = { Event.seq; tid; kind; arg; ord }
 
 let dr evs = { Sink.events = Array.of_list evs; dropped = [] }
 
-(* seq-dense stream from (tid, kind, arg) triples *)
+(* seq-dense stream from (tid, kind, arg) triples, its ordinals stamped
+   in list order: the list is the order the objects' states changed *)
 let stream triples =
-  dr (List.mapi (fun i (tid, kind, arg) -> ev i tid kind arg) triples)
+  { Sink.events = Stream_gen.stamp (Array.of_list (List.map (fun (tid, kind, arg) -> ev 0 tid kind arg) triples));
+    dropped = [] }
 
 let report_str r = Format.asprintf "%a" Oracle.pp r
 
-let assert_clean ?mode ?count_width ?require_unlocked_end d =
-  let r = Oracle.check ?mode ?count_width ?require_unlocked_end d in
+let assert_clean ?count_width ?require_unlocked_end d =
+  let r = Oracle.check ?count_width ?require_unlocked_end d in
   if not (Oracle.ok r) then Alcotest.failf "expected clean, got: %s" (report_str r);
   check_int "exit code 0" 0 (Oracle.exit_code r)
 
-let assert_class ?mode ?count_width ?seq cls d =
-  let r = Oracle.check ?mode ?count_width d in
+let assert_class ?count_width ?seq cls d =
+  let r = Oracle.check ?count_width d in
   check_int "exit code 1" 1 (Oracle.exit_code r);
   match Oracle.find r cls with
   | None ->
@@ -123,11 +125,52 @@ let test_stale_handle () =
 
 let test_malformed_seq_gap () =
   assert_class Oracle.Stream_malformed
-    (dr [ ev 0 1 Event.Acquire_fast 1; ev 2 1 Event.Release_fast 1 ])
+    (dr [ ev ~ord:1 0 1 Event.Acquire_fast 1; ev ~ord:2 2 1 Event.Release_fast 1 ])
 
 let test_malformed_duplicate_seq () =
   assert_class Oracle.Stream_malformed
-    (dr [ ev 0 1 Event.Acquire_fast 1; ev 0 1 Event.Release_fast 1 ])
+    (dr [ ev ~ord:1 0 1 Event.Acquire_fast 1; ev ~ord:2 0 1 Event.Release_fast 1 ])
+
+let test_malformed_duplicate_holder_ordinal () =
+  (* two threads both claim ordinal 1 of object 1: two holders at once,
+     or a stamp taken without holding the object *)
+  assert_class ~seq:2 Oracle.Stream_malformed
+    (dr
+       [
+         ev ~ord:1 0 1 Event.Acquire_fast 1;
+         ev ~ord:2 1 1 Event.Release_fast 1;
+         ev ~ord:1 2 2 Event.Acquire_fast 1;
+         ev ~ord:3 3 2 Event.Release_fast 1;
+       ]);
+  (* observations share ordinals freely: both read ordinal 1 *)
+  assert_clean
+    (dr
+       [
+         ev ~ord:1 0 1 Event.Acquire_fast 1;
+         ev ~ord:1 1 2 Event.Contended_begin 1;
+         ev ~ord:1 2 3 Event.Contended_begin 1;
+         ev ~ord:2 3 1 Event.Release_fast 1;
+         ev ~ord:3 4 2 Event.Acquire_fast 1;
+         ev ~ord:3 5 2 Event.Contended_end 1;
+         ev ~ord:4 6 2 Event.Release_fast 1;
+         ev ~ord:5 7 3 Event.Acquire_fast 1;
+         ev ~ord:5 8 3 Event.Contended_end 1;
+         ev ~ord:6 9 3 Event.Release_fast 1;
+       ])
+
+let test_malformed_tid_ordinals_backwards () =
+  (* thread 1's release (seq 3) carries a smaller ordinal than its own
+     earlier acquire of object 2 (seq 0): no holder order puts a
+     thread's later event first *)
+  assert_class ~seq:3 Oracle.Stream_malformed
+    (dr
+       [
+         ev ~ord:3 0 1 Event.Acquire_fast 2;
+         ev ~ord:1 1 2 Event.Acquire_fast 2;
+         ev ~ord:2 2 2 Event.Release_fast 2;
+         ev ~ord:2 3 1 Event.Contended_end 2;
+         ev ~ord:4 4 1 Event.Release_fast 2;
+       ])
 
 let test_malformed_tid0_thread_path () =
   assert_class ~seq:0 Oracle.Stream_malformed
@@ -154,8 +197,7 @@ let test_accepts_thin_cycle () =
         (2, Event.Release_fast, 1);
       ]
   in
-  assert_clean d;
-  assert_clean ~mode:Oracle.Relaxed d
+  assert_clean d
 
 let test_accepts_full_lifecycle () =
   (* inflate for contention, wait/notify with the invisible resume,
@@ -182,8 +224,7 @@ let test_accepts_full_lifecycle () =
         (1, Event.Quiescence, 1);
       ]
   in
-  assert_clean d;
-  assert_clean ~mode:Oracle.Relaxed d
+  assert_clean d
 
 let test_accepts_timed_wait_expiry () =
   (* the waiter resumes without any notify credit: a timeout, legal *)
@@ -197,19 +238,21 @@ let test_accepts_timed_wait_expiry () =
        ])
 
 let test_relaxed_absorbs_emit_window_skew () =
-  (* t2's ticket predates t1's although t1's episode linearised first:
-     strict rejects, relaxed finds the valid interleaving *)
-  let d =
-    dr
-      [
-        ev 0 2 Event.Acquire_fast 1;
-        ev 1 1 Event.Acquire_fast 1;
-        ev 2 1 Event.Release_fast 1;
-        ev 3 2 Event.Release_fast 1;
-      ]
+  (* t2's seq predates t1's although t1's episode came first: the
+     oracle follows the ordinals the holders stamped, not seq *)
+  let skewed =
+    [
+      ev ~ord:3 0 2 Event.Acquire_fast 1;
+      ev ~ord:1 1 1 Event.Acquire_fast 1;
+      ev ~ord:2 2 1 Event.Release_fast 1;
+      ev ~ord:4 3 2 Event.Release_fast 1;
+    ]
   in
-  assert_class ~mode:Oracle.Strict Oracle.Ownership_violation d;
-  assert_clean ~mode:Oracle.Relaxed d
+  assert_clean (dr skewed);
+  (* the same seq order with ordinals that agree with it is a real
+     ownership violation: t1 acquires while t2 holds *)
+  assert_class ~seq:1 Oracle.Ownership_violation
+    { Sink.events = Stream_gen.stamp (Array.of_list skewed); dropped = [] }
 
 let test_empty_stream_is_clean () =
   assert_clean Sink.empty;
@@ -237,25 +280,52 @@ let prop_generated_streams_accepted =
     spec_arb (fun spec ->
       let g = Stream_gen.generate spec in
       let d = Stream_gen.drained g in
-      Oracle.ok (Oracle.check ~mode:Oracle.Strict d)
-      && Oracle.ok (Oracle.check ~mode:Oracle.Relaxed d))
+      Oracle.ok (Oracle.check d))
+
+(* The mutation of [spec]'s stream (its name, [None] when the stream
+   offers no site) is flagged with its expected class; [Error] names the
+   mutation and what was found instead. *)
+let mutation_flagged spec =
+  let g = Stream_gen.generate spec in
+  match Stream_gen.mutate ~seed:(spec.Stream_gen.seed + 1) g with
+  | None -> Ok None
+  | Some m -> (
+      let r = Oracle.check m.Stream_gen.m_stream in
+      match Oracle.find r m.Stream_gen.m_expected with
+      | Some _ -> Ok (Some m.Stream_gen.m_name)
+      | None ->
+          Error
+            (Printf.sprintf "mutation %s: expected %s, got %s" m.Stream_gen.m_name
+               (Oracle.class_name m.Stream_gen.m_expected)
+               (report_str r)))
 
 let prop_mutations_flagged =
   QCheck.Test.make ~count:500
     ~name:"oracle flags every mutation with the expected class" spec_arb
     (fun spec ->
-      let g = Stream_gen.generate spec in
-      match Stream_gen.mutate ~seed:(spec.Stream_gen.seed + 1) g with
-      | None -> true (* no mutation site (empty stream) *)
-      | Some m ->
-          let r = Oracle.check m.Stream_gen.m_stream in
-          (match Oracle.find r m.Stream_gen.m_expected with
-          | Some _ -> true
-          | None ->
-              QCheck.Test.fail_reportf "mutation %s: expected %s, got %s"
-                m.Stream_gen.m_name
-                (Oracle.class_name m.Stream_gen.m_expected)
-                (report_str r)))
+      match mutation_flagged spec with
+      | Ok _ -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* Specs whose mutation retags a deflation handshake aborted only by a
+   queued entrant: once expected as deflation-without-handshake, which
+   such a stream cannot show (see [Stream_gen.queued_aborts]). *)
+let queued_abort_specs =
+  [
+    { Stream_gen.threads = 2; objects = 1; steps = 20; seed = 289879 };
+    { Stream_gen.threads = 2; objects = 1; steps = 79; seed = 445173 };
+    { Stream_gen.threads = 2; objects = 1; steps = 33; seed = 685612 };
+    { Stream_gen.threads = 3; objects = 1; steps = 65; seed = 773602 };
+    { Stream_gen.threads = 4; objects = 1; steps = 35; seed = 896266 };
+  ]
+
+let test_pinned_mutation spec () =
+  match mutation_flagged spec with
+  | Ok (Some "retag-queued-abort-as-deflated") -> ()
+  | Ok m ->
+      Alcotest.failf "%s: mutation %s, not the queued-entrant abort" (spec_print spec)
+        (Option.value ~default:"(none)" m)
+  | Error msg -> Alcotest.failf "%s: %s" (spec_print spec) msg
 
 let test_mutation_catalogue_covers_all_classes () =
   (* walk seeds until every violation class has been produced by some
@@ -315,7 +385,7 @@ let sim_stream ?(prefix = []) labels =
           | None -> Alcotest.failf "unknown event in label %S" l)
       | _ -> Alcotest.failf "unparseable label %S" l)
     labels;
-  dr (List.rev !evs)
+  { Sink.events = Stream_gen.stamp (Array.of_list (List.rev !evs)); dropped = [] }
 
 (* the seeded world starts with a live idle monitor: a synthetic
    inflate-confirm-release by a pseudo thread reproduces that state *)
@@ -430,23 +500,21 @@ let test_replay_par_stream_accepted name domains mode () =
     Policy_lab.replay_traced_par ~domains ~mode ~reap:(reap "always-idle") thin (trace_of name)
   in
   check "no drops" true (d.Sink.dropped = []);
-  let omode = if domains > 1 then Oracle.Relaxed else Oracle.Strict in
-  let r = Oracle.check ~mode:omode ~count_width:1 d in
+  let r = Oracle.check ~count_width:1 d in
   if not (Oracle.ok r) then
     Alcotest.failf "%s par replay (%d domains) rejected: %s" name domains
       (report_str r)
 
 (* Same acceptance checks with a non-default contended-path backend:
    hapax admission (and delegation) must emit streams the protocol
-   oracle verifies under the same strict/relaxed rules as the parker
-   entry queue. *)
+   oracle verifies like the parker entry queue's. *)
 let test_replay_backend_stream_accepted name backend () =
   let d =
     (Policy_lab.replay_traced ~reap:(reap "always-idle") (thin_on backend) (trace_of name))
       .drained
   in
   check "no drops" true (d.Sink.dropped = []);
-  let r = Oracle.check ~mode:Oracle.Strict ~count_width:1 d in
+  let r = Oracle.check ~count_width:1 d in
   if not (Oracle.ok r) then
     Alcotest.failf "%s %s replay rejected: %s" name
       (Tl_monitor.Fatlock.backend_name backend)
@@ -458,12 +526,44 @@ let test_replay_par_backend_stream_accepted name domains mode backend () =
       (trace_of name)
   in
   check "no drops" true (d.Sink.dropped = []);
-  let omode = if domains > 1 then Oracle.Relaxed else Oracle.Strict in
-  let r = Oracle.check ~mode:omode ~count_width:1 d in
+  let r = Oracle.check ~count_width:1 d in
   if not (Oracle.ok r) then
     Alcotest.failf "%s %s par replay (%d domains) rejected: %s" name
       (Tl_monitor.Fatlock.backend_name backend)
       domains (report_str r)
+
+(* --- holder stamping under real contention --- *)
+
+(* Two domains hammer one object through every transition that stamps
+   an ordinal — for thin locks the fast path, contention inflation, fat
+   handoff on each contended-path backend, and deflations (and aborted
+   handshakes) racing the lock holders; for CJM the stripe-held inline
+   path and monitor creation and evaporation.  If any site stamped
+   outside its hold (say a release stamped after its releasing store),
+   the other domain's next stamp could take the same ordinal or sort
+   ahead of it, and the oracle would flag the stream. *)
+let test_contended_object_stamps_clean (entry : Tl_baselines.Registry.entry) () =
+  let runtime = Tl_runtime.Runtime.create () in
+  let sink = Sink.create ~ring_capacity:400_000 ~system_capacity:100_000 () in
+  let scheme = entry.make ~events:sink runtime in
+  let obj = Tl_heap.Heap.alloc (Tl_heap.Heap.create ()) in
+  let ready = Atomic.make 0 in
+  Tl_runtime.Runtime.run_parallel ~backend:Tl_runtime.Runtime.Domain_backend runtime 2
+    (fun i env ->
+      (* start together, or one domain finishes before the other runs *)
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      for k = 1 to 50_000 do
+        scheme.acquire env obj;
+        scheme.release env obj;
+        if (k + i) mod 8 = 0 then ignore (scheme.deflate_idle obj : bool)
+      done);
+  let d = Sink.drain sink in
+  check "no drops" true (d.Sink.dropped = []);
+  let r = (Option.get scheme.verify) d in
+  if not (Oracle.ok r) then Alcotest.failf "expected clean, got: %s" (report_str r)
 
 (* --- Policy_switch events in verified streams --- *)
 
@@ -473,7 +573,7 @@ let switch_arg ?(explore = false) ~shard ~from_policy ~to_policy ~score () =
 let test_policy_switch_mid_stream_accepted () =
   (* controller decisions landing mid-run — one of them between an
      acquire and its release on a fat monitor: a non-routable system
-     event, accepted by both modes, invisible to the object automata *)
+     event, invisible to the object automata *)
   let d =
     stream
       [
@@ -492,12 +592,10 @@ let test_policy_switch_mid_stream_accepted () =
         (1, Event.Quiescence, 1);
       ]
   in
-  assert_clean ~mode:Oracle.Strict d;
-  assert_clean ~mode:Oracle.Relaxed d
+  assert_clean d
 
 (* A controlled replay: the stream carries the controller's actual
-   mid-run decisions, and must verify clean at every domain count —
-   strict where the schedule permits it (1 domain), relaxed always. *)
+   mid-run decisions, and must verify clean at every domain count. *)
 let controlled_reap =
   Policy_lab.Reap_controlled
     { Ctl.default_config with Ctl.epoch_scans = 1; patience = 1 }
@@ -537,8 +635,7 @@ let test_replay_par_controlled_accepted name domains mode () =
         check "a switch moves" true (sw.Ctl.from_policy <> sw.Ctl.to_policy)
       end)
     d.Sink.events;
-  assert_clean ~mode:Oracle.Relaxed ~count_width:1 d;
-  if domains = 1 then assert_clean ~mode:Oracle.Strict ~count_width:1 d
+  assert_clean ~count_width:1 d
 
 let test_residency_matches_policy_lab name pname () =
   let d = (Policy_lab.replay_traced ~reap:(reap pname) thin (trace_of name)).drained in
@@ -755,6 +852,10 @@ let () =
           Alcotest.test_case "stale handle" `Quick test_stale_handle;
           Alcotest.test_case "seq gap" `Quick test_malformed_seq_gap;
           Alcotest.test_case "duplicate seq" `Quick test_malformed_duplicate_seq;
+          Alcotest.test_case "holder ordinal taken twice" `Quick
+            test_malformed_duplicate_holder_ordinal;
+          Alcotest.test_case "tid ordinals go backwards" `Quick
+            test_malformed_tid_ordinals_backwards;
           Alcotest.test_case "thread-path event on tid 0" `Quick
             test_malformed_tid0_thread_path;
           Alcotest.test_case "held at end of stream" `Quick
@@ -777,6 +878,11 @@ let () =
           Alcotest.test_case "catalogue covers every class" `Quick
             test_mutation_catalogue_covers_all_classes;
         ] );
+      ( "queued aborts",
+        List.map
+          (fun spec ->
+            Alcotest.test_case (spec_print spec) `Quick (test_pinned_mutation spec))
+          queued_abort_specs );
       ( "seeded sim bugs",
         [
           Alcotest.test_case "correct deflater world stays clean" `Quick
@@ -818,6 +924,18 @@ let () =
           Alcotest.test_case "javacup par 2 domains (shuffle, delegate)" `Quick
             (test_replay_par_backend_stream_accepted "javacup" 2
                Parallel_replay.Shuffle Tl_monitor.Fatlock.Delegate);
+        ] );
+      ( "holder stamping",
+        [
+          Alcotest.test_case "two domains hammer one object" `Quick
+            (test_contended_object_stamps_clean thin);
+          Alcotest.test_case "same, hapax backend" `Quick
+            (test_contended_object_stamps_clean (thin_on Tl_monitor.Fatlock.Hapax));
+          Alcotest.test_case "same, delegate backend" `Quick
+            (test_contended_object_stamps_clean (thin_on Tl_monitor.Fatlock.Delegate));
+          Alcotest.test_case "same, cjm" `Quick
+            (test_contended_object_stamps_clean
+               (Tl_baselines.Registry.find_entry_exn "cjm"));
         ] );
       ( "policy switches",
         [

@@ -296,7 +296,7 @@ let test_policy_lab_policy_of_string () =
 
 (* A small traced storm per registry entry (nosync excepted: it is not
    a monitor): every fiber completes, an evaporating table drains, and
-   a scheme that emits events verifies clean under the relaxed oracle
+   a scheme that emits events verifies clean under the oracle
    with its own protocol.  MCS is the regression case for the carrier
    rule: its queue spin must yield through the fiber parker, or a
    waiter never lets a holder on the same carrier run. *)

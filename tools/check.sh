@@ -35,12 +35,14 @@ rm -f "$build_log"
 echo "== dune runtest"
 dune runtest
 
-echo "== stress: domain-parallel suites, 20 runs each"
+echo "== stress: domain-parallel and oracle suites, 20 runs each"
 # A concurrency test that passes once can still fail on the next
-# interleaving.  Each run gets its own qcheck seed; a failure prints the
-# suite, the iteration and the seed (rerun with QCHECK_SEED=<seed>).
-dune build test/test_monitor.exe test/test_stats.exe test/test_parallel.exe
-for suite in test_monitor test_stats test_parallel; do
+# interleaving, and a qcheck property on the next seed.  Each run gets
+# its own qcheck seed; a failure prints the suite, the iteration and the
+# seed (rerun with QCHECK_SEED=<seed>).
+dune build test/test_monitor.exe test/test_stats.exe test/test_parallel.exe \
+  test/test_oracle.exe
+for suite in test_monitor test_stats test_parallel test_oracle; do
   i=1
   while [ "$i" -le 20 ]; do
     seed=$((1998 * 1000 + i))
@@ -84,7 +86,7 @@ for r in fs:
     # the sampling path regressed to us granularity.
     assert 0.0 < r["p50_us"] <= r["p99_us"] <= r["p999_us"], "latency tail not ordered"
     assert r["p999_us"] > 0.0, "no acquire ever waited -- storm did not contend"
-    assert r["oracle_clean"], "fiber storm stream failed the relaxed oracle"
+    assert r["oracle_clean"], "fiber storm stream failed the oracle"
     if r["traced"]:
         assert r["dropped"] == 0, "storm trace dropped events"
 assert {r["scheme"] for r in rows} >= {"thin", "fat", "cjm"}, \
@@ -110,7 +112,7 @@ for r in tc:
 oh = d["scenarios"]["oracle_overhead"]
 assert oh["events"] > 0
 assert oh["violations"] == 0, "oracle flagged a clean replay stream"
-for key in ("strict_ns_per_event", "relaxed_ns_per_event", "residency_ns_per_event"):
+for key in ("verify_ns_per_event", "residency_ns_per_event"):
     assert oh[key] >= 0.0, key
 fb = d["scenarios"]["fat_backend"]
 all_backends = {"parker", "hapax", "delegate"}
@@ -235,13 +237,13 @@ storm_gate() {
     }'
 }
 
-echo "== fiber storm smoke (100k fibers, 1 domain, relaxed oracle must be clean)"
+echo "== fiber storm smoke (100k fibers, 1 domain, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1
 
-echo "== fiber storm on 2 carrier domains (100k fibers, relaxed oracle must be clean)"
+echo "== fiber storm on 2 carrier domains (100k fibers, oracle must be clean)"
 storm_gate --fibers 100000 --domains 2
 
-echo "== fiber storm at a held-out seed (100k fibers, relaxed oracle must be clean)"
+echo "== fiber storm at a held-out seed (100k fibers, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --seed 7
 
 echo "== fiber storm on the cjm table (100k fibers, oracle + conservation)"
@@ -342,7 +344,7 @@ done
 echo "== fiber storm under the feedback controller (100k fibers, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --reap controlled
 
-echo "== fiber storm on the hapax backend (100k fibers, window 4096, relaxed oracle must be clean)"
+echo "== fiber storm on the hapax backend (100k fibers, window 4096, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --fat-backend hapax
 
 echo "== cjm protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
