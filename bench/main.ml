@@ -1,27 +1,21 @@
-(* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md's experiment index).
+(* Benchmark harness: one fixed-size run of the scenarios no other
+   path measures — monitor-table and lifecycle ablations, tracing and
+   oracle overhead, the cjm head-to-head, tid churn, fat-lock
+   fairness, the deflation controller and the mini-JVM macros.  It
+   prints each table and writes the gated numbers to BENCH.json, which
+   tools/check.sh checks.
 
-   Two kinds of measurement:
-   - Bechamel micro-benchmarks (linear-regression per-op estimates)
-     for the single-threaded Table 2 kernels under each scheme and for
-     the Fig. 6 variants — one Test.make per (kernel, scheme) cell;
-   - wall-clock harness runs (Tl_workload.Report) for the trace-driven
-     tables (Table 1, Fig. 3, Fig. 5, the ablations) and the sweeps
-     that need threads or large object populations (Fig. 4).
+   The paper's tables and figures come from `thinlocks all` (plus
+   `thinlocks policy-lab`); replay-par and the fiber storm are measured
+   by the benchmark/ harness and gated by tools/check.sh against the
+   CLI.
 
-   Run with: dune exec bench/main.exe            (full run)
-             dune exec bench/main.exe -- quick   (reduced sizes) *)
+   Run with: dune exec bench/main.exe *)
 
-open Bechamel
-open Toolkit
 module Runtime = Tl_runtime.Runtime
-module Scheme = Tl_core.Scheme_intf
 module Registry = Tl_baselines.Registry
 
 let thin = Registry.find_entry_exn "thin"
-
-let smoke = Array.exists (String.equal "smoke") Sys.argv
-let quick = smoke || Array.exists (String.equal "quick") Sys.argv
 
 let t_start = Unix.gettimeofday ()
 
@@ -46,9 +40,8 @@ let write_bench_json () =
     J.Obj
       [
         ("schema", J.Str "thinlocks-bench-v1");
-        ("mode", J.Str (if smoke then "smoke" else if quick then "quick" else "full"));
         (* Scaling numbers are only meaningful relative to the cores
-           actually available — the CI box has one. *)
+           actually available. *)
         ("cores", J.Int (Domain.recommended_domain_count ()));
         ("scenarios", J.Obj (List.rev !json_sections));
       ]
@@ -56,227 +49,56 @@ let write_bench_json () =
   J.to_file "BENCH.json" doc;
   Printf.printf "\nwrote BENCH.json (%d scenario sections)\n%!" (List.length !json_sections)
 
-(* --- Bechamel plumbing --- *)
-
-let run_group group =
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.1 else 0.4))
-      ~kde:None ()
-  in
-  (* Bechamel flips Gc.max_overhead to 1e6 (disabling compaction) and
-     never restores it, which penalises every later allocation-heavy
-     section; save and restore around the run. *)
-  let saved_gc = Gc.get () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] group in
-  Gc.set saved_gc;
-  Gc.compact ();
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let estimate =
-          match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> Float.nan
-        in
-        (name, estimate) :: acc)
-      results []
-  in
-  List.sort compare rows
-
-let print_rows rows =
-  List.iter (fun (name, ns) -> Printf.printf "  %-40s %8.1f ns/op\n" name ns) rows;
-  print_newline ();
-  flush stdout
-
-(* One lock/unlock pair per measured run, through the packed scheme. *)
-let pair_test ~scheme_name kernel_name =
-  let runtime = Runtime.create () in
-  let scheme = Registry.find_exn scheme_name runtime in
-  let env = Runtime.main_env runtime in
-  let heap = Tl_heap.Heap.create () in
-  let obj = Tl_heap.Heap.alloc heap in
-  let fn =
-    match kernel_name with
-    | "sync" ->
-        Staged.stage (fun () ->
-            scheme.Scheme.acquire env obj;
-            scheme.Scheme.release env obj)
-    | "nestedsync" ->
-        scheme.Scheme.acquire env obj;
-        Staged.stage (fun () ->
-            scheme.Scheme.acquire env obj;
-            scheme.Scheme.release env obj)
-    | "mixedsync" ->
-        Staged.stage (fun () ->
-            scheme.Scheme.acquire env obj;
-            scheme.Scheme.acquire env obj;
-            scheme.Scheme.acquire env obj;
-            scheme.Scheme.release env obj;
-            scheme.Scheme.release env obj;
-            scheme.Scheme.release env obj)
-    | _ -> invalid_arg "pair_test"
-  in
-  Test.make ~name:(Printf.sprintf "%s/%s" kernel_name scheme_name) fn
-
-(* The Fig. 6 "Inline" flavour: direct module calls on Thin, no
-   closure indirection. *)
-let inline_test kernel_name =
-  let runtime = Runtime.create () in
-  let ctx =
-    Tl_core.Thin.create_with
-      ~config:{ Tl_core.Thin.default_config with record_stats = false }
-      runtime
-  in
-  let env = Runtime.main_env runtime in
-  let heap = Tl_heap.Heap.create () in
-  let obj = Tl_heap.Heap.alloc heap in
-  let fn =
-    match kernel_name with
-    | "sync" ->
-        Staged.stage (fun () ->
-            Tl_core.Thin.acquire ctx env obj;
-            Tl_core.Thin.release ctx env obj)
-    | "mixedsync" ->
-        Staged.stage (fun () ->
-            Tl_core.Thin.acquire ctx env obj;
-            Tl_core.Thin.acquire ctx env obj;
-            Tl_core.Thin.acquire ctx env obj;
-            Tl_core.Thin.release ctx env obj;
-            Tl_core.Thin.release ctx env obj;
-            Tl_core.Thin.release ctx env obj)
-    | _ -> invalid_arg "inline_test"
-  in
-  Test.make ~name:(Printf.sprintf "%s/thin-inline" kernel_name) fn
-
-let bench_fig4_cells () =
-  section "Bechamel: Table 2 kernels x schemes (Fig. 4 cells, ns per op)";
-  let schemes = Registry.paper_trio @ [ "fat"; "mcs" ] in
-  let tests =
-    List.concat_map
-      (fun kernel ->
-        List.map (fun scheme_name -> pair_test ~scheme_name kernel) schemes)
-      [ "sync"; "nestedsync" ]
-  in
-  print_rows (run_group (Test.make_grouped ~name:"fig4" tests))
-
-let bench_fig6_cells () =
-  section "Bechamel: Fig. 6 variants (ns per op)";
-  let variants = [ "nosync"; "thin"; "thin-mpsync"; "thin-unlkcas" ] in
-  let tests =
-    List.concat_map
-      (fun kernel ->
-        inline_test kernel
-        :: List.map (fun scheme_name -> pair_test ~scheme_name kernel) variants)
-      [ "sync"; "mixedsync" ]
-  in
-  print_rows (run_group (Test.make_grouped ~name:"fig6" tests))
-
-let bench_ablation_cells () =
-  section "Bechamel: design ablations (ns per op)";
-  let tests =
-    [
-      pair_test ~scheme_name:"thin" "sync";
-      pair_test ~scheme_name:"thin-unlkcas" "sync";
-      pair_test ~scheme_name:"thin-count2" "nestedsync";
-      pair_test ~scheme_name:"thin-count4" "nestedsync";
-      pair_test ~scheme_name:"thin" "nestedsync";
-      pair_test ~scheme_name:"thin-nostats" "sync";
-    ]
-  in
-  print_rows (run_group (Test.make_grouped ~name:"ablation" tests))
+(* Wall-clock cost of one thin lock+unlock pair on [obj], averaged over
+   [pairs] pairs.  One untimed warm-up pair first: on a traced ctx the
+   first emit lazily allocates and zeroes the tid's ring — page-fault
+   cost that belongs to sink creation, not to the per-pair path. *)
+let thin_pair_ns ~pairs ctx env obj =
+  Tl_core.Thin.acquire ctx env obj;
+  Tl_core.Thin.release ctx env obj;
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to pairs do
+    Tl_core.Thin.acquire ctx env obj;
+    Tl_core.Thin.release ctx env obj
+  done;
+  1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int pairs
 
 (* Deflation extension: an inflated lock pays the fat path forever;
    deflating at a quiescence point restores the thin fast path. *)
 let bench_deflation () =
-  section "Bechamel: deflation extension (ns per lock+unlock)";
-  let make_ctx () =
+  section "Deflation extension (ns per lock+unlock)";
+  let inflate ctx env obj =
+    Tl_core.Thin.acquire ctx env obj;
+    Tl_core.Thin.wait ~timeout:0.001 ctx env obj;
+    Tl_core.Thin.release ctx env obj
+  in
+  let row label prepare =
     let runtime = Runtime.create () in
     let ctx =
       Tl_core.Thin.create_with
         ~config:{ Tl_core.Thin.default_config with record_stats = false }
         runtime
     in
-    (ctx, Runtime.main_env runtime)
-  in
-  let inflate ctx env obj =
-    Tl_core.Thin.acquire ctx env obj;
-    Tl_core.Thin.wait ~timeout:0.001 ctx env obj;
-    Tl_core.Thin.release ctx env obj
-  in
-  let test_thin_path =
-    let ctx, env = make_ctx () in
+    let env = Runtime.main_env runtime in
     let obj = Tl_heap.Heap.alloc (Tl_heap.Heap.create ()) in
-    Test.make ~name:"never-inflated"
-      (Staged.stage (fun () ->
-           Tl_core.Thin.acquire ctx env obj;
-           Tl_core.Thin.release ctx env obj))
+    prepare ctx env obj;
+    Printf.printf "  %-36s %8.1f ns\n%!" label (thin_pair_ns ~pairs:200_000 ctx env obj)
   in
-  let test_inflated =
-    let ctx, env = make_ctx () in
-    let obj = Tl_heap.Heap.alloc (Tl_heap.Heap.create ()) in
-    inflate ctx env obj;
-    Test.make ~name:"inflated (paper: permanent)"
-      (Staged.stage (fun () ->
-           Tl_core.Thin.acquire ctx env obj;
-           Tl_core.Thin.release ctx env obj))
-  in
-  let test_deflated =
-    let ctx, env = make_ctx () in
-    let obj = Tl_heap.Heap.alloc (Tl_heap.Heap.create ()) in
-    inflate ctx env obj;
-    assert (Tl_core.Thin.deflate_idle ctx obj);
-    Test.make ~name:"deflated at quiescence (extension)"
-      (Staged.stage (fun () ->
-           Tl_core.Thin.acquire ctx env obj;
-           Tl_core.Thin.release ctx env obj))
-  in
-  print_rows
-    (run_group
-       (Test.make_grouped ~name:"deflation" [ test_thin_path; test_inflated; test_deflated ]))
-
-(* Monitor-table allocation scaling: concurrent allocate/free cycles
-   against a single-shard table (the seed's one-big-mutex design) and
-   the sharded default.  Wall-clock: needs real domains. *)
-let bench_montable_scaling () =
-  section "Monitor-table allocation scaling (allocate+free, ns per op per domain)";
-  let iters = if quick then 20_000 else 100_000 in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let variants = [ ("single mutex (seed design)", 1); ("sharded x8", 8) ] in
-  Printf.printf "%-28s %s\n" ""
-    (String.concat "" (List.map (fun d -> Printf.sprintf "%8dd" d) domain_counts));
-  List.iter
-    (fun (label, shards) ->
-      Printf.printf "%-28s" label;
-      List.iter
-        (fun domains ->
-          let runtime = Runtime.create () in
-          let table = Tl_monitor.Index_table.create ~shards () in
-          let t0 = Unix.gettimeofday () in
-          Runtime.run_parallel ~backend:Runtime.Domain_backend runtime domains
-            (fun i _env ->
-              for _ = 1 to iters do
-                let h = Tl_monitor.Index_table.allocate ~shard_hint:i table () in
-                Tl_monitor.Index_table.free table h
-              done);
-          let elapsed = Unix.gettimeofday () -. t0 in
-          let per_op = 1e9 *. elapsed /. float_of_int (iters * domains) in
-          Printf.printf " %7.1f " per_op)
-        domain_counts;
-      print_newline ())
-    variants;
-  Printf.printf
-    "\n  (lower is better; the sharded table should hold roughly flat as domains\n\
-    \   grow while the single mutex serialises every allocation)\n\n%!"
+  row "never-inflated" (fun _ _ _ -> ());
+  row "inflated (paper: permanent)" inflate;
+  row "deflated at quiescence (extension)" (fun ctx env obj ->
+      inflate ctx env obj;
+      assert (Tl_core.Thin.deflate_idle ctx obj));
+  print_newline ()
 
 (* Long-run stability: drive inflate/deflate cycles past the 2^23
    monitor-index ceiling that a leak-per-inflation design exhausts.
    The seed leaked one slot per inflation, so it would die at
    2^23 - 1 inflations; with reclamation the census sails past it
-   while the live count stays at one. *)
+   while every cycle hands its one slot back (live ends at zero). *)
 let bench_churn_stability () =
   section "Long-run stability: inflate/deflate churn past the 2^23 slot ceiling";
-  let cycles = if quick then 200_000 else (1 lsl 23) + 4096 in
+  let cycles = (1 lsl 23) + 4096 in
   let runtime = Runtime.create () in
   let config =
     { Tl_core.Thin.default_config with count_width = 1; record_stats = false }
@@ -297,22 +119,27 @@ let bench_churn_stability () =
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
   let table = Tl_core.Thin.montable ctx in
-  let allocated = Tl_monitor.Montable.allocated table in
+  let census = Tl_monitor.Montable.allocated table in
+  let live = Tl_monitor.Montable.live table in
+  let reuses = Tl_monitor.Montable.reuses table in
   Printf.printf
     "  %d inflate/deflate cycles in %.1fs (%.0f ns/cycle)\n\
-    \  monitors allocated (census): %d   live: %d   slot reuses: %d\n"
+    \  monitors allocated (census): %d   live: %d   slot reuses: %d\n\
+    \  the seed design (slot leaked per inflation) would have exhausted the\n\
+    \  table at inflation %d; this run performed %d inflations on one slot.\n\n%!"
     cycles elapsed
     (1e9 *. elapsed /. float_of_int cycles)
-    allocated
-    (Tl_monitor.Montable.live table)
-    (Tl_monitor.Montable.reuses table);
-  if not quick then
-    Printf.printf
-      "  the seed design (slot leaked per inflation) would have exhausted the\n\
-      \  table at inflation %d; this run performed %d inflations on one slot.\n"
-      ((1 lsl 23) - 1)
-      allocated;
-  print_newline ()
+    census live reuses
+    ((1 lsl 23) - 1)
+    census;
+  add_json "slot_churn"
+    (J.Obj
+       [
+         ("cycles", J.Int cycles);
+         ("census", J.Int census);
+         ("live", J.Int live);
+         ("reuses", J.Int reuses);
+       ])
 
 (* Generation-width ablation: how many ABA escapes do stale handles
    get as a function of generation bits?  Deterministic adversarial
@@ -325,7 +152,7 @@ let bench_churn_stability () =
 let bench_generation_width () =
   section "Ablation: generation width vs stale-handle ABA escapes";
   let slots = 256 in
-  let rounds = if quick then 64 else 256 in
+  let rounds = 64 in
   Printf.printf "  %d slots, %d free/realloc churn rounds per slot, probing %d stale handles\n\n"
     slots rounds slots;
   Printf.printf "  %-10s %10s %12s %12s\n" "gen bits" "escapes" "rate" "expected";
@@ -357,10 +184,12 @@ let bench_generation_width () =
 (* Shard-count sensitivity: allocation throughput across the
    (shards x domains) grid, balanced (each domain hints its own index)
    and skewed (every domain hints shard 0, so every allocation AND
-   every free — slots are striped by shard — lands on one mutex). *)
+   every free — slots are striped by shard — lands on one mutex).  The
+   balanced grid's 1-shard row is the seed's one-big-mutex table and its
+   8-shard row the sharded default: the allocation-scaling comparison. *)
 let bench_shard_sensitivity () =
   section "Monitor-table shard-count sensitivity (allocate+free ns/op per domain)";
-  let iters = if quick then 10_000 else 50_000 in
+  let iters = 10_000 in
   let shard_counts = [ 1; 2; 4; 8; 16 ] in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let grid label hint_of =
@@ -393,8 +222,9 @@ let bench_shard_sensitivity () =
   grid "balanced hints (domain i -> shard i)" (fun i -> i);
   grid "skewed hints (every domain -> shard 0: one stripe takes all traffic)" (fun _ -> 0);
   Printf.printf
-    "  (balanced should flatten as shards >= domains; skewed shows the\n\
-    \   single-stripe worst case that extra shards cannot fix)\n\n%!"
+    "  (balanced should flatten as shards >= domains — shards 1 is the seed's\n\
+    \   single mutex, shards 8 the default; skewed shows the single-stripe\n\
+    \   worst case that extra shards cannot fix)\n\n%!"
 
 (* Lifecycle reaper under traffic: churner domains keep inflating a few
    shared objects while the main thread times the thin fast path on a
@@ -404,7 +234,6 @@ let bench_shard_sensitivity () =
 let bench_reaper () =
   section "Lifecycle reaper: non-quiescent deflation under traffic";
   let churn_domains = 3 and nshared = 4 in
-  let pairs = if quick then 200_000 else 1_000_000 in
   let measure with_reaper =
     let runtime = Runtime.create () in
     let ctx = Tl_core.Thin.create runtime in
@@ -430,14 +259,9 @@ let bench_reaper () =
         Some (Tl_lifecycle.Reaper.start ~policy:Tl_lifecycle.Policy.always_idle ~interval:0.0 ctx)
       else None
     in
-    let env = Runtime.main_env runtime in
-    let priv = Tl_heap.Heap.alloc heap in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to pairs do
-      Tl_core.Thin.acquire ctx env priv;
-      Tl_core.Thin.release ctx env priv
-    done;
-    let fast_ns = 1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int pairs in
+    let fast_ns =
+      thin_pair_ns ~pairs:200_000 ctx (Runtime.main_env runtime) (Tl_heap.Heap.alloc heap)
+    in
     Atomic.set stop true;
     List.iter Runtime.join churners;
     let totals = Option.map Tl_lifecycle.Reaper.stop reaper in
@@ -489,24 +313,12 @@ let bench_reaper () =
    modes keep, both measured over one small traced replay. *)
 let bench_events_overhead () =
   section "Lock-event tracing overhead (thin fast path, ns per lock+unlock)";
-  let pairs = if quick then 50_000 else 250_000 in
+  let pairs = 50_000 in
   let measure events =
     let runtime = Runtime.create () in
     let ctx = Tl_core.Thin.create_with ~events runtime in
-    let heap = Tl_heap.Heap.create () in
-    let obj = Tl_heap.Heap.alloc heap in
-    let env = Runtime.main_env runtime in
-    (* warm-up pair: the first emit lazily allocates and zeroes the
-       tid's ring — page-fault cost that belongs to sink creation, not
-       to the per-event path being measured *)
-    Tl_core.Thin.acquire ctx env obj;
-    Tl_core.Thin.release ctx env obj;
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to pairs do
-      Tl_core.Thin.acquire ctx env obj;
-      Tl_core.Thin.release ctx env obj
-    done;
-    1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int pairs
+    thin_pair_ns ~pairs ctx (Runtime.main_env runtime)
+      (Tl_heap.Heap.alloc (Tl_heap.Heap.create ()))
   in
   let best_of_3 f =
     let a = f () and b = f () and c = f () in
@@ -542,7 +354,7 @@ let bench_events_overhead () =
     | None -> failwith "bench_events_overhead: javalex profile missing"
   in
   let trace =
-    Tl_workload.Tracegen.generate ~seed:77 ~max_syncs:(if quick then 3_000 else 8_000)
+    Tl_workload.Tracegen.generate ~seed:77 ~max_syncs:3_000
       profile
   in
   let reap = Tl_workload.Policy_lab.Reap_fixed Tl_lifecycle.Policy.always_idle in
@@ -589,13 +401,12 @@ let bench_events_overhead () =
    it fails the bench run loudly rather than recording garbage ns. *)
 let bench_oracle_overhead () =
   section "Protocol-oracle and residency-monitor overhead (ns per event)";
-  let max_syncs = if quick then 8_000 else 60_000 in
   let profile =
     match Tl_workload.Profiles.find "javacup" with
     | Some p -> p
     | None -> failwith "bench_oracle_overhead: javacup profile missing"
   in
-  let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs profile in
+  let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs:8_000 profile in
   let reap = Tl_workload.Policy_lab.Reap_fixed Tl_lifecycle.Policy.always_idle in
   let t0 = Unix.gettimeofday () in
   let drained = (Tl_workload.Policy_lab.replay_traced ~reap thin trace).drained in
@@ -632,278 +443,18 @@ let bench_oracle_overhead () =
          ("violations", J.Int 0);
        ])
 
-(* Parallel trace replay: the tentpole scaling scenario.  One macro
-   trace, replayed through the work-stealing scheduler at increasing
-   domain counts, in both decomposition modes, thin against the
-   forced-fat and baseline schemes.  Affinity mode is the
-   scheduler-friendly case (per-object locality preserved, contention
-   only from stealing); shuffle deliberately breaks affinity so
-   episodes of hot objects overlap. *)
-let bench_replay_par () =
-  section "Parallel replay: multi-domain trace scaling (replay-par)";
-  let module PR = Tl_workload.Parallel_replay in
-  let max_syncs = if quick then 8_000 else 60_000 in
-  let domain_counts = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ] in
-  let schemes =
-    if quick then [ "thin"; "fat"; "cjm" ]
-    else [ "thin"; "fat"; "jdk111"; "ibm112"; "cjm" ]
-  in
-  let profile =
-    match Tl_workload.Profiles.find "javacup" with
-    | Some p -> p
-    | None -> failwith "bench_replay_par: javacup profile missing"
-  in
-  let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs profile in
-  let lanes = PR.decompose trace in
-  Printf.printf "  trace: javacup, %d ops, %d lanes (cores available: %d)\n\n"
-    (Array.length trace.Tl_workload.Tracegen.ops)
-    (Array.length lanes)
-    (Domain.recommended_domain_count ());
-  let json_rows = ref [] in
-  List.iter
-    (fun mode ->
-      Printf.printf "  mode: %s\n" (PR.mode_name mode);
-      Printf.printf "  %-10s %8s %12s %9s %6s %8s %8s\n" "scheme" "domains" "ops/sec" "scaling"
-        "eff" "steals" "fast%";
-      List.iter
-        (fun scheme_name ->
-          let base = ref nan in
-          List.iter
-            (fun domains ->
-              try
-                let runtime = Runtime.create () in
-                let scheme = Registry.find_exn scheme_name runtime in
-                let config =
-                  { PR.default_config with PR.domains; mode; tick_every = 64 }
-                in
-                let tick env = Runtime.quiescence_point ~env runtime in
-                let r = PR.run ~config ~tick ~scheme ~runtime trace in
-                if domains = 1 then base := r.PR.ops_per_sec;
-                let scaling = r.PR.ops_per_sec /. !base in
-                let fast = 100.0 *. PR.fast_ratio r.PR.stats in
-                Printf.printf "  %-10s %8d %12.0f %8.2fx %6.2f %8d %7.1f\n%!" scheme_name
-                  domains r.PR.ops_per_sec scaling
-                  (scaling /. float_of_int domains)
-                  r.PR.steals fast;
-                json_rows :=
-                  J.Obj
-                    [
-                      ("scenario", J.Str "replay-par");
-                       ("bench", J.Str "javacup");
-                       ("mode", J.Str (PR.mode_name mode));
-                       ("scheme", J.Str scheme_name);
-                       ("domains", J.Int domains);
-                       ("ops", J.Int r.PR.ops);
-                       ("ops_per_sec", J.Float r.PR.ops_per_sec);
-                       ("scaling_x", J.Float scaling);
-                       ("efficiency", J.Float (scaling /. float_of_int domains));
-                       ("steals", J.Int r.PR.steals);
-                       ("lanes", J.Int r.PR.lanes);
-                      ("fast_ratio", J.Float (PR.fast_ratio r.PR.stats));
-                      ( "inflations_contention",
-                        J.Int r.PR.stats.Tl_core.Lock_stats.inflations_contention );
-                      ( "contended_episodes",
-                        J.Int r.PR.stats.Tl_core.Lock_stats.contended_episodes );
-                    ]
-                  :: !json_rows
-              with exn ->
-                Printf.printf "  %-10s %8d  FAILED: %s\n%!" scheme_name domains
-                  (Printexc.to_string exn))
-            domain_counts)
-        schemes;
-      print_newline ())
-    [ PR.Affinity; PR.Shuffle ];
-  add_json "replay_par" (J.List (List.rev !json_rows));
-  Printf.printf
-    "  (scaling = ops/sec over the same scheme at 1 domain; on a host with\n\
-    \   fewer cores than domains, scaling saturates at the core count and the\n\
-    \   interesting signal is the contention columns under shuffle)\n\n%!"
-
-(* The fiber storm: the acceptance workload for the effects-based M:N
-   scheduler — open-loop fiber admission against Zipf-popular locks,
-   reporting throughput and the acquire-latency tail.  The smaller
-   runs trace and verify with the oracle; the million-fiber
-   run is untraced for a pure throughput number. *)
-let bench_fiber_storm () =
-  section "Fiber storm: lightweight threads under thin and cjm locks (M:N scheduler)";
-  let module FS = Tl_workload.Fiber_storm in
-  let rows = ref [] in
-  Printf.printf "  %-6s %-9s %8s %12s %9s %9s %9s %7s %7s\n" "scheme" "fibers"
-    "domains" "ops/sec" "p50us" "p99us" "p999us" "tids" "oracle";
-  List.iter
-    (fun (scheme, fibers, traced) ->
-      let config =
-        { FS.default_config with FS.fibers; scheme = Registry.find_entry_exn scheme }
-      in
-      let r = FS.run ~trace:traced ~oracle:traced config in
-      let clean =
-        match r.FS.oracle with Some rep -> Tl_events.Oracle.ok rep | None -> true
-      in
-      Printf.printf "  %-6s %-9d %8d %12.0f %9.1f %9.1f %9.1f %7d %7s\n%!"
-        scheme fibers config.FS.domains r.FS.ops_per_sec r.FS.p50_us
-        r.FS.p99_us r.FS.p999_us r.FS.distinct_tids
-        (match r.FS.oracle with
-        | Some _ -> if clean then "clean" else "VIOLATION"
-        | None -> "-");
-      rows :=
-        J.Obj
-          [
-            ("scenario", J.Str "fiber-storm");
-            ("scheme", J.Str scheme);
-            ("fibers", J.Int fibers);
-            ("domains", J.Int config.FS.domains);
-            ("ops", J.Int r.FS.ops);
-            ("ops_per_sec", J.Float r.FS.ops_per_sec);
-            ("p50_us", J.Float r.FS.p50_us);
-            ("p99_us", J.Float r.FS.p99_us);
-            ("p999_us", J.Float r.FS.p999_us);
-            ("max_us", J.Float r.FS.max_us);
-            ("completed", J.Int r.FS.completed);
-            ("distinct_tids", J.Int r.FS.distinct_tids);
-            ("overflow_waits", J.Int r.FS.overflow_waits);
-            ("events", J.Int r.FS.events);
-            ("dropped", J.Int r.FS.dropped);
-            ("leaked_entries", J.Int r.FS.leaked_entries);
-            ("traced", J.Bool traced);
-            ("oracle_clean", J.Bool clean);
-          ]
-        :: !rows)
-    [
-      ("thin", 10_000, true);
-      ("thin", 100_000, true);
-      ("thin", 1_000_000, false);
-      ("cjm", 10_000, true);
-      ("cjm", 100_000, true);
-      ("cjm", 1_000_000, false);
-    ];
-  add_json "fiber_storm" (J.List (List.rev !rows));
-  Printf.printf
-    "  (latency tail includes scheduler queueing: a fiber that parks on an\n\
-    \   inflated monitor pays the wait until its holder resumes and releases;\n\
-    \   distinct tids stay near the admission window because leases recycle)\n\n%!"
-
-(* Contended-path backend head-to-head: parker (Mesa-style entry
-   queue, barging) against hapax (constant-time FIFO ticket admission)
-   and delegate (hapax admission + flat-combining delegation), on the
-   two contended workloads.  Replay-par runs shuffle mode with the
-   interleave deschedule and spin work so episodes genuinely overlap
-   on a small host; each cell is the median of three runs.  The
-   fairness harness hammers one fat lock from two workers, stamping
-   every arrival with a global fetch-and-add and every grant with its
-   in-lock sequence number: adjacent grant pairs out of arrival order
-   (inversions) quantify barging, which FIFO admission eliminates. *)
-let bench_fat_backend () =
-  section "Fat-lock contended path: parker vs hapax vs delegate";
-  let module PR = Tl_workload.Parallel_replay in
-  let module FS = Tl_workload.Fiber_storm in
-  let backends =
-    [ ("parker", "thin"); ("hapax", "thin-hapax"); ("delegate", "thin-delegate") ]
-  in
-  (* --- shuffle-mode replay-par --- *)
-  let max_syncs = if quick then 40_000 else 100_000 in
-  let profile =
-    match Tl_workload.Profiles.find "javacup" with
-    | Some p -> p
-    | None -> failwith "bench_fat_backend: javacup profile missing"
-  in
-  let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs profile in
-  let replay_rows = ref [] in
-  Printf.printf "  replay-par, javacup shuffle + interleave (median of 3):\n";
-  Printf.printf "  %-10s %8s %12s %7s %10s\n" "backend" "domains" "ops/sec" "fast%"
-    "contended";
-  List.iter
-    (fun (backend, scheme_name) ->
-      List.iter
-        (fun domains ->
-          let one () =
-            let runtime = Runtime.create () in
-            let scheme = Registry.find_exn scheme_name runtime in
-            let tick env =
-              Runtime.quiescence_point ~env runtime;
-              Unix.sleepf 5e-5
-            in
-            let config =
-              {
-                PR.default_config with
-                PR.domains;
-                mode = PR.Shuffle;
-                work_per_op = 200;
-                tick_every = 64;
-              }
-            in
-            PR.run ~config ~tick ~scheme ~runtime trace
-          in
-          let samples = List.init 3 (fun _ -> one ()) in
-          let ops_per_sec =
-            Tl_util.Stats.median
-              (Array.of_list (List.map (fun r -> r.PR.ops_per_sec) samples))
-          in
-          let r = List.nth samples 2 in
-          let contended = r.PR.stats.Tl_core.Lock_stats.contended_episodes in
-          Printf.printf "  %-10s %8d %12.0f %6.1f %10d\n%!" backend domains
-            ops_per_sec
-            (100.0 *. PR.fast_ratio r.PR.stats)
-            contended;
-          replay_rows :=
-            J.Obj
-              [
-                ("backend", J.Str backend);
-                ("mode", J.Str "shuffle");
-                ("domains", J.Int domains);
-                ("ops_per_sec", J.Float ops_per_sec);
-                ("fast_ratio", J.Float (PR.fast_ratio r.PR.stats));
-                ("contended_episodes", J.Int contended);
-                ( "inflations_contention",
-                  J.Int r.PR.stats.Tl_core.Lock_stats.inflations_contention );
-              ]
-            :: !replay_rows)
-        [ 1; 2 ])
-    backends;
-  print_newline ();
-  (* --- fiber storm --- *)
-  let storm_rows = ref [] in
-  let fibers = if quick then 5_000 else 10_000 in
-  Printf.printf "  fiber-storm, %d fibers, 2 domains, window 512:\n" fibers;
-  Printf.printf "  %-10s %12s %9s %9s %9s %7s\n" "backend" "ops/sec" "p50us" "p99us"
-    "p999us" "oracle";
-  List.iter
-    (fun (backend, scheme_name) ->
-      let config =
-        {
-          FS.default_config with
-          FS.fibers;
-          domains = 2;
-          in_flight = 512;
-          scheme = Registry.find_entry_exn scheme_name;
-        }
-      in
-      let r = FS.run ~trace:true ~oracle:true config in
-      let clean =
-        match r.FS.oracle with Some rep -> Tl_events.Oracle.ok rep | None -> false
-      in
-      Printf.printf "  %-10s %12.0f %9.1f %9.1f %9.1f %7s\n%!" backend r.FS.ops_per_sec
-        r.FS.p50_us r.FS.p99_us r.FS.p999_us
-        (if clean then "clean" else "VIOLATION");
-      storm_rows :=
-        J.Obj
-          [
-            ("backend", J.Str backend);
-            ("fibers", J.Int fibers);
-            ("domains", J.Int 2);
-            ("in_flight", J.Int 512);
-            ("ops_per_sec", J.Float r.FS.ops_per_sec);
-            ("p50_us", J.Float r.FS.p50_us);
-            ("p99_us", J.Float r.FS.p99_us);
-            ("p999_us", J.Float r.FS.p999_us);
-            ("dropped", J.Int r.FS.dropped);
-            ("oracle_clean", J.Bool clean);
-          ]
-        :: !storm_rows)
-    backends;
-  print_newline ();
-  (* --- fairness: FIFO admission order under a hot lock --- *)
+(* Contended-path backend fairness: parker (Mesa-style entry queue,
+   barging) against hapax (constant-time FIFO ticket admission) and
+   delegate (hapax admission + flat-combining delegation).  Two workers
+   hammer one fat lock, stamping every arrival with a global
+   fetch-and-add and every grant with its in-lock sequence number:
+   adjacent grant pairs out of arrival order (inversions) quantify
+   barging, which FIFO admission eliminates.  The backends' replay-par
+   and fiber-storm runs are gated by tools/check.sh against the CLI. *)
+let bench_fat_fairness () =
+  section "Fat-lock contended path: parker vs hapax vs delegate fairness";
   let fairness_rows = ref [] in
-  let workers = 2 and ops = if quick then 3_000 else 8_000 in
+  let workers = 2 and ops = 3_000 in
   let spin n =
     let s = ref 0 in
     for i = 1 to n do
@@ -915,7 +466,7 @@ let bench_fat_backend () =
   Printf.printf "  %-10s %8s %10s %10s %10s\n" "backend" "grants" "inversions"
     "wait-p99us" "wait-maxus";
   List.iter
-    (fun (backend_name, _) ->
+    (fun backend_name ->
       let backend = Option.get (Tl_monitor.Fatlock.backend_of_string backend_name) in
       let runtime = Runtime.create () in
       let fat = Tl_monitor.Fatlock.create ~backend () in
@@ -977,14 +528,8 @@ let bench_fat_backend () =
             ("contended_episodes", J.Int (Tl_monitor.Fatlock.contended_episodes fat));
           ]
         :: !fairness_rows)
-    backends;
-  add_json "fat_backend"
-    (J.Obj
-       [
-         ("replay_par", J.List (List.rev !replay_rows));
-         ("fiber_storm", J.List (List.rev !storm_rows));
-         ("fairness", J.List (List.rev !fairness_rows));
-       ]);
+    [ "parker"; "hapax"; "delegate" ];
+  add_json "fat_backend" (J.Obj [ ("fairness", J.List (List.rev !fairness_rows)) ]);
   Printf.printf
     "\n  (inversions: adjacent grant pairs out of global arrival order — barging;\n\
     \   FIFO admission drives them to ~0 at the cost of handoff latency)\n\n%!"
@@ -1021,7 +566,7 @@ let bench_controller () =
     J.Obj (List.sort compare (Hashtbl.fold (fun k v acc -> (k, J.Int v) :: acc) tbl []))
   in
   (* --- macro-trace replays --- *)
-  let max_syncs = if quick then 12_000 else 20_000 in
+  let max_syncs = 12_000 in
   let replay_rows = ref [] in
   Printf.printf "  macro traces, %d ops (score = slow-path%% + thrash/1k, lower better):\n"
     max_syncs;
@@ -1077,7 +622,7 @@ let bench_controller () =
         :: !replay_rows)
     PL.default_benchmarks;
   (* --- the fiber storm: tail latency without per-workload tuning --- *)
-  let storm_fibers = if quick then 20_000 else 100_000 in
+  let storm_fibers = 20_000 in
   let storm_one reap =
     let config =
       { FS.default_config with FS.fibers = storm_fibers; reap = PL.reap_of_string reap }
@@ -1094,21 +639,20 @@ let bench_controller () =
     Printf.printf "  %-12s %10.1f %10.1f %10.1f %8d %7s\n%!" reap r.FS.p50_us
       r.FS.p99_us r.FS.p999_us r.FS.deflations
       (if clean then "clean" else "VIOLATION");
-    ( clean,
-      J.Obj
-        [
-          ("reap", J.Str reap);
-          ("p50_us", J.Float r.FS.p50_us);
-          ("p99_us", J.Float r.FS.p99_us);
-          ("p999_us", J.Float r.FS.p999_us);
-          ("deflations", J.Int r.FS.deflations);
-          ("reaper_scans", J.Int r.FS.reaper_scans);
-          ("oracle_clean", J.Bool clean);
-        ] )
+    J.Obj
+      [
+        ("reap", J.Str reap);
+        ("p50_us", J.Float r.FS.p50_us);
+        ("p99_us", J.Float r.FS.p99_us);
+        ("p999_us", J.Float r.FS.p999_us);
+        ("deflations", J.Int r.FS.deflations);
+        ("reaper_scans", J.Int r.FS.reaper_scans);
+        ("oracle_clean", J.Bool clean);
+      ]
   in
   let fixed_reaps = [ "never"; "always-idle"; "idle-for-4" ] in
   let fixed_runs = List.map (fun reap -> (reap, storm_one reap)) fixed_reaps in
-  let fixed_rows = List.map (fun (reap, r) -> snd (storm_row reap r)) fixed_runs in
+  let fixed_rows = List.map (fun (reap, r) -> storm_row reap r) fixed_runs in
   let best_p99 =
     List.fold_left (fun acc (_, r) -> Float.min acc r.FS.p99_us) infinity fixed_runs
   in
@@ -1123,7 +667,7 @@ let bench_controller () =
     end
     else ctl_run
   in
-  let ctl_clean, ctl_row = storm_row "controlled" ctl_run in
+  let ctl_row = storm_row "controlled" ctl_run in
   let tail_ratio = ctl_run.FS.p99_us /. Float.max 1e-9 best_p99 in
   let ctl_shards = Option.value ~default:[||] ctl_run.FS.controller in
   Printf.printf
@@ -1134,7 +678,6 @@ let bench_controller () =
           (Array.map
              (fun (s : Ctl.shard_snapshot) -> Ctl.policy_name s.Ctl.policy)
              ctl_shards)));
-  ignore ctl_clean;
   add_json "controller"
     (J.Obj
        [
@@ -1155,75 +698,35 @@ let bench_controller () =
        ])
 
 (* CJM head-to-head: the headline table for the headerless scheme.
-   Fig. 5/6-style micro kernels timed wall-clock across thin, fat and
-   cjm — thin pays a header CAS per pair, fat an OS-monitor call, cjm
-   a striped hash-table claim — plus an inflate-cycle kernel that
-   prices each scheme's monitor lifecycle (thin: contention inflation
-   + quiescent deflation; cjm: create + evaporate through the table).
-   Wall-clock loops rather than Bechamel so the section is cheap
-   enough for the smoke pass: BENCH.json must always carry the cjm
-   cells (tools/check.sh validates them). *)
+   The Table 2 Sync, NestedSync and MixedSync kernels
+   ({!Tl_workload.Micro}, median of 3) across thin, fat and cjm — thin
+   pays a header CAS per pair, fat an OS-monitor call, cjm a striped
+   hash-table claim. *)
 let bench_cjm_micro () =
   section "CJM head-to-head: headerless table vs header word (ns per op)";
-  let iters = if quick then 200_000 else 2_000_000 in
-  let schemes = [ "thin"; "fat"; "cjm" ] in
-  let kernels = [ "sync"; "nestedsync"; "mixedsync" ] in
+  let module M = Tl_workload.Micro in
   let rows = ref [] in
   Printf.printf "  %-12s %10s %10s %10s\n" "kernel" "thin" "fat" "cjm";
   List.iter
     (fun kernel ->
-      let cells =
-        List.map
-          (fun scheme_name ->
-            let runtime = Runtime.create () in
-            let scheme = Registry.find_exn scheme_name runtime in
-            let env = Runtime.main_env runtime in
-            let heap = Tl_heap.Heap.create () in
-            let obj = Tl_heap.Heap.alloc heap in
-            let op =
-              match kernel with
-              | "sync" ->
-                  fun () ->
-                    scheme.Scheme.acquire env obj;
-                    scheme.Scheme.release env obj
-              | "nestedsync" ->
-                  scheme.Scheme.acquire env obj;
-                  fun () ->
-                    scheme.Scheme.acquire env obj;
-                    scheme.Scheme.release env obj
-              | _ ->
-                  fun () ->
-                    scheme.Scheme.acquire env obj;
-                    scheme.Scheme.acquire env obj;
-                    scheme.Scheme.release env obj;
-                    scheme.Scheme.release env obj
-            in
-            for _ = 1 to 1_000 do
-              op ()
-            done;
-            let t0 = Tl_util.Timer.now () in
-            for _ = 1 to iters do
-              op ()
-            done;
-            let ns =
-              1e9 *. (Tl_util.Timer.now () -. t0) /. float_of_int iters
-            in
-            rows :=
-              J.Obj
-                [
-                  ("kernel", J.Str kernel);
-                  ("scheme", J.Str scheme_name);
-                  ("ns_per_op", J.Float ns);
-                ]
-              :: !rows;
-            ns)
-          schemes
-      in
-      match cells with
-      | [ a; b; c ] ->
-          Printf.printf "  %-12s %10.1f %10.1f %10.1f\n%!" kernel a b c
-      | _ -> assert false)
-    kernels;
+      Printf.printf "  %-12s" (M.kernel_name kernel);
+      List.iter
+        (fun scheme_name ->
+          let runtime = Runtime.create () in
+          let scheme = Registry.find_exn scheme_name runtime in
+          let m = M.run ~iterations:200_000 ~scheme ~runtime kernel in
+          Printf.printf " %10.1f" m.M.ns_per_iteration;
+          rows :=
+            J.Obj
+              [
+                ("kernel", J.Str (M.kernel_name kernel));
+                ("scheme", J.Str scheme_name);
+                ("ns_per_op", J.Float m.M.ns_per_iteration);
+              ]
+            :: !rows)
+        [ "thin"; "fat"; "cjm" ];
+      Printf.printf "\n%!")
+    [ M.Sync; M.Nested_sync; M.Mixed_sync ];
   add_json "cjm_micro" (J.List (List.rev !rows));
   Printf.printf
     "  (the header-footprint tradeoff in numbers: cjm spends zero object\n\
@@ -1237,7 +740,7 @@ let bench_cjm_micro () =
 let bench_tid_churn () =
   section "Tid lease churn: allocate+release cost vs live indices (ns/cycle)";
   let module Tid = Tl_runtime.Tid in
-  let cycles = if quick then 200_000 else 1_000_000 in
+  let cycles = 200_000 in
   let rows = ref [] in
   Printf.printf "  %-12s %12s\n" "live" "ns/cycle";
   List.iter
@@ -1273,26 +776,10 @@ let bench_tid_churn () =
     "  (flat line = O(1) allocate: a FIFO free list and an epoch bump,\n\
     \   independent of how many of the 2^15 indices are currently leased)\n\n%!"
 
-(* Contention-handling ablation: backoff policy under competing
-   threads (wall-clock: needs real threads). *)
-let bench_backoff () =
-  section "Backoff-policy ablation under contention (Threads 4, ns/iteration)";
-  List.iter
-    (fun scheme_name ->
-      let runtime = Runtime.create () in
-      let scheme = Registry.find_exn scheme_name runtime in
-      let m =
-        Tl_workload.Micro.run ~runs:3 ~iterations:20_000 ~scheme ~runtime
-          (Tl_workload.Micro.Threads 4)
-      in
-      Printf.printf "  %-12s %8.1f ns/op\n" scheme_name m.Tl_workload.Micro.ns_per_iteration)
-    [ "thin"; "thin-yield"; "thin-busy" ];
-  print_newline ()
-
 (* Mini-JVM macro benchmarks: the paper's actual methodology — real
    (mini-Java) programs with synchronized library calls, timed under
-   each scheme.  Programs ship in examples/programs (declared as dune
-   deps of this executable). *)
+   each scheme.  Programs ship in examples/programs, read relative to
+   the repository root. *)
 let bench_vm_macros () =
   section "Mini-JVM macro benchmarks: program wall time per scheme";
   let dir = "examples/programs" in
@@ -1328,96 +815,23 @@ let bench_vm_macros () =
     programs;
   print_newline ()
 
-(* CI smoke pass: the fast wall-clock sections only — enough to catch
-   bit-rot in the bench harness (and exercise the lifecycle subsystem
-   end-to-end) without the multi-minute Bechamel and report runs. *)
-let run_smoke () =
-  section "Thin Locks reproduction - benchmark harness (smoke pass)";
-  bench_generation_width ();
-  bench_shard_sensitivity ();
-  bench_reaper ();
-  bench_deflation ();
-  bench_events_overhead ();
-  bench_oracle_overhead ();
-  bench_replay_par ();
-  bench_cjm_micro ();
-  bench_tid_churn ();
-  bench_fiber_storm ();
-  bench_fat_backend ();
-  bench_controller ();
-  write_bench_json ();
-  Printf.printf "\ndone (smoke).\n"
-
 let () =
-  if smoke then run_smoke ()
-  else begin
-  let max_syncs = if quick then 20_000 else 100_000 in
-  let iterations = if quick then 20_000 else 100_000 in
-
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "usage: main.exe (no arguments: one fixed-size run)";
+    exit 2
+  end;
   section "Thin Locks reproduction - benchmark harness";
-  Printf.printf "mode: %s (pass 'quick' for reduced sizes, 'smoke' for the CI subset)\n%!"
-    (if quick then "quick" else "full");
-
-  bench_fig4_cells ();
-  bench_fig6_cells ();
-  bench_ablation_cells ();
-  bench_deflation ();
-  bench_montable_scaling ();
   bench_generation_width ();
   bench_shard_sensitivity ();
   bench_reaper ();
+  bench_deflation ();
   bench_churn_stability ();
-  bench_backoff ();
   bench_events_overhead ();
   bench_oracle_overhead ();
-  bench_replay_par ();
   bench_cjm_micro ();
   bench_tid_churn ();
-  bench_fiber_storm ();
-  bench_fat_backend ();
+  bench_fat_fairness ();
   bench_controller ();
   bench_vm_macros ();
-
-  section "Table 1: macro-benchmark characterization";
-  print_string (Tl_workload.Report.table1 ~max_syncs ());
-  flush stdout;
-
-  section "Figure 3: lock nesting depth";
-  print_string (Tl_workload.Report.fig3 ~max_syncs ());
-  flush stdout;
-
-  section "Figure 4: micro-benchmarks (wall-clock, incl. sweeps and threads)";
-  print_string (Tl_workload.Report.fig4 ~iterations ());
-  flush stdout;
-
-  section "Figure 5: macro-benchmark speedups";
-  print_string (Tl_workload.Report.fig5 ~max_syncs:(max_syncs / 2) ());
-  flush stdout;
-
-  section "Figure 6: implementation variants (wall-clock)";
-  print_string (Tl_workload.Report.fig6 ~iterations ());
-  flush stdout;
-
-  section "Scenario census and per-path operation counts";
-  print_string (Tl_workload.Report.characterize ~max_syncs ());
-
-  section "Ablation: count width (par.3.2)";
-  print_string (Tl_workload.Report.count_width_ablation ~max_syncs ());
-
-  section "Monitor lifecycle: deflation and slot reclamation";
-  print_string
-    (Tl_workload.Report.monitor_lifecycle ~cycles:(if quick then 5_000 else 20_000) ());
-
-  section "Policy lab: deflation policies scored from the event stream";
-  print_string (Tl_workload.Policy_lab.table ~max_syncs:(if quick then 5_000 else 20_000) thin);
-
-  section "Policy lab, parallel: policies under real contention (4 domains, shuffle)";
-  print_string
-    (Tl_workload.Policy_lab.table_par
-       ~max_syncs:(if quick then 4_000 else 10_000)
-       ~domains:4 ~mode:Tl_workload.Parallel_replay.Shuffle thin);
-  flush stdout;
-
   write_bench_json ();
   Printf.printf "\ndone.\n"
-  end

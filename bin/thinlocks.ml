@@ -947,7 +947,9 @@ let all_cmd =
     print_newline ();
     print (Tl_workload.Report.characterize ~max_syncs ~seed ());
     print_newline ();
-    print (Tl_workload.Report.count_width_ablation ~max_syncs ~seed ())
+    print (Tl_workload.Report.count_width_ablation ~max_syncs ~seed ());
+    print_newline ();
+    print (Tl_workload.Report.monitor_lifecycle ())
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Regenerate every table and figure")

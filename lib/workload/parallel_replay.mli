@@ -135,4 +135,5 @@ val run :
 
 val fast_ratio : Tl_core.Lock_stats.snapshot -> float
 (** Thin fast + nested acquires over all acquires (1.0 when there were
-    none) — the headline ratio reported by benches and BENCH.json. *)
+    none) — the headline ratio reported by [thinlocks replay-par] and
+    the benchmark. *)

@@ -62,39 +62,16 @@ done
 echo "== event-codec golden test"
 dune exec test/test_events.exe -- test codec
 
-echo "== bench smoke pass (includes events-overhead and replay-par)"
-dune exec bench/main.exe -- smoke
+echo "== bench run: the scenarios no other path measures"
+dune exec bench/main.exe
 
-echo "== BENCH.json is valid and carries the replay-par and oracle scenarios"
+echo "== BENCH.json is valid and carries every gated scenario"
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
 d = json.load(open("BENCH.json"))
 assert d["schema"] == "thinlocks-bench-v1", d.get("schema")
 assert d["cores"] >= 1
-rows = d["scenarios"]["replay_par"]
-assert rows, "replay_par section is empty"
-for r in rows:
-    assert r["ops_per_sec"] > 0 and r["domains"] >= 1 and 0.0 <= r["fast_ratio"] <= 1.0
-fs = d["scenarios"]["fiber_storm"]
-assert fs, "fiber_storm section is empty"
-for r in fs:
-    assert r["completed"] == r["fibers"], "storm lost fibers"
-    assert r["ops_per_sec"] > 0 and r["domains"] >= 1
-    # Latencies sample the monotonic ns clock, so even an uncontended
-    # fast-path acquire measures > 0 -- a zero p50 means the floor of
-    # the sampling path regressed to us granularity.
-    assert 0.0 < r["p50_us"] <= r["p99_us"] <= r["p999_us"], "latency tail not ordered"
-    assert r["p999_us"] > 0.0, "no acquire ever waited -- storm did not contend"
-    assert r["oracle_clean"], "fiber storm stream failed the oracle"
-    if r["traced"]:
-        assert r["dropped"] == 0, "storm trace dropped events"
-assert {r["scheme"] for r in rows} >= {"thin", "fat", "cjm"}, \
-    "replay_par must race thin, fat and cjm"
-assert any(r["scheme"] == "cjm" for r in fs), "fiber_storm has no cjm rows"
-for r in fs:
-    if r["scheme"] == "cjm":
-        assert r["leaked_entries"] == 0, "cjm storm leaked table entries"
 cm = d["scenarios"]["cjm_micro"]
 assert cm, "cjm_micro section is empty"
 assert {r["scheme"] for r in cm} == {"thin", "fat", "cjm"}, \
@@ -109,25 +86,18 @@ for r in tc:
     assert r["ns_per_cycle"] > 0.0
     assert r["ns_per_cycle"] < 20.0 * base + 1000.0, \
         "tid allocate/release cost grew with live count (%r)" % r
+sl = d["scenarios"]["slot_churn"]
+assert sl["census"] >= 1 << 23, \
+    "slot churn allocated %d monitors, short of the 2^23 ceiling" % sl["census"]
+assert sl["live"] == 0, "slot churn left %d monitor(s) live" % sl["live"]
 oh = d["scenarios"]["oracle_overhead"]
 assert oh["events"] > 0
 assert oh["violations"] == 0, "oracle flagged a clean replay stream"
 for key in ("verify_ns_per_event", "residency_ns_per_event"):
     assert oh[key] >= 0.0, key
-fb = d["scenarios"]["fat_backend"]
-all_backends = {"parker", "hapax", "delegate"}
-fbr = fb["replay_par"]
-assert {r["backend"] for r in fbr} == all_backends, "replay_par head-to-head incomplete"
-for r in fbr:
-    assert r["ops_per_sec"] > 0 and r["domains"] >= 1
-    assert 0.0 <= r["fast_ratio"] <= 1.0
-fbs = fb["fiber_storm"]
-assert {r["backend"] for r in fbs} == all_backends, "fiber_storm head-to-head incomplete"
-for r in fbs:
-    assert r["ops_per_sec"] > 0
-    assert r["oracle_clean"], "%s-backend storm stream failed the oracle" % r["backend"]
-fairness = fb["fairness"]
-assert {r["backend"] for r in fairness} == all_backends, "fairness table incomplete"
+fairness = d["scenarios"]["fat_backend"]["fairness"]
+assert {r["backend"] for r in fairness} == {"parker", "hapax", "delegate"}, \
+    "fairness table incomplete"
 for r in fairness:
     assert r["grants"] > 0 and r["adjacent_inversions"] >= 0
     assert 0.0 <= r["inversion_rate"] <= 1.0
@@ -177,15 +147,11 @@ assert 0.0 < ev["bin_bytes_per_event"] < ev["text_bytes_per_event"], \
     "binary codec is not smaller than text"
 for key in ("sampled_ratio_1_in_8", "contended_only_ratio"):
     assert 0.0 < ev[key] < 1.0, "%s=%r not a proper sampling ratio" % (key, ev.get(key))
-print("BENCH.json: %d replay-par rows, %d fiber-storm rows, %d cjm-micro rows, "
-      "oracle over %d events, cores=%d"
-      % (len(rows), len(fs), len(cm), oh["events"], d["cores"]))
+print("BENCH.json: %d cjm-micro rows, oracle over %d events, %d churn cycles "
+      "(%d slot reuses), cores=%d"
+      % (len(cm), oh["events"], sl["cycles"], sl["reuses"], d["cores"]))
 print("  fat backends: inversion rates %s"
       % {b: round(r, 4) for b, r in sorted(inv.items())})
-print("  fiber storm peak: %d fibers at %.0f ops/sec (p99 %.0f us)"
-      % (max(r["fibers"] for r in fs),
-         max(r["ops_per_sec"] for r in fs if r["fibers"] == max(x["fibers"] for x in fs)),
-         fs[-1]["p99_us"]))
 print("  tracing: %.1f ns/event enabled overhead; %.1f text vs %.1f bin bytes/event"
       % (ev["enabled_ns"], ev["text_bytes_per_event"], ev["bin_bytes_per_event"]))
 print("  controller: score ratios %s; storm tail %.3fx best fixed, %d switch(es)"
@@ -194,37 +160,52 @@ print("  controller: score ratios %s; storm tail %.3fx best fixed, %d switch(es)
 EOF
 else
   grep -q '"thinlocks-bench-v1"' BENCH.json
-  grep -q '"replay_par"' BENCH.json
-  grep -q '"fiber_storm"' BENCH.json
   grep -q '"cjm_micro"' BENCH.json
   grep -q '"scheme": "cjm"' BENCH.json
   grep -q '"tid_churn"' BENCH.json
+  grep -q '"slot_churn"' BENCH.json
   grep -q '"fat_backend"' BENCH.json
   grep -q '"adjacent_inversions"' BENCH.json
   grep -q '"oracle_overhead"' BENCH.json
-  grep -q '"ops_per_sec"' BENCH.json
   grep -q '"controller"' BENCH.json
   grep -q '"tail_ratio_p99"' BENCH.json
   grep -q '"chosen_policies"' BENCH.json
   echo "BENCH.json: key smoke (python3 unavailable)"
 fi
 
-# Run one traced fiber storm (the arguments follow `fiber-storm`) and
-# gate its trace line: nothing dropped, and event storage proportional
-# to the events written.  A ring holds at most twice its events or its
+# Run one fiber storm (the arguments follow `fiber-storm`) and gate its
+# report: positive throughput and an ordered acquire-latency tail
+# (0 < p50 <= p99 <= p999 — latencies sample the monotonic ns clock, so
+# even an uncontended acquire measures > 0).  A traced run also gates
+# its trace line: nothing dropped, and event storage proportional to
+# the events written.  A ring holds at most twice its events or its
 # initial 32 slots (64 words), over at most one ring per leased tid
 # plus the generator's and the system stream's; a return to up-front
-# ring reservation breaks the bound.
+# ring reservation breaks the bound.  The CLI itself exits 1 on a lost
+# fiber, a leaked table entry or an unclean oracle.
 storm_gate() {
+  case " $* " in
+    *" --no-trace "*) traced=0 ;;
+    *) traced=1 ;;
+  esac
   if ! out=$(dune exec bin/thinlocks.exe -- fiber-storm "$@"); then
     echo "$out"
     exit 1
   fi
   echo "$out"
-  echo "$out" | awk '
+  echo "$out" | awk -v traced="$traced" '
+    $1 == "throughput" { ops = $2 + 0 }
+    $1 == "acquire" && $2 == "lat" { p50 = $4 + 0; p99 = $6 + 0; p999 = $8 + 0; lat = 1 }
     /tid leases/ { tids = $3 }
     $1 == "trace" { events = $2; dropped = $4; words = $6; seen = 1 }
     END {
+      if (!(ops > 0)) { print "FAIL: storm reported no throughput" > "/dev/stderr"; exit 1 }
+      if (!lat || !(0 < p50 && p50 <= p99 && p99 <= p999)) {
+        print "FAIL: acquire latency tail not 0 < p50 <= p99 <= p999" > "/dev/stderr"
+        exit 1
+      }
+      print "  latency tail ordered: p50 " p50 " <= p99 " p99 " <= p999 " p999 " us"
+      if (!traced) exit 0
       if (!seen) { print "FAIL: storm printed no trace line" > "/dev/stderr"; exit 1 }
       if (dropped != 0) { print "FAIL: storm trace dropped " dropped " event(s)" > "/dev/stderr"; exit 1 }
       bound = 4 * events + (tids + 2) * 64
@@ -235,6 +216,29 @@ storm_gate() {
       }
       print "  trace memory " words " words <= bound " bound
     }'
+}
+
+# Run one parallel replay (the arguments follow `replay-par`) and gate
+# its summary: positive ops/sec and a fast ratio within [0, 100]%.  The
+# CLI itself exits 1 on an unclean --oracle verdict.
+replay_par_gate() {
+  if ! out=$(dune exec bin/thinlocks.exe -- replay-par "$@"); then
+    echo "$out"
+    exit 1
+  fi
+  if ! echo "$out" | awk '
+    { for (i = 2; i <= NF; i++) if ($i == "ops/sec") ops = $(i - 1) + 0 }
+    $1 == "fast" && $2 == "ratio:" { fast = $3 + 0; seen = 1 }
+    END {
+      if (!(ops > 0) || !seen || fast < 0 || fast > 100) {
+        print "FAIL: replay-par needs ops/sec > 0 and a fast ratio in [0, 100]%" > "/dev/stderr"
+        exit 1
+      }
+      printf "  %.0f ops/sec, fast ratio %.1f%%\n", ops, fast
+    }'; then
+    echo "$out"
+    exit 1
+  fi
 }
 
 echo "== fiber storm smoke (100k fibers, 1 domain, oracle must be clean)"
@@ -248,6 +252,11 @@ storm_gate --fibers 100000 --domains 1 --seed 7
 
 echo "== fiber storm on the cjm table (100k fibers, oracle + conservation)"
 storm_gate --fibers 100000 --domains 1 --scheme cjm
+
+echo "== fiber storm at 1M fibers, untraced (thin and cjm): throughput and latency tail"
+for scheme in thin cjm; do
+  storm_gate --fibers 1000000 --no-trace --scheme "$scheme"
+done
 
 echo "== fiber storm over the baselines (untraced, 20k fibers each): any registry entry runs"
 # MCS is the carrier-rule regression: a waiter that slept or busy-spun
@@ -273,8 +282,11 @@ rm -rf "$tmpdir"
 echo "  cjm verified under its own protocol; jdk111 refused"
 
 echo "== parallel replay smoke (2 domains, shuffle, must contend)"
-dune exec bin/thinlocks.exe -- replay-par -b javacup --domains 2 --shuffle \
+replay_par_gate -b javacup --domains 2 --shuffle \
   --interleave --max-syncs 8000 --expect-contention
+
+echo "== parallel replay under forced-fat locking (thin, fat and cjm all race it)"
+replay_par_gate -b javacup --scheme fat --domains 2 --max-syncs 8000
 
 echo "== trace-diff: identical replays produce identical streams"
 tmpdir=$(mktemp -d)
@@ -315,29 +327,29 @@ rm -rf "$tmpdir"
 
 echo "== protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
 for domains in 1 2 4; do
-  dune exec bin/thinlocks.exe -- replay-par -b javacup --domains "$domains" \
-    --max-syncs 6000 --oracle >/dev/null
-  dune exec bin/thinlocks.exe -- replay-par -b javacup --domains "$domains" \
-    --shuffle --interleave --max-syncs 6000 --oracle >/dev/null
+  replay_par_gate -b javacup --domains "$domains" \
+    --max-syncs 6000 --oracle
+  replay_par_gate -b javacup --domains "$domains" \
+    --shuffle --interleave --max-syncs 6000 --oracle
   echo "  oracle clean at $domains domain(s), both decompositions"
 done
 
 echo "== hapax backend: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
-  dune exec bin/thinlocks.exe -- replay-par -b javacup --domains "$domains" \
-    --fat-backend hapax --max-syncs 6000 --oracle >/dev/null
-  dune exec bin/thinlocks.exe -- replay-par -b javacup --domains "$domains" \
-    --fat-backend hapax --shuffle --interleave --max-syncs 6000 --oracle >/dev/null
+  replay_par_gate -b javacup --domains "$domains" \
+    --fat-backend hapax --max-syncs 6000 --oracle
+  replay_par_gate -b javacup --domains "$domains" \
+    --fat-backend hapax --shuffle --interleave --max-syncs 6000 --oracle
   echo "  hapax oracle clean at $domains domain(s), both decompositions"
 done
-dune exec bin/thinlocks.exe -- replay-par -b javacup --domains 2 --fat-backend delegate \
-  --shuffle --interleave --max-syncs 6000 --oracle >/dev/null
+replay_par_gate -b javacup --domains 2 --fat-backend delegate \
+  --shuffle --interleave --max-syncs 6000 --oracle
 echo "  delegate oracle clean at 2 domains (shuffle)"
 
 echo "== controlled reaper: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
-  dune exec bin/thinlocks.exe -- replay-par -b javacup --domains "$domains" \
-    --shuffle --interleave --max-syncs 6000 --oracle --reap controlled >/dev/null
+  replay_par_gate -b javacup --domains "$domains" \
+    --shuffle --interleave --max-syncs 6000 --oracle --reap controlled
   echo "  controlled oracle clean at $domains domain(s), Policy_switch in stream"
 done
 
@@ -347,18 +359,23 @@ storm_gate --fibers 100000 --domains 1 --reap controlled
 echo "== fiber storm on the hapax backend (100k fibers, window 4096, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --fat-backend hapax
 
+echo "== fiber storm per fat backend (10k fibers, 2 domains, window 512, oracle must be clean)"
+for backend in parker hapax delegate; do
+  storm_gate --fibers 10000 --domains 2 --in-flight 512 --fat-backend "$backend"
+done
+
 echo "== cjm protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
 for domains in 1 2 4; do
-  dune exec bin/thinlocks.exe -- replay-par -b javacup --scheme cjm \
-    --domains "$domains" --max-syncs 6000 --oracle >/dev/null
-  dune exec bin/thinlocks.exe -- replay-par -b javacup --scheme cjm \
-    --domains "$domains" --shuffle --interleave --max-syncs 6000 --oracle >/dev/null
+  replay_par_gate -b javacup --scheme cjm \
+    --domains "$domains" --max-syncs 6000 --oracle
+  replay_par_gate -b javacup --scheme cjm \
+    --domains "$domains" --shuffle --interleave --max-syncs 6000 --oracle
   echo "  cjm oracle clean at $domains domain(s), both decompositions"
 done
 
 echo "== fiber backend: replay-par and policy-lab run the same workers as fibers"
-dune exec bin/thinlocks.exe -- replay-par -b javacup --domains 2 --shuffle \
-  --interleave --backend fibers --max-syncs 6000 --oracle >/dev/null
+replay_par_gate -b javacup --domains 2 --shuffle \
+  --interleave --backend fibers --max-syncs 6000 --oracle
 echo "  replay-par --backend fibers: oracle clean"
 dune exec bin/thinlocks.exe -- policy-lab --domains 2 --backend fibers \
   --max-syncs 3000 --benchmarks javalex >/dev/null
@@ -380,5 +397,17 @@ if dune exec bin/thinlocks.exe -- verify-trace "$tmpdir/tampered.ev" >/dev/null;
 fi
 dune exec bin/thinlocks.exe -- residency "$tmpdir/clean.ev" >/dev/null
 rm -rf "$tmpdir"
+
+echo "== thinlocks all regenerates every table and figure"
+out=$(dune exec bin/thinlocks.exe -- all --max-syncs 2000 --iterations 2000)
+for heading in "Table 1:" "Figure 3:" "Figure 4:" "Figure 5:" "Figure 6:" \
+  "Scenario census" "Count-width ablation" "Monitor lifecycle"; do
+  if ! echo "$out" | grep -q "$heading"; then
+    echo "$out"
+    echo "FAIL: thinlocks all printed no \"$heading\" section." >&2
+    exit 1
+  fi
+done
+echo "  every section present"
 
 echo "ok."
