@@ -444,15 +444,14 @@ let bench_oracle_overhead () =
        ])
 
 (* Contended-path backend fairness: parker (Mesa-style entry queue,
-   barging) against hapax (constant-time FIFO ticket admission) and
-   delegate (hapax admission + flat-combining delegation).  Two workers
-   hammer one fat lock, stamping every arrival with a global
+   barging) against hapax (constant-time FIFO ticket admission).  Two
+   workers hammer one fat lock, stamping every arrival with a global
    fetch-and-add and every grant with its in-lock sequence number:
    adjacent grant pairs out of arrival order (inversions) quantify
    barging, which FIFO admission eliminates.  The backends' replay-par
    and fiber-storm runs are gated by tools/check.sh against the CLI. *)
 let bench_fat_fairness () =
-  section "Fat-lock contended path: parker vs hapax vs delegate fairness";
+  section "Fat-lock contended path: parker vs hapax fairness";
   let fairness_rows = ref [] in
   let workers = 2 and ops = 3_000 in
   let spin n =
@@ -466,8 +465,8 @@ let bench_fat_fairness () =
   Printf.printf "  %-10s %8s %10s %10s %10s\n" "backend" "grants" "inversions"
     "wait-p99us" "wait-maxus";
   List.iter
-    (fun backend_name ->
-      let backend = Option.get (Tl_monitor.Fatlock.backend_of_string backend_name) in
+    (fun backend ->
+      let backend_name = Tl_monitor.Fatlock.backend_name backend in
       let runtime = Runtime.create () in
       let fat = Tl_monitor.Fatlock.create ~backend () in
       let total = workers * ops in
@@ -528,7 +527,7 @@ let bench_fat_fairness () =
             ("contended_episodes", J.Int (Tl_monitor.Fatlock.contended_episodes fat));
           ]
         :: !fairness_rows)
-    [ "parker"; "hapax"; "delegate" ];
+    Tl_monitor.Fatlock.all_backends;
   add_json "fat_backend" (J.Obj [ ("fairness", J.List (List.rev !fairness_rows)) ]);
   Printf.printf
     "\n  (inversions: adjacent grant pairs out of global arrival order — barging;\n\

@@ -434,24 +434,15 @@ let backend_arg =
 let fat_backend_arg =
   let doc =
     "Contended-path engine for inflated fat monitors: $(b,parker) (entry \
-     queue with spin-before-park), $(b,hapax) (constant-time FIFO ticket \
-     admission) or $(b,delegate) (hapax admission plus flat-combining \
-     delegation).  Selects the --scheme's registry sibling with that \
-     engine (thin + hapax is thin-hapax); omitted, the scheme runs as \
-     named (thin and fat use parker)."
+     queue with spin-before-park) or $(b,hapax) (constant-time FIFO \
+     ticket admission).  Selects the --scheme's registry sibling with \
+     that engine (thin + hapax is thin-hapax); omitted, the scheme runs \
+     as named (thin and fat use parker)."
   in
-  Arg.(
-    value
-    & opt
-        (some
-           (enum
-              [
-                ("parker", Tl_monitor.Fatlock.Parker);
-                ("hapax", Tl_monitor.Fatlock.Hapax);
-                ("delegate", Tl_monitor.Fatlock.Delegate);
-              ]))
-        None
-    & info [ "fat-backend" ] ~docv:"ENGINE" ~doc)
+  let engines =
+    List.map (fun b -> (Tl_monitor.Fatlock.backend_name b, b)) Tl_monitor.Fatlock.all_backends
+  in
+  Arg.(value & opt (some (enum engines)) None & info [ "fat-backend" ] ~docv:"ENGINE" ~doc)
 
 (* The entry a --scheme/--fat-backend pair names, by registry data. *)
 let with_fat_backend (entry : Tl_baselines.Registry.entry) = function

@@ -43,7 +43,7 @@ let acquire ctx env obj =
   let queued = not (Fatlock.try_acquire env fat) in
   if queued then Fatlock.acquire env fat;
   let depth = Fatlock.count fat in
-  Lock_stats.record_monitor_acquire ctx.stats ~tid:(my_index env) obj ~queued ~depth
+  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth
 
 let release ctx env obj =
   Fatlock.release env (monitor_of ctx obj);

@@ -130,7 +130,7 @@ let unpin ctx obj entry =
 let fat_op_acquire ctx env obj fat =
   let queued = not (Fatlock.try_acquire env fat) in
   if queued then Fatlock.acquire env fat;
-  Lock_stats.record_monitor_acquire ctx.stats ~tid:(my_index env) obj ~queued
+  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued
     ~depth:(Fatlock.count fat)
 
 let acquire ctx env obj =

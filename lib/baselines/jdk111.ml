@@ -95,7 +95,7 @@ let acquire ctx env obj =
   let queued = not (Fatlock.try_acquire env entry.fat) in
   if queued then Fatlock.acquire env entry.fat;
   let depth = Fatlock.count entry.fat in
-  Lock_stats.record_monitor_acquire ctx.stats ~tid:(my_index env) obj ~queued ~depth;
+  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth;
   unpin ctx obj entry
 
 let release ctx env obj =

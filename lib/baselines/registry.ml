@@ -15,10 +15,9 @@ let thin name config ?events ?count_width runtime =
     match count_width with Some count_width -> { config with Thin.count_width } | None -> config
   in
   let ctx = Thin.create_with ~config ?events runtime in
-  let sync = if config.Thin.fat_backend = Fatlock.Delegate then Some (Thin.sync ctx) else None in
   let verify d = Oracle.check ~count_width:config.Thin.count_width d in
   {
-    (Scheme_intf.pack ~deflate_idle:(Thin.deflate_idle ctx) ?sync ~lifecycle:(Deflates ctx) ~verify
+    (Scheme_intf.pack ~deflate_idle:(Thin.deflate_idle ctx) ~lifecycle:(Deflates ctx) ~verify
        (module Thin) ctx)
     with
     name;
@@ -72,9 +71,6 @@ let table =
     thin_entry ~family:true "thin-hapax"
       "thin locks inflating to FIFO ticket-admission monitors (Hapax contended path)"
       { d with fat_backend = Fatlock.Hapax };
-    thin_entry ~family:true "thin-delegate"
-      "thin locks inflating to flat-combining monitors (delegated critical sections)"
-      { d with fat_backend = Fatlock.Delegate };
     entry "jdk111" "Sun JDK 1.1.1 port: global monitor cache with recycling"
       (plain (module Jdk111) Jdk111.create);
     entry "ibm112" "IBM JDK 1.1.2: 32 hot locks over a monitor cache"
@@ -83,8 +79,6 @@ let table =
     fat_entry "fat" "always-inflated control: a dedicated fat monitor per object" Fatlock.Parker;
     fat_entry "fat-hapax" "always-inflated control over FIFO ticket-admission monitors"
       Fatlock.Hapax;
-    fat_entry "fat-delegate" "always-inflated control over flat-combining monitors"
-      Fatlock.Delegate;
     entry "mcs" "MCS queue locks with monitor semantics layered on top (§4.1)"
       (plain (module Mcs) Mcs.create);
     entry "nosync" "no locking at all (Fig. 6 NOP; not a correct monitor!)"

@@ -105,11 +105,6 @@ let record_acquire_fat t ~tid obj ~queued ~depth =
   bump_depth b depth;
   record_first_sync b obj
 
-let record_monitor_acquire t ~tid obj ~queued ~depth =
-  if depth = 1 && not queued then record_acquire_unlocked t ~tid obj
-  else if depth > 1 then record_acquire_nested t ~tid ~depth
-  else record_acquire_fat t ~tid obj ~queued ~depth
-
 let record_contended_spin t ~tid ~spins =
   let b = block t tid in
   bump b c_contended_episodes;

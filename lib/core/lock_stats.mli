@@ -44,16 +44,11 @@ val record_acquire_nested : t -> tid:int -> depth:int -> unit
     this acquire (≥ 2). *)
 
 val record_acquire_fat : t -> tid:int -> Tl_heap.Obj_model.t -> queued:bool -> depth:int -> unit
-(** Acquire through a fat monitor; [queued] says the thread had to
-    block (scenario 5) rather than enter immediately (scenario 4
-    shape). *)
-
-val record_monitor_acquire :
-  t -> tid:int -> Tl_heap.Obj_model.t -> queued:bool -> depth:int -> unit
-(** Classify an acquire through an always-present monitor (the
-    fat-only and monitor-cache baselines): entered at depth 1 without
-    queueing counts as unlocked, a re-entry as nested, anything else as
-    a fat acquire. *)
+(** Acquire through a fat monitor, re-entries included ([depth] is the
+    lock count after it); [queued] says the thread had to block
+    (scenario 5) rather than enter immediately (scenario 4 shape).  The
+    schemes with no thin path (fat, jdk111, ibm112) book every acquire
+    here, so their [acquires_unlocked] stays 0. *)
 
 val record_contended_spin : t -> tid:int -> spins:int -> unit
 (** A thin-lock contender spun [spins] backoff steps before forcing

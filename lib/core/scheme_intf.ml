@@ -35,10 +35,6 @@ type packed = {
   notify : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit;
   notify_all : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> unit;
   holds : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> bool;
-  sync : Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> (unit -> unit) -> unit;
-      (* Run a critical section: acquire, body, release — or, on a
-         delegating fat backend, possibly hand the body to the owner
-         ([Thin.sync]).  The body must not raise. *)
   stats : unit -> Lock_stats.snapshot;
   reset_stats : unit -> unit;
   stats_blocks : unit -> int;
@@ -53,17 +49,8 @@ type packed = {
          protocol and nest-count width; [None] when it emits no events. *)
 }
 
-let pack (type a) ?(deflate_idle = fun _ -> false) ?sync ?(lifecycle = Static) ?verify
+let pack (type a) ?(deflate_idle = fun _ -> false) ?(lifecycle = Static) ?verify
     (module M : S with type ctx = a) (ctx : a) : packed =
-  let sync =
-    match sync with
-    | Some f -> f
-    | None ->
-        fun env obj body ->
-          M.acquire ctx env obj;
-          body ();
-          M.release ctx env obj
-  in
   {
     name = M.name;
     acquire = M.acquire ctx;
@@ -72,7 +59,6 @@ let pack (type a) ?(deflate_idle = fun _ -> false) ?sync ?(lifecycle = Static) ?
     notify = M.notify ctx;
     notify_all = M.notify_all ctx;
     holds = M.holds ctx;
-    sync;
     stats = (fun () -> Lock_stats.snapshot (M.stats ctx));
     reset_stats = (fun () -> Lock_stats.reset (M.stats ctx));
     stats_blocks = (fun () -> Lock_stats.block_count (M.stats ctx));
@@ -80,7 +66,3 @@ let pack (type a) ?(deflate_idle = fun _ -> false) ?sync ?(lifecycle = Static) ?
     lifecycle;
     verify;
   }
-
-let synchronized (scheme : packed) env obj f =
-  scheme.acquire env obj;
-  Fun.protect ~finally:(fun () -> scheme.release env obj) f

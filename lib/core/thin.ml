@@ -234,24 +234,21 @@ and fat_acquire ctx env obj monitor_ref =
       | `Retired -> retired_retry ()
       | `Busy -> (
           match Fatlock.acquire_live env fat with
-          | `Acquired entry -> record_fat_entry ctx env obj fat entry
+          | `Acquired entry ->
+              (* Stats (including the spin-phase park-avoidance
+                 counter) and the queued/unqueued acquisition event. *)
+              let queued = Fatlock.entry_queued entry in
+              if ctx.config.record_stats then begin
+                Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued
+                  ~depth:(Fatlock.count fat);
+                if entry = Fatlock.Entry_spun then
+                  Lock_stats.add_extra ctx.stats "fatlock.spin_avoided_parks" 1
+              end;
+              if ctx.tracing then
+                emit ctx ~tid:(my_index env)
+                  (if queued then Ev.Acquire_fat_queued else Ev.Acquire_fat)
+                  ~arg:obj.Obj_model.id
           | `Retired -> retired_retry ()))
-
-(* Post-entry bookkeeping shared by the blocking fat paths: stats
-   (including the spin-phase park-avoidance counter) and the
-   queued/unqueued acquisition event. *)
-and record_fat_entry ctx env obj fat entry =
-  let queued = Fatlock.entry_queued entry in
-  if ctx.config.record_stats then begin
-    Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued
-      ~depth:(Fatlock.count fat);
-    if entry = Fatlock.Entry_spun then
-      Lock_stats.add_extra ctx.stats "fatlock.spin_avoided_parks" 1
-  end;
-  if ctx.tracing then
-    emit ctx ~tid:(my_index env)
-      (if queued then Ev.Acquire_fat_queued else Ev.Acquire_fat)
-      ~arg:obj.Obj_model.id
 
 let owner_store ctx lw ~old_word ~new_word =
   if ctx.config.unlock_with_cas then begin
@@ -294,40 +291,6 @@ let release ctx env obj =
     if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
   end
   else not_owner "release" env word
-
-(* synchronized-block entry point: run [f] under the object's lock.
-   On the [Delegate] fat backend a contender that finds the monitor
-   busy publishes [f] for the owner to combine instead of waiting for
-   ownership; every other shape degenerates to acquire/run/release. *)
-let rec sync ctx env obj f =
-  let classic () =
-    acquire ctx env obj;
-    Fun.protect ~finally:(fun () -> release ctx env obj) f
-  in
-  let word = lock_word obj in
-  if not (Header.is_inflated word) then classic ()
-  else
-    match Montable.find ctx.montable (Header.monitor_index word) with
-    | None -> classic () (* stale word; acquire re-reads *)
-    | Some fat when Fatlock.backend_of fat = Fatlock.Delegate -> (
-        fence ctx;
-        match Fatlock.delegate_or_acquire env fat f with
-        | `Delegated ->
-            (* [f] ran exactly once on a combiner; we never owned the
-               monitor, so there is nothing to release.  Counted apart
-               from acquisitions: a delegated episode is the contended
-               path doing its job without a handoff. *)
-            if ctx.config.record_stats then
-              Lock_stats.add_extra ctx.stats "fatlock.delegated_syncs" 1
-        | `Acquired entry ->
-            record_fat_entry ctx env obj fat entry;
-            Fun.protect ~finally:(fun () -> release ctx env obj) f
-        | `Retired ->
-            if ctx.config.record_stats then
-              Lock_stats.add_extra ctx.stats "deflation.retired_monitor_retries" 1;
-            Parker.yield env.Runtime.parker;
-            sync ctx env obj f)
-    | Some _ -> classic ()
 
 let wait ?timeout ctx env obj =
   let lw = Obj_model.lockword obj in

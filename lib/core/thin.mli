@@ -41,8 +41,7 @@ type config = {
       (** Contended-path engine for monitors born from inflation
           (default [Parker]; see [Fatlock.backend]).  [Hapax] admits
           contenders in FIFO arrival order through constant-time
-          ticketing; [Delegate] additionally lets {!sync} hand the
-          critical section to the current owner (flat combining). *)
+          ticketing. *)
 }
 
 val default_config : config
@@ -66,20 +65,6 @@ val events : ctx -> Tl_events.Sink.t
 
 val lock_word : Tl_heap.Obj_model.t -> int
 (** Current raw lock word (for examples and tests). *)
-
-val sync : ctx -> Tl_runtime.Runtime.env -> Tl_heap.Obj_model.t -> (unit -> unit) -> unit
-(** [sync ctx env obj f]: run [f] with [obj]'s lock held — the
-    synchronized-block shape.  Equivalent to acquire/[f]/release
-    everywhere except on a monitor with the [Delegate] fat backend,
-    where a contender that finds the monitor busy publishes [f] for
-    the owner to execute at release (flat combining) instead of
-    waiting for ownership: [f] still runs under mutual exclusion,
-    exactly once, and any exception it raises surfaces here, but the
-    calling thread may never own the monitor (so [f] must not use
-    owner-dependent operations — wait/notify — on [obj]).  Delegated
-    episodes are counted under the ["fatlock.delegated_syncs"] stats
-    extra and traced as a [Contended_begin]/[Contended_end] pair with
-    no acquisition between them. *)
 
 (** {1 Deflation (extension)}
 

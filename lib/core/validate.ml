@@ -97,11 +97,6 @@ let with_validation (scheme : Scheme_intf.packed) : Scheme_intf.packed =
     Scheme_intf.name = scheme.Scheme_intf.name ^ "+validated";
     acquire;
     release;
-    sync =
-      (fun env obj body ->
-        acquire env obj;
-        body ();
-        release env obj);
     wait;
     notify;
     notify_all;
@@ -128,11 +123,6 @@ let with_chaos ?(seed = 0xC4405) ?(yield_probability = 0.1) (scheme : Scheme_int
     Scheme_intf.name = scheme.Scheme_intf.name ^ "+chaos";
     acquire = wrap2 scheme.Scheme_intf.acquire;
     release = wrap2 scheme.Scheme_intf.release;
-    sync =
-      (fun env obj body ->
-        maybe_yield ();
-        scheme.Scheme_intf.sync env obj body;
-        maybe_yield ());
     wait =
       (fun ?timeout env obj ->
         maybe_yield ();

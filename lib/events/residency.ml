@@ -66,10 +66,8 @@ let bucket d =
     min !b (dwell_buckets - 1)
   end
 
-(* The area accumulation mirrors [Policy_lab.score_stream] exactly —
-   same operands, same operation order, applied before the kind
-   dispatch — so the online integral is bit-identical to the offline
-   one. *)
+(* The area accumulates before the kind dispatch: the interval that
+   ends at an event is weighted by the monitors live before it. *)
 let feed t (e : Event.t) =
   if t.first_seq < 0 then t.first_seq <- e.seq
   else t.area <- t.area +. (float_of_int t.live *. float_of_int (e.seq - t.last_seq));

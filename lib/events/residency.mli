@@ -1,19 +1,16 @@
 (** Online monitor-residency accounting over a lock-event stream.
 
-    [Policy_lab] scores fat residency offline, as an integral over a
-    fully drained stream; this monitor computes the same quantities
-    {e incrementally} — one [feed] per event, constant work per event
-    and constant memory per {e live} monitor — so it can run against a
-    stream as it is decoded, or against rings drained mid-run.  The
-    residency integral deliberately replicates [Policy_lab]'s
-    accumulation order operation for operation, so the online total
-    equals the offline one exactly (not approximately) on the same
-    stream.
+    One [feed] per event, constant work per event and constant memory
+    per {e live} monitor, so it can run against a stream as it is
+    decoded, or against rings drained mid-run.  It is the one place the
+    repository computes the fat-residency integral (live monitors over
+    seq ticks) and the inflation, deflation, re-inflation, aborted and
+    contended counts: [Policy_lab]'s score is a projection of
+    {!of_drained} plus the lab's own acquire counts.
 
-    Beyond the lab's numbers it tracks what the offline pass throws
-    away: the live-monitor peak, per-object contended episodes, and a
-    log2 histogram of fat dwell times (seq ticks between an object's
-    inflation and its deflation). *)
+    It also tracks the live-monitor peak, per-object contended
+    episodes, and a log2 histogram of fat dwell times (seq ticks
+    between an object's inflation and its deflation). *)
 
 type summary = {
   events : int;

@@ -45,7 +45,7 @@
     stream, its [arg] packed by {!pack_switch}, so both codecs,
     [trace-diff] and the oracle see the controller's every move.
 
-    {b Hapax/delegate composition.}  A shard is never switched {e
+    {b Hapax composition.}  A shard is never switched {e
     eager-ward} (nor explored) while any of its monitors reported a
     non-quiet admission pipeline this epoch ([Fatlock.pipeline_quiet]):
     deflating under ticketed arrivals composes badly with FIFO

@@ -2,17 +2,16 @@ open Tl_runtime
 
 exception Illegal_monitor_state of string
 
-type backend = Parker | Hapax | Delegate
+type backend = Parker | Hapax
 
-let backend_name = function Parker -> "parker" | Hapax -> "hapax" | Delegate -> "delegate"
+let backend_name = function Parker -> "parker" | Hapax -> "hapax"
 
 let backend_of_string = function
   | "parker" -> Some Parker
   | "hapax" -> Some Hapax
-  | "delegate" -> Some Delegate
   | _ -> None
 
-let all_backends = [ Parker; Hapax; Delegate ]
+let all_backends = [ Parker; Hapax ]
 
 type entry = Entry_immediate | Entry_spun | Entry_parked
 
@@ -50,11 +49,9 @@ type t = {
          carried so deflaters and event traces can name the object a
          monitor served without holding the object itself *)
   events : Tl_events.Sink.t; (* trace sink; Sink.disabled when untraced *)
-  backend : backend;
   admission : Hapax.t option;
-      (* Some for the Hapax/Delegate backends: the FIFO ticket engine
-         (and, for Delegate, the combining slots) the contended path
-         runs through instead of the entry queue *)
+      (* Some for the Hapax backend: the FIFO ticket engine the
+         contended path runs through instead of the entry queue *)
 }
 
 let create ?(backend = Parker) () =
@@ -70,8 +67,7 @@ let create ?(backend = Parker) () =
     idle_scans = 0;
     tag = 0;
     events = Tl_events.Sink.disabled;
-    backend;
-    admission = (match backend with Parker -> None | Hapax | Delegate -> Some (Hapax.create ()));
+    admission = (match backend with Parker -> None | Hapax -> Some (Hapax.create ()));
   }
 
 let create_locked ?(backend = Parker) ?(tag = 0) ?(events = Tl_events.Sink.disabled) ~owner
@@ -81,7 +77,6 @@ let create_locked ?(backend = Parker) ?(tag = 0) ?(events = Tl_events.Sink.disab
   { t with owner; count; tag; events }
 
 let tag t = t.tag
-let backend_of t = t.backend
 
 let my_index (env : Runtime.env) = env.descriptor.Tid.index
 
@@ -97,13 +92,17 @@ let remove_from_queue q w =
   Queue.clear q;
   Queue.transfer keep q
 
+(* No ticket waiting, granted or unclaimed (trivially true under
+   [Parker]).  Read under the latch by the entry and idleness checks;
+   read unlatched, as advice, by the deflation controller, which keeps a
+   shard away from eager policies while tickets are in flight. *)
+let pipeline_quiet t = match t.admission with None -> true | Some h -> Hapax.pipeline_empty h
+
 (* Can a fresh (ticketless) entrant claim the monitor?  Unowned is not
    enough under an admission backend: while the ticket pipeline is
    non-empty the next granted waiter has an exclusive right to the
    claim, and a barger here would steal it (and strand the FIFO). *)
-let fast_claimable t =
-  t.owner = 0
-  && (match t.admission with None -> true | Some h -> Hapax.pipeline_empty h)
+let fast_claimable t = t.owner = 0 && pipeline_quiet t
 
 let claim_locked t me =
   t.owner <- me;
@@ -311,20 +310,6 @@ let release_ownership_locked t =
       Spinlock.release t.latch;
       match next with None -> () | Some w -> Parker.unpark w.env.parker)
 
-(* How many combining sweeps a releasing owner runs before handing the
-   monitor on even if submitters keep arriving — bounds the combiner's
-   extra work; stragglers run via the submitter's takeover path. *)
-let drain_rounds = 4
-
-let drain_delegations t =
-  match t.admission with
-  | Some h when t.backend = Delegate && Hapax.pending_delegations h > 0 ->
-      let rec rounds k =
-        if k > 0 && Hapax.pending_delegations h > 0 && Hapax.drain h > 0 then rounds (k - 1)
-      in
-      rounds drain_rounds
-  | _ -> ()
-
 let release env t =
   let me = my_index env in
   Spinlock.acquire t.latch;
@@ -336,99 +321,7 @@ let release env t =
     t.count <- t.count - 1;
     Spinlock.release t.latch
   end
-  else if t.backend = Delegate then begin
-    (* Combine before handing off: execute critical sections published
-       while we held the monitor.  Still owner, latch dropped — the
-       closures are user code. *)
-    Spinlock.release t.latch;
-    drain_delegations t;
-    Spinlock.acquire t.latch;
-    (* Ownership cannot have moved: owner = me excludes every claim. *)
-    release_ownership_locked t
-  end
   else release_ownership_locked t
-
-(* Backoff step budget a submitter waits for a combiner before taking
-   the monitor through the admission path and running its own request
-   (the combiner of last resort — this is what closes the race where
-   the owner's final drain misses a just-published request). *)
-let delegation_wait_budget = 24
-
-let delegate_or_acquire env t f =
-  let me = my_index env in
-  Spinlock.acquire t.latch;
-  if t.retired then begin
-    Spinlock.release t.latch;
-    `Retired
-  end
-  else if fast_claimable t then begin
-    claim_locked t me;
-    Spinlock.release t.latch;
-    `Acquired Entry_immediate
-  end
-  else if t.owner = me then begin
-    t.count <- t.count + 1;
-    Spinlock.release t.latch;
-    `Acquired Entry_immediate
-  end
-  else
-    match t.admission with
-    | Some h when t.backend = Delegate -> begin
-        (* Busy monitor: publish the critical section instead of
-           waiting for it.  The pending announcement happens under the
-           latch so the deflation idle-check can never miss an
-           in-flight delegated episode. *)
-        let r = Hapax.make_request ~submitter:env.Runtime.parker f in
-        Hapax.submit_begin h;
-        t.contended_episodes <- t.contended_episodes + 1;
-        Spinlock.release t.latch;
-        if not (Hapax.try_publish h r) then begin
-          (* slot pressure: withdraw and enter the lock ourselves *)
-          Hapax.submit_cancel h;
-          match acquire_live env t with
-          | `Acquired e -> `Acquired e
-          | `Retired -> `Retired
-        end
-        else begin
-          emit_contended t me Tl_events.Event.Contended_begin;
-          let backoff = Backoff.create ~policy:Backoff.Yield ~parker:env.parker () in
-          let rec await_combiner () =
-            if
-              Backoff.bounded backoff ~budget:delegation_wait_budget (fun () ->
-                  Hapax.finished r)
-            then ()
-            else begin
-              (* Spin budget gone without a combiner reaching us.  If
-                 the monitor is genuinely free (and no ticket pending)
-                 we are the combiner of last resort — this closes the
-                 race where the owner's final drain missed our
-                 just-published request.  If it is merely busy, every
-                 future release drains, so progress is someone else's
-                 obligation: sleep instead of joining the admission
-                 queue with a ticket we don't want. *)
-              match try_acquire_live env t with
-              | `Acquired ->
-                  if not (Hapax.finished r) then ignore (Hapax.drain h : int);
-                  release env t
-              | `Busy ->
-                  if not (Hapax.finished r) then begin
-                    ignore (Parker.park_timeout env.parker ~seconds:2e-4 : bool);
-                    Backoff.reset backoff;
-                    await_combiner ()
-                  end
-              | `Retired ->
-                  (* impossible: pending_delegations > 0 blocks retire *)
-                  assert false
-            end
-          in
-          await_combiner ();
-          emit_contended t me Tl_events.Event.Contended_end;
-          Hapax.reraise r;
-          `Delegated
-        end
-      end
-    | Some h -> hapax_enter env t h
-    | None -> parker_enter env t
 
 let wait ?timeout env t =
   let me = my_index env in
@@ -520,33 +413,15 @@ let entry_queue_length t =
 let wait_set_length t = Spinlock.with_lock t.latch (fun () -> Queue.length t.wait_set)
 let holds env t = Spinlock.with_lock t.latch (fun () -> t.owner = my_index env)
 
-let pending_delegations t =
-  match t.admission with Some h -> Hapax.pending_delegations h | None -> 0
-
-(* Advisory (unlatched) view of the admission pipeline, for the
-   deflation controller: a shard must not be steered toward an eager
-   policy while any of its monitors still has ticketed arrivals or
-   announced delegations in flight — deflating under a live pipeline
-   composes badly with FIFO admission (see [fast_claimable]). *)
-let pipeline_quiet t =
-  match t.admission with
-  | None -> true
-  | Some h -> Hapax.pipeline_empty h && Hapax.pending_delegations h = 0
-
 (* Idleness for deflation: unowned, no queued entrant, no waiter, no
    notified/timed-out waiter in flight back to re-acquisition — and,
-   under an admission backend, an empty ticket pipeline and no
-   announced delegation.  A delegated episode counts from its (latched)
-   announcement until its closure has run, so the reaper can never
-   retire a monitor out from under a published critical section. *)
+   under an admission backend, an empty ticket pipeline. *)
 let idle_locked t =
   t.owner = 0
   && Queue.is_empty t.entry_queue
   && Queue.is_empty t.wait_set
   && t.in_flight = 0
-  && (match t.admission with
-     | None -> true
-     | Some h -> Hapax.pipeline_empty h && Hapax.pending_delegations h = 0)
+  && pipeline_quiet t
 
 let is_idle t = Spinlock.with_lock t.latch (fun () -> (not t.retired) && idle_locked t)
 

@@ -25,18 +25,14 @@
       queue sets the order of grants.
     - [Hapax]: value-based FIFO admission through a {!Hapax} engine —
       constant-time ticketed arrival, constant-time grant on unlock,
-      strict arrival-order admission with no barging among waiters.
-    - [Delegate]: [Hapax] admission plus flat-combining delegation:
-      {!delegate_or_acquire} lets a contender publish its critical
-      section for the current owner to execute at release instead of
-      waiting for the monitor itself. *)
+      strict arrival-order admission with no barging among waiters. *)
 
 type t
 
 exception Illegal_monitor_state of string
 (** Raised on release/wait/notify by a non-owner. *)
 
-type backend = Parker | Hapax | Delegate
+type backend = Parker | Hapax
 
 val backend_name : backend -> string
 val backend_of_string : string -> backend option
@@ -67,13 +63,11 @@ val create_locked :
     traces can name the object without holding it.  [events] (default
     [Sink.disabled]) receives [Contended_begin]/[Contended_end] events,
     [arg] = the tag, when entrants queue: begin when the entrant joins
-    the queue (or takes a ticket, or publishes a delegation), end when
-    it finally holds the monitor (or its delegated section has run).
-    An entrant turned away by retirement leaves its episode open — it
-    re-enters through a fresh monitor. *)
+    the queue (or takes a ticket), end when it finally holds the
+    monitor.  An entrant turned away by retirement leaves its episode
+    open — it re-enters through a fresh monitor. *)
 
 val tag : t -> int
-val backend_of : t -> backend
 
 val acquire : Tl_runtime.Runtime.env -> t -> unit
 (** Lock the monitor, blocking if necessary.  Re-entrant: the owner's
@@ -93,33 +87,15 @@ val acquire_live : Tl_runtime.Runtime.env -> t -> [ `Acquired of entry | `Retire
     [`Retired] if a deflater retired the monitor before or while we
     waited — the caller must re-read the object's lock word and start
     over (the deflater rewrites it right after retiring).  Under the
-    [Hapax]/[Delegate] backends a ticketed waiter can never see
-    [`Retired]: its unclaimed ticket pins the monitor. *)
+    [Hapax] backend a ticketed waiter can never see [`Retired]: its
+    unclaimed ticket pins the monitor. *)
 
 val try_acquire_live : Tl_runtime.Runtime.env -> t -> [ `Acquired | `Busy | `Retired ]
-
-val delegate_or_acquire :
-  Tl_runtime.Runtime.env ->
-  t ->
-  (unit -> unit) ->
-  [ `Delegated | `Acquired of entry | `Retired ]
-(** The [Delegate] backend's entry point: if the monitor is free (or
-    already ours) acquire it normally ([`Acquired] — the caller runs
-    the critical section itself and must release); if it is busy,
-    publish [f] as a delegation request and wait for a combiner to run
-    it ([`Delegated] — [f] has been executed exactly once, the monitor
-    was {e never} owned by the caller, and any exception [f] raised is
-    re-raised here).  A submitter that waits too long takes the
-    monitor through the admission path and combines as a last resort,
-    so [`Delegated] is bounded-wait.  On non-[Delegate] backends this
-    is exactly {!acquire_live}. *)
 
 val release : Tl_runtime.Runtime.env -> t -> unit
 (** Unlock once; on the last release wakes one queued entrant (Parker;
     a fiber entrant wakes owning the monitor) or grants the oldest
-    pending ticket (Hapax/Delegate).  Under
-    [Delegate], first executes pending delegation requests (bounded
-    rounds) while still owner.
+    pending ticket (Hapax).
     @raise Illegal_monitor_state if the caller is not the owner. *)
 
 val wait : ?timeout:float -> Tl_runtime.Runtime.env -> t -> unit
@@ -143,17 +119,13 @@ val count : t -> int
 
 val entry_queue_length : t -> int
 (** Queued entrants: entry-queue length (Parker) or pending tickets
-    (Hapax/Delegate). *)
+    (Hapax). *)
 
 val wait_set_length : t -> int
 
-val pending_delegations : t -> int
-(** Announced-but-unfinished delegation requests (0 for non-[Delegate]
-    backends). *)
-
 val pipeline_quiet : t -> bool
-(** Advisory: true when the admission pipeline is empty and no
-    delegation is announced (trivially true under [Parker]).  Racy by
+(** Advisory: true when the admission pipeline is empty (trivially
+    true under [Parker]).  Racy by
     design — the deflation controller reads it during the census walk
     to keep a shard away from eager policies while tickets are in
     flight; correctness never depends on it ({!retire_if_idle}
@@ -166,7 +138,7 @@ val is_idle : t -> bool
 (** Atomically (under the latch): not retired, unowned, empty entry
     queue, empty wait set, no notified waiter in flight back to
     re-acquisition — and, under an admission backend, an empty ticket
-    pipeline and no announced delegation.  The deflation precondition,
+    pipeline.  The deflation precondition,
     checked as one consistent snapshot rather than seven racy reads. *)
 
 (** {1 Lifecycle handshake (non-quiescent deflation)}
@@ -182,7 +154,7 @@ val is_idle : t -> bool
 val retire_if_idle : t -> bool
 (** Atomically retire the monitor if it {!is_idle}; [false] if it is
     owned, queued on, waited on, has a waiter in flight, a pending
-    ticket or delegation, or is already retired. *)
+    ticket, or is already retired. *)
 
 val is_retired : t -> bool
 

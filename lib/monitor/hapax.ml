@@ -13,17 +13,6 @@ let arrival_unit = 1 lsl field_bits
 let arrivals_of w = (w lsr field_bits) land field_mask
 let admitted_of w = w land field_mask
 
-type request = {
-  run : unit -> unit;
-  finished : bool Atomic.t;
-  submitter : Parker.t;
-      (* unparked by the combiner right after the [finished] store, so
-         a sleeping submitter learns of completion without polling *)
-  mutable trap : exn option;
-      (* written by the combiner before the [finished] store, read by
-         the submitter after observing it — published by the atomic *)
-}
-
 (* The waiters parked on one ring slot: tickets [slots] apart share a
    slot, each with its own entry, so a collision costs a list cell, not
    a yield-poll.  Immutable cells behind one atomic head: a push or a
@@ -39,8 +28,6 @@ type t = {
          time), so a plain field suffices *)
   slots : waiters Atomic.t array; (* length is a power of two *)
   spin : int; (* Backoff step budget before an OS-thread waiter parks *)
-  combine : request option Atomic.t array;
-  pending : int Atomic.t; (* announced, unfinished delegation requests *)
 }
 
 let next_pow2 n =
@@ -57,15 +44,13 @@ let next_pow2 n =
    property value-based admission buys, so grants overwhelmingly land
    mid-spin and the park/unpark syscall pair never happens.  A fiber
    waiter does not spin at all (see [await]). *)
-let create ?(slots = 1024) ?(combine_slots = 64) ?(spin = 96) () =
-  if slots < 1 || combine_slots < 1 || spin < 0 then invalid_arg "Hapax.create";
+let create ?(slots = 1024) ?(spin = 96) () =
+  if slots < 1 || spin < 0 then invalid_arg "Hapax.create";
   {
     word = Atomic.make 0;
     claimed = 0;
     slots = Array.init (next_pow2 slots) (fun _ -> Atomic.make Nil);
     spin;
-    combine = Array.init combine_slots (fun _ -> Atomic.make None);
-    pending = Atomic.make 0;
   }
 
 (* --- admission --- *)
@@ -139,48 +124,3 @@ let wake t ticket =
     | Waiter w -> if w.ticket = ticket then Parker.unpark w.parker else find w.next
   in
   find (Atomic.get (slot_for t ticket))
-
-(* --- delegation (flat combining) --- *)
-
-let make_request ~submitter f =
-  { run = f; finished = Atomic.make false; submitter; trap = None }
-let submit_begin t = Atomic.incr t.pending
-let submit_cancel t = Atomic.decr t.pending
-
-let try_publish t r =
-  let n = Array.length t.combine in
-  let rec scan i =
-    if i >= n then false
-    else
-      let slot = t.combine.(i) in
-      if Atomic.get slot = None && Atomic.compare_and_set slot None (Some r) then true
-      else scan (i + 1)
-  in
-  scan 0
-
-let finished r = Atomic.get r.finished
-let reraise r = match r.trap with Some e -> raise e | None -> ()
-
-let finish t r =
-  (try r.run () with e -> r.trap <- Some e);
-  Atomic.set r.finished true;
-  Atomic.decr t.pending;
-  Parker.unpark r.submitter
-
-let drain t =
-  let executed = ref 0 in
-  Array.iter
-    (fun slot ->
-      match Atomic.get slot with
-      | Some r ->
-          (* Pop before running: the slot frees up for the next
-             submitter while the request executes, and exactly-once
-             follows from the drainer's exclusive ownership. *)
-          Atomic.set slot None;
-          finish t r;
-          incr executed
-      | None -> ())
-    t.combine;
-  !executed
-
-let pending_delegations t = Atomic.get t.pending

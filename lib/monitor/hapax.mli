@@ -1,5 +1,4 @@
-(** Hapax-style contended-path engine: value-based FIFO admission plus
-    flat-combining delegation.
+(** Hapax-style contended-path engine: value-based FIFO admission.
 
     Modeled on Hapax Locks (Dice & Kogan; see PAPERS.md): mutual
     exclusion coordinated through {e values} packed in a single word
@@ -10,8 +9,8 @@
     no barging among waiters.
 
     This module is an {e engine}, not a complete lock: [Fatlock] embeds
-    one per monitor (backends [Hapax] and [Delegate]) and drives the
-    protocol from under its latch.  The division of labor:
+    one per monitor (backend [Hapax]) and drives the protocol from
+    under its latch.  The division of labor:
 
     - {b Packed admission word} [(arrivals | admitted)], 31 bits each.
       [arrive] (fetch-and-add, latch-held) issues tickets; [admit]
@@ -32,15 +31,6 @@
       list, so a queue deeper than the ring parks like any other.  One
       list cell per parked waiter; a waiter granted mid-spin allocates
       nothing.  A spurious or stale unpark just re-checks the word.
-    - {b Delegation} (flat combining): instead of waiting for the
-      monitor, a contender publishes its critical section as a closure
-      in a combining slot; the current owner executes pending closures
-      when it releases ([drain]).  A submitter that waits too long
-      becomes the combiner of last resort by taking the lock through
-      the admission path.  Each submitted request runs {e exactly
-      once}: only an owner drains, a drained slot is emptied before
-      execution, and [finished] is the submitter's only release
-      condition.
 
     Capacity: 31-bit fields give ~2 × 10⁹ contended arrivals per
     engine.  A fresh [Fatlock] (hence a fresh engine) is allocated on
@@ -48,14 +38,12 @@
 
 type t
 
-val create : ?slots:int -> ?combine_slots:int -> ?spin:int -> unit -> t
+val create : ?slots:int -> ?spin:int -> unit -> t
 (** [slots] (default 1024, rounded up to a power of two) is the length
     of the parked-waiter ring; waiters whose tickets collide share a
     slot's list, so the size only sets list lengths (four per slot at
-    a 4096-deep queue).  [combine_slots] (default 64) bounds
-    concurrently-published delegation requests; publication failure
-    falls back to the admission path.  [spin] (default 96) is the
-    [Backoff] step budget an OS-thread waiter burns before parking —
+    a 4096-deep queue).  [spin] (default 96) is the [Backoff] step
+    budget an OS-thread waiter burns before parking —
     long relative to the parker backend's spin-before-park because
     each step is one uncontended load of the packed word, so most
     grants land mid-spin and skip the park/unpark pair.  Fiber waiters
@@ -98,44 +86,3 @@ val pipeline_empty : t -> bool
 
 val pending_tickets : t -> int
 (** [arrivals - claimed]: queued + granted-unclaimed tickets. *)
-
-(** {1 Delegation (flat combining)} *)
-
-type request
-(** One submitted critical section: the closure, a finished flag, and
-    the exception it raised, if any. *)
-
-val make_request : submitter:Tl_runtime.Parker.t -> (unit -> unit) -> request
-(** [submitter] is unparked when a combiner finishes the request, so a
-    submitter sleeping out the wait learns of completion promptly. *)
-
-val submit_begin : t -> unit
-(** Announce a pending delegation ({e latch held} — this is what lets
-    the deflation idle-check see in-flight delegated episodes before
-    their slot publication is visible). *)
-
-val submit_cancel : t -> unit
-(** Withdraw an announced delegation whose publication failed (slot
-    pressure); the submitter falls back to the admission path. *)
-
-val try_publish : t -> request -> bool
-(** Publish into a free combining slot; [false] if all slots are
-    taken ([submit_cancel] and fall back). *)
-
-val finished : request -> bool
-(** Has a combiner executed the request?  The submitter's only release
-    condition. *)
-
-val reraise : request -> unit
-(** Re-raise the exception the delegated closure raised on the
-    combiner, if any (the combiner itself is shielded). *)
-
-val drain : t -> int
-(** Execute every published request, in slot order; returns how many
-    ran.  {b Owner only} — exclusive ownership is what makes the
-    pop-then-run sequence exactly-once.  Runs user closures: call
-    without the latch. *)
-
-val pending_delegations : t -> int
-(** Announced-but-unfinished requests.  Non-zero pins the monitor
-    against deflation. *)

@@ -6,10 +6,10 @@
    (an admission window — completions return their slot and unpark the
    generator), optionally pacing admissions as a Poisson process.
    Each worker fiber picks objects by Zipf popularity, runs a critical
-   section through the scheme's [sync], optionally burning work and
-   {e yielding while holding} inside it — parking contenders on the
-   inflated monitor and exercising cross-suspension lock handoff — and
-   then thinks.
+   section between the scheme's acquire and release, optionally burning
+   work and {e yielding while holding} inside it — parking contenders on
+   the inflated monitor and exercising cross-suspension lock handoff —
+   and then thinks.
 
    Every acquire is individually timed into a preallocated flat array
    (one fetch-and-add per op), so the run reports not just throughput
@@ -159,15 +159,14 @@ let run ?(trace = true) ?(oracle = true) config =
           for _ = 1 to config.ops_per_fiber do
             let o = objs.(sample_cdf cdf (Tl_util.Prng.float prng 1.0)) in
             if config.think_work > 0 then Replay.spin_work config.think_work;
-            (* One timed lock episode: the sample covers entry, until the
-               critical section starts running — on this fiber once it
-               holds the monitor, or on whichever fiber combines it under
-               a delegating backend. *)
+            (* One timed lock episode: the sample covers entry, until
+               this fiber holds the monitor. *)
             let t0 = Tl_util.Timer.now_ns () in
-            scheme.sync env o (fun () ->
-                record_latency t0;
-                if config.critical_work > 0 then Replay.spin_work config.critical_work;
-                if config.yield_in_cs then Scheduler.yield ())
+            scheme.acquire env o;
+            record_latency t0;
+            if config.critical_work > 0 then Replay.spin_work config.critical_work;
+            if config.yield_in_cs then Scheduler.yield ();
+            scheme.release env o
           done;
           Atomic.incr completed;
           (* return the admission slot and wake the generator *)

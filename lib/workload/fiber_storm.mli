@@ -13,9 +13,10 @@
     spawner takes the oracle-visible overflow path
     ([Event.Tid_overflow] on the system stream) instead of failing.
 
-    The lock is any registry entry: episodes run through its [sync],
-    and traced runs verify with its own oracle call, which orders each
-    object's events by the ordinals their holders stamped. *)
+    The lock is any registry entry: each episode is its acquire, the
+    body, then its release, and traced runs verify with its own oracle
+    call, which orders each object's events by the ordinals their
+    holders stamped. *)
 
 type config = {
   fibers : int;  (** total fibers over the whole run *)
@@ -49,9 +50,7 @@ type result = {
       (** acquire latency percentiles, microseconds, sampled on the
           monotonic ns clock — sub-µs fast-path acquires resolve
           instead of flooring to 0, so p50 orders strictly below the
-          parked tail.  Delegated episodes time until the critical
-          section {e starts executing} (on whichever fiber combines
-          it), the delegation analogue of acquisition. *)
+          parked tail. *)
   p99_us : float;
   p999_us : float;
   max_us : float;

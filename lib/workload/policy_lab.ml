@@ -23,6 +23,7 @@ module Reaper = Tl_lifecycle.Reaper
 module Controller = Tl_lifecycle.Controller
 module Sink = Tl_events.Sink
 module Event = Tl_events.Event
+module Residency = Tl_events.Residency
 module T = Tl_util.Tablefmt
 
 (* How the reaper is driven: a fixed policy, or the self-tuning
@@ -152,61 +153,40 @@ type score = {
    the thin fast path, and deflations that had to be undone. *)
 let lab_score s = (100.0 *. (1.0 -. s.fast_ratio)) +. s.thrash
 
+(* The lab's own pass counts acquires and their thin fast-path share;
+   everything about monitors comes from the residency summary. *)
 let score_stream ~label (d : Sink.drained) =
   let acquires = ref 0 and fast = ref 0 in
-  let inflations = ref 0 and deflations = ref 0 and aborted = ref 0 in
-  let reinflations = ref 0 and contended = ref 0 in
-  let deflated_once = Hashtbl.create 64 in
-  let live = ref 0 in
-  let area = ref 0.0 in
-  let last_seq = ref None in
   Array.iter
     (fun (e : Event.t) ->
-      (match !last_seq with
-      | Some prev -> area := !area +. (float_of_int !live *. float_of_int (e.Event.seq - prev))
-      | None -> ());
-      last_seq := Some e.Event.seq;
       match e.Event.kind with
       | Event.Acquire_fast | Event.Acquire_nested ->
           incr acquires;
           incr fast
       | Event.Acquire_fat | Event.Acquire_fat_queued -> incr acquires
       | Event.Inflate_contention | Event.Inflate_wait | Event.Inflate_overflow
-      | Event.Cjm_monitor_create ->
-          incr inflations;
-          incr live;
-          if Hashtbl.mem deflated_once e.Event.arg then incr reinflations
-      | Event.Deflate_quiescent | Event.Deflate_concurrent
-      | Event.Cjm_monitor_evaporate ->
-          incr deflations;
-          decr live;
-          Hashtbl.replace deflated_once e.Event.arg ()
-      | Event.Deflate_aborted -> incr aborted
-      | Event.Contended_begin -> incr contended
+      | Event.Cjm_monitor_create | Event.Deflate_quiescent | Event.Deflate_concurrent
+      | Event.Cjm_monitor_evaporate | Event.Deflate_aborted | Event.Contended_begin
       | Event.Release_fast | Event.Release_nested | Event.Release_fat
       | Event.Contended_end | Event.Wait_op | Event.Notify_op
       | Event.Notify_all_op | Event.Reaper_scan | Event.Quiescence
       | Event.Tid_overflow | Event.Policy_switch ->
           ())
     d.Sink.events;
-  let span =
-    match (Array.length d.Sink.events, !last_seq) with
-    | 0, _ | _, None -> 0
-    | _, Some last -> last - d.Sink.events.(0).Event.seq
-  in
+  let r = Residency.of_drained d in
   {
     policy = label;
     acquires = !acquires;
     fast_ratio = (if !acquires = 0 then 1.0 else float_of_int !fast /. float_of_int !acquires);
-    inflations = !inflations;
-    deflations = !deflations;
-    aborted = !aborted;
-    reinflations = !reinflations;
-    contended = !contended;
+    inflations = r.Residency.inflations;
+    deflations = r.deflations;
+    aborted = r.aborted;
+    reinflations = r.reinflations;
+    contended = r.contended_episodes;
     thrash =
       (if !acquires = 0 then 0.0
-       else 1000.0 *. float_of_int !reinflations /. float_of_int !acquires);
-    fat_residency = (if span = 0 then 0.0 else !area /. float_of_int span);
+       else 1000.0 *. float_of_int r.reinflations /. float_of_int !acquires);
+    fat_residency = r.fat_residency;
     dropped = List.fold_left (fun acc (_, n) -> acc + n) 0 d.Sink.dropped;
   }
 

@@ -149,7 +149,7 @@ let test_wait_restores_nested_count () =
       done;
       check_int "balanced" 0 (Fatlock.owner fat))
 
-(* --- hapax admission + delegation --- *)
+(* --- hapax admission --- *)
 
 module Hapax = Tl_monitor.Hapax
 
@@ -211,49 +211,6 @@ let prop_hapax_fifo_admission =
       Atomic.get acquisitions = 2 * ops
       && Hapax.pipeline_empty h
       && List.for_all2 ( = ) grants (List.init n Fun.id))
-
-let test_delegation_conservation () =
-  (* Every submitted critical section runs exactly once, whether the
-     submitter combined it into a holder's drain or fell back to
-     acquiring and running it itself.  The counter is a plain ref:
-     mutual exclusion (combiner or owner, never both) is what keeps the
-     final count exact. *)
-  with_env (fun runtime _env ->
-      let fat = Fatlock.create ~backend:Fatlock.Delegate () in
-      let counter = ref 0 in
-      let workers = 4 and ops = 200 in
-      let handles =
-        List.init workers (fun i ->
-            Runtime.spawn ~name:(Printf.sprintf "d%d" i) runtime (fun env' ->
-                for _ = 1 to ops do
-                  let f () = incr counter in
-                  match Fatlock.delegate_or_acquire env' fat f with
-                  | `Delegated -> ()
-                  | `Acquired _ ->
-                      f ();
-                      Fatlock.release env' fat
-                  | `Retired -> Alcotest.fail "retired without a deflater"
-                done))
-      in
-      List.iter Runtime.join handles;
-      check_int "each submission ran exactly once" (workers * ops) !counter;
-      check_int "no pending delegations" 0 (Fatlock.pending_delegations fat);
-      check "engine drained idle" true (Fatlock.is_idle fat))
-
-let test_delegation_propagates_exception () =
-  with_env (fun _ env ->
-      let fat = Fatlock.create ~backend:Fatlock.Delegate () in
-      match Fatlock.delegate_or_acquire env fat (fun () -> failwith "boom") with
-      | `Delegated -> Alcotest.fail "uncontended submit must acquire"
-      | `Acquired _ ->
-          (* uncontended: the caller runs f itself — exceptions surface
-             at the call site and the lock still releases *)
-          (match (fun () -> failwith "boom") () with
-          | () -> Alcotest.fail "must raise"
-          | exception Failure _ -> ());
-          Fatlock.release env fat;
-          check_int "released" 0 (Fatlock.owner fat)
-      | `Retired -> Alcotest.fail "retired without a deflater")
 
 let test_backend_names_round_trip () =
   List.iter
@@ -577,10 +534,6 @@ let () =
       ( "hapax admission",
         [
           QCheck_alcotest.to_alcotest prop_hapax_fifo_admission;
-          Alcotest.test_case "delegation conserves critical sections" `Slow
-            test_delegation_conservation;
-          Alcotest.test_case "uncontended delegate acquires" `Quick
-            test_delegation_propagates_exception;
           Alcotest.test_case "backend names round trip" `Quick
             test_backend_names_round_trip;
         ] );

@@ -19,15 +19,18 @@ let hist = Alcotest.(list (pair int int))
 let depth_of j = 1 + (j mod 4)
 
 (* [rounds] episodes on [obj], episode j nested [depth_of j] deep. *)
-let nested_rounds ctx env obj ~rounds =
+let rounds_with ~acquire ~release obj ~rounds =
   for j = 0 to rounds - 1 do
     for _ = 1 to depth_of j do
-      Thin.acquire ctx env obj
+      acquire obj
     done;
     for _ = 1 to depth_of j do
-      Thin.release ctx env obj
+      release obj
     done
   done
+
+let nested_rounds ctx env obj ~rounds =
+  rounds_with ~acquire:(Thin.acquire ctx env) ~release:(Thin.release ctx env) obj ~rounds
 
 (* The depth histogram [sequences] calls of [nested_rounds] produce: an
    episode of depth k adds one acquire at each depth 1..k. *)
@@ -53,23 +56,30 @@ let barrier n =
 
 (* (a) Each domain hammers its own objects (no contention, so the thin
    fast paths are the only categories), then one snapshot after the
-   join must equal the counts to the unit. *)
+   join must equal the counts to the unit.  The same episodes replayed
+   under the schemes with no thin path (fat, jdk111, ibm112) book every
+   acquire, nested ones included, as a fat-monitor acquire: their
+   [fast_ratio] is 0, not the 100% a thin-shaped booking would give. *)
 let test_hammer domains () =
-  let runtime = Runtime.create () in
-  let ctx = Thin.create runtime in
-  let heap = Heap.create () in
   let objs_per_domain = 3 and rounds = 4_000 in
-  let objs = Heap.alloc_many heap (domains * objs_per_domain) in
-  let all_started = barrier domains in
-  Runtime.run_parallel ~backend:Runtime.Domain_backend runtime domains (fun i env ->
-      all_started ();
-      for k = 0 to objs_per_domain - 1 do
-        nested_rounds ctx env objs.((i * objs_per_domain) + k) ~rounds
-      done);
-  let s = Lock_stats.snapshot (Thin.stats ctx) in
+  let hammer name =
+    let runtime = Runtime.create () in
+    let scheme = Tl_baselines.Registry.find_exn name runtime in
+    let objs = Heap.alloc_many (Heap.create ()) (domains * objs_per_domain) in
+    let all_started = barrier domains in
+    Runtime.run_parallel ~backend:Runtime.Domain_backend runtime domains (fun i env ->
+        all_started ();
+        for k = 0 to objs_per_domain - 1 do
+          rounds_with ~acquire:(scheme.acquire env) ~release:(scheme.release env)
+            objs.((i * objs_per_domain) + k) ~rounds
+        done);
+    check_int (name ^ ": one block per worker") domains (scheme.stats_blocks ());
+    scheme.stats ()
+  in
   let sequences = domains * objs_per_domain in
   let episodes = sequences * rounds in
   let acquires = List.fold_left (fun a (_, c) -> a + c) 0 (expected_hist ~sequences ~rounds) in
+  let s = hammer "thin" in
   check_int "unlocked acquires: one per episode" episodes s.Lock_stats.acquires_unlocked;
   check_int "nested acquires: the rest" (acquires - episodes) s.Lock_stats.acquires_nested;
   check_int "no fat acquires" 0 (s.Lock_stats.acquires_fat_fast + s.Lock_stats.acquires_fat_queued);
@@ -78,7 +88,21 @@ let test_hammer domains () =
   check_int "no inflations" 0 (Lock_stats.total_inflations s);
   check_int "objects synchronized" sequences s.Lock_stats.objects_synchronized;
   Alcotest.check hist "depth histogram" (expected_hist ~sequences ~rounds) s.Lock_stats.depth_hist;
-  check_int "one block per worker" domains (Lock_stats.block_count (Thin.stats ctx))
+  Alcotest.(check (float 0.0)) "thin fast ratio" 1.0 (Tl_workload.Parallel_replay.fast_ratio s);
+  List.iter
+    (fun name ->
+      let s = hammer name in
+      check_int (name ^ ": no unlocked acquires") 0 s.Lock_stats.acquires_unlocked;
+      check_int (name ^ ": no nested acquires") 0 s.Lock_stats.acquires_nested;
+      check_int (name ^ ": every acquire through the monitor") acquires
+        (s.Lock_stats.acquires_fat_fast + s.Lock_stats.acquires_fat_queued);
+      check_int (name ^ ": every release through the monitor") acquires s.Lock_stats.releases_fat;
+      check_int (name ^ ": objects synchronized") sequences s.Lock_stats.objects_synchronized;
+      Alcotest.check hist (name ^ ": depth histogram") (expected_hist ~sequences ~rounds)
+        s.Lock_stats.depth_hist;
+      Alcotest.(check (float 0.0)) (name ^ ": fast ratio") 0.0
+        (Tl_workload.Parallel_replay.fast_ratio s))
+    [ "fat"; "jdk111"; "ibm112" ]
 
 (* (b) Fibers in waves of [window] on two carrier domains: each wave
    leases indices the previous one released, so far fewer blocks than

@@ -96,7 +96,7 @@ assert oh["violations"] == 0, "oracle flagged a clean replay stream"
 for key in ("verify_ns_per_event", "residency_ns_per_event"):
     assert oh[key] >= 0.0, key
 fairness = d["scenarios"]["fat_backend"]["fairness"]
-assert {r["backend"] for r in fairness} == {"parker", "hapax", "delegate"}, \
+assert {r["backend"] for r in fairness} == {"parker", "hapax"}, \
     "fairness table incomplete"
 for r in fairness:
     assert r["grants"] > 0 and r["adjacent_inversions"] >= 0
@@ -219,19 +219,29 @@ storm_gate() {
 }
 
 # Run one parallel replay (the arguments follow `replay-par`) and gate
-# its summary: positive ops/sec and a fast ratio within [0, 100]%.  The
-# CLI itself exits 1 on an unclean --oracle verdict.
+# its summary: positive ops/sec and a fast ratio within [0, 100]%.  A
+# leading `--want-fast R` also requires the printed ratio to read R%.
+# The CLI itself exits 1 on an unclean --oracle verdict.
 replay_par_gate() {
+  want=
+  if [ "$1" = "--want-fast" ]; then
+    want=$2
+    shift 2
+  fi
   if ! out=$(dune exec bin/thinlocks.exe -- replay-par "$@"); then
     echo "$out"
     exit 1
   fi
-  if ! echo "$out" | awk '
+  if ! echo "$out" | awk -v want="$want" '
     { for (i = 2; i <= NF; i++) if ($i == "ops/sec") ops = $(i - 1) + 0 }
-    $1 == "fast" && $2 == "ratio:" { fast = $3 + 0; seen = 1 }
+    $1 == "fast" && $2 == "ratio:" { fast = $3 + 0; printed = $3; seen = 1 }
     END {
       if (!(ops > 0) || !seen || fast < 0 || fast > 100) {
         print "FAIL: replay-par needs ops/sec > 0 and a fast ratio in [0, 100]%" > "/dev/stderr"
+        exit 1
+      }
+      if (want != "" && printed != want "%") {
+        print "FAIL: replay-par fast ratio " printed ", want " want "%" > "/dev/stderr"
         exit 1
       }
       printf "  %.0f ops/sec, fast ratio %.1f%%\n", ops, fast
@@ -285,8 +295,8 @@ echo "== parallel replay smoke (2 domains, shuffle, must contend)"
 replay_par_gate -b javacup --domains 2 --shuffle \
   --interleave --max-syncs 8000 --expect-contention
 
-echo "== parallel replay under forced-fat locking (thin, fat and cjm all race it)"
-replay_par_gate -b javacup --scheme fat --domains 2 --max-syncs 8000
+echo "== parallel replay under forced-fat locking (no thin path: fast ratio 0.0%)"
+replay_par_gate --want-fast 0.0 -b javacup --scheme fat --domains 2 --max-syncs 8000
 
 echo "== trace-diff: identical replays produce identical streams"
 tmpdir=$(mktemp -d)
@@ -342,9 +352,6 @@ for domains in 1 2 4; do
     --fat-backend hapax --shuffle --interleave --max-syncs 6000 --oracle
   echo "  hapax oracle clean at $domains domain(s), both decompositions"
 done
-replay_par_gate -b javacup --domains 2 --fat-backend delegate \
-  --shuffle --interleave --max-syncs 6000 --oracle
-echo "  delegate oracle clean at 2 domains (shuffle)"
 
 echo "== controlled reaper: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
@@ -360,7 +367,7 @@ echo "== fiber storm on the hapax backend (100k fibers, window 4096, oracle must
 storm_gate --fibers 100000 --domains 1 --fat-backend hapax
 
 echo "== fiber storm per fat backend (10k fibers, 2 domains, window 512, oracle must be clean)"
-for backend in parker hapax delegate; do
+for backend in parker hapax; do
   storm_gate --fibers 10000 --domains 2 --in-flight 512 --fat-backend "$backend"
 done
 
