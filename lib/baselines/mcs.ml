@@ -132,13 +132,16 @@ let unlock_mon env mon =
     mcs_unlock env mon node
   end
 
+(* MCS has no thin path: every entry, the uncontended swap and a nested
+   re-entry included, is booked as a monitor acquire, queued only when
+   it had to wait for a predecessor. *)
 let acquire ctx env obj =
   let mon = monitor_of ctx obj in
+  let tid = my_index env in
   match lock_mon env mon with
-  | `Fast -> Lock_stats.record_acquire_unlocked ctx.stats ~tid:(my_index env) obj
-  | `Nested depth -> Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env) ~depth
-  | `Contended ->
-      Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:true ~depth:1
+  | `Fast -> Lock_stats.record_acquire_fat ctx.stats ~tid obj ~queued:false ~depth:1
+  | `Nested depth -> Lock_stats.record_acquire_fat ctx.stats ~tid obj ~queued:false ~depth
+  | `Contended -> Lock_stats.record_acquire_fat ctx.stats ~tid obj ~queued:true ~depth:1
 
 let release ctx env obj =
   unlock_mon env (monitor_of ctx obj);

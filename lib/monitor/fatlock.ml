@@ -6,11 +6,6 @@ type backend = Parker | Hapax
 
 let backend_name = function Parker -> "parker" | Hapax -> "hapax"
 
-let backend_of_string = function
-  | "parker" -> Some Parker
-  | "hapax" -> Some Hapax
-  | _ -> None
-
 let all_backends = [ Parker; Hapax ]
 
 type entry = Entry_immediate | Entry_spun | Entry_parked

@@ -35,7 +35,6 @@ exception Illegal_monitor_state of string
 type backend = Parker | Hapax
 
 val backend_name : backend -> string
-val backend_of_string : string -> backend option
 val all_backends : backend list
 
 type entry = Entry_immediate | Entry_spun | Entry_parked

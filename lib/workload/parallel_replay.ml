@@ -11,45 +11,78 @@ type backend = Os_domains | Fibers
 
 let backend_name = function Os_domains -> "domains" | Fibers -> "fibers"
 
-type run = { obj : int; ops : int array }
+type lane = { obj : int; first_run : int; end_run : int; mutable cursor : int }
 
-type lane = { lane_obj : int; runs : run array; mutable next_run : int }
+type decomposition = { lane_ops : int array; run_start : int array; all_lanes : lane array }
 
-(* Cut the trace into per-object balanced runs.  One pass; per-object
-   accumulators hold the current run (reversed) and its depth. *)
+(* A counting sort of the trace by object.  The dense per-object arrays
+   rely on every op naming an object below [pool_size], which generated
+   traces meet by construction and loaded ones by Trace_io's range
+   check. *)
 let decompose (trace : Tracegen.t) =
-  let order = ref [] in
-  (* obj -> (current run ops, reversed; depth; finished runs, reversed) *)
-  let state : (int, int list ref * int ref * run list ref) Hashtbl.t = Hashtbl.create 64 in
-  let state_of obj =
-    match Hashtbl.find_opt state obj with
-    | Some s -> s
-    | None ->
-        let s = (ref [], ref 0, ref []) in
-        Hashtbl.add state obj s;
-        order := obj :: !order;
-        s
+  let ops = trace.Tracegen.ops in
+  let n = Array.length ops in
+  let pool = trace.Tracegen.pool_size in
+  (* Pass 1: number the lanes in first-touch order, size each lane, and
+     count the runs — every return of an object's depth to 0 closes
+     one, and a lane left unbalanced gets one final tail run. *)
+  let lane_of = Array.make pool (-1) in
+  let obj_of = Array.make pool 0 in
+  let size = Array.make pool 0 in
+  let depth = Array.make pool 0 in
+  let lanes = ref 0 and runs = ref 0 in
+  for i = 0 to n - 1 do
+    let op = ops.(i) in
+    let obj = abs op - 1 in
+    let l =
+      match lane_of.(obj) with
+      | -1 ->
+          let l = !lanes in
+          lane_of.(obj) <- l;
+          obj_of.(l) <- obj;
+          incr lanes;
+          l
+      | l -> l
+    in
+    size.(l) <- size.(l) + 1;
+    let d = depth.(l) + if op > 0 then 1 else -1 in
+    depth.(l) <- d;
+    if d = 0 then incr runs
+  done;
+  let lanes = !lanes in
+  for l = 0 to lanes - 1 do
+    if depth.(l) <> 0 then incr runs
+  done;
+  (* Prefix sum: lane [l]'s segment is [start.(l), start.(l + 1)). *)
+  let start = Array.make (lanes + 1) 0 in
+  for l = 0 to lanes - 1 do
+    start.(l + 1) <- start.(l) + size.(l)
+  done;
+  (* Pass 2: scatter every op to the next free slot of its lane. *)
+  let fill = Array.sub start 0 lanes in
+  let lane_ops = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let op = ops.(i) in
+    let l = lane_of.(abs op - 1) in
+    lane_ops.(fill.(l)) <- op;
+    fill.(l) <- fill.(l) + 1
+  done;
+  (* Walk each segment: a run opens wherever the depth stands at 0. *)
+  let run_start = Array.make (!runs + 1) n in
+  let r = ref 0 in
+  let all_lanes =
+    Array.init lanes (fun l ->
+        let first_run = !r and d = ref 0 in
+        for k = start.(l) to start.(l + 1) - 1 do
+          if !d = 0 then begin
+            run_start.(!r) <- k;
+            incr r
+          end;
+          d := !d + if lane_ops.(k) > 0 then 1 else -1
+        done;
+        { obj = obj_of.(l); first_run; end_run = !r; cursor = first_run })
   in
-  Array.iter
-    (fun op ->
-      let obj = abs op - 1 in
-      let cur, depth, runs = state_of obj in
-      cur := op :: !cur;
-      depth := !depth + (if op > 0 then 1 else -1);
-      if !depth = 0 then begin
-        runs := { obj; ops = Array.of_list (List.rev !cur) } :: !runs;
-        cur := []
-      end)
-    trace.Tracegen.ops;
-  List.rev_map
-    (fun obj ->
-      let cur, _, runs = Hashtbl.find state obj in
-      (* Unbalanced tail: ship it as a final (unbalanced) run so every
-         op of the trace is still executed exactly once. *)
-      if !cur <> [] then runs := { obj; ops = Array.of_list (List.rev !cur) } :: !runs;
-      { lane_obj = obj; runs = Array.of_list (List.rev !runs); next_run = 0 })
-    !order
-  |> Array.of_list
+  { lane_ops; run_start; all_lanes }
 
 type config = {
   domains : int;
@@ -107,38 +140,26 @@ let fast_ratio (s : Lock_stats.snapshot) =
    Shuffle: the item is a single run wrapped as a one-run lane, dealt
    round-robin in trace order — consecutive episodes of a hot object
    land on different domains, which is what manufactures contention. *)
-let assignments ~config lanes =
+let deal ~config deques lanes =
   match config.mode with
-  | Affinity ->
-      let shards = Array.make config.domains [] in
-      (* Walk backwards so each shard list comes out in lane order. *)
-      for l = Array.length lanes - 1 downto 0 do
-        let d = lanes.(l).lane_obj mod config.domains in
-        shards.(d) <- lanes.(l) :: shards.(d)
-      done;
-      shards
+  | Affinity -> Array.iter (fun l -> Ws_deque.push deques.(l.obj mod config.domains) l) lanes
   | Shuffle ->
-      let shards = Array.make config.domains [] in
       let i = ref 0 in
       Array.iter
-        (fun (lane : lane) ->
-          Array.iter
-            (fun r ->
-              let d = !i mod config.domains in
-              incr i;
-              shards.(d) <- { lane_obj = r.obj; runs = [| r |]; next_run = 0 } :: shards.(d))
-            lane.runs)
-        lanes;
-      Array.map List.rev shards
+        (fun l ->
+          for r = l.first_run to l.end_run - 1 do
+            Ws_deque.push deques.(!i mod config.domains)
+              { l with first_run = r; end_run = r + 1; cursor = r };
+            incr i
+          done)
+        lanes
 
 let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.packed)
     ~runtime (trace : Tracegen.t) =
   if config.domains < 1 then invalid_arg "Parallel_replay.run: domains";
   if config.slice_runs < 1 then invalid_arg "Parallel_replay.run: slice_runs";
-  let lanes = decompose trace in
-  let total_runs =
-    Array.fold_left (fun acc (l : lane) -> acc + Array.length l.runs) 0 lanes
-  in
+  let { lane_ops; run_start; all_lanes = lanes } = decompose trace in
+  let total_runs = Array.length run_start - 1 in
   (* Affinity mode gives each domain the objects [obj mod domains];
      allocating them shard by shard keeps one domain's lock words off
      the cache lines another domain's CASes write. *)
@@ -146,12 +167,11 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
     let shards = match config.mode with Affinity -> config.domains | Shuffle -> 1 in
     Tl_heap.Heap.alloc_many ~shards (Tl_heap.Heap.create ()) trace.Tracegen.pool_size
   in
-  let shards = assignments ~config lanes in
   (* In shuffle mode every run is its own item, so the deques must be
      able to hold (in the worst stealing pattern) every item at once. *)
   let item_count = max 1 total_runs in
   let deques = Array.init config.domains (fun _ -> Ws_deque.create ~capacity:item_count) in
-  Array.iteri (fun d items -> List.iter (Ws_deque.push deques.(d)) items) shards;
+  deal ~config deques lanes;
   let remaining = Atomic.make total_runs in
   let dummy_tally =
     {
@@ -182,12 +202,12 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
     and lanes_started = ref 0
     and steals = ref 0 in
     let since_tick = ref 0 in
-    let exec_run (r : run) =
+    (* A slice's runs are one contiguous stretch of [lane_ops]. *)
+    let exec_ops lo hi =
       (* Allocation-free on purpose: every minor collection stops all
          domains at once. *)
-      let ops = r.ops in
-      for k = 0 to Array.length ops - 1 do
-        let op = ops.(k) in
+      for k = lo to hi - 1 do
+        let op = lane_ops.(k) in
         if op > 0 then begin
           scheme.Scheme_intf.acquire env pool.(op - 1);
           incr acquires
@@ -212,15 +232,13 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
       incr lanes_started;
       (* The cursor is written once per slice: lanes of different
          domains can share a cache line. *)
-      let first = lane.next_run in
-      let budget = min config.slice_runs (Array.length lane.runs - first) in
-      for k = first to first + budget - 1 do
-        exec_run lane.runs.(k)
-      done;
-      lane.next_run <- first + budget;
-      runs_executed := !runs_executed + budget;
-      ignore (Atomic.fetch_and_add remaining (-budget));
-      if lane.next_run < Array.length lane.runs then Ws_deque.push dq lane
+      let first = lane.cursor in
+      let last = min lane.end_run (first + config.slice_runs) in
+      exec_ops run_start.(first) run_start.(last);
+      lane.cursor <- last;
+      runs_executed := !runs_executed + (last - first);
+      ignore (Atomic.fetch_and_add remaining (first - last));
+      if last < lane.end_run then Ws_deque.push dq lane
     in
     (* Through the env parker: a fiber carrier yields where an OS
        domain would sleep. *)

@@ -13,7 +13,11 @@
     trace order, form that object's {e lane}.  The lane is the
     scheduling unit: whoever holds a lane executes its runs in order,
     so per-object program order — and hence the per-object acquire
-    order — is preserved no matter how lanes migrate.
+    order — is preserved no matter how lanes migrate.  The cut is a
+    counting sort by object: the trace's ops are regrouped into one
+    lane-ordered array in which each lane is a contiguous segment (lanes
+    in first-touch order) and each run a contiguous slice of its lane's
+    segment, so a worker executing a lane scans memory in order.
 
     {b Affinity mode.}  Lanes are sharded to domains by object id
     ([obj mod domains]).  Each domain works its own shard LIFO from a
@@ -59,22 +63,33 @@ type backend = Os_domains | Fibers
 
 val backend_name : backend -> string
 
-type run = { obj : int;  (** 0-based pool index *) ops : int array }
-(** One balanced slice of a single object's operations (same [+n]/[-n]
-    encoding as {!Tracegen.t.ops}). *)
-
-type lane = { lane_obj : int; runs : run array; mutable next_run : int }
-(** An object's runs in program order.  [next_run] is the cursor; it is
+type lane = { obj : int; first_run : int; end_run : int; mutable cursor : int }
+(** An object's runs in program order: runs [first_run] to
+    [end_run - 1] of a {!decomposition}, all of them on object [obj]
+    (0-based pool index).  [cursor] is the next run to execute; it is
     only ever touched by the lane's current executor, and lanes change
     hands only through the deque (whose atomics provide the
     happens-before edge). *)
 
-val decompose : Tracegen.t -> lane array
+type decomposition = {
+  lane_ops : int array;
+      (** the trace's ops (same [+n]/[-n] encoding as
+          {!Tracegen.t.ops}), grouped lane by lane *)
+  run_start : int array;
+      (** run [r] is [lane_ops.(run_start.(r))] to
+          [lane_ops.(run_start.(r + 1) - 1)]; one entry per run plus a
+          final [Array.length lane_ops] *)
+  all_lanes : lane array;  (** in first-touch order *)
+}
+
+val decompose : Tracegen.t -> decomposition
 (** Cut a trace into per-object lanes, objects in first-touch order.
-    Total ops across all lanes equal the trace's ops; runs concatenate
-    to each object's subsequence of the trace.  An unbalanced tail
-    (impossible for generated or validated traces) becomes a final
-    unbalanced run rather than an error. *)
+    Every op of the trace appears once in [lane_ops]; a lane's runs
+    concatenate to its object's subsequence of the trace.  An
+    unbalanced tail (impossible for generated or validated traces)
+    becomes a final unbalanced run rather than an error.  Every op must
+    name an object below the trace's [pool_size] (generated traces do;
+    {!Trace_io} rejects loaded ones that do not). *)
 
 type config = {
   domains : int;  (** worker domains to spawn (>= 1) *)

@@ -24,7 +24,10 @@ let generate ?(seed = 1998) ?(max_syncs = 100_000) (profile : Profiles.t) =
   in
   let hot_size = max 1 (min profile.Profiles.working_set pool_size) in
   let weights = episode_weights profile.Profiles.depth_fractions in
-  let ops = ref [] in
+  (* Every acquire gets its release, so the trace is exactly twice the
+     acquires long; an episode of [nesting] fills [nesting] acquires
+     then [nesting] releases at offset [2 * emitted]. *)
+  let ops = Array.make (2 * target_acquires) 0 in
   let emitted = ref 0 in
   while !emitted < target_acquires do
     let obj =
@@ -33,15 +36,12 @@ let generate ?(seed = 1998) ?(max_syncs = 100_000) (profile : Profiles.t) =
     in
     let nesting = 1 + Tl_util.Prng.categorical prng weights in
     let nesting = min nesting (target_acquires - !emitted) in
-    for _ = 1 to nesting do
-      ops := (obj + 1) :: !ops
-    done;
-    for _ = 1 to nesting do
-      ops := -(obj + 1) :: !ops
-    done;
+    let at = 2 * !emitted in
+    Array.fill ops at nesting (obj + 1);
+    Array.fill ops (at + nesting) nesting (-(obj + 1));
     emitted := !emitted + nesting
   done;
-  { profile; pool_size; ops = Array.of_list (List.rev !ops) }
+  { profile; pool_size; ops }
 
 let acquire_count t = Array.fold_left (fun acc op -> if op > 0 then acc + 1 else acc) 0 t.ops
 

@@ -140,44 +140,84 @@ let profile_arb =
     (QCheck.Gen.oneofl Profiles.all)
     ~print:(fun (p : Profiles.t) -> p.Profiles.name)
 
+let run_ops (d : Parallel_replay.decomposition) r =
+  Array.sub d.lane_ops d.run_start.(r) (d.run_start.(r + 1) - d.run_start.(r))
+
+let lane_runs (l : Parallel_replay.lane) = List.init (l.end_run - l.first_run) (( + ) l.first_run)
+
 let prop_decompose_preserves_trace =
   QCheck.Test.make ~name:"decompose preserves per-object subsequences" ~count:18 profile_arb
     (fun p ->
       let trace = Tracegen.generate ~max_syncs:4_000 p in
-      let lanes = Parallel_replay.decompose trace in
+      let d = Parallel_replay.decompose trace in
       let total =
         Array.fold_left
           (fun acc (l : Parallel_replay.lane) ->
-            Array.fold_left (fun a (r : Parallel_replay.run) -> a + Array.length r.ops) acc
-              l.runs)
-          0 lanes
+            List.fold_left (fun a r -> a + Array.length (run_ops d r)) acc (lane_runs l))
+          0 d.all_lanes
       in
       total = Array.length trace.Tracegen.ops
       && Array.for_all
            (fun (l : Parallel_replay.lane) ->
              (* concatenated runs = the object's subsequence of the trace *)
              let concat =
-               Array.to_list l.runs
-               |> List.concat_map (fun (r : Parallel_replay.run) ->
-                      Array.to_list r.ops)
+               List.concat_map (fun r -> Array.to_list (run_ops d r)) (lane_runs l)
              in
              let expected =
-               Array.to_list trace.Tracegen.ops
-               |> List.filter (fun op -> abs op - 1 = l.lane_obj)
+               Array.to_list trace.Tracegen.ops |> List.filter (fun op -> abs op - 1 = l.obj)
              in
              concat = expected
              && (* every run is balanced and properly nested *)
-             Array.for_all
-               (fun (r : Parallel_replay.run) ->
+             List.for_all
+               (fun r ->
                  let depth = ref 0 and ok = ref true in
                  Array.iter
                    (fun op ->
                      depth := !depth + (if op > 0 then 1 else -1);
                      if !depth < 0 then ok := false)
-                   r.ops;
+                   (run_ops d r);
                  !ok && !depth = 0)
-               l.runs)
-           lanes)
+               (lane_runs l))
+           d.all_lanes)
+
+(* The lanes' run ranges follow one another from run 0 to the last, the
+   runs' op slices from offset 0 to the end of [lane_ops], and the
+   lanes' objects come in the order the trace first touches them. *)
+let prop_decompose_tiles_in_first_touch_order =
+  QCheck.Test.make ~name:"lane segments tile the ops in first-touch order" ~count:18
+    profile_arb (fun p ->
+      let trace = Tracegen.generate ~max_syncs:4_000 p in
+      let d = Parallel_replay.decompose trace in
+      let runs = Array.length d.run_start - 1 in
+      let first_touch =
+        let seen = Hashtbl.create 64 in
+        Array.to_list trace.Tracegen.ops
+        |> List.filter_map (fun op ->
+               let obj = abs op - 1 in
+               if Hashtbl.mem seen obj then None
+               else begin
+                 Hashtbl.add seen obj ();
+                 Some obj
+               end)
+      in
+      let next_run = ref 0 in
+      let lanes_tile =
+        Array.for_all
+          (fun (l : Parallel_replay.lane) ->
+            let ok = l.first_run = !next_run && l.end_run > l.first_run && l.cursor = l.first_run in
+            next_run := l.end_run;
+            ok)
+          d.all_lanes
+        && !next_run = runs
+      in
+      let runs_tile =
+        d.run_start.(0) = 0
+        && d.run_start.(runs) = Array.length d.lane_ops
+        && List.for_all (fun r -> d.run_start.(r) < d.run_start.(r + 1)) (List.init runs Fun.id)
+      in
+      lanes_tile && runs_tile
+      && Array.to_list (Array.map (fun (l : Parallel_replay.lane) -> l.obj) d.all_lanes)
+         = first_touch)
 
 (* --- the scheduler --- *)
 
@@ -285,7 +325,11 @@ let () =
           Alcotest.test_case "concurrent steals lose nothing" `Quick
             test_deque_concurrent_steals;
         ] );
-      ("decompose", [ QCheck_alcotest.to_alcotest prop_decompose_preserves_trace ]);
+      ( "decompose",
+        [
+          QCheck_alcotest.to_alcotest prop_decompose_preserves_trace;
+          QCheck_alcotest.to_alcotest prop_decompose_tiles_in_first_touch_order;
+        ] );
       ( "scheduler",
         [
           Alcotest.test_case "ops and stats conserved" `Quick

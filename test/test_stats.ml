@@ -57,8 +57,8 @@ let barrier n =
 (* (a) Each domain hammers its own objects (no contention, so the thin
    fast paths are the only categories), then one snapshot after the
    join must equal the counts to the unit.  The same episodes replayed
-   under the schemes with no thin path (fat, jdk111, ibm112) book every
-   acquire, nested ones included, as a fat-monitor acquire: their
+   under the schemes with no thin path (fat, jdk111, ibm112, mcs) book
+   every acquire, nested ones included, as a fat-monitor acquire: their
    [fast_ratio] is 0, not the 100% a thin-shaped booking would give. *)
 let test_hammer domains () =
   let objs_per_domain = 3 and rounds = 4_000 in
@@ -102,7 +102,7 @@ let test_hammer domains () =
         s.Lock_stats.depth_hist;
       Alcotest.(check (float 0.0)) (name ^ ": fast ratio") 0.0
         (Tl_workload.Parallel_replay.fast_ratio s))
-    [ "fat"; "jdk111"; "ibm112" ]
+    [ "fat"; "jdk111"; "ibm112"; "mcs" ]
 
 (* (b) Fibers in waves of [window] on two carrier domains: each wave
    leases indices the previous one released, so far fewer blocks than

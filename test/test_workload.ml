@@ -82,6 +82,63 @@ let test_trace_scaling () =
   check "scaled to cap" true (acquires >= 10_000 && acquires < 11_000);
   check "hot set small" true (Tracegen.distinct_objects_touched trace < 200)
 
+(* Every profile's default-size trace at seeds 1998 and 7, pinned by
+   length, pool and an order-sensitive checksum of its ops: a change to
+   how the generator lays out its output must leave every trace
+   identical op for op. *)
+let generator_pins =
+  [
+    ("trans", 1998, 200000, 5642, -4436012644426568031);
+    ("javac", 1998, 200000, 2887, 1282469251811323245);
+    ("jacorb", 1998, 200000, 1157, -3070695148649781015);
+    ("javaparser", 1998, 200000, 4405, 2727079146982733441);
+    ("jobe", 1998, 1242, 31, 2723274662642122053);
+    ("toba", 1998, 200000, 4393, 1263314102070293613);
+    ("javalex", 1998, 200000, 523, 3752934398088952717);
+    ("jax", 1998, 200000, 23, -125042395271671115);
+    ("javacup", 1998, 181146, 12243, 1698490960726993465);
+    ("netrexx", 1998, 200000, 7258, -4039134120422613247);
+    ("espresso", 1998, 200000, 7172, 4353126165922270213);
+    ("hashjava", 1998, 200000, 7215, -4453057408360762539);
+    ("crema", 1998, 200000, 3432, -3457044755818987311);
+    ("janet", 1998, 200000, 3717, 3778413930737023425);
+    ("javadoc", 1998, 200000, 4941, -3303231050797887615);
+    ("javap", 1998, 46738, 234, 4431271273563285017);
+    ("mocha", 1998, 24060, 448, -3702354428586497099);
+    ("wingdis", 1998, 200000, 17359, -1870732148261786919);
+    ("trans", 7, 200000, 5642, -1482569534972887395);
+    ("javac", 7, 200000, 2887, 3488118905861536745);
+    ("jacorb", 7, 200000, 1157, -4320839900324654759);
+    ("javaparser", 7, 200000, 4405, -1128008342761499935);
+    ("jobe", 7, 1242, 31, 3250504034347803685);
+    ("toba", 7, 200000, 4393, -1008595953172290671);
+    ("javalex", 7, 200000, 523, -2886121355139349807);
+    ("jax", 7, 200000, 23, 3083026903564575721);
+    ("javacup", 7, 181146, 12243, -4559743215509466071);
+    ("netrexx", 7, 200000, 7258, 67323708441573573);
+    ("espresso", 7, 200000, 7172, 1803574119102290757);
+    ("hashjava", 7, 200000, 7215, 2764048261953766281);
+    ("crema", 7, 200000, 3432, 782282007910573757);
+    ("janet", 7, 200000, 3717, 4049225699736252361);
+    ("javadoc", 7, 200000, 4941, -1389921336978061027);
+    ("javap", 7, 46738, 234, -4064754999382799167);
+    ("mocha", 7, 24060, 448, -1153841281394552563);
+    ("wingdis", 7, 200000, 17359, -4128902540085820571);
+  ]
+
+let ops_checksum ops =
+  Array.fold_left (fun h op -> (h * 1_000_003) lxor (op land 0xffff_ffff)) 0x811c9dc5 ops
+
+let test_trace_pinned () =
+  List.iter
+    (fun (name, seed, length, pool, sum) ->
+      let trace = Tracegen.generate ~seed (Option.get (Profiles.find name)) in
+      let what = Printf.sprintf "%s seed %d" name seed in
+      check_int (what ^ " length") length (Array.length trace.Tracegen.ops);
+      check_int (what ^ " pool") pool trace.Tracegen.pool_size;
+      check_int (what ^ " checksum") sum (ops_checksum trace.Tracegen.ops))
+    generator_pins
+
 (* --- trace serialization --- *)
 
 let prop_trace_io_roundtrip =
@@ -337,6 +394,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_trace_depth_census;
           QCheck_alcotest.to_alcotest prop_trace_deterministic;
           Alcotest.test_case "scaling" `Quick test_trace_scaling;
+          Alcotest.test_case "pinned at seeds 1998 and 7" `Quick test_trace_pinned;
         ] );
       ( "trace io",
         [

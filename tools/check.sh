@@ -295,8 +295,24 @@ echo "== parallel replay smoke (2 domains, shuffle, must contend)"
 replay_par_gate -b javacup --domains 2 --shuffle \
   --interleave --max-syncs 8000 --expect-contention
 
-echo "== parallel replay under forced-fat locking (no thin path: fast ratio 0.0%)"
+echo "== parallel replay under forced-fat and MCS locking (no thin path: fast ratio 0.0%)"
 replay_par_gate --want-fast 0.0 -b javacup --scheme fat --domains 2 --max-syncs 8000
+replay_par_gate --want-fast 0.0 -b javacup --scheme mcs --domains 2 --max-syncs 8000
+
+echo "== decomposition shape: javalex at 100k syncs cuts into 523 lanes / 74967 runs"
+# Both modes decompose the same trace the same way; shuffle only deals
+# the runs differently.
+want="replayed javalex under thin: 200000 ops (100000 acquires), 523 lanes / 74967 runs"
+for mode in "" "--domains 2 --shuffle"; do
+  # $mode is deliberately unquoted: empty, or two flags and a value.
+  out=$(dune exec bin/thinlocks.exe -- replay-par -b javalex --max-syncs 100000 $mode)
+  if ! echo "$out" | grep -qxF "$want"; then
+    echo "$out"
+    echo "FAIL: replay-par${mode:+ $mode} did not print \"$want\"." >&2
+    exit 1
+  fi
+done
+echo "  523 lanes / 74967 runs, affinity and shuffle"
 
 echo "== trace-diff: identical replays produce identical streams"
 tmpdir=$(mktemp -d)
