@@ -689,7 +689,18 @@ let replay_par_cmd =
           r.PR.stats.Tl_core.Lock_stats.inflations_contention
           + r.PR.stats.Tl_core.Lock_stats.contended_episodes
         in
+        (* A scheme that records no statistics (thin-nostats) leaves an
+           empty snapshot behind a replay that acquired: its ratio and
+           contention counts would read as a contention-free run. *)
+        let stats_off (r : PR.result) =
+          r.PR.acquires > 0 && Tl_core.Lock_stats.total_acquires r.PR.stats = 0
+        in
         let rec go attempts r =
+          if expect && stats_off r then begin
+            Printf.eprintf
+              "--expect-contention needs statistics, and scheme %s records none\n" entry.name;
+            exit 2
+          end;
           if (not expect) || contended r > 0 || attempts <= 0 then r
           else begin
             Printf.printf "  (no contention this attempt, retrying: %d left)\n%!" attempts;
@@ -715,14 +726,16 @@ let replay_par_cmd =
               (1e3 *. t.PR.busy))
           r.PR.tallies;
         let s = r.PR.stats in
-        Printf.printf
-          "\n\
-          \  fast ratio: %.1f%%   contention inflations: %d   contended episodes: %d\n\
-          \  wait inflations: %d   overflow inflations: %d   deflations: %d\n"
-          (100.0 *. PR.fast_ratio s)
-          s.Tl_core.Lock_stats.inflations_contention s.Tl_core.Lock_stats.contended_episodes
-          s.Tl_core.Lock_stats.inflations_wait s.Tl_core.Lock_stats.inflations_overflow
-          s.Tl_core.Lock_stats.deflations;
+        if stats_off r then Printf.printf "\n  statistics: off\n"
+        else
+          Printf.printf
+            "\n\
+            \  fast ratio: %.1f%%   contention inflations: %d   contended episodes: %d\n\
+            \  wait inflations: %d   overflow inflations: %d   deflations: %d\n"
+            (100.0 *. PR.fast_ratio s)
+            s.Tl_core.Lock_stats.inflations_contention s.Tl_core.Lock_stats.contended_episodes
+            s.Tl_core.Lock_stats.inflations_wait s.Tl_core.Lock_stats.inflations_overflow
+            s.Tl_core.Lock_stats.deflations;
         if expect && contended r = 0 then begin
           Printf.eprintf "expected contention but every attempt replayed contention-free\n";
           exit 1

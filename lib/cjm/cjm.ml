@@ -28,9 +28,9 @@ module Lock_stats = Tl_core.Lock_stats
 module Sink = Tl_events.Sink
 module Ev = Tl_events.Event
 
-type config = { shards : int; initial_capacity : int; record_stats : bool }
+type config = { shards : int; initial_capacity : int }
 
-let default_config = { shards = 64; initial_capacity = 64; record_stats = true }
+let default_config = { shards = 64; initial_capacity = 64 }
 
 type entry = {
   mutable key : int;  (* object id; 0 = free-listed record *)
@@ -245,7 +245,7 @@ let evaporate_if_idle ctx env sh i =
       let id = e.key in
       remove_at sh i;
       Atomic.incr ctx.evaporated;
-      if ctx.config.record_stats then Lock_stats.record_deflation ctx.stats;
+      Lock_stats.record_deflation ctx.stats;
       if ctx.tracing then
         emit ctx ~tid:(my_index env) Ev.Cjm_monitor_evaporate ~arg:id
   | Some { fat = None; owner = 0; _ } -> remove_at sh i
@@ -272,7 +272,7 @@ let inflate_locked ctx env (entry : entry) ~cause =
   entry.owner <- 0;
   entry.depth <- 0;
   Atomic.incr ctx.created;
-  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
+  Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
   if ctx.tracing then
     emit ctx ~tid:(my_index env) Ev.Cjm_monitor_create ~arg:entry.key;
   fat
@@ -286,8 +286,7 @@ let fat_acquire ctx env obj sh (entry : entry) fat =
   let queued = not (Fatlock.try_acquire env fat) in
   if queued then Fatlock.acquire env fat;
   let depth = Fatlock.count fat in
-  if ctx.config.record_stats then
-    Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth;
+  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth;
   if ctx.tracing then
     emit ctx ~tid:(my_index env)
       (if queued then Ev.Acquire_fat_queued else Ev.Acquire_fat)
@@ -308,15 +307,13 @@ let acquire ctx env obj =
       entry.depth <- 1;
       if ctx.tracing then emit ctx ~tid:me Ev.Acquire_fast ~arg:id;
       Mutex.unlock sh.lock;
-      if ctx.config.record_stats then
-        Lock_stats.record_acquire_unlocked ctx.stats ~tid:me obj
+      Lock_stats.record_acquire_unlocked ctx.stats ~tid:me obj
   | None when entry.owner = me ->
       entry.depth <- entry.depth + 1;
       let depth = entry.depth in
       if ctx.tracing then emit ctx ~tid:me Ev.Acquire_nested ~arg:id;
       Mutex.unlock sh.lock;
-      if ctx.config.record_stats then
-        Lock_stats.record_acquire_nested ctx.stats ~tid:me ~depth
+      Lock_stats.record_acquire_nested ctx.stats ~tid:me ~depth
   | None ->
       (* Contended inline entry: the *contender* inflates (unlike thin
          locks, where only the owner can — there is no header word to
@@ -356,7 +353,7 @@ let release ctx env obj =
         if ctx.tracing then emit ctx ~tid:me Ev.Release_nested ~arg:id;
         entry.depth <- entry.depth - 1;
         Mutex.unlock sh.lock;
-        if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Nested
+        Lock_stats.record_release ctx.stats ~tid:me `Nested
       end
       else begin
         if ctx.tracing then emit ctx ~tid:me Ev.Release_fast ~arg:id;
@@ -366,7 +363,7 @@ let release ctx env obj =
            lock unless a contender has pinned it mid-inflation *)
         if entry.refs = 0 then remove_at sh i;
         Mutex.unlock sh.lock;
-        if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Fast
+        Lock_stats.record_release ctx.stats ~tid:me `Fast
       end
   | Some fat ->
       (* Stamped before the monitor changes hands: a pinned entrant
@@ -380,7 +377,7 @@ let release ctx env obj =
           raise e);
       if entry.refs = 0 then evaporate_if_idle ctx env sh i;
       Mutex.unlock sh.lock;
-      if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:me `Fat
+      Lock_stats.record_release ctx.stats ~tid:me `Fat
 
 let wait ?timeout ctx env obj =
   let id = Obj_model.id obj in
@@ -409,7 +406,7 @@ let wait ?timeout ctx env obj =
         inflate_locked ctx env entry ~cause:`Wait
   in
   Mutex.unlock sh.lock;
-  if ctx.config.record_stats then Lock_stats.record_wait ctx.stats ~tid:me;
+  Lock_stats.record_wait ctx.stats ~tid:me;
   if ctx.tracing then emit ctx ~tid:me Ev.Wait_op ~arg:id;
   (match Fatlock.wait ?timeout env fat with
   | () -> ()
@@ -447,9 +444,8 @@ let notify_common ctx env obj ~all =
   if ctx.tracing then
     emit ctx ~tid:me (if all then Ev.Notify_all_op else Ev.Notify_op) ~arg:id;
   Mutex.unlock sh.lock;
-  if ctx.config.record_stats then
-    if all then Lock_stats.record_notify_all ctx.stats ~tid:me
-    else Lock_stats.record_notify ctx.stats ~tid:me
+  if all then Lock_stats.record_notify_all ctx.stats ~tid:me
+  else Lock_stats.record_notify ctx.stats ~tid:me
 
 let notify ctx env obj = notify_common ctx env obj ~all:false
 let notify_all ctx env obj = notify_common ctx env obj ~all:true

@@ -29,11 +29,10 @@
 type config = {
   shards : int;  (** stripe count, rounded up to a power of two *)
   initial_capacity : int;  (** per-shard slot count, power of two *)
-  record_stats : bool;
 }
 
 val default_config : config
-(** 64 shards, 64 slots each, stats on. *)
+(** 64 shards, 64 slots each. *)
 
 type ctx
 

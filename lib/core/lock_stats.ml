@@ -6,7 +6,9 @@ let depth_buckets = 64 (* depths >= 63 share the last bucket *)
    touches only the block's first eight words, which keeps the working
    set small when thousands of fibers each own a block.  Depth 0 is
    never recorded (an acquisition leaves the count at 1 or more), so
-   the buckets start at depth 1. *)
+   the buckets start at depth 1.  An unlocked acquire always leaves
+   depth 1, so it books only [c_acquires_unlocked]; [snapshot] adds
+   that count into the depth-1 bucket. *)
 let c_acquires_unlocked = 0
 let c_acquires_nested = 1
 let c_acquires_fat_fast = 2
@@ -74,13 +76,19 @@ let new_block t tid =
   register ();
   b
 
+let blocks t = t.blocks
+
 let[@inline] block t tid =
   let b = t.blocks.(tid) in
   if b != no_block then b else new_block t tid
 
 let[@inline] add b i n = Array.unsafe_set b i (Array.unsafe_get b i + n)
 let[@inline] bump b i = add b i 1
-let[@inline] bump_depth b depth = bump b (c_depths + max 1 (min depth (depth_buckets - 1)))
+(* Int tests, not [min]/[max]: those are out-of-line polymorphic
+   compares. *)
+let[@inline] bump_depth b depth =
+  let d = if depth < 1 then 1 else if depth < depth_buckets then depth else depth_buckets - 1 in
+  bump b (c_depths + d)
 
 (* The field test spares the common case (an object already counted) a
    call into another module. *)
@@ -91,7 +99,6 @@ let[@inline] record_first_sync b (obj : Tl_heap.Obj_model.t) =
 let[@inline] record_acquire_unlocked t ~tid obj =
   let b = block t tid in
   bump b c_acquires_unlocked;
-  bump b (c_depths + 1);
   record_first_sync b obj
 
 let[@inline] record_acquire_nested t ~tid ~depth =
@@ -179,6 +186,7 @@ let snapshot t =
         sum.(i) <- sum.(i) + b.(i)
       done)
     (Atomic.get t.registered);
+  sum.(c_depths + 1) <- sum.(c_depths + 1) + sum.(c_acquires_unlocked);
   let depth_hist = ref [] in
   for d = depth_buckets - 1 downto 1 do
     let c = sum.(c_depths + d) in

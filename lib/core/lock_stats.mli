@@ -34,10 +34,52 @@ val block_count : t -> int
 (** Per-thread blocks registered so far: the number of distinct thread
     indices that have recorded into [t] ({!reset} keeps them). *)
 
+(** {1 Block layout — for a scheme's inline fast path}
+
+    A scheme built without cross-module inlining pays a call for every
+    [record_*] below.  Its uncontended paths may instead find the
+    caller's block in the table from {!blocks} and increment the slots
+    named here in place.  This module stays the only definition of the
+    layout: a block is an [int array] holding one counter per slot. *)
+
+val blocks : t -> int array array
+(** The block table, by thread index.  An index that has not recorded
+    yet holds {!no_block}.  The table itself is never replaced, so a
+    scheme may cache it at creation. *)
+
+val no_block : int array
+(** The "no block yet" sentinel, told apart by physical equality.
+    Never write it. *)
+
+val new_block : t -> int -> int array
+(** [new_block t tid] creates, publishes and returns [tid]'s block.
+    Call it only on [tid]'s first record, from the thread holding that
+    index. *)
+
+val c_acquires_unlocked : int
+(** Unlocked acquires (scenario 1).  There is no depth slot to bump
+    with it: {!snapshot} derives the depth-1 bucket by adding this count
+    to the slot at [c_depths + 1]. *)
+
+val c_acquires_nested : int
+val c_releases_fast : int
+val c_releases_nested : int
+
+val c_objects_synchronized : int
+(** Bumped once per object, by the acquire that first sets its
+    [ever_synced] flag. *)
+
+val c_depths : int
+(** Depth [d] (1 ≤ [d] < {!depth_buckets}) is counted at slot
+    [c_depths + d]; deeper acquisitions share the last bucket. *)
+
+val depth_buckets : int
+
 (** {1 Recording — called by locking schemes} *)
 
 val record_acquire_unlocked : t -> tid:int -> Tl_heap.Obj_model.t -> unit
-(** Scenario 1: CAS on an unlocked object succeeded (depth 1). *)
+(** Scenario 1: CAS on an unlocked object succeeded (depth 1, which
+    {!snapshot} derives from this count). *)
 
 val record_acquire_nested : t -> tid:int -> depth:int -> unit
 (** Scenarios 2–3: owner re-locked; [depth] is the lock count after

@@ -23,12 +23,35 @@ let default_config =
     fat_backend = Fatlock.Parker;
   }
 
+(* The uncontended acquire and release below call into no other module
+   except [Atomic]: the build that is measured compiles with [-opaque],
+   so a cross-module call there is an out-of-line call that cannot be
+   inlined.  The lock word is read as a field, the word layout comes from
+   bindings derived once from [Header] (still its only definition), and
+   statistics go straight into the caller's [Lock_stats] block at the
+   slots that module exports.  Config flags the fast path tests are
+   cached in the ctx, as [tracing] is. *)
+
+let hdr_mask = Header.hdr_bits (-1)
+let count_offset = Header.count_offset
+let count_increment = Header.count_increment
+
+(* [word lxor shifted_index] is below this bound iff the word is thin
+   and held by [shifted_index]'s owner, at any count. *)
+let held_by_me_limit = 1 lsl Header.tid_offset
+
+let deepest_bucket = Lock_stats.depth_buckets - 1
+
 type ctx = {
   runtime : Runtime.t;
   montable : Montable.t;
   stats : Lock_stats.t;
+  stat_blocks : int array array; (* [Lock_stats.blocks stats] *)
   nested_limit : int;
   config : config;
+  record_stats : bool;
+  extra_fence : bool;
+  unlock_with_cas : bool;
   fence_pad : int Atomic.t; (* target of the MP Sync variant's extra atomic op *)
   events : Tl_events.Sink.t;
   tracing : bool;
@@ -55,8 +78,12 @@ let create_with ?(config = default_config) ?(events = Tl_events.Sink.disabled) r
     runtime;
     montable;
     stats;
+    stat_blocks = Lock_stats.blocks stats;
     nested_limit = Header.nested_limit_for ~count_width:config.count_width;
     config;
+    record_stats = config.record_stats;
+    extra_fence = config.extra_fence;
+    unlock_with_cas = config.unlock_with_cas;
     fence_pad = Atomic.make 0;
     events;
     tracing = Tl_events.Sink.enabled events;
@@ -80,14 +107,23 @@ let[@inline] emit ctx ~tid kind ~arg = Tl_events.Sink.emit ctx.events ~tid ~kind
    (tid 0), whose ticket stamps sort them after the releases that made
    the deflation legal. *)
 let emit_system ctx kind ~arg = Tl_events.Sink.emit_system ctx.events ~kind ~arg
-let lock_word obj = Atomic.get (Obj_model.lockword obj)
+let lock_word obj = Atomic.get obj.Obj_model.lockword
 
 (* Stand-in for the PowerPC isync/sync pair of the MP Sync variant: a
    real atomic read-modify-write, the closest full-barrier operation
    OCaml exposes. *)
-let fence ctx = if ctx.config.extra_fence then ignore (Atomic.fetch_and_add ctx.fence_pad 1)
+let[@inline] fence ctx = if ctx.extra_fence then ignore (Atomic.fetch_and_add ctx.fence_pad 1)
 
-let my_index (env : Runtime.env) = env.descriptor.Tid.index
+let[@inline] my_index (env : Runtime.env) = env.descriptor.Tid.index
+
+(* The caller's statistics block, created on its first record.  The
+   table has a slot for every index a [Tid] lease can hand out. *)
+let[@inline] stats_block ctx env =
+  let tid = my_index env in
+  let b = Array.unsafe_get ctx.stat_blocks tid in
+  if b != Lock_stats.no_block then b else Lock_stats.new_block ctx.stats tid
+
+let[@inline] bump b slot = Array.unsafe_set b slot (Array.unsafe_get b slot + 1)
 
 (* The owner transfers its thin lock into a fresh fat lock.  Only the
    owner may write the lock word, so plain stores suffice; the monitor
@@ -100,7 +136,7 @@ let inflate_owned ctx env obj ~locks ~cause =
     Fatlock.create_locked ~backend:ctx.config.fat_backend ~tag:(Obj_model.id obj)
       ~events:ctx.events ~owner:(my_index env) ~count:locks ()
   in
-  let lw = Obj_model.lockword obj in
+  let lw = obj.Obj_model.lockword in
   let monitor_index = Montable.allocate ~shard_hint:(my_index env) ~lockword:lw ctx.montable fat in
   let hdr = Header.hdr_bits (Atomic.get lw) in
   (* Stamped while the thin word is still ours: once the inflated word
@@ -115,17 +151,17 @@ let inflate_owned ctx env obj ~locks ~cause =
     emit ctx ~tid:(my_index env) kind ~arg:obj.Obj_model.id
   end;
   Atomic.set lw (Header.inflated_word ~hdr ~monitor_index);
-  if ctx.config.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
+  if ctx.record_stats then Lock_stats.record_inflation ctx.stats ~tid:(my_index env) cause;
   fat
 
 (* Contended thin lock: spin with backoff until either some other
    contender inflates the lock, or we seize the thin lock ourselves and
    force the thin→fat transition (§2.3.4). *)
 let rec contended ctx env obj backoff =
-  let lw = Obj_model.lockword obj in
+  let lw = obj.Obj_model.lockword in
   let word = Atomic.get lw in
   if Header.is_inflated word then begin
-    if ctx.config.record_stats then
+    if ctx.record_stats then
       Lock_stats.record_contended_spin ctx.stats ~tid:(my_index env) ~spins:(Backoff.steps backoff);
     fat_acquire ctx env obj (Header.monitor_index word)
   end
@@ -136,11 +172,11 @@ let rec contended ctx env obj backoff =
       && Atomic.compare_and_set lw hdr (hdr lor env.Runtime.shifted_index)
     then begin
       (* We own the thin lock now; complete the transition. *)
-      if ctx.config.record_stats then
+      if ctx.record_stats then
         Lock_stats.record_contended_spin ctx.stats ~tid:(my_index env)
           ~spins:(Backoff.steps backoff);
       ignore (inflate_owned ctx env obj ~locks:1 ~cause:`Contention);
-      if ctx.config.record_stats then
+      if ctx.record_stats then
         Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:false ~depth:1;
       if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fat ~arg:obj.Obj_model.id
     end
@@ -151,15 +187,20 @@ let rec contended ctx env obj backoff =
 
 and acquire ctx env obj =
   fence ctx;
-  let lw = Obj_model.lockword obj in
+  let lw = obj.Obj_model.lockword in
   let word = Atomic.get lw in
   (* "old value": the lock word with the high 24 bits masked out *)
-  let unlocked_pattern = Header.hdr_bits word in
+  let unlocked_pattern = word land hdr_mask in
   if Atomic.compare_and_set lw unlocked_pattern (unlocked_pattern lor env.Runtime.shifted_index)
   then begin
     (* Scenario 1: locking an unlocked object. *)
-    if ctx.config.record_stats then
-      Lock_stats.record_acquire_unlocked ctx.stats ~tid:(my_index env) obj;
+    if ctx.record_stats then begin
+      let b = stats_block ctx env in
+      bump b Lock_stats.c_acquires_unlocked;
+      (* The flag test spares every later lock of the object the call. *)
+      if (not obj.Obj_model.ever_synced) && Obj_model.mark_synced obj then
+        bump b Lock_stats.c_objects_synchronized
+    end;
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_fast ~arg:obj.Obj_model.id
   end
   else
@@ -170,10 +211,16 @@ and acquire ctx env obj =
          comparison above checked shape = thin, owner = me and
          count < limit all at once; bump the count with a plain
          store. *)
-      Atomic.set lw (word + Header.count_increment);
-      if ctx.config.record_stats then
-        Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env)
-          ~depth:(Header.thin_count word + 2);
+      Atomic.set lw (word + count_increment);
+      if ctx.record_stats then begin
+        let b = stats_block ctx env in
+        bump b Lock_stats.c_acquires_nested;
+        (* [x]'s bits above the count are 0, so its count field is the
+           old count; the new depth is that plus 2.  An [int] test, not
+           [min], which compares polymorphically. *)
+        let depth = (x lsr count_offset) + 2 in
+        bump b (Lock_stats.c_depths + if depth < deepest_bucket then depth else deepest_bucket)
+      end;
       if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Acquire_nested ~arg:obj.Obj_model.id
     end
     else if Header.is_inflated word then fat_acquire ctx env obj (Header.monitor_index word)
@@ -185,7 +232,7 @@ and acquire ctx env obj =
          overflows into a fat lock (§2.3). *)
       let locks = Header.thin_count word + 2 in
       ignore (inflate_owned ctx env obj ~locks ~cause:`Overflow);
-      if ctx.config.record_stats then
+      if ctx.record_stats then
         Lock_stats.record_acquire_nested ctx.stats ~tid:(my_index env) ~depth:locks;
       (* Traced as a fat acquisition: the thread leaves holding the fat
          monitor, and the [Inflate_overflow] event names the cause. *)
@@ -206,7 +253,7 @@ and fat_acquire ctx env obj monitor_ref =
          and its slot reclaimed (detected by the generation tag).  The
          deflater rewrote the lock word before freeing the slot, so a
          fresh read makes progress. *)
-      if ctx.config.record_stats then Lock_stats.add_extra ctx.stats "stale_monitor_reads" 1;
+      if ctx.record_stats then Lock_stats.add_extra ctx.stats "stale_monitor_reads" 1;
       acquire ctx env obj
   | Some fat -> (
       (* Entry-side of the deflation handshake: a monitor retired by a
@@ -215,7 +262,7 @@ and fat_acquire ctx env obj monitor_ref =
          progress.  Retirement is sticky and re-inflation allocates a
          fresh monitor, so our reference can never resurrect. *)
       let retired_retry () =
-        if ctx.config.record_stats then
+        if ctx.record_stats then
           Lock_stats.add_extra ctx.stats "deflation.retired_monitor_retries" 1;
         (* The deflater is between retiring and rewriting the word; give
            it the processor rather than spinning through the latch.
@@ -226,7 +273,7 @@ and fat_acquire ctx env obj monitor_ref =
       in
       match Fatlock.try_acquire_live env fat with
       | `Acquired ->
-          if ctx.config.record_stats then
+          if ctx.record_stats then
             Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued:false
               ~depth:(Fatlock.count fat);
           if ctx.tracing then
@@ -238,7 +285,7 @@ and fat_acquire ctx env obj monitor_ref =
               (* Stats (including the spin-phase park-avoidance
                  counter) and the queued/unqueued acquisition event. *)
               let queued = Fatlock.entry_queued entry in
-              if ctx.config.record_stats then begin
+              if ctx.record_stats then begin
                 Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued
                   ~depth:(Fatlock.count fat);
                 if entry = Fatlock.Entry_spun then
@@ -250,8 +297,8 @@ and fat_acquire ctx env obj monitor_ref =
                   ~arg:obj.Obj_model.id
           | `Retired -> retired_retry ()))
 
-let owner_store ctx lw ~old_word ~new_word =
-  if ctx.config.unlock_with_cas then begin
+let[@inline] owner_store ctx lw ~old_word ~new_word =
+  if ctx.unlock_with_cas then begin
     (* UnlkC&S variant: pay for an atomic op the discipline makes
        unnecessary. *)
     if not (Atomic.compare_and_set lw old_word new_word) then
@@ -268,41 +315,41 @@ let not_owner op env word =
 
 let release ctx env obj =
   fence ctx;
-  let lw = Obj_model.lockword obj in
+  let lw = obj.Obj_model.lockword in
   let word = Atomic.get lw in
-  let held_once_pattern = Header.hdr_bits word lor env.Runtime.shifted_index in
-  if word = held_once_pattern then begin
+  let unlocked_pattern = word land hdr_mask in
+  if word = unlocked_pattern lor env.Runtime.shifted_index then begin
     (* Most common: owned once by me — store the unlocked pattern. *)
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fast ~arg:obj.Obj_model.id;
-    owner_store ctx lw ~old_word:word ~new_word:(Header.hdr_bits word);
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fast
+    if ctx.record_stats then bump (stats_block ctx env) Lock_stats.c_releases_fast;
+    owner_store ctx lw ~old_word:word ~new_word:unlocked_pattern
   end
-  else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then begin
+  else if word lxor env.Runtime.shifted_index < held_by_me_limit then begin
     (* Thin, mine, count >= 1: decrement with a plain store. *)
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_nested ~arg:obj.Obj_model.id;
-    owner_store ctx lw ~old_word:word ~new_word:(word - Header.count_increment);
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Nested
+    if ctx.record_stats then bump (stats_block ctx env) Lock_stats.c_releases_nested;
+    owner_store ctx lw ~old_word:word ~new_word:(word - count_increment)
   end
   else if Header.is_inflated word then begin
     (* Stamped before the monitor changes hands.  A release by a
        non-owner raises below, after its event: the oracle flags it. *)
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_fat ~arg:obj.Obj_model.id;
     Fatlock.release env (Montable.get ctx.montable (Header.monitor_index word));
-    if ctx.config.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
+    if ctx.record_stats then Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
   end
   else not_owner "release" env word
 
 let wait ?timeout ctx env obj =
-  let lw = Obj_model.lockword obj in
+  let lw = obj.Obj_model.lockword in
   let word = Atomic.get lw in
   let fat =
     if Header.is_inflated word then Montable.get ctx.montable (Header.monitor_index word)
-    else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then
+    else if word lxor env.Runtime.shifted_index < held_by_me_limit then
       (* wait() on a thin lock: the owner inflates first (§2.3). *)
       inflate_owned ctx env obj ~locks:(Header.thin_count word + 1) ~cause:`Wait
     else not_owner "wait" env word
   in
-  if ctx.config.record_stats then Lock_stats.record_wait ctx.stats ~tid:(my_index env);
+  if ctx.record_stats then Lock_stats.record_wait ctx.stats ~tid:(my_index env);
   if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Wait_op ~arg:obj.Obj_model.id;
   Fatlock.wait ?timeout env fat
 
@@ -310,20 +357,20 @@ let notify ctx env obj =
   let word = lock_word obj in
   if Header.is_inflated word then
     Fatlock.notify env (Montable.get ctx.montable (Header.monitor_index word))
-  else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then
+  else if word lxor env.Runtime.shifted_index < held_by_me_limit then
     (* Thin lock held by me: no thread can possibly be waiting. *)
     ()
   else not_owner "notify" env word;
-  if ctx.config.record_stats then Lock_stats.record_notify ctx.stats ~tid:(my_index env);
+  if ctx.record_stats then Lock_stats.record_notify ctx.stats ~tid:(my_index env);
   if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_op ~arg:obj.Obj_model.id
 
 let notify_all ctx env obj =
   let word = lock_word obj in
   if Header.is_inflated word then
     Fatlock.notify_all env (Montable.get ctx.montable (Header.monitor_index word))
-  else if word lxor env.Runtime.shifted_index < 1 lsl Header.tid_offset then ()
+  else if word lxor env.Runtime.shifted_index < held_by_me_limit then ()
   else not_owner "notifyAll" env word;
-  if ctx.config.record_stats then Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
+  if ctx.record_stats then Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
   if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Notify_all_op ~arg:obj.Obj_model.id
 
 let holds ctx env obj =
@@ -395,7 +442,7 @@ let deflate_lockword ctx ~cause lw =
               ~arg:(Fatlock.tag fat);
           finish (Header.hdr_bits word);
           Montable.free ctx.montable handle;
-          if ctx.config.record_stats then begin
+          if ctx.record_stats then begin
             Lock_stats.record_deflation ctx.stats;
             match cause with
             | `Concurrent -> Lock_stats.add_extra ctx.stats "deflations.non_quiescent" 1
@@ -406,13 +453,13 @@ let deflate_lockword ctx ~cause lw =
         else begin
           if ctx.tracing then emit_system ctx Ev.Deflate_aborted ~arg:(Fatlock.tag fat);
           finish word;
-          if ctx.config.record_stats then
+          if ctx.record_stats then
             Lock_stats.add_extra ctx.stats "deflation.aborted_handshakes" 1;
           `Busy
         end
   end
 
-let deflate_obj ctx ~cause obj = deflate_lockword ctx ~cause (Obj_model.lockword obj)
+let deflate_obj ctx ~cause obj = deflate_lockword ctx ~cause obj.Obj_model.lockword
 
 let deflate_idle ctx obj =
   match deflate_obj ctx ~cause:`Quiescent obj with

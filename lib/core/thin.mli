@@ -32,11 +32,14 @@ type config = {
           per lock and unlock, standing in for PowerPC
           [isync]/[sync]. *)
   record_stats : bool;
-      (** Maintain {!Lock_stats} counters (default true): a few plain
-          stores into the calling thread's own counter block per op.
-          Off, the lock path alone is timed (the [thin-nostats]
-          registry entry, the statistics-free rung of the benchmark's
-          layer ladder). *)
+      (** Maintain {!Lock_stats} counters (default true).  On the
+          uncontended paths that is one in-place increment in the
+          calling thread's own counter block, inlined in this module
+          (an unlocked acquire also tests the object's [ever_synced]
+          flag).  Off, the lock path alone is timed: the
+          [thin-nostats] registry entry, the statistics-free rung of
+          the benchmark's layer ladder, which is what keeps this
+          field. *)
   fat_backend : Tl_monitor.Fatlock.backend;
       (** Contended-path engine for monitors born from inflation
           (default [Parker]; see [Fatlock.backend]).  [Hapax] admits

@@ -171,7 +171,7 @@ let prop_cjm_churn_conserves_entries =
     (fun (seed, nobjs) ->
       let runtime = Runtime.create () in
       let config =
-        { Tl_cjm.Cjm.shards = 1; initial_capacity = 8; record_stats = true }
+        { Tl_cjm.Cjm.shards = 1; initial_capacity = 8 }
       in
       let ctx = Tl_cjm.Cjm.create_with ~config runtime in
       let heap = H.create () in
@@ -206,7 +206,7 @@ let prop_cjm_churn_conserves_entries =
 let test_cjm_survives_deep_churn () =
   let runtime = Runtime.create () in
   let config =
-    { Tl_cjm.Cjm.shards = 1; initial_capacity = 8; record_stats = true }
+    { Tl_cjm.Cjm.shards = 1; initial_capacity = 8 }
   in
   let ctx = Tl_cjm.Cjm.create_with ~config runtime in
   let env = Runtime.main_env runtime in

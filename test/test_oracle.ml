@@ -660,6 +660,41 @@ let test_residency_matches_scheme_counters name pname () =
     (Printf.sprintf "%s/%s aborted handshakes" name pname)
     (extra "deflation.aborted_handshakes") s.Residency.aborted
 
+(* The replays above abort no handshake, so they compare that count only
+   as 0 = 0.  One deterministic abort: a deflation attempted while the
+   owner still holds the monitor an overflow inflated. *)
+let test_residency_counts_an_aborted_handshake () =
+  let module Thin = Tl_core.Thin in
+  let runtime = Tl_runtime.Runtime.create () in
+  let sink = Sink.create () in
+  let ctx =
+    Thin.create_with ~config:{ Thin.default_config with count_width = 1 } ~events:sink runtime
+  in
+  let env = Tl_runtime.Runtime.main_env runtime in
+  let obj = Tl_heap.Heap.alloc (Tl_heap.Heap.create ()) in
+  (* a 1-bit count holds two locks; the third overflows into a monitor *)
+  for _ = 1 to 3 do
+    Thin.acquire ctx env obj
+  done;
+  check "inflated" true (Header.is_inflated (Thin.lock_word obj));
+  check "held monitor turns the deflater away" true
+    (Thin.deflate_obj ctx ~cause:`Quiescent obj = `Busy);
+  for _ = 1 to 3 do
+    Thin.release ctx env obj
+  done;
+  let d = Sink.drain sink in
+  assert_clean ~count_width:1 d;
+  let in_stream =
+    Array.fold_left
+      (fun n (e : Event.t) -> if e.Event.kind = Event.Deflate_aborted then n + 1 else n)
+      0 d.Sink.events
+  in
+  let stats = Lock_stats.snapshot (Thin.stats ctx) in
+  check_int "Deflate_aborted events" 1 in_stream;
+  check_int "residency aborted" 1 (Residency.of_drained d).Residency.aborted;
+  check_int "deflation.aborted_handshakes" 1
+    (Option.value ~default:0 (List.assoc_opt "deflation.aborted_handshakes" stats.Lock_stats.extra))
+
 (* --- residency monitor units --- *)
 
 let test_residency_empty () =
@@ -967,6 +1002,8 @@ let () =
             (test_residency_matches_scheme_counters "mocha" "always-idle");
           Alcotest.test_case "javacup (never) = counters" `Quick
             (test_residency_matches_scheme_counters "javacup" "never");
+          Alcotest.test_case "aborted handshake: stream = residency = counter" `Quick
+            test_residency_counts_an_aborted_handshake;
           Alcotest.test_case "evaporation within one drain window" `Quick
             test_residency_evaporates_within_one_drain_window;
           Alcotest.test_case "dwell bucket boundary at a power of two" `Quick

@@ -248,6 +248,39 @@ let test_live_snapshots_monotone () =
   in
   Alcotest.check hist "final snapshot exact" expected (Lock_stats.snapshot stats).Lock_stats.depth_hist
 
+(* (f) The UnlkC&S and MP Sync variants differ from thin only in their
+   release store and fences, so one javalex replay on one domain books
+   the same counters under all three, depth histogram included.
+   thin-nostats books nothing and registers no block; only the sampled
+   gauges (the monitor census, clamped events) still read. *)
+let test_variants_book_the_same () =
+  let module PR = Tl_workload.Parallel_replay in
+  let javalex = Option.get (Tl_workload.Profiles.find "javalex") in
+  let trace = Tl_workload.Tracegen.generate ~seed:1998 ~max_syncs:20_000 javalex in
+  let replay name =
+    let runtime = Runtime.create () in
+    let scheme = Tl_baselines.Registry.find_exn name runtime in
+    let r = PR.run ~config:{ PR.default_config with PR.domains = 1 } ~scheme ~runtime trace in
+    (r, scheme.stats_blocks ())
+  in
+  let snapshot = Alcotest.testable Lock_stats.pp ( = ) in
+  let r, _ = replay "thin" in
+  let thin = r.PR.stats in
+  check_int "thin books every acquire" r.PR.acquires (Lock_stats.total_acquires thin);
+  check "thin books nested acquires" true (thin.Lock_stats.acquires_nested > 0);
+  List.iter
+    (fun name ->
+      Alcotest.check snapshot (name ^ " books what thin books") thin (fst (replay name)).PR.stats)
+    [ "thin-unlkcas"; "thin-mpsync" ];
+  let r, blocks = replay "thin-nostats" in
+  let s = r.PR.stats in
+  check_int "thin-nostats registers no block" 0 blocks;
+  let gauge (k, _) = String.starts_with ~prefix:"monitors." k || k = "events.clamped" in
+  check "thin-nostats: only gauges among the extras" true (List.for_all gauge s.Lock_stats.extra);
+  Alcotest.check snapshot "thin-nostats books nothing"
+    { (Lock_stats.snapshot (Lock_stats.create ())) with Lock_stats.extra = [] }
+    { s with Lock_stats.extra = [] }
+
 let () =
   Alcotest.run "stats"
     [
@@ -260,5 +293,7 @@ let () =
           Alcotest.test_case "one block per recording thread" `Quick test_block_per_thread;
           Alcotest.test_case "live snapshots never decrease" `Quick
             test_live_snapshots_monotone;
+          Alcotest.test_case "thin variants book the same counters" `Quick
+            test_variants_book_the_same;
         ] );
     ]

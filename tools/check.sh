@@ -220,7 +220,8 @@ storm_gate() {
 
 # Run one parallel replay (the arguments follow `replay-par`) and gate
 # its summary: positive ops/sec and a fast ratio within [0, 100]%.  A
-# leading `--want-fast R` also requires the printed ratio to read R%.
+# leading `--want-fast R` also requires the printed ratio to read R%;
+# `--want-fast off` requires the `statistics: off` line in its place.
 # The CLI itself exits 1 on an unclean --oracle verdict.
 replay_par_gate() {
   want=
@@ -235,7 +236,16 @@ replay_par_gate() {
   if ! echo "$out" | awk -v want="$want" '
     { for (i = 2; i <= NF; i++) if ($i == "ops/sec") ops = $(i - 1) + 0 }
     $1 == "fast" && $2 == "ratio:" { fast = $3 + 0; printed = $3; seen = 1 }
+    $1 == "statistics:" && $2 == "off" { off = 1 }
     END {
+      if (want == "off") {
+        if (!(ops > 0) || !off || seen) {
+          print "FAIL: replay-par needs ops/sec > 0 and \"statistics: off\" in place of a fast ratio" > "/dev/stderr"
+          exit 1
+        }
+        printf "  %.0f ops/sec, statistics off\n", ops
+        exit 0
+      }
       if (!(ops > 0) || !seen || fast < 0 || fast > 100) {
         print "FAIL: replay-par needs ops/sec > 0 and a fast ratio in [0, 100]%" > "/dev/stderr"
         exit 1
@@ -359,6 +369,33 @@ for domains in 1 2 4; do
     --shuffle --interleave --max-syncs 6000 --oracle
   echo "  oracle clean at $domains domain(s), both decompositions"
 done
+
+echo "== thin variants: protocol oracle over replay-par streams (1/2 domains)"
+# The Fig. 6 release and fence variants and the narrow nest count take
+# their own branches on the uncontended paths.
+for scheme in thin-unlkcas thin-mpsync thin-count2; do
+  for domains in 1 2; do
+    replay_par_gate -b javacup --scheme "$scheme" --domains "$domains" \
+      --max-syncs 6000 --oracle
+    replay_par_gate -b javacup --scheme "$scheme" --domains "$domains" \
+      --shuffle --interleave --max-syncs 6000 --oracle
+  done
+  echo "  $scheme oracle clean at 1 and 2 domains, both decompositions"
+done
+# Without statistics a replay has no fast ratio and no contention count
+# to report, and --expect-contention cannot tell whether it contended.
+replay_par_gate --want-fast off -b javacup --scheme thin-nostats --domains 2 \
+  --shuffle --interleave --max-syncs 6000 --oracle
+set +e
+dune exec bin/thinlocks.exe -- replay-par -b javacup --scheme thin-nostats --domains 2 \
+  --shuffle --max-syncs 2000 --expect-contention >/dev/null 2>&1
+status=$?
+set -e
+if [ "$status" -ne 2 ]; then
+  echo "FAIL: replay-par --expect-contention under thin-nostats exited $status, want 2." >&2
+  exit 1
+fi
+echo "  thin-nostats: statistics off, --expect-contention refused"
 
 echo "== hapax backend: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
