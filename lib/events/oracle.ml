@@ -75,7 +75,6 @@ type ostate = {
   st : lstate;
   waiters : int IntMap.t;  (* tid -> depth saved at Wait_op *)
   signals : int;  (* undelivered notify credits *)
-  cb : int IntMap.t;  (* tid -> open contended-begin depth *)
   pending_entry : int option;
       (* CJM: the contender that materialised the live monitor but has
          not yet reported entering it.  The creator holds a pin from
@@ -88,7 +87,6 @@ let initial =
     st = Flat;
     waiters = IntMap.empty;
     signals = 0;
-    cb = IntMap.empty;
     pending_entry = None;
   }
 
@@ -121,7 +119,8 @@ let resume st t =
 
 let err cls detail = Error (cls, detail)
 
-let rec step ~max_thin ~cjm st (e : Event.t) =
+(* [begins.(tid)]: the tid's open contended-begin depth on this object. *)
+let rec step ~max_thin ~cjm ~begins st (e : Event.t) =
   let t = e.tid in
   match e.kind with
   | Event.Acquire_fast -> (
@@ -196,7 +195,7 @@ let rec step ~max_thin ~cjm st (e : Event.t) =
           Ok { st with st = (if d > 1 then Fat (t, d - 1) else Fat (0, 0)) }
       | Fat (0, _) -> (
           match resume st t with
-          | Some st' -> step ~max_thin ~cjm st' e
+          | Some st' -> step ~max_thin ~cjm ~begins st' e
           | None -> err Unlock_without_lock "fat release of an unowned monitor")
       | Fat _ -> err Ownership_violation "fat release by a non-owner"
       | Inflating _ -> err Ownership_violation "fat release on an object mid-inflation"
@@ -238,7 +237,7 @@ let rec step ~max_thin ~cjm st (e : Event.t) =
           Ok { st with st = Fat (0, 0); waiters = IntMap.add t d st.waiters }
       | Fat (0, _) -> (
           match resume st t with
-          | Some st' -> step ~max_thin ~cjm st' e
+          | Some st' -> step ~max_thin ~cjm ~begins st' e
           | None -> err Ownership_violation "wait by a thread not owning the monitor")
       | Fat _ -> err Ownership_violation "wait by a non-owner"
       | Inflating _ -> err Ownership_violation "wait on an object mid-inflation"
@@ -254,7 +253,7 @@ let rec step ~max_thin ~cjm st (e : Event.t) =
           Ok { st with signals }
       | Fat (0, _) -> (
           match resume st t with
-          | Some st' -> step ~max_thin ~cjm st' e
+          | Some st' -> step ~max_thin ~cjm ~begins st' e
           | None -> err Ownership_violation "notify by a thread not owning the monitor")
       | Fat _ -> err Ownership_violation "notify by a non-owner"
       | Inflating _ -> err Ownership_violation "notify on an object mid-inflation"
@@ -317,17 +316,14 @@ let rec step ~max_thin ~cjm st (e : Event.t) =
       | Flat | Thin _ ->
           err Stale_handle "evaporation of an object with no live monitor")
   | Event.Contended_begin ->
-      let d = Option.value ~default:0 (IntMap.find_opt t st.cb) in
-      Ok { st with cb = IntMap.add t (d + 1) st.cb }
-  | Event.Contended_end -> (
-      match IntMap.find_opt t st.cb with
-      | Some d when d > 0 ->
-          let cb =
-            if d = 1 then IntMap.remove t st.cb else IntMap.add t (d - 1) st.cb
-          in
-          Ok { st with cb }
-      | _ ->
-          err Stream_malformed "contended-end without a matching contended-begin")
+      begins.(t) <- begins.(t) + 1;
+      Ok st
+  | Event.Contended_end ->
+      if begins.(t) > 0 then begin
+        begins.(t) <- begins.(t) - 1;
+        Ok st
+      end
+      else err Stream_malformed "contended-end without a matching contended-begin"
   | Event.Reaper_scan | Event.Quiescence | Event.Tid_overflow
   | Event.Policy_switch ->
       Ok st
@@ -359,11 +355,15 @@ let is_thread_path = function
   | Event.Policy_switch ->
       false
 
+(* No sink issues a tid outside [0, Sink.max_tids): a stream that
+   carries one was edited or forged. *)
+let tid_in_range tid = tid >= 0 && tid < Sink.max_tids
+
 (* A thread-path event on tid 0 is excluded from the automaton (owner 0
-   doubles as "unowned" there); the structural pass has already flagged
-   the stream. *)
+   doubles as "unowned" there), and so is an event whose tid no sink
+   issues; the structural pass has already flagged the stream. *)
 let routable (e : Event.t) =
-  is_object_event e.kind && not (is_thread_path e.kind && e.tid = 0)
+  is_object_event e.kind && tid_in_range e.tid && not (is_thread_path e.kind && e.tid = 0)
 
 let structural (d : Sink.drained) push =
   let events = d.Sink.events in
@@ -435,24 +435,35 @@ let structural (d : Sink.drained) push =
               (last + 1 - n) total;
         }
   end;
-  try
-    Array.iter
-      (fun (e : Event.t) ->
-        if e.tid = 0 && is_thread_path e.kind then begin
-          push
-            {
-              cls = Stream_malformed;
-              seq = e.seq;
-              tid = 0;
-              obj_id = e.arg;
-              detail =
-                Printf.sprintf "thread-path event %s on the system stream (tid 0)"
-                  (Event.kind_name e.kind);
-            };
-          raise Exit
-        end)
-      events
-  with Exit -> ()
+  (* the first event of each kind of misattribution *)
+  let out_of_range = ref false and system_thread_path = ref false in
+  Array.iter
+    (fun (e : Event.t) ->
+      if (not !out_of_range) && not (tid_in_range e.tid) then begin
+        out_of_range := true;
+        push
+          {
+            cls = Stream_malformed;
+            seq = e.seq;
+            tid = e.tid;
+            obj_id = -1;
+            detail = Printf.sprintf "tid %d outside the sink's range [0, %d)" e.tid Sink.max_tids;
+          }
+      end
+      else if (not !system_thread_path) && e.tid = 0 && is_thread_path e.kind then begin
+        system_thread_path := true;
+        push
+          {
+            cls = Stream_malformed;
+            seq = e.seq;
+            tid = 0;
+            obj_id = e.arg;
+            detail =
+              Printf.sprintf "thread-path event %s on the system stream (tid 0)"
+                (Event.kind_name e.kind);
+          }
+      end)
+    events
 
 let finish_object ~require_unlocked_end push id (st : ostate) =
   (if require_unlocked_end then
@@ -511,104 +522,206 @@ let finish_object ~require_unlocked_end push id (st : ostate) =
 (* Position of an event in its object's history: holder-stamped events
    at their ordinal, an observation just after the holder event whose
    ordinal it read.  Ties (observations of the same ordinal) keep seq
-   order, which is each thread's program order. *)
+   order, which is each thread's program order.  A key is even exactly
+   when its event is holder-stamped. *)
 let[@inline] holder (e : Event.t) = (Event.holder_kind_mask lsr Event.kind_to_int e.kind) land 1 = 1
 let[@inline] key (e : Event.t) = (2 * e.ord) + if holder e then 0 else 1
 
 let malformed (e : Event.t) detail =
   { cls = Stream_malformed; seq = e.seq; tid = e.tid; obj_id = e.arg; detail }
 
+(* The routable events grouped by object: [slots.(lo .. hi - 1)] holds
+   one object's events, first in seq order and, once sorted, in
+   position order.  A slot packs the event's index into [stream] above
+   its tid (routable tids are below [Sink.max_tids]); [keys.(p)] is the
+   key of slot [p]'s event and moves with it.  [last] ([backwards]'s
+   last key per tid, [min_int] when unseen) and [begins] ([step]'s
+   open contended-begin depth per tid) are indexed by tid and cover
+   the object under check only: its pass resets its own tids. *)
+type groups = {
+  stream : Event.t array;
+  slots : int array;
+  keys : int array;
+  last : int array;
+  begins : int array;
+}
+
+let tid_bits = 15
+let () = assert (Sink.max_tids = 1 lsl tid_bits)
+let[@inline] slot i tid = (i lsl tid_bits) lor tid
+let[@inline] slot_tid g p = g.slots.(p) land (Sink.max_tids - 1)
+let[@inline] slot_event g p = g.stream.(g.slots.(p) lsr tid_bits)
+
 (* Are one object's events, in seq order, already in position order?
    So for a stream from one OS thread (plus the system stream, whose
    tickets sort after their causes).  Then no thread can go backwards
    and there is nothing to sort. *)
-let in_order (evs : Event.t array) =
-  let rec go i = i >= Array.length evs || (key evs.(i - 1) <= key evs.(i) && go (i + 1)) in
-  go 1
+let in_order g lo hi =
+  let keys = g.keys in
+  let rec go i = i >= hi || (keys.(i - 1) <= keys.(i) && go (i + 1)) in
+  go (lo + 1)
 
 (* The stamps must be consistent before the automaton may trust their
    order.  [backwards] walks one object's events in seq order: a
    thread's events keep its program order, so its positions never
    decrease.  [duplicate] walks them sorted: a holder-stamped ordinal
-   is taken once. *)
-let backwards (evs : Event.t array) =
-  let last = IntTbl.create (min 64 (Array.length evs)) in
-  Array.find_map
-    (fun (e : Event.t) ->
-      let k = key e in
-      match IntTbl.find last e.tid with
-      | k' when k' > k ->
-          Some
-            (malformed e
-               (Printf.sprintf "tid %d's ordinals go backwards (ordinal %d after %d)" e.tid e.ord
-                  (k' / 2)))
-      | _ | (exception Not_found) ->
-          IntTbl.replace last e.tid k;
-          None)
-    evs
-
-let duplicate (sorted : Event.t array) =
+   is taken once.  ([min_int] as "not seen" needs no test: no key is
+   below it.) *)
+let backwards g lo hi =
+  let last = g.last and keys = g.keys in
   let rec go i =
-    if i >= Array.length sorted then None
+    if i >= hi then None
     else
-      let a = sorted.(i - 1) and b = sorted.(i) in
-      if holder b && holder a && a.ord = b.ord then
+      let t = slot_tid g i and k = keys.(i) in
+      let k' = last.(t) in
+      if k' > k then
+        let e = slot_event g i in
+        Some
+          (malformed e
+             (Printf.sprintf "tid %d's ordinals go backwards (ordinal %d after %d)" e.tid e.ord
+                (k' / 2)))
+      else begin
+        last.(t) <- k;
+        go (i + 1)
+      end
+  in
+  go lo
+
+(* Stable merge sort of [slots.(lo .. hi - 1)] by [keys], the two
+   arrays moved together; [tk]/[ts] hold the left run of a merge. *)
+let sort_by_key g lo hi =
+  let keys = g.keys and slots = g.slots in
+  let tk = Array.make (((hi - lo) / 2) + 1) 0 and ts = Array.make (((hi - lo) / 2) + 1) 0 in
+  let rec sort lo hi =
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let k = keys.(i) and s = slots.(i) in
+        let j = ref i in
+        while !j > lo && keys.(!j - 1) > k do
+          keys.(!j) <- keys.(!j - 1);
+          slots.(!j) <- slots.(!j - 1);
+          decr j
+        done;
+        keys.(!j) <- k;
+        slots.(!j) <- s
+      done
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort lo mid;
+      sort mid hi;
+      if keys.(mid - 1) > keys.(mid) then begin
+        let n = mid - lo in
+        Array.blit keys lo tk 0 n;
+        Array.blit slots lo ts 0 n;
+        (* left run from [tk], right run in place; output from [lo] *)
+        let i = ref 0 and j = ref mid and out = ref lo in
+        while !i < n do
+          if !j < hi && keys.(!j) < tk.(!i) then begin
+            keys.(!out) <- keys.(!j);
+            slots.(!out) <- slots.(!j);
+            incr j
+          end
+          else begin
+            keys.(!out) <- tk.(!i);
+            slots.(!out) <- ts.(!i);
+            incr i
+          end;
+          incr out
+        done
+      end
+    end
+  in
+  sort lo hi
+
+let duplicate g lo hi =
+  let keys = g.keys in
+  let rec go i =
+    if i >= hi then None
+    else if keys.(i) = keys.(i - 1) && keys.(i) land 1 = 0 then
+      let a = slot_event g (i - 1) and b = slot_event g i in
+      if a.ord = b.ord then
         Some
           (malformed b
              (Printf.sprintf "holder ordinal %d taken twice (also by seq %d)" b.ord a.seq))
       else go (i + 1)
+    else go (i + 1)
   in
-  go 1
+  go (lo + 1)
 
-(* [evs]: one object's routable events, in seq order. *)
-let verify_object ~max_thin ~cjm ~require_unlocked_end push id (evs : Event.t array) =
-  let sorted = in_order evs in
-  match if sorted then None else backwards evs with
+(* Object [id]'s routable events are [slots.(lo .. hi - 1)]. *)
+let verify_object ~max_thin ~cjm ~require_unlocked_end push g id lo hi =
+  let begins = g.begins in
+  let sorted = in_order g lo hi in
+  (match if sorted then None else backwards g lo hi with
   | Some v -> push v
   | None -> (
-      if not sorted then Array.stable_sort (fun a b -> Int.compare (key a) (key b)) evs;
-      match duplicate evs with
+      if not sorted then sort_by_key g lo hi;
+      match duplicate g lo hi with
       | Some v -> push v
       | None ->
           let rec go st i =
-            if i >= Array.length evs then finish_object ~require_unlocked_end push id st
+            if i >= hi then finish_object ~require_unlocked_end push id st
             else
-              let e = evs.(i) in
-              match step ~max_thin ~cjm st e with
+              let e = slot_event g i in
+              match step ~max_thin ~cjm ~begins st e with
               | Ok st -> go st (i + 1)
               | Error (cls, detail) -> push { cls; seq = e.seq; tid = e.tid; obj_id = id; detail }
           in
-          go initial 0)
+          go initial lo));
+  (* hand the tid tables on clean *)
+  for i = lo to hi - 1 do
+    let t = slot_tid g i in
+    g.last.(t) <- min_int;
+    begins.(t) <- 0
+  done
+
+let seen_mask = 4095
 
 (* Bucket the routable events by object (a counting sort: each bucket
-   keeps seq order), then verify the objects in id order, each bucket
-   copied out, checked and dropped. *)
+   keeps seq order), key each slot, then verify the objects in id
+   order, each over its own range. *)
 let run ~max_thin ~cjm ~require_unlocked_end (d : Sink.drained) push =
   let events = d.Sink.events in
   let n = Array.length events in
   let group_of = IntTbl.create 64 in
+  (* a direct-mapped cache of [group_of] by the id's low bits, so a
+     storm's thousand hot objects resolve without hashing; slot [s]
+     starts out holding [s + 1], an id that cannot map to it *)
+  let seen_id = Array.init (seen_mask + 1) (fun s -> s + 1) in
+  let seen_group = Array.make (seen_mask + 1) 0 in
   let group = Array.make n (-1) in
   let counts = ref (Array.make 64 0) in
   let groups = ref 0 in
+  let max_tid = ref 0 in
   Array.iteri
     (fun i (e : Event.t) ->
       if routable e then begin
+        let slot = e.arg land seen_mask in
         let g =
-          match IntTbl.find_opt group_of e.arg with
-          | Some g -> g
-          | None ->
-              let g = !groups in
-              IntTbl.add group_of e.arg g;
-              incr groups;
-              if g >= Array.length !counts then begin
-                let bigger = Array.make (2 * g) 0 in
-                Array.blit !counts 0 bigger 0 g;
-                counts := bigger
-              end;
-              g
+          if seen_id.(slot) = e.arg then seen_group.(slot)
+          else begin
+            let g =
+              match IntTbl.find group_of e.arg with
+              | g -> g
+              | exception Not_found ->
+                  let g = !groups in
+                  IntTbl.add group_of e.arg g;
+                  incr groups;
+                  if g >= Array.length !counts then begin
+                    let bigger = Array.make (2 * g) 0 in
+                    Array.blit !counts 0 bigger 0 g;
+                    counts := bigger
+                  end;
+                  g
+            in
+            seen_id.(slot) <- e.arg;
+            seen_group.(slot) <- g;
+            g
+          end
         in
         group.(i) <- g;
-        !counts.(g) <- !counts.(g) + 1
+        !counts.(g) <- !counts.(g) + 1;
+        if e.tid > !max_tid then max_tid := e.tid
       end)
     events;
   let start = Array.make (!groups + 1) 0 in
@@ -616,19 +729,31 @@ let run ~max_thin ~cjm ~require_unlocked_end (d : Sink.drained) push =
     start.(g + 1) <- start.(g) + !counts.(g)
   done;
   let fill = Array.sub start 0 !groups in
-  let order = Array.make start.(!groups) 0 in
+  let slots = Array.make start.(!groups) 0 in
   Array.iteri
     (fun i g ->
       if g >= 0 then begin
-        order.(fill.(g)) <- i;
-        fill.(g) <- fill.(g) + 1
+        let p = fill.(g) in
+        slots.(p) <- slot i events.(i).tid;
+        fill.(g) <- p + 1
       end)
     group;
+  (* [group] is spent: its first words take the keys *)
+  let keys = group in
+  Array.iteri (fun p s -> keys.(p) <- key events.(s lsr tid_bits)) slots;
+  let gs =
+    {
+      stream = events;
+      slots;
+      keys;
+      last = Array.make (!max_tid + 1) min_int;
+      begins = Array.make (!max_tid + 1) 0;
+    }
+  in
   IntTbl.fold (fun id g acc -> (id, g) :: acc) group_of []
   |> List.sort compare
   |> List.iter (fun (id, g) ->
-         let evs = Array.init (start.(g + 1) - start.(g)) (fun j -> events.(order.(start.(g) + j))) in
-         verify_object ~max_thin ~cjm ~require_unlocked_end push id evs);
+         verify_object ~max_thin ~cjm ~require_unlocked_end push gs id start.(g) start.(g + 1));
   !groups
 
 (* ------------------------------------------------------------------ *)

@@ -18,9 +18,10 @@
     {b Order.}  The order of one object's events is recorded, not
     guessed: whoever holds the right to change the object's state stamps
     its events with the object's next ordinal ({!Event.t.ord}, see
-    [Sink]).  The oracle takes one object at a time, sorts its events by
-    (ordinal, holder-stamped before observed, [seq]), runs the automaton
-    once over them and drops them.  [seq] order across threads is never
+    [Sink]).  The oracle buckets the events by object, then takes one
+    object at a time, sorts its events by (ordinal, holder-stamped
+    before observed, [seq]) in place and runs the automaton once over
+    them.  [seq] order across threads is never
     consulted, so one engine gives one verdict for every stream —
     single-domain or multi-domain, fibers or OS threads.  The stamps are
     checked first: two holder-stamped events of one object with the same
@@ -45,7 +46,8 @@ type violation_class =
       (** the stream itself is broken: seq gap or duplicate, a holder
           ordinal taken twice or a thread's ordinals going backwards,
           unmatched contended-end, thread-path event on the system
-          stream, or an object left held at end of stream *)
+          stream, a tid no sink issues (outside [\[0, Sink.max_tids)]),
+          or an object left held at end of stream *)
 
 type violation = {
   cls : violation_class;

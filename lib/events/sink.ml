@@ -270,12 +270,15 @@ type drained = { events : Event.t array; dropped : (int * int) list }
 let empty = { events = [||]; dropped = [] }
 
 let kind_mask_bits = (1 lsl Event.kind_bits) - 1
+let kinds = Array.of_list Event.all_kinds
 
-(* A k-way merge of the non-empty rings through a binary heap of ring
-   indices keyed by (stamp of the ring's next event, ring id).  Each
-   ring is already in (stamp, position) order, so popping the least
-   head yields exactly the (stamp, rid, pos) order — without a cell per
-   event or a comparison sort:
+(* A k-way merge of the non-empty rings through a binary heap keyed by
+   (stamp of the ring's next event, ring index).  Each heap entry is one
+   packed int, [stamp lsl ring_bits lor j], so entries compare as plain
+   ints and the index breaks stamp ties.  Each ring is already in
+   (stamp, position) order, so popping the least head yields exactly
+   the (stamp, rid, pos) order — without a cell per event or a
+   comparison sort:
 
    - a ring has one writer at a time, and that writer's epoch loads
      never go backwards; a ticket it takes is larger than any stamp it
@@ -284,6 +287,9 @@ let kind_mask_bits = (1 lsl Event.kind_bits) - 1
      previous holder released it, so it reads an epoch at least as new.
 
    The merge asserts the per-ring order as it advances each cursor. *)
+let ring_bits = 15
+let ring_mask = (1 lsl ring_bits) - 1
+
 let drain t =
   if not t.enabled then empty
   else begin
@@ -301,47 +307,49 @@ let drain t =
     done;
     let live = Array.of_list !live in
     let k = Array.length live in
+    (* ring indices follow ring ids, so index order is rid order *)
+    assert (k <= ring_mask + 1);
     let rid = Array.map fst live in
     let chunks = Array.map (fun (_, r) -> Ring.chunks r) live in
     (* ring [j]'s cursor: chunk [ci.(j)], word [w.(j)], [left.(j)]
        events still to merge *)
     let ci = Array.make k 0 and w = Array.make k 0 in
     let left = Array.map (fun (_, r) -> Ring.written r) live in
-    let stamp = Array.map (fun cs -> cs.(0).(0) lsr Event.kind_bits) chunks in
-    (* ring indices follow ring ids, so the index breaks stamp ties *)
-    let before a b = stamp.(a) < stamp.(b) || (stamp.(a) = stamp.(b) && a < b) in
-    let heap = Array.init k Fun.id in
+    let entry j s =
+      assert (s lsr (Sys.int_size - 1 - ring_bits) = 0);
+      (s lsl ring_bits) lor j
+    in
+    let heap = Array.mapi (fun j cs -> entry j (cs.(0).(0) lsr Event.kind_bits)) chunks in
     let size = ref k in
-    let sift_down i =
-      let j = heap.(i) in
+    let sift_down i x =
+      let n = !size in
       let rec go i =
         let l = (2 * i) + 1 in
-        if l >= !size then heap.(i) <- j
+        if l >= n then heap.(i) <- x
         else
-          let c = if l + 1 < !size && before heap.(l + 1) heap.(l) then l + 1 else l in
-          if before heap.(c) j then begin
-            heap.(i) <- heap.(c);
+          let c = if l + 1 < n && heap.(l + 1) < heap.(l) then l + 1 else l in
+          let y = heap.(c) in
+          if y < x then begin
+            heap.(i) <- y;
             go c
           end
-          else heap.(i) <- j
+          else heap.(i) <- x
       in
       go i
     in
     for i = (k / 2) - 1 downto 0 do
-      sift_down i
+      sift_down i heap.(i)
     done;
     let next seq =
-      let j = heap.(0) in
+      let top = heap.(0) in
+      let j = top land ring_mask in
       let chunk = chunks.(j).(ci.(j)) and p = w.(j) in
-      let m = chunk.(p) in
-      let kind =
-        match Event.kind_of_int (m land kind_mask_bits) with
-        | Some kind -> kind
-        | None -> assert false (* rings only ever hold valid kinds *)
-      in
+      let ki = chunk.(p) land kind_mask_bits in
+      (* rings only ever hold valid kinds: the bounds check guards it *)
+      let kind = kinds.(ki) in
       let word = chunk.(p + 1) in
       let e =
-        if Event.carries_object kind then
+        if carries_object ki then
           { Event.seq; tid = rid.(j); kind; arg = word land obj_mask; ord = word lsr obj_bits }
         else { Event.seq; tid = rid.(j); kind; arg = word; ord = 0 }
       in
@@ -353,14 +361,13 @@ let drain t =
       end;
       if left.(j) > 0 then begin
         let s = chunks.(j).(ci.(j)).(w.(j)) lsr Event.kind_bits in
-        assert (s >= stamp.(j));
-        stamp.(j) <- s
+        assert (s >= top lsr ring_bits);
+        sift_down 0 (entry j s)
       end
       else begin
         decr size;
-        heap.(0) <- heap.(!size)
+        sift_down 0 heap.(!size)
       end;
-      sift_down 0;
       e
     in
     let total = Array.fold_left ( + ) 0 left in

@@ -396,17 +396,36 @@ let notify_all env t =
   Spinlock.release t.latch;
   List.iter (fun w -> Parker.unpark w.env.parker) woken
 
-let owner t = Spinlock.with_lock t.latch (fun () -> t.owner)
-let count t = Spinlock.with_lock t.latch (fun () -> t.count)
+(* The accessors below hold the latch around bodies that cannot raise,
+   so a plain acquire/release pair does: no [Fun.protect], no closure. *)
+let owner t =
+  Spinlock.acquire t.latch;
+  let owner = t.owner in
+  Spinlock.release t.latch;
+  owner
+
+(* Only the owner writes [count] while it holds the monitor (or the
+   releaser that hands it over, under the latch, before the new owner's
+   own latched claim), so the owner's read needs no latch. *)
+let count t = t.count
 
 let entry_queue_length t =
-  Spinlock.with_lock t.latch (fun () ->
-      match t.admission with
-      | Some h -> Hapax.pending_tickets h
-      | None -> Queue.length t.entry_queue)
+  Spinlock.acquire t.latch;
+  let n = match t.admission with Some h -> Hapax.pending_tickets h | None -> Queue.length t.entry_queue in
+  Spinlock.release t.latch;
+  n
 
-let wait_set_length t = Spinlock.with_lock t.latch (fun () -> Queue.length t.wait_set)
-let holds env t = Spinlock.with_lock t.latch (fun () -> t.owner = my_index env)
+let wait_set_length t =
+  Spinlock.acquire t.latch;
+  let n = Queue.length t.wait_set in
+  Spinlock.release t.latch;
+  n
+
+let holds env t =
+  Spinlock.acquire t.latch;
+  let mine = t.owner = my_index env in
+  Spinlock.release t.latch;
+  mine
 
 (* Idleness for deflation: unowned, no queued entrant, no waiter, no
    notified/timed-out waiter in flight back to re-acquisition — and,
@@ -418,30 +437,42 @@ let idle_locked t =
   && t.in_flight = 0
   && pipeline_quiet t
 
-let is_idle t = Spinlock.with_lock t.latch (fun () -> (not t.retired) && idle_locked t)
+let is_idle t =
+  Spinlock.acquire t.latch;
+  let idle = (not t.retired) && idle_locked t in
+  Spinlock.release t.latch;
+  idle
 
 (* --- lifecycle handshake (non-quiescent deflation) --- *)
 
 let retire_if_idle t =
-  Spinlock.with_lock t.latch (fun () ->
-      if (not t.retired) && idle_locked t then begin
-        t.retired <- true;
-        true
-      end
-      else false)
+  Spinlock.acquire t.latch;
+  let retire = (not t.retired) && idle_locked t in
+  if retire then t.retired <- true;
+  Spinlock.release t.latch;
+  retire
 
-let is_retired t = Spinlock.with_lock t.latch (fun () -> t.retired)
+let is_retired t =
+  Spinlock.acquire t.latch;
+  let retired = t.retired in
+  Spinlock.release t.latch;
+  retired
 
 let observe_idle t =
-  Spinlock.with_lock t.latch (fun () ->
-      if (not t.retired) && idle_locked t then begin
-        t.idle_scans <- t.idle_scans + 1;
-        t.idle_scans
-      end
-      else begin
-        t.idle_scans <- 0;
-        0
-      end)
+  Spinlock.acquire t.latch;
+  t.idle_scans <- (if (not t.retired) && idle_locked t then t.idle_scans + 1 else 0);
+  let scans = t.idle_scans in
+  Spinlock.release t.latch;
+  scans
 
-let contended_episodes t = Spinlock.with_lock t.latch (fun () -> t.contended_episodes)
-let idle_scans t = Spinlock.with_lock t.latch (fun () -> t.idle_scans)
+let contended_episodes t =
+  Spinlock.acquire t.latch;
+  let n = t.contended_episodes in
+  Spinlock.release t.latch;
+  n
+
+let idle_scans t =
+  Spinlock.acquire t.latch;
+  let n = t.idle_scans in
+  Spinlock.release t.latch;
+  n

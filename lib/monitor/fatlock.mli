@@ -114,7 +114,12 @@ val owner : t -> int
     monitor's latch; may be stale by return time but never torn. *)
 
 val count : t -> int
-(** Current lock count, read under the latch. *)
+(** Current lock count, read without the latch.  Only the owner writes
+    the count while it holds the monitor (a release that hands the
+    monitor over writes it under the latch, before the new owner's own
+    latched claim), so the owner reads its own count exactly: the fat
+    acquire paths book their depth statistic this way.  Any other
+    thread reads a snapshot that may be stale. *)
 
 val entry_queue_length : t -> int
 (** Queued entrants: entry-queue length (Parker) or pending tickets

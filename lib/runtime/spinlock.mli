@@ -8,8 +8,8 @@ type t
 
 val create : unit -> t
 val acquire : t -> unit
+(** One CAS when the lock is free; backs off (allocating its state)
+    only after that attempt fails. *)
+
 val release : t -> unit
 val try_acquire : t -> bool
-
-val with_lock : t -> (unit -> 'a) -> 'a
-(** Acquire, run, release (also on exception). *)

@@ -20,20 +20,79 @@ let sorted_copy xs =
   Array.sort Float.compare ys;
   ys
 
-let percentile_sorted ys p =
-  let n = Array.length ys in
-  if n = 1 then ys.(0)
+let check_p name p =
+  if p < 0.0 || p > 100.0 then invalid_arg ("Stats." ^ name ^ ": p out of range")
+
+(* Linear interpolation between the two samples ranked around [p]% of
+   [n] sorted samples, read through [get]. *)
+let[@inline] interpolate n get p =
+  if n = 1 then get 0
   else
     let rank = p /. 100.0 *. float_of_int (n - 1) in
     let lo = int_of_float (Float.trunc rank) in
     let hi = min (lo + 1) (n - 1) in
     let frac = rank -. float_of_int lo in
-    ys.(lo) +. (frac *. (ys.(hi) -. ys.(lo)))
+    let y = get lo in
+    y +. (frac *. (get hi -. y))
+
+let percentile_sorted ys p =
+  check_nonempty "percentile_sorted" ys;
+  check_p "percentile_sorted" p;
+  interpolate (Array.length ys) (Array.unsafe_get ys) p
+
+let percentile_sorted_ints ys p =
+  if Array.length ys = 0 then invalid_arg "Stats.percentile_sorted_ints: empty sample";
+  check_p "percentile_sorted_ints" p;
+  interpolate (Array.length ys) (fun i -> float_of_int (Array.unsafe_get ys i)) p
 
 let percentile xs p =
   check_nonempty "percentile" xs;
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+  check_p "percentile" p;
   percentile_sorted (sorted_copy xs) p
+
+(* LSD radix sort, [radix_bits] per pass, ping-ponging between [a] and
+   one scratch array.  Passes stop at the largest value's top digit, so
+   values below 2^33 take at most three. *)
+let radix_bits = 11
+let radix_mask = (1 lsl radix_bits) - 1
+
+let sort_nonneg_ints a =
+  let n = Array.length a in
+  let top = ref 0 in
+  for i = 0 to n - 1 do
+    let x = Array.unsafe_get a i in
+    if x < 0 then invalid_arg "Stats.sort_nonneg_ints: negative value";
+    if x > !top then top := x
+  done;
+  let counts = Array.make (radix_mask + 1) 0 in
+  let src = ref a and dst = ref (Array.make n 0) in
+  let shift = ref 0 in
+  while !top lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill counts 0 (radix_mask + 1) 0;
+    for i = 0 to n - 1 do
+      let b = (Array.unsafe_get s i lsr sh) land radix_mask in
+      Array.unsafe_set counts b (Array.unsafe_get counts b + 1)
+    done;
+    (* counts become each digit's first output position *)
+    let pos = ref 0 in
+    for b = 0 to radix_mask do
+      let c = Array.unsafe_get counts b in
+      Array.unsafe_set counts b !pos;
+      pos := !pos + c
+    done;
+    for i = 0 to n - 1 do
+      let x = Array.unsafe_get s i in
+      let b = (x lsr sh) land radix_mask in
+      let p = Array.unsafe_get counts b in
+      Array.unsafe_set d p x;
+      Array.unsafe_set counts b (p + 1)
+    done;
+    src := d;
+    dst := s;
+    shift := sh + radix_bits
+  done;
+  if !src != a then Array.blit !src 0 a 0 n
 
 let median xs = percentile xs 50.0
 

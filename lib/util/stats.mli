@@ -20,6 +20,21 @@ val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0, 100], linear interpolation.
     All of the above raise [Invalid_argument] on an empty array. *)
 
+val percentile_sorted : float array -> float -> float
+(** [percentile xs p] for an [xs] already sorted ascending, read in
+    place: no copy, no sort.
+    @raise Invalid_argument on an empty array or [p] outside [0, 100]. *)
+
+val percentile_sorted_ints : int array -> float -> float
+(** {!percentile_sorted} over sorted integer samples, interpolated in
+    floating point. *)
+
+val sort_nonneg_ints : int array -> unit
+(** Sort non-negative integers ascending, in place, by LSD radix: a few
+    linear passes (one per 11 bits of the largest value) and one scratch
+    array of the same length.
+    @raise Invalid_argument on a negative value. *)
+
 val summary : float array -> summary
 
 val pp_summary : Format.formatter -> summary -> unit

@@ -6,7 +6,6 @@ let now () = Unix.gettimeofday ()
 let now_ns () = Monotonic_clock.now ()
 
 let elapsed_ns ~since = Int64.sub (Monotonic_clock.now ()) since
-let ns_to_us ns = Int64.to_float ns /. 1e3
 
 let time f =
   let t0 = now () in

@@ -15,9 +15,6 @@ val now_ns : unit -> int64
 val elapsed_ns : since:int64 -> int64
 (** Nanoseconds elapsed since a [now_ns] sample. *)
 
-val ns_to_us : int64 -> float
-(** Nanoseconds to fractional microseconds. *)
-
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f] and returns its result with the elapsed seconds. *)
 

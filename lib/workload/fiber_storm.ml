@@ -124,6 +124,19 @@ let sample_cdf cdf u =
   done;
   !lo
 
+type latency_tail = { p50 : float; p99 : float; p999 : float; max : float }
+
+(* One radix sort of the integer samples, then four reads of the sorted
+   array; microseconds only at the end. *)
+let latency_tail ns =
+  let n = Array.length ns in
+  if n = 0 then { p50 = 0.0; p99 = 0.0; p999 = 0.0; max = 0.0 }
+  else begin
+    Tl_util.Stats.sort_nonneg_ints ns;
+    let us p = Tl_util.Stats.percentile_sorted_ints ns p /. 1e3 in
+    { p50 = us 50.0; p99 = us 99.0; p999 = us 99.9; max = float_of_int ns.(n - 1) /. 1e3 }
+  end
+
 (* Events per ring before drops: 16M, or 256 MB of one ring's slots —
    a cap, not a reservation. *)
 let ring_cap = 1 lsl 24
@@ -138,14 +151,14 @@ let run ?(trace = true) ?(oracle = true) config =
   let controller = Policy_lab.attach_reaper ?reap:config.reap runtime scheme in
   let heap = Tl_heap.Heap.create () in
   let total_ops = config.fibers * config.ops_per_fiber in
-  (* microseconds, sampled on the ns clock: gettimeofday's µs
+  (* integer nanoseconds on the monotonic clock: gettimeofday's µs
      granularity would floor sub-µs acquires to exactly 0 and make the
      p50 a lie *)
-  let latencies = Array.make total_ops 0.0 in
+  let latencies = Array.make total_ops 0 in
   let lat_n = Atomic.make 0 in
   let record_latency t0 =
     latencies.(Atomic.fetch_and_add lat_n 1) <-
-      Tl_util.Timer.ns_to_us (Tl_util.Timer.elapsed_ns ~since:t0)
+      Int64.to_int (Tl_util.Timer.elapsed_ns ~since:t0)
   in
   let completed = Atomic.make 0 in
   let cdf = zipf_cdf ~theta:config.zipf config.objects in
@@ -207,9 +220,7 @@ let run ?(trace = true) ?(oracle = true) config =
         (elapsed, Scheduler.overflow_waits ()))
   in
   let ops = Atomic.get lat_n in
-  let lat = if ops = Array.length latencies then latencies else Array.sub latencies 0 ops in
-  Array.sort Float.compare lat;
-  let pct p = if ops = 0 then 0.0 else Tl_util.Stats.percentile lat p in
+  let lat = latency_tail (if ops = Array.length latencies then latencies else Array.sub latencies 0 ops) in
   let drained = if trace then Sink.drain sink else Sink.empty in
   let stats = scheme.stats () in
   let live = match scheme.lifecycle with Evaporates live -> Some live | Deflates _ | Static -> None in
@@ -218,10 +229,10 @@ let run ?(trace = true) ?(oracle = true) config =
     elapsed;
     ops;
     ops_per_sec = (if elapsed > 0.0 then float_of_int ops /. elapsed else 0.0);
-    p50_us = pct 50.0;
-    p99_us = pct 99.0;
-    p999_us = pct 99.9;
-    max_us = (if ops = 0 then 0.0 else lat.(ops - 1));
+    p50_us = lat.p50;
+    p99_us = lat.p99;
+    p999_us = lat.p999;
+    max_us = lat.max;
     completed = Atomic.get completed;
     overflow_waits;
     sched;

@@ -89,6 +89,16 @@ type result = {
   oracle : Tl_events.Oracle.report option;
 }
 
+type latency_tail = { p50 : float; p99 : float; p999 : float; max : float }
+(** Acquire-latency percentiles and maximum, microseconds. *)
+
+val latency_tail : int array -> latency_tail
+(** The storm's latency summary: sorts the nanosecond samples in place
+    ({!Tl_util.Stats.sort_nonneg_ints}) and reads p50, p99, p999 and
+    the maximum off the sorted array ({!Tl_util.Stats.percentile_sorted_ints}),
+    converting to microseconds last.  All zero for no samples.
+    @raise Invalid_argument on a negative sample. *)
+
 val run : ?trace:bool -> ?oracle:bool -> config -> result
 (** Run one storm on a fresh runtime and scheduler.  [trace] (default
     true) attaches an event sink whose rings grow with use; [oracle]

@@ -173,6 +173,82 @@ let test_malformed_tid_ordinals_backwards () =
          ev ~ord:4 4 1 Event.Release_fast 2;
        ])
 
+(* Both stamp checks on an object whose seq order is not its ordinal
+   order, so its events go through the sort: tid 1's whole episode is
+   recorded after tid 2's acquire. *)
+let test_malformed_out_of_order_object () =
+  (* tids 2 and 3 both take holder ordinal 3 *)
+  assert_class ~seq:3 Oracle.Stream_malformed
+    (dr
+       [
+         ev ~ord:3 0 2 Event.Acquire_fast 5;
+         ev ~ord:1 1 1 Event.Acquire_fast 5;
+         ev ~ord:2 2 1 Event.Release_fast 5;
+         ev ~ord:3 3 3 Event.Acquire_fast 5;
+         ev ~ord:4 4 2 Event.Release_fast 5;
+         ev ~ord:5 5 3 Event.Release_fast 5;
+       ]);
+  (* tid 2 observes ordinal 1 after its own acquire took ordinal 3 *)
+  assert_class ~seq:3 Oracle.Stream_malformed
+    (dr
+       [
+         ev ~ord:3 0 2 Event.Acquire_fast 6;
+         ev ~ord:1 1 1 Event.Acquire_fast 6;
+         ev ~ord:2 2 1 Event.Release_fast 6;
+         ev ~ord:1 3 2 Event.Contended_end 6;
+         ev ~ord:4 4 2 Event.Release_fast 6;
+       ]);
+  (* the same episodes, stamped consistently, sort into a clean history *)
+  assert_clean
+    (dr
+       [
+         ev ~ord:3 0 2 Event.Acquire_fast 5;
+         ev ~ord:1 1 1 Event.Acquire_fast 5;
+         ev ~ord:2 2 1 Event.Release_fast 5;
+         ev ~ord:4 3 2 Event.Release_fast 5;
+       ])
+
+(* The per-tid state of one object's check ends with that object: a
+   violation that cuts an object short leaves no last ordinal and no
+   open contended-begin behind for the next object. *)
+let test_objects_checked_independently () =
+  let r =
+    Oracle.check
+      (dr
+         [
+           (* object 1: tid 1 goes backwards at seq 2 *)
+           ev ~ord:5 0 1 Event.Acquire_fast 1;
+           ev ~ord:1 1 2 Event.Acquire_fast 1;
+           ev ~ord:2 2 1 Event.Release_fast 1;
+           (* object 2: out of seq order, clean *)
+           ev ~ord:3 3 2 Event.Acquire_fast 2;
+           ev ~ord:1 4 1 Event.Acquire_fast 2;
+           ev ~ord:2 5 1 Event.Release_fast 2;
+           ev ~ord:4 6 2 Event.Release_fast 2;
+           (* object 3: tid 4 opens a contended episode, then tid 3's
+              second fast acquire stops the check at seq 9 *)
+           ev ~ord:1 7 3 Event.Acquire_fast 3;
+           ev ~ord:1 8 4 Event.Contended_begin 3;
+           ev ~ord:2 9 3 Event.Acquire_fast 3;
+           (* object 4: tid 4 ends an episode it never began here *)
+           ev ~ord:1 10 4 Event.Acquire_fast 4;
+           ev ~ord:1 11 4 Event.Contended_end 4;
+           ev ~ord:2 12 4 Event.Release_fast 4;
+         ])
+  in
+  Alcotest.(check (list (pair int string)))
+    "one verdict per faulty object"
+    [
+      (2, "stream-malformed"); (9, "count-error"); (11, "stream-malformed");
+    ]
+    (List.map (fun v -> (v.Oracle.seq, Oracle.class_name v.Oracle.cls)) r.Oracle.violations)
+
+(* No sink issues a tid outside [0, max_tids); such an event is
+   flagged and kept out of the automaton. *)
+let test_malformed_tid_out_of_range () =
+  assert_class ~seq:1 Oracle.Stream_malformed
+    (stream [ (1, Event.Acquire_fast, 1); (Sink.max_tids, Event.Release_fast, 1); (1, Event.Release_fast, 1) ])
+
 let test_malformed_tid0_thread_path () =
   assert_class ~seq:0 Oracle.Stream_malformed
     (stream [ (0, Event.Acquire_fast, 1) ])
@@ -897,6 +973,12 @@ let () =
             test_malformed_duplicate_holder_ordinal;
           Alcotest.test_case "tid ordinals go backwards" `Quick
             test_malformed_tid_ordinals_backwards;
+          Alcotest.test_case "sorted-object stamp checks" `Quick
+            test_malformed_out_of_order_object;
+          Alcotest.test_case "objects checked apart" `Quick
+            test_objects_checked_independently;
+          Alcotest.test_case "tid beyond the sink range" `Quick
+            test_malformed_tid_out_of_range;
           Alcotest.test_case "thread-path event on tid 0" `Quick
             test_malformed_tid0_thread_path;
           Alcotest.test_case "held at end of stream" `Quick

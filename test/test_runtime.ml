@@ -125,7 +125,9 @@ let test_spinlock_mutual_exclusion () =
   let runtime = Runtime.create () in
   Runtime.run_parallel runtime 4 (fun _ _env ->
       for _ = 1 to 5000 do
-        Spinlock.with_lock lock (fun () -> incr counter)
+        Spinlock.acquire lock;
+        incr counter;
+        Spinlock.release lock
       done);
   check_int "counter" 20000 !counter
 

@@ -108,6 +108,48 @@ let test_summary () =
   Alcotest.(check (float 1e-9)) "p0 = min" 1.0 (Stats.percentile xs 0.0);
   Alcotest.(check (float 1e-9)) "p100 = max" 5.0 (Stats.percentile xs 100.0)
 
+(* Read off an already-sorted array, [percentile_sorted] is
+   [percentile] without the copy and sort: equal at every p, on one
+   sample, at p0 (the minimum) and p100 (the maximum). *)
+let test_percentile_sorted () =
+  let eq name a b = Alcotest.(check (float 0.0)) name a b in
+  let xs = [| 1.0; 2.0; 2.0; 3.5; 10.0; 10.0; 40.0 |] in
+  List.iter
+    (fun p ->
+      let name = Printf.sprintf "p%g" p in
+      eq name (Stats.percentile xs p) (Stats.percentile_sorted xs p);
+      eq (name ^ " ints")
+        (Stats.percentile (Array.map float_of_int [| 1; 2; 2; 3; 10; 10; 40 |]) p)
+        (Stats.percentile_sorted_ints [| 1; 2; 2; 3; 10; 10; 40 |] p))
+    [ 0.0; 12.5; 50.0; 90.0; 99.0; 99.9; 100.0 ];
+  eq "p0 = min" 1.0 (Stats.percentile_sorted xs 0.0);
+  eq "p100 = max" 40.0 (Stats.percentile_sorted xs 100.0);
+  List.iter
+    (fun p ->
+      eq (Printf.sprintf "one sample p%g" p) (Stats.percentile [| 7.0 |] p)
+        (Stats.percentile_sorted [| 7.0 |] p);
+      eq (Printf.sprintf "one int sample p%g" p) 7.0 (Stats.percentile_sorted_ints [| 7 |] p))
+    [ 0.0; 50.0; 100.0 ];
+  Alcotest.check_raises "empty" (Invalid_argument "Stats.percentile_sorted: empty sample")
+    (fun () -> ignore (Stats.percentile_sorted [||] 50.0))
+
+let prop_radix_sort =
+  QCheck.Test.make ~name:"radix sort agrees with Array.sort" ~count:500
+    QCheck.(
+      list
+        (oneof
+           [ int_range 0 3; int_range 0 5000; int_range 0 max_int; always max_int; always (1 lsl 33) ]))
+    (fun xs ->
+      let a = Array.of_list xs in
+      let want = Array.copy a in
+      Array.sort Int.compare want;
+      Stats.sort_nonneg_ints a;
+      a = want)
+
+let test_radix_sort_rejects_negative () =
+  Alcotest.check_raises "negative" (Invalid_argument "Stats.sort_nonneg_ints: negative value")
+    (fun () -> Stats.sort_nonneg_ints [| 3; -1; 2 |])
+
 let prop_median_bounds =
   QCheck.Test.make ~name:"median within min/max" ~count:500
     QCheck.(list_of_size (QCheck.Gen.int_range 1 50) (float_range (-1000.) 1000.))
@@ -179,6 +221,10 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "summary" `Quick test_summary;
+          Alcotest.test_case "percentile of sorted input" `Quick test_percentile_sorted;
+          QCheck_alcotest.to_alcotest prop_radix_sort;
+          Alcotest.test_case "radix sort rejects negatives" `Quick
+            test_radix_sort_rejects_negative;
           QCheck_alcotest.to_alcotest prop_median_bounds;
           Alcotest.test_case "histogram" `Quick test_histogram;
         ] );

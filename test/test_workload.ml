@@ -379,6 +379,35 @@ let test_storm_every_scheme () =
        (fun n -> not (String.equal n "nosync"))
        (Tl_baselines.Registry.names ()))
 
+(* The storm's latency summary (integer ns, one radix sort, sorted
+   reads, µs last) against [Stats.percentile] over the same samples in
+   µs.  Samples mix zeros, duplicates and values past 2^33 ns (the
+   radix sort's third digit); lists of one sample occur too. *)
+let prop_latency_tail_matches_percentile =
+  let sample =
+    QCheck.Gen.(
+      oneof
+        [
+          return 0;
+          int_range 0 2_000;
+          int_range 0 100_000_000;
+          int_range (1 lsl 33) (1 lsl 40);
+          oneofl [ 1 lsl 33; (1 lsl 33) - 1; 999; 1_000 ];
+        ])
+  in
+  QCheck.Test.make ~name:"latency tail = Stats.percentile in us" ~count:500
+    QCheck.(
+      make ~print:Print.(list int)
+        Gen.(oneof [ map (fun x -> [ x ]) sample; list_size (int_range 1 300) sample ]))
+    (fun ns ->
+      let us = Array.of_list (List.map (fun x -> float_of_int x /. 1e3) ns) in
+      let tail = Fiber_storm.latency_tail (Array.of_list ns) in
+      let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+      close tail.Fiber_storm.p50 (Tl_util.Stats.percentile us 50.0)
+      && close tail.p99 (Tl_util.Stats.percentile us 99.0)
+      && close tail.p999 (Tl_util.Stats.percentile us 99.9)
+      && close tail.max (Tl_util.Stats.percentile us 100.0))
+
 let () =
   Alcotest.run "workload"
     [
@@ -429,5 +458,9 @@ let () =
         ] );
       (* group labels stay within ten characters: a longer one widens
          Alcotest's label column and truncates the other test names *)
-      ("storm", [ Alcotest.test_case "every registry scheme" `Slow test_storm_every_scheme ]);
+      ( "storm",
+        [
+          Alcotest.test_case "every registry scheme" `Slow test_storm_every_scheme;
+          QCheck_alcotest.to_alcotest prop_latency_tail_matches_percentile;
+        ] );
     ]

@@ -7,14 +7,35 @@ set -e
 
 cd "$(dirname "$0")/.."
 
+# Stage timing: each stage prints its wall seconds as the next one
+# starts, and a passing run ends with every stage's time and the total.
+now() { date +%s.%N; }
+check_t0=$(now)
+stage_name=
+stage_t0=
+stage_log=
+stage_done() {
+  [ -n "$stage_name" ] || return 0
+  secs=$(awk -v a="$stage_t0" -v b="$(now)" 'BEGIN { printf "%.1f", b - a }')
+  echo "  [$secs s]"
+  stage_log="$stage_log$(printf '%8s s  %s' "$secs" "$stage_name")
+"
+}
+stage() {
+  stage_done
+  stage_name=$1
+  stage_t0=$(now)
+  echo "== $1"
+}
+
 if command -v ocamlformat >/dev/null 2>&1 && [ -f .ocamlformat ]; then
-  echo "== dune build @fmt"
+  stage "dune build @fmt"
   dune build @fmt
 else
-  echo "== skipping format check (ocamlformat or .ocamlformat not present)"
+  stage "skipping format check (ocamlformat or .ocamlformat not present)"
 fi
 
-echo "== dune build (warnings are errors for this gate)"
+stage "dune build (warnings are errors for this gate)"
 build_log=$(mktemp)
 # Force a fresh compile so warnings already cached in _build still
 # surface; dune only prints diagnostics on recompilation.  No pipe:
@@ -32,10 +53,10 @@ if grep -q "Warning" "$build_log"; then
 fi
 rm -f "$build_log"
 
-echo "== dune runtest"
+stage "dune runtest"
 dune runtest
 
-echo "== stress: domain-parallel and oracle suites, 20 runs each"
+stage "stress: domain-parallel and oracle suites, 20 runs each"
 # A concurrency test that passes once can still fail on the next
 # interleaving, and a qcheck property on the next seed.  Each run gets
 # its own qcheck seed; a failure prints the suite, the iteration and the
@@ -59,13 +80,13 @@ for suite in test_monitor test_stats test_parallel test_oracle; do
   echo "  $suite: 20/20 passed"
 done
 
-echo "== event-codec golden test"
+stage "event-codec golden test"
 dune exec test/test_events.exe -- test codec
 
-echo "== bench run: the scenarios no other path measures"
+stage "bench run: the scenarios no other path measures"
 dune exec bench/main.exe
 
-echo "== BENCH.json is valid and carries every gated scenario"
+stage "BENCH.json is valid and carries every gated scenario"
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
@@ -261,24 +282,24 @@ replay_par_gate() {
   fi
 }
 
-echo "== fiber storm smoke (100k fibers, 1 domain, oracle must be clean)"
+stage "fiber storm smoke (100k fibers, 1 domain, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1
 
-echo "== fiber storm on 2 carrier domains (100k fibers, oracle must be clean)"
+stage "fiber storm on 2 carrier domains (100k fibers, oracle must be clean)"
 storm_gate --fibers 100000 --domains 2
 
-echo "== fiber storm at a held-out seed (100k fibers, oracle must be clean)"
+stage "fiber storm at a held-out seed (100k fibers, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --seed 7
 
-echo "== fiber storm on the cjm table (100k fibers, oracle + conservation)"
+stage "fiber storm on the cjm table (100k fibers, oracle + conservation)"
 storm_gate --fibers 100000 --domains 1 --scheme cjm
 
-echo "== fiber storm at 1M fibers, untraced (thin and cjm): throughput and latency tail"
+stage "fiber storm at 1M fibers, untraced (thin and cjm): throughput and latency tail"
 for scheme in thin cjm; do
   storm_gate --fibers 1000000 --no-trace --scheme "$scheme"
 done
 
-echo "== fiber storm over the baselines (untraced, 20k fibers each): any registry entry runs"
+stage "fiber storm over the baselines (untraced, 20k fibers each): any registry entry runs"
 # MCS is the carrier-rule regression: a waiter that slept or busy-spun
 # its carrier instead of yielding would never let a holder queued on
 # the same domain run, and this stage would hang.
@@ -288,7 +309,7 @@ for scheme in jdk111 ibm112 fat mcs; do
   echo "  $scheme: every fiber completed"
 done
 
-echo "== replay --oracle verifies the named scheme (exit non-zero without events)"
+stage "replay --oracle verifies the named scheme (exit non-zero without events)"
 tmpdir=$(mktemp -d)
 dune exec bin/thinlocks.exe -- trace -b javalex --max-syncs 2000 -o "$tmpdir/t.trace" >/dev/null
 dune exec bin/thinlocks.exe -- replay "$tmpdir/t.trace" --scheme cjm --oracle >/dev/null
@@ -301,15 +322,15 @@ fi
 rm -rf "$tmpdir"
 echo "  cjm verified under its own protocol; jdk111 refused"
 
-echo "== parallel replay smoke (2 domains, shuffle, must contend)"
+stage "parallel replay smoke (2 domains, shuffle, must contend)"
 replay_par_gate -b javacup --domains 2 --shuffle \
   --interleave --max-syncs 8000 --expect-contention
 
-echo "== parallel replay under forced-fat and MCS locking (no thin path: fast ratio 0.0%)"
+stage "parallel replay under forced-fat and MCS locking (no thin path: fast ratio 0.0%)"
 replay_par_gate --want-fast 0.0 -b javacup --scheme fat --domains 2 --max-syncs 8000
 replay_par_gate --want-fast 0.0 -b javacup --scheme mcs --domains 2 --max-syncs 8000
 
-echo "== decomposition shape: javalex at 100k syncs cuts into 523 lanes / 74967 runs"
+stage "decomposition shape: javalex at 100k syncs cuts into 523 lanes / 74967 runs"
 # Both modes decompose the same trace the same way; shuffle only deals
 # the runs differently.
 want="replayed javalex under thin: 200000 ops (100000 acquires), 523 lanes / 74967 runs"
@@ -324,7 +345,7 @@ for mode in "" "--domains 2 --shuffle"; do
 done
 echo "  523 lanes / 74967 runs, affinity and shuffle"
 
-echo "== trace-diff: identical replays produce identical streams"
+stage "trace-diff: identical replays produce identical streams"
 tmpdir=$(mktemp -d)
 dune exec bin/thinlocks.exe -- events -b javalex --max-syncs 2000 -o "$tmpdir/a.ev" >/dev/null
 dune exec bin/thinlocks.exe -- events -b javalex --max-syncs 2000 -o "$tmpdir/b.ev" >/dev/null
@@ -338,7 +359,7 @@ if dune exec bin/thinlocks.exe -- trace-diff "$tmpdir/a.ev" "$tmpdir/c.ev" >/dev
 fi
 rm -rf "$tmpdir"
 
-echo "== binary codec: macro trace round-trips against the text dump"
+stage "binary codec: macro trace round-trips against the text dump"
 tmpdir=$(mktemp -d)
 dune exec bin/thinlocks.exe -- events -b javacup --max-syncs 4000 \
   -o "$tmpdir/t.ev" >/dev/null
@@ -354,14 +375,14 @@ fi
 echo "  binary $bin_sz B vs text $text_sz B for the same stream"
 rm -rf "$tmpdir"
 
-echo "== oracle over a sampled stream (1-in-4 objects, whole histories kept)"
+stage "oracle over a sampled stream (1-in-4 objects, whole histories kept)"
 tmpdir=$(mktemp -d)
 dune exec bin/thinlocks.exe -- events -b javalex --max-syncs 2000 --sample 4 \
   -o "$tmpdir/s.ev" >/dev/null
 dune exec bin/thinlocks.exe -- verify-trace "$tmpdir/s.ev" --count-width 1
 rm -rf "$tmpdir"
 
-echo "== protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
+stage "protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
 for domains in 1 2 4; do
   replay_par_gate -b javacup --domains "$domains" \
     --max-syncs 6000 --oracle
@@ -370,7 +391,7 @@ for domains in 1 2 4; do
   echo "  oracle clean at $domains domain(s), both decompositions"
 done
 
-echo "== thin variants: protocol oracle over replay-par streams (1/2 domains)"
+stage "thin variants: protocol oracle over replay-par streams (1/2 domains)"
 # The Fig. 6 release and fence variants and the narrow nest count take
 # their own branches on the uncontended paths.
 for scheme in thin-unlkcas thin-mpsync thin-count2; do
@@ -397,7 +418,7 @@ if [ "$status" -ne 2 ]; then
 fi
 echo "  thin-nostats: statistics off, --expect-contention refused"
 
-echo "== hapax backend: protocol oracle over replay-par streams (1/2/4 domains)"
+stage "hapax backend: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
   replay_par_gate -b javacup --domains "$domains" \
     --fat-backend hapax --max-syncs 6000 --oracle
@@ -406,25 +427,25 @@ for domains in 1 2 4; do
   echo "  hapax oracle clean at $domains domain(s), both decompositions"
 done
 
-echo "== controlled reaper: protocol oracle over replay-par streams (1/2/4 domains)"
+stage "controlled reaper: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
   replay_par_gate -b javacup --domains "$domains" \
     --shuffle --interleave --max-syncs 6000 --oracle --reap controlled
   echo "  controlled oracle clean at $domains domain(s), Policy_switch in stream"
 done
 
-echo "== fiber storm under the feedback controller (100k fibers, oracle must be clean)"
+stage "fiber storm under the feedback controller (100k fibers, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --reap controlled
 
-echo "== fiber storm on the hapax backend (100k fibers, window 4096, oracle must be clean)"
+stage "fiber storm on the hapax backend (100k fibers, window 4096, oracle must be clean)"
 storm_gate --fibers 100000 --domains 1 --fat-backend hapax
 
-echo "== fiber storm per fat backend (10k fibers, 2 domains, window 512, oracle must be clean)"
+stage "fiber storm per fat backend (10k fibers, 2 domains, window 512, oracle must be clean)"
 for backend in parker hapax; do
   storm_gate --fibers 10000 --domains 2 --in-flight 512 --fat-backend "$backend"
 done
 
-echo "== cjm protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
+stage "cjm protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
 for domains in 1 2 4; do
   replay_par_gate -b javacup --scheme cjm \
     --domains "$domains" --max-syncs 6000 --oracle
@@ -433,7 +454,7 @@ for domains in 1 2 4; do
   echo "  cjm oracle clean at $domains domain(s), both decompositions"
 done
 
-echo "== fiber backend: replay-par and policy-lab run the same workers as fibers"
+stage "fiber backend: replay-par and policy-lab run the same workers as fibers"
 replay_par_gate -b javacup --domains 2 --shuffle \
   --interleave --backend fibers --max-syncs 6000 --oracle
 echo "  replay-par --backend fibers: oracle clean"
@@ -441,7 +462,7 @@ dune exec bin/thinlocks.exe -- policy-lab --domains 2 --backend fibers \
   --max-syncs 3000 --benchmarks javalex >/dev/null
 echo "  policy-lab --backend fibers: ran"
 
-echo "== verify-trace: accepts a clean dump, flags a tampered one"
+stage "verify-trace: accepts a clean dump, flags a tampered one"
 tmpdir=$(mktemp -d)
 dune exec bin/thinlocks.exe -- events -b javalex --max-syncs 2000 -p always-idle \
   -o "$tmpdir/clean.ev" >/dev/null
@@ -458,7 +479,7 @@ fi
 dune exec bin/thinlocks.exe -- residency "$tmpdir/clean.ev" >/dev/null
 rm -rf "$tmpdir"
 
-echo "== thinlocks all regenerates every table and figure"
+stage "thinlocks all regenerates every table and figure"
 out=$(dune exec bin/thinlocks.exe -- all --max-syncs 2000 --iterations 2000)
 for heading in "Table 1:" "Figure 3:" "Figure 4:" "Figure 5:" "Figure 6:" \
   "Scenario census" "Count-width ablation" "Monitor lifecycle"; do
@@ -470,4 +491,8 @@ for heading in "Table 1:" "Figure 3:" "Figure 4:" "Figure 5:" "Figure 6:" \
 done
 echo "  every section present"
 
+stage_done
+echo "== wall time per stage"
+printf '%s' "$stage_log"
+awk -v a="$check_t0" -v b="$(now)" 'BEGIN { printf "%8.1f s  total\n", b - a }'
 echo "ok."
