@@ -336,7 +336,7 @@ let bench_events_overhead () =
   let drained =
     match !last_sink with Some s -> Tl_events.Sink.drain s | None -> assert false
   in
-  let recorded = Array.length drained.Tl_events.Sink.events in
+  let recorded = Tl_events.Sink.length drained in
   let dropped = List.fold_left (fun a (_, n) -> a + n) 0 drained.Tl_events.Sink.dropped in
   (* the gated number: tracing overhead per *event* (each pair emits
      two), as the enabled-minus-disabled loop delta *)
@@ -362,7 +362,7 @@ let bench_events_overhead () =
     (Tl_workload.Policy_lab.replay_traced ?sampling ~reap thin trace).drained
   in
   let full = stream () in
-  let n_full = max 1 (Array.length full.Tl_events.Sink.events) in
+  let n_full = max 1 (Tl_events.Sink.length full) in
   let text_per =
     float_of_int (String.length (Tl_events.Codec.to_string full)) /. float_of_int n_full
   in
@@ -370,7 +370,7 @@ let bench_events_overhead () =
     float_of_int (String.length (Tl_events.Codec_bin.to_bytes full)) /. float_of_int n_full
   in
   let ratio d =
-    float_of_int (Array.length d.Tl_events.Sink.events) /. float_of_int n_full
+    float_of_int (Tl_events.Sink.length d) /. float_of_int n_full
   in
   let sampled_ratio = ratio (stream ~sampling:(Tl_events.Sink.One_in_n 8) ()) in
   let contended_ratio = ratio (stream ~sampling:Tl_events.Sink.Contended_only ()) in
@@ -411,7 +411,7 @@ let bench_oracle_overhead () =
   let t0 = Unix.gettimeofday () in
   let drained = (Tl_workload.Policy_lab.replay_traced ~reap thin trace).drained in
   let replay_s = Unix.gettimeofday () -. t0 in
-  let events = Array.length drained.Tl_events.Sink.events in
+  let events = Tl_events.Sink.length drained in
   let per_event seconds = 1e9 *. seconds /. float_of_int (max 1 events) in
   let time_pass f =
     let t0 = Unix.gettimeofday () in
@@ -620,26 +620,34 @@ let bench_controller () =
           ]
         :: !replay_rows)
     PL.default_benchmarks;
-  (* --- the fiber storm: tail latency without per-workload tuning --- *)
-  let storm_fibers = 20_000 in
+  (* --- the fiber storm: tail latency without per-workload tuning ---
+     Single 20k-fiber storms swing by about 30% on a 2-vCPU host, so one
+     controlled storm against the best of three fixed ones cannot
+     decide the 1.25 gate.  [storm_rounds] interleaved rounds each run
+     the controlled storm and the three fixed policies, in an order
+     rotated per round; a round's ratio is its controlled p99 over its
+     best fixed p99, and the gated figure is the median ratio. *)
+  let storm_fibers = 20_000 and storm_rounds = 7 in
   let storm_one reap =
     let config =
       { FS.default_config with FS.fibers = storm_fibers; reap = PL.reap_of_string reap }
     in
     FS.run config
   in
-  Printf.printf "\n  fiber storm, %d fibers (acquire-latency tail, us):\n" storm_fibers;
-  Printf.printf "  %-12s %10s %10s %10s %8s %7s\n" "reap" "p50" "p99" "p999"
+  Printf.printf "\n  fiber storm, %d fibers, %d interleaved rounds (acquire-latency tail, us):\n"
+    storm_fibers storm_rounds;
+  Printf.printf "  %-5s %-12s %10s %10s %10s %8s %7s\n" "round" "reap" "p50" "p99" "p999"
     "defl" "oracle";
-  let storm_row reap (r : FS.result) =
+  let storm_row round reap (r : FS.result) =
     let clean =
       match r.FS.oracle with Some rep -> Tl_events.Oracle.ok rep | None -> true
     in
-    Printf.printf "  %-12s %10.1f %10.1f %10.1f %8d %7s\n%!" reap r.FS.p50_us
+    Printf.printf "  %-5d %-12s %10.1f %10.1f %10.1f %8d %7s\n%!" round reap r.FS.p50_us
       r.FS.p99_us r.FS.p999_us r.FS.deflations
       (if clean then "clean" else "VIOLATION");
     J.Obj
       [
+        ("round", J.Int round);
         ("reap", J.Str reap);
         ("p50_us", J.Float r.FS.p50_us);
         ("p99_us", J.Float r.FS.p99_us);
@@ -649,29 +657,36 @@ let bench_controller () =
         ("oracle_clean", J.Bool clean);
       ]
   in
-  let fixed_reaps = [ "never"; "always-idle"; "idle-for-4" ] in
-  let fixed_runs = List.map (fun reap -> (reap, storm_one reap)) fixed_reaps in
-  let fixed_rows = List.map (fun (reap, r) -> storm_row reap r) fixed_runs in
-  let best_p99 =
-    List.fold_left (fun acc (_, r) -> Float.min acc r.FS.p99_us) infinity fixed_runs
+  let reaps = [| "controlled"; "never"; "always-idle"; "idle-for-4" |] in
+  (* round -> (ratio, best fixed p99, controlled run, controlled row, fixed rows) *)
+  let rounds =
+    List.init storm_rounds (fun round ->
+        let n = Array.length reaps in
+        let runs =
+          List.init n (fun i ->
+              let reap = reaps.((i + round) mod n) in
+              let r = storm_one reap in
+              (reap, r, storm_row round reap r))
+        in
+        let _, ctl_run, ctl_row = List.find (fun (reap, _, _) -> reap = "controlled") runs in
+        let fixed = List.filter (fun (reap, _, _) -> reap <> "controlled") runs in
+        let best_p99 =
+          List.fold_left (fun acc (_, r, _) -> Float.min acc r.FS.p99_us) infinity fixed
+        in
+        let ratio = ctl_run.FS.p99_us /. Float.max 1e-9 best_p99 in
+        (ratio, best_p99, ctl_run, ctl_row, List.map (fun (_, _, row) -> row) fixed))
   in
-  let ctl_run = storm_one "controlled" in
-  (* The fixed side of the ratio is already a min over three runs, so
-     one retry when the controlled draw lands outside the gate keeps
-     the comparison symmetric against scheduler noise. *)
-  let ctl_run =
-    if ctl_run.FS.p99_us > 1.2 *. best_p99 then begin
-      let r2 = storm_one "controlled" in
-      if r2.FS.p99_us < ctl_run.FS.p99_us then r2 else ctl_run
-    end
-    else ctl_run
-  in
-  let ctl_row = storm_row "controlled" ctl_run in
-  let tail_ratio = ctl_run.FS.p99_us /. Float.max 1e-9 best_p99 in
+  let by_ratio = List.sort (fun (a, _, _, _, _) (b, _, _, _, _) -> Float.compare a b) rounds in
+  let ratios = List.map (fun (ratio, _, _, _, _) -> ratio) by_ratio in
+  (* the median round stands for the storm: its ratio is the gated one *)
+  let tail_ratio, best_p99, ctl_run, ctl_row, _ = List.nth by_ratio (storm_rounds / 2) in
   let ctl_shards = Option.value ~default:[||] ctl_run.FS.controller in
   Printf.printf
-    "  controlled p99 = %.3fx best fixed; %d policy switch(es); chosen policies %s\n\n%!"
-    tail_ratio ctl_run.FS.policy_switches
+    "  controlled p99 = %.3fx best fixed (median of %d rounds; ratios %s); %d policy \
+     switch(es) in the median round; chosen policies %s\n\n%!"
+    tail_ratio storm_rounds
+    (String.concat " " (List.map (Printf.sprintf "%.3f") ratios))
+    ctl_run.FS.policy_switches
     (String.concat " "
        (Array.to_list
           (Array.map
@@ -685,10 +700,16 @@ let bench_controller () =
            J.Obj
              [
                ("fibers", J.Int storm_fibers);
-               ("fixed", J.List fixed_rows);
+               ("rounds", J.Int storm_rounds);
+               ("fixed", J.List (List.concat_map (fun (_, _, _, _, rows) -> rows) rounds));
                ("controlled", ctl_row);
+               ( "controlled_rounds",
+                 J.List (List.map (fun (_, _, _, row, _) -> row) rounds) );
                ("best_fixed_p99_us", J.Float best_p99);
                ("tail_ratio_p99", J.Float tail_ratio);
+               ("tail_ratios", J.List (List.map (fun r -> J.Float r) ratios));
+               ("tail_ratio_min", J.Float (List.hd ratios));
+               ("tail_ratio_max", J.Float (List.nth ratios (storm_rounds - 1)));
                ("policy_switches", J.Int ctl_run.FS.policy_switches);
                ("chosen_policies", chosen_histogram ctl_shards);
                ( "shards",

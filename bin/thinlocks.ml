@@ -383,7 +383,7 @@ let events_cmd =
             in
             if summary then begin
               Printf.printf "%d events (%d dropped) from %s under %s:\n"
-                (Array.length drained.Tl_events.Sink.events)
+                (Tl_events.Sink.length drained)
                 (List.fold_left (fun a (_, n) -> a + n) 0 drained.Tl_events.Sink.dropped)
                 benchmark policy_name;
               List.iter
@@ -402,7 +402,7 @@ let events_cmd =
               | Some path ->
                   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
                   Printf.printf "wrote %d events to %s (%d bytes, %s)\n"
-                    (Array.length drained.Tl_events.Sink.events)
+                    (Tl_events.Sink.length drained)
                     path (String.length text)
                     (if binary then "binary" else "text")
               | None -> print_string text))

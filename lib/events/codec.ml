@@ -16,19 +16,18 @@ let magic = "# thinlocks-events v2"
 let v1_magic = "# thinlocks-events v1"
 
 let to_string (d : Sink.drained) =
-  let buf = Buffer.create (64 + (Array.length d.Sink.events * 24)) in
+  let buf = Buffer.create (64 + (Sink.length d * 24)) in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "events %d\n" (Array.length d.Sink.events));
+  Buffer.add_string buf (Printf.sprintf "events %d\n" (Sink.length d));
   List.iter
     (fun (tid, n) -> Buffer.add_string buf (Printf.sprintf "dropped %d %d\n" tid n))
     d.Sink.dropped;
-  Array.iter
-    (fun (e : Event.t) ->
+  Sink.iter
+    (fun ~seq ~tid ~kind ~arg ~ord ->
       Buffer.add_string buf
-        (Printf.sprintf "%d %d %s %d %d\n" e.Event.seq e.Event.tid
-           (Event.kind_name e.Event.kind) e.Event.arg e.Event.ord))
-    d.Sink.events;
+        (Printf.sprintf "%d %d %s %d %d\n" seq tid (Event.kind_name kind) arg ord))
+    d;
   Buffer.contents buf
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
@@ -99,30 +98,38 @@ let of_string s =
     | _ -> ()
   in
   parse_dropped (-1);
-  let events =
-    Array.init count (fun _ ->
-        match split_fields (take ()) with
-        | [ seq; tid; name; arg; ord ] ->
-            let seq = int_of_token !lineno seq in
-            let tid = int_of_token !lineno tid in
-            let arg = int_of_token !lineno arg in
-            let ord = int_of_token !lineno ord in
-            (* args may be negative (they round-trip), but a negative
-               seq, tid or ordinal is never emitted by any sink — reject
-               rather than parse something [to_string] would reproduce
-               yet no drain could have produced. *)
-            if seq < 0 then fail "line %d: negative seq" !lineno;
-            if tid < 0 then fail "line %d: negative tid" !lineno;
-            if ord < 0 then fail "line %d: negative ordinal" !lineno;
-            let kind =
-              match Event.kind_of_name name with
-              | Some k -> k
-              | None -> fail "line %d: unknown event kind %S" !lineno name
-            in
-            { Event.seq; tid; kind; arg; ord }
-        | _ -> fail "line %d: expected \"<seq> <tid> <kind> <arg> <ord>\"" !lineno)
-  in
+  (* at most one event per remaining line: a count past that fails
+     at the first missing line, before any write past the columns *)
+  let cap = min count (List.length !next) in
+  let events = Array.make cap 0 and args = Array.make cap 0 in
+  let ords = Array.make cap 0 and seqs = Array.make cap 0 in
+  for i = 0 to count - 1 do
+    match split_fields (take ()) with
+    | [ seq; tid; name; arg; ord ] ->
+        let seq = int_of_token !lineno seq in
+        let tid = int_of_token !lineno tid in
+        let arg = int_of_token !lineno arg in
+        let ord = int_of_token !lineno ord in
+        (* args may be negative (they round-trip), but a negative
+           seq, tid or ordinal is never emitted by any sink — reject
+           rather than parse something [to_string] would reproduce
+           yet no drain could have produced. *)
+        if seq < 0 then fail "line %d: negative seq" !lineno;
+        if tid < 0 then fail "line %d: negative tid" !lineno;
+        if tid > Sink.max_stream_tid then fail "line %d: tid %d too wide" !lineno tid;
+        if ord < 0 then fail "line %d: negative ordinal" !lineno;
+        let kind =
+          match Event.kind_of_name name with
+          | Some k -> k
+          | None -> fail "line %d: unknown event kind %S" !lineno name
+        in
+        events.(i) <- Event.kind_to_int kind lor (tid lsl Event.kind_bits);
+        args.(i) <- arg;
+        ords.(i) <- ord;
+        seqs.(i) <- seq
+    | _ -> fail "line %d: expected \"<seq> <tid> <kind> <arg> <ord>\"" !lineno
+  done;
   (match !next with
   | [] -> ()
   | _ -> fail "line %d: trailing data after %d events" (!lineno + 1) count);
-  { Sink.events; dropped = List.rev !dropped }
+  Sink.of_columns ~events ~args ~ords ~seqs ~dropped:(List.rev !dropped)

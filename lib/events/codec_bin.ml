@@ -74,10 +74,9 @@ let read_svarint s pos = unzigzag (read_uvarint s pos)
 (* --- encode ------------------------------------------------------- *)
 
 let to_bytes (d : Sink.drained) =
-  let events = d.Sink.events in
-  let buf = Buffer.create (String.length magic + 16 + (Array.length events * 6)) in
+  let buf = Buffer.create (String.length magic + 16 + (Sink.length d * 6)) in
   Buffer.add_string buf magic;
-  add_uvarint buf (Array.length events);
+  add_uvarint buf (Sink.length d);
   add_uvarint buf (List.length d.Sink.dropped);
   ignore
     (List.fold_left
@@ -89,21 +88,20 @@ let to_bytes (d : Sink.drained) =
          tid)
        (-1) d.Sink.dropped);
   let prev = ref (-1) in
-  Array.iter
-    (fun (e : Event.t) ->
+  Sink.iter
+    (fun ~seq ~tid ~kind ~arg ~ord ->
       (* delta coding needs strictly increasing seqs — true of every
          drain, and of anything the strict parsers accept *)
-      if e.Event.seq <= !prev then
-        invalid_arg "Codec_bin.to_bytes: seqs not strictly increasing";
-      add_uvarint buf (if !prev < 0 then e.Event.seq else e.Event.seq - !prev);
-      prev := e.Event.seq;
-      Buffer.add_char buf (Char.chr (Event.kind_to_int e.Event.kind));
-      if e.Event.tid < 0 then invalid_arg "Codec_bin.to_bytes: negative tid";
-      add_uvarint buf e.Event.tid;
-      add_svarint buf e.Event.arg;
-      if e.Event.ord < 0 then invalid_arg "Codec_bin.to_bytes: negative ordinal";
-      add_uvarint buf e.Event.ord)
-    events;
+      if seq <= !prev then invalid_arg "Codec_bin.to_bytes: seqs not strictly increasing";
+      add_uvarint buf (if !prev < 0 then seq else seq - !prev);
+      prev := seq;
+      Buffer.add_char buf (Char.chr (Event.kind_to_int kind));
+      if tid < 0 then invalid_arg "Codec_bin.to_bytes: negative tid";
+      add_uvarint buf tid;
+      add_svarint buf arg;
+      if ord < 0 then invalid_arg "Codec_bin.to_bytes: negative ordinal";
+      add_uvarint buf ord)
+    d;
   Buffer.contents buf
 
 (* --- decode ------------------------------------------------------- *)
@@ -130,36 +128,42 @@ let of_bytes s =
     last_tid := tid;
     dropped := (tid, n) :: !dropped
   done;
+  (* every event takes at least 5 bytes: a count past what is left
+     fails on the first truncated event, before any write past the
+     columns *)
+  let cap = min count ((String.length s - !pos) / 5) in
+  let events = Array.make cap 0 and args = Array.make cap 0 in
+  let ords = Array.make cap 0 and seqs = Array.make cap 0 in
   let prev = ref (-1) in
-  let events =
-    Array.init count (fun _ ->
-        let delta = read_uvarint s pos in
-        let seq =
-          if !prev < 0 then delta
-          else begin
-            if delta < 1 then fail "offset %d: zero seq delta" !pos;
-            !prev + delta
-          end
-        in
-        if seq < 0 then fail "offset %d: seq overflow" !pos;
-        prev := seq;
-        if !pos >= String.length s then fail "offset %d: truncated event" !pos;
-        let kb = Char.code s.[!pos] in
-        incr pos;
-        let kind =
-          match Event.kind_of_int kb with
-          | Some k -> k
-          | None -> fail "offset %d: unknown kind byte %d" !pos kb
-        in
-        let tid = read_uvarint s pos in
-        let arg = read_svarint s pos in
-        let ord = read_uvarint s pos in
-        if ord < 0 then fail "offset %d: ordinal overflows" !pos;
-        { Event.seq; tid; kind; arg; ord })
-  in
+  for i = 0 to count - 1 do
+    let delta = read_uvarint s pos in
+    let seq =
+      if !prev < 0 then delta
+      else begin
+        if delta < 1 then fail "offset %d: zero seq delta" !pos;
+        !prev + delta
+      end
+    in
+    if seq < 0 then fail "offset %d: seq overflow" !pos;
+    prev := seq;
+    if !pos >= String.length s then fail "offset %d: truncated event" !pos;
+    let kb = Char.code s.[!pos] in
+    incr pos;
+    if kb >= Event.n_kinds then fail "offset %d: unknown kind byte %d" !pos kb;
+    let tid = read_uvarint s pos in
+    if tid > Sink.max_stream_tid || tid < -Sink.max_stream_tid - 1 then
+      fail "offset %d: tid %d too wide" !pos tid;
+    let arg = read_svarint s pos in
+    let ord = read_uvarint s pos in
+    if ord < 0 then fail "offset %d: ordinal overflows" !pos;
+    events.(i) <- kb lor (tid lsl Event.kind_bits);
+    args.(i) <- arg;
+    ords.(i) <- ord;
+    seqs.(i) <- seq
+  done;
   if !pos <> String.length s then
     fail "offset %d: %d trailing bytes" !pos (String.length s - !pos);
-  { Sink.events; dropped = List.rev !dropped }
+  Sink.of_columns ~events ~args ~ords ~seqs ~dropped:(List.rev !dropped)
 
 (* --- auto-detection ----------------------------------------------- *)
 

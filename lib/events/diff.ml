@@ -7,16 +7,19 @@ type report = {
   kind_deltas : (Event.kind * int * int) list;
 }
 
-let event_equal (a : Event.t) (b : Event.t) = a = b
+let same (l : Sink.drained) (r : Sink.drained) i =
+  l.Sink.events.(i) = r.Sink.events.(i)
+  && l.Sink.args.(i) = r.Sink.args.(i)
+  && l.Sink.ords.(i) = r.Sink.ords.(i)
+  && Sink.seq l i = Sink.seq r i
 
 let compare (l : Sink.drained) (r : Sink.drained) =
-  let nl = Array.length l.Sink.events and nr = Array.length r.Sink.events in
+  let nl = Sink.length l and nr = Sink.length r in
+  let side d i = if i < Sink.length d then Some (Sink.event d i) else None in
   let rec first_divergence i =
     if i >= nl && i >= nr then None
-    else if i >= nl then Some { index = i; left = None; right = Some r.Sink.events.(i) }
-    else if i >= nr then Some { index = i; left = Some l.Sink.events.(i); right = None }
-    else if event_equal l.Sink.events.(i) r.Sink.events.(i) then first_divergence (i + 1)
-    else Some { index = i; left = Some l.Sink.events.(i); right = Some r.Sink.events.(i) }
+    else if i < nl && i < nr && same l r i then first_divergence (i + 1)
+    else Some { index = i; left = side l i; right = side r i }
   in
   let kind_deltas =
     List.filter_map

@@ -77,7 +77,8 @@ let holder_kind_mask = mask_of holder_stamped
 let kind_table = Array.of_list all_kinds
 
 let kind_of_int i =
-  if i < 0 || i >= Array.length kind_table then None else Some kind_table.(i)
+  if i < 0 || i >= Array.length kind_table then invalid_arg "Event.kind_of_int"
+  else Array.unsafe_get kind_table i
 
 let kind_name = function
   | Acquire_fast -> "acquire-fast"

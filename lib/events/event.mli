@@ -82,7 +82,9 @@ external kind_to_int : kind -> int = "%identity"
 (** Dense numbering in declaration order: a constant constructor's
     immediate representation. *)
 
-val kind_of_int : int -> kind option
+val kind_of_int : int -> kind
+(** The inverse of {!kind_to_int}; allocates nothing.
+    @raise Invalid_argument outside [\[0, n_kinds)]. *)
 
 val carries_object : kind -> bool
 (** [arg] is an object id for this kind ([Reaper_scan], [Quiescence],

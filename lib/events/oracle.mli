@@ -26,7 +26,14 @@
     single-domain or multi-domain, fibers or OS threads.  The stamps are
     checked first: two holder-stamped events of one object with the same
     ordinal, or a thread whose ordinals on an object go backwards against
-    its [seq] order, make the stream {!Stream_malformed}. *)
+    its [seq] order, make the stream {!Stream_malformed}.
+
+    {b Layout.}  Two in-order passes over the columns ({!Sink.drained})
+    bucket the routable events by object as int {e slots},
+    [index lsl 20 lor kind lsl 15 lor tid].  An object is checked over
+    its slots and their {e keys} ([2 * ord], plus 1 for an observation)
+    with one mutable automaton state, so a clean step allocates
+    nothing; the columns are read again only to report a violation. *)
 
 type violation_class =
   | Unlock_without_lock  (** release of an object nobody holds *)

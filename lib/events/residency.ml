@@ -4,7 +4,7 @@ type t = {
   mutable events : int;
   mutable first_seq : int;  (* -1 until the first event *)
   mutable last_seq : int;
-  mutable area : float;
+  mutable area : int;  (* live monitors times seq ticks: exact in an int *)
   mutable live : int;
   mutable live_peak : int;
   mutable inflations : int;
@@ -41,7 +41,7 @@ let create () =
     events = 0;
     first_seq = -1;
     last_seq = -1;
-    area = 0.0;
+    area = 0;
     live = 0;
     live_peak = 0;
     inflations = 0;
@@ -68,12 +68,12 @@ let bucket d =
 
 (* The area accumulates before the kind dispatch: the interval that
    ends at an event is weighted by the monitors live before it. *)
-let feed t (e : Event.t) =
-  if t.first_seq < 0 then t.first_seq <- e.seq
-  else t.area <- t.area +. (float_of_int t.live *. float_of_int (e.seq - t.last_seq));
-  t.last_seq <- e.seq;
+let feed t ~seq ~kind ~arg =
+  if t.first_seq < 0 then t.first_seq <- seq
+  else t.area <- t.area + (t.live * (seq - t.last_seq));
+  t.last_seq <- seq;
   t.events <- t.events + 1;
-  match e.kind with
+  match kind with
   (* [Cjm_monitor_create] is the cjm scheme's inflation and
      [Cjm_monitor_evaporate] its deflation: the residency integral
      (live monitors over seq ticks) is protocol-agnostic, so both feed
@@ -83,25 +83,25 @@ let feed t (e : Event.t) =
       t.inflations <- t.inflations + 1;
       t.live <- t.live + 1;
       if t.live > t.live_peak then t.live_peak <- t.live;
-      if Hashtbl.mem t.deflated_once e.arg then
+      if Hashtbl.mem t.deflated_once arg then
         t.reinflations <- t.reinflations + 1;
-      Hashtbl.replace t.open_since e.arg e.seq
+      Hashtbl.replace t.open_since arg seq
   | Event.Deflate_quiescent | Event.Deflate_concurrent
   | Event.Cjm_monitor_evaporate ->
       t.deflations <- t.deflations + 1;
       t.live <- t.live - 1;
-      Hashtbl.replace t.deflated_once e.arg ();
-      (match Hashtbl.find_opt t.open_since e.arg with
+      Hashtbl.replace t.deflated_once arg ();
+      (match Hashtbl.find_opt t.open_since arg with
       | Some since ->
-          Hashtbl.remove t.open_since e.arg;
-          let b = bucket (e.seq - since) in
+          Hashtbl.remove t.open_since arg;
+          let b = bucket (seq - since) in
           t.dwell.(b) <- t.dwell.(b) + 1
       | None -> ())
   | Event.Deflate_aborted -> t.aborted <- t.aborted + 1
   | Event.Contended_begin ->
       t.episodes <- t.episodes + 1;
-      let n = Option.value ~default:0 (Hashtbl.find_opt t.contended e.arg) in
-      Hashtbl.replace t.contended e.arg (n + 1)
+      let n = Option.value ~default:0 (Hashtbl.find_opt t.contended arg) in
+      Hashtbl.replace t.contended arg (n + 1)
   | Event.Acquire_fast | Event.Acquire_nested | Event.Acquire_fat
   | Event.Acquire_fat_queued | Event.Release_fast | Event.Release_nested
   | Event.Release_fat | Event.Contended_end | Event.Wait_op | Event.Notify_op
@@ -122,8 +122,8 @@ let summary t =
   {
     events = t.events;
     span;
-    fat_area = t.area;
-    fat_residency = (if span = 0 then 0.0 else t.area /. float_of_int span);
+    fat_area = float_of_int t.area;
+    fat_residency = (if span = 0 then 0.0 else float_of_int t.area /. float_of_int span);
     inflations = t.inflations;
     deflations = t.deflations;
     reinflations = t.reinflations;
@@ -141,7 +141,7 @@ let summary t =
 
 let of_drained (d : Sink.drained) =
   let t = create () in
-  Array.iter (feed t) d.Sink.events;
+  Sink.iter (fun ~seq ~tid:_ ~kind ~arg ~ord:_ -> feed t ~seq ~kind ~arg) d;
   summary t
 
 let pp ppf (s : summary) =

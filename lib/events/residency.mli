@@ -40,7 +40,7 @@ val dwell_buckets : int
 type t
 
 val create : unit -> t
-val feed : t -> Event.t -> unit
+val feed : t -> seq:int -> kind:Event.kind -> arg:int -> unit
 val summary : t -> summary
 
 val of_drained : Sink.drained -> summary

@@ -29,7 +29,7 @@
    arg word (for object events, the sink packs the object's ordinal
    above the id); the stamp is the sink's epoch (or a system-stream ticket), not
    a per-event sequence number — dense seqs are reconstructed at drain
-   time.  There is no consumer-side synchronisation: [fold]/[written]
+   time.  There is no consumer-side synchronisation: [written]
    are only meaningful once the producer has quiesced (joined, or
    parked at a barrier), which the harness guarantees by draining after
    workloads complete. *)
@@ -45,7 +45,6 @@ type t = {
 
 let initial_slots = 32
 let chunk_slots = 64
-let kind_mask = (1 lsl Event.kind_bits) - 1
 
 let create capacity =
   if capacity < 1 then invalid_arg "Ring.create: capacity";
@@ -91,23 +90,3 @@ let emit t ~stamp ~kind ~arg =
 let dropped t = t.dropped
 let capacity t = t.capacity
 let slots t = t.sealed_slots + (Array.length t.chunk / 2)
-let chunks t = Array.of_list (List.rev (t.chunk :: t.sealed))
-
-let fold f acc t =
-  let left = ref (written t) in
-  let acc = ref acc in
-  Array.iter
-    (fun chunk ->
-      let n = min !left (Array.length chunk / 2) in
-      for i = 0 to n - 1 do
-        let m = chunk.(2 * i) in
-        let kind =
-          match Event.kind_of_int (m land kind_mask) with
-          | Some k -> k
-          | None -> assert false (* only [emit] writes, and it writes valid kinds *)
-        in
-        acc := f !acc ~stamp:(m lsr Event.kind_bits) ~kind ~arg:chunk.((2 * i) + 1)
-      done;
-      left := !left - n)
-    (chunks t);
-  !acc

@@ -28,9 +28,10 @@
     their arg as is.  The ring itself stores words as given; dense
     [seq]s are reconstructed, and arg words unpacked, by [Sink.drain].
 
-    Reading ([fold]/[written]) must not race with the producer: the
-    index bump is a plain store, so a concurrent reader has no
-    happens-before edge to the slot's contents.  The sink drains only
+    Reading ([written], or [Sink.drain] walking the chunks)
+    must not race with the producer: the index bump is a plain store,
+    so a concurrent reader has no happens-before edge to the slot's
+    contents.  The sink drains only
     after producers have quiesced (thread join or barrier). *)
 
 type t = {
@@ -72,11 +73,3 @@ val capacity : t -> int
 
 val slots : t -> int
 (** Event slots currently allocated (two words each). *)
-
-val chunks : t -> int array array
-(** The chunks, oldest first: [written t] events laid out in order,
-    the last chunk possibly not full (producer quiesced). *)
-
-val fold :
-  ('a -> stamp:int -> kind:Event.kind -> arg:int -> 'a) -> 'a -> t -> 'a
-(** Fold over stored events in write order (producer quiesced). *)

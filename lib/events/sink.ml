@@ -265,12 +265,61 @@ let active_tids t =
   done;
   !acc
 
-type drained = { events : Event.t array; dropped : (int * int) list }
+type drained = {
+  events : int array;
+  args : int array;
+  ords : int array;
+  seqs : int array;
+  dropped : (int * int) list;
+}
 
-let empty = { events = [||]; dropped = [] }
-
+let empty = { events = [||]; args = [||]; ords = [||]; seqs = [||]; dropped = [] }
 let kind_mask_bits = (1 lsl Event.kind_bits) - 1
-let kinds = Array.of_list Event.all_kinds
+let length d = Array.length d.events
+
+(* [seqs] is empty when every seq is its index *)
+let seq d i =
+  if Array.length d.seqs > 0 then d.seqs.(i)
+  else if i >= 0 && i < length d then i
+  else invalid_arg "index out of bounds"
+let tid d i = d.events.(i) asr Event.kind_bits
+let kind d i = Event.kind_of_int (d.events.(i) land kind_mask_bits)
+let arg d i = d.args.(i)
+let ord d i = d.ords.(i)
+
+let iter f d =
+  for i = 0 to length d - 1 do
+    f ~seq:(seq d i) ~tid:(tid d i) ~kind:(kind d i) ~arg:d.args.(i) ~ord:d.ords.(i)
+  done
+
+let max_stream_tid = max_int asr Event.kind_bits
+
+let of_columns ~events ~args ~ords ~seqs ~dropped =
+  let n = Array.length events in
+  if Array.length args <> n || Array.length ords <> n || Array.length seqs <> n then
+    invalid_arg "Sink.of_columns: column lengths differ";
+  Array.iter
+    (fun e ->
+      if e land kind_mask_bits >= Event.n_kinds then invalid_arg "Sink.of_columns: kind")
+    events;
+  let dense = ref true in
+  Array.iteri (fun i s -> if s <> i then dense := false) seqs;
+  { events; args; ords; seqs = (if !dense then [||] else seqs); dropped }
+
+let of_events ?(dropped = []) (evs : Event.t array) =
+  let col f = Array.map f evs in
+  of_columns
+    ~events:
+      (col (fun (e : Event.t) ->
+           if e.tid > max_stream_tid || e.tid < -max_stream_tid - 1 then
+             invalid_arg "Sink.of_events: tid";
+           Event.kind_to_int e.kind lor (e.tid lsl Event.kind_bits)))
+    ~args:(col (fun (e : Event.t) -> e.arg))
+    ~ords:(col (fun (e : Event.t) -> e.ord))
+    ~seqs:(col (fun (e : Event.t) -> e.seq))
+    ~dropped
+
+let event d i = { Event.seq = seq d i; tid = tid d i; kind = kind d i; arg = arg d i; ord = ord d i }
 
 (* A k-way merge of the non-empty rings through a binary heap keyed by
    (stamp of the ring's next event, ring index).  Each heap entry is one
@@ -286,15 +335,35 @@ let kinds = Array.of_list Event.all_kinds
    - a recycled tid's next holder leases the index only after the
      previous holder released it, so it reads an epoch at least as new.
 
-   The merge asserts the per-ring order as it advances each cursor. *)
+   The merge asserts the per-ring order as it advances each cursor, and
+   writes each event straight into the columns (a drain's seqs are its
+   indices, so it writes no [seqs]).  Int arrays take no write barrier,
+   and columns over 256 words are allocated in the major heap, so
+   nothing is promoted.  The helpers are top-level functions: a local
+   closure over the loop's state would be allocated per event. *)
 let ring_bits = 15
 let ring_mask = (1 lsl ring_bits) - 1
+
+let[@inline] entry j s =
+  assert (s lsr (Sys.int_size - 1 - ring_bits) = 0);
+  (s lsl ring_bits) lor j
+
+let rec sift_down (heap : int array) n i x =
+  let l = (2 * i) + 1 in
+  if l >= n then heap.(i) <- x
+  else
+    let c = if l + 1 < n && heap.(l + 1) < heap.(l) then l + 1 else l in
+    let y = heap.(c) in
+    if y < x then begin
+      heap.(i) <- y;
+      sift_down heap n c x
+    end
+    else heap.(i) <- x
 
 let drain t =
   if not t.enabled then empty
   else begin
-    let live = ref [] in
-    let dropped = ref [] in
+    let live = ref [] and dropped = ref [] in
     (* walk tids high-to-low so the accumulated lists end up in tid
        order without a final reverse *)
     for rid = Array.length t.rings - 1 downto 0 do
@@ -309,73 +378,64 @@ let drain t =
     let k = Array.length live in
     (* ring indices follow ring ids, so index order is rid order *)
     assert (k <= ring_mask + 1);
-    let rid = Array.map fst live in
-    let chunks = Array.map (fun (_, r) -> Ring.chunks r) live in
-    (* ring [j]'s cursor: chunk [ci.(j)], word [w.(j)], [left.(j)]
-       events still to merge *)
-    let ci = Array.make k 0 and w = Array.make k 0 in
+    (* every live ring's chunks, oldest first, in one table: ring [j]'s
+       cursor is chunk [cur.(j)] of it, word [w.(j)], with [left.(j)]
+       events still to merge; [tidw.(j)] is its tid, shifted into
+       place *)
+    let tidw = Array.map (fun (rid, _) -> rid lsl Event.kind_bits) live in
     let left = Array.map (fun (_, r) -> Ring.written r) live in
-    let entry j s =
-      assert (s lsr (Sys.int_size - 1 - ring_bits) = 0);
-      (s lsl ring_bits) lor j
-    in
-    let heap = Array.mapi (fun j cs -> entry j (cs.(0).(0) lsr Event.kind_bits)) chunks in
-    let size = ref k in
-    let sift_down i x =
-      let n = !size in
-      let rec go i =
-        let l = (2 * i) + 1 in
-        if l >= n then heap.(i) <- x
-        else
-          let c = if l + 1 < n && heap.(l + 1) < heap.(l) then l + 1 else l in
-          let y = heap.(c) in
-          if y < x then begin
-            heap.(i) <- y;
-            go c
-          end
-          else heap.(i) <- x
-      in
-      go i
-    in
+    let cur = Array.make k 0 and w = Array.make k 0 in
+    let span (_, r) = 1 + List.length r.Ring.sealed in
+    let chunks = Array.make (Array.fold_left (fun n l -> n + span l) 0 live) [||] in
+    let next = ref 0 in
+    Array.iteri
+      (fun j ((_, r) as l) ->
+        cur.(j) <- !next;
+        next := !next + span l;
+        (* [sealed] is newest first *)
+        chunks.(!next - 1) <- r.Ring.chunk;
+        List.iteri (fun c chunk -> chunks.(!next - 2 - c) <- chunk) r.Ring.sealed)
+      live;
+    let total = Array.fold_left ( + ) 0 left in
+    let heap = Array.init k (fun j -> entry j (chunks.(cur.(j)).(0) lsr Event.kind_bits)) in
     for i = (k / 2) - 1 downto 0 do
-      sift_down i heap.(i)
+      sift_down heap k i heap.(i)
     done;
-    let next seq =
+    let size = ref k in
+    let events = Array.make total 0 and args = Array.make total 0 in
+    let ords = Array.make total 0 in
+    for i = 0 to total - 1 do
       let top = heap.(0) in
       let j = top land ring_mask in
-      let chunk = chunks.(j).(ci.(j)) and p = w.(j) in
-      let ki = chunk.(p) land kind_mask_bits in
-      (* rings only ever hold valid kinds: the bounds check guards it *)
-      let kind = kinds.(ki) in
-      let word = chunk.(p + 1) in
-      let e =
-        if carries_object ki then
-          { Event.seq; tid = rid.(j); kind; arg = word land obj_mask; ord = word lsr obj_bits }
-        else { Event.seq; tid = rid.(j); kind; arg = word; ord = 0 }
-      in
+      let chunk = chunks.(cur.(j)) and p = w.(j) in
+      let ki = chunk.(p) land kind_mask_bits and word = chunk.(p + 1) in
+      events.(i) <- ki lor tidw.(j);
+      if carries_object ki then begin
+        args.(i) <- word land obj_mask;
+        ords.(i) <- word lsr obj_bits
+      end
+      else args.(i) <- word;
       left.(j) <- left.(j) - 1;
       if p + 2 < Array.length chunk then w.(j) <- p + 2
       else begin
-        ci.(j) <- ci.(j) + 1;
+        cur.(j) <- cur.(j) + 1;
         w.(j) <- 0
       end;
       if left.(j) > 0 then begin
-        let s = chunks.(j).(ci.(j)).(w.(j)) lsr Event.kind_bits in
+        let s = chunks.(cur.(j)).(w.(j)) lsr Event.kind_bits in
         assert (s >= top lsr ring_bits);
-        sift_down 0 (entry j s)
+        sift_down heap !size 0 (entry j s)
       end
       else begin
         decr size;
-        sift_down 0 heap.(!size)
-      end;
-      e
-    in
-    let total = Array.fold_left ( + ) 0 left in
-    (* [Array.init] applies [next] to 0, 1, … in order *)
-    { events = Array.init total next; dropped = !dropped }
+        sift_down heap !size 0 heap.(!size)
+      end
+    done;
+    { events; args; ords; seqs = [||]; dropped = !dropped }
   end
 
-let count_kind (d : drained) kind =
-  Array.fold_left
-    (fun acc (e : Event.t) -> if e.Event.kind = kind then acc + 1 else acc)
-    0 d.events
+let count_kind d kind =
+  let k = Event.kind_to_int kind in
+  let n = ref 0 in
+  Array.iter (fun e -> if e land kind_mask_bits = k then incr n) d.events;
+  !n

@@ -133,19 +133,65 @@ val active_tids : t -> int list
     ascending — one per replay domain plus the system stream in a
     multi-domain run.  Empty for {!disabled}. *)
 
-type drained = { events : Event.t array; dropped : (int * int) list }
-(** A merged stream: [events] carry dense drain-assigned [seq]s
-    (0…n−1); [dropped] the non-zero per-tid overflow counts, sorted by
-    tid. *)
+type drained = private {
+  events : int array;  (** [Event.kind_to_int kind lor (tid lsl Event.kind_bits)] *)
+  args : int array;  (** unpacked: the object id for a kind that carries one *)
+  ords : int array;  (** the object's ordinal; 0 for a kind that names none *)
+  seqs : int array;
+      (** [\[||\]] when every seq is its index, as in every drain; a
+          parsed dump may carry gaps.  Read it through {!seq}. *)
+  dropped : (int * int) list;  (** non-zero per-tid overflow counts, by tid *)
+}
+(** A merged stream as parallel int columns, one entry per event in
+    stream order.  No column holds a pointer, so a consumer walks flat
+    blocks (large ones allocated straight in the major heap) and
+    dereferences no record.  Streams come from {!drain}, the codecs or
+    {!of_events}, which keep the columns one length and every kind in
+    range. *)
 
 val empty : drained
+
+val length : drained -> int
+val seq : drained -> int -> int
+val tid : drained -> int -> int
+val kind : drained -> int -> Event.kind
+val arg : drained -> int -> int
+val ord : drained -> int -> int
+
+val iter :
+  (seq:int -> tid:int -> kind:Event.kind -> arg:int -> ord:int -> unit) -> drained -> unit
+(** Every event in stream order, its fields passed as immediates. *)
+
+val max_stream_tid : int
+(** The widest tid [events] holds ([max_int asr Event.kind_bits]). *)
+
+val of_columns :
+  events:int array ->
+  args:int array ->
+  ords:int array ->
+  seqs:int array ->
+  dropped:(int * int) list ->
+  drained
+(** For the codecs: [seqs] holds one seq per event.
+    @raise Invalid_argument if the lengths differ or a kind is out of
+    range. *)
+
+val of_events : ?dropped:(int * int) list -> Event.t array -> drained
+(** From records, for tests and hand-made streams.
+    @raise Invalid_argument on a tid wider than {!max_stream_tid}. *)
+
+val event : drained -> int -> Event.t
+(** Event [i] as a record, for printing and tests. *)
 
 val drain : t -> drained
 (** Merge every ring into one ordered stream (see the ordering
     guarantees above): a k-way heap merge over the non-empty rings,
     each already in stamp order, in O(n log rings).  Requires producers to have quiesced; may be
     called repeatedly (it reads, never consumes) and is deterministic:
-    two drains of a quiesced sink yield identical streams. *)
+    two drains of a quiesced sink yield identical streams.  The merge
+    writes each event straight into the columns; what it allocates
+    besides them is bounded by the number of rings and chunks, not the
+    number of events. *)
 
 val total_dropped : t -> int
 (** Events lost to ring overflow, summed over every ring: the total of

@@ -238,7 +238,7 @@ let run ?(trace = true) ?(oracle = true) config =
     sched;
     (* every worker records lock statistics under its leased index *)
     distinct_tids = scheme.stats_blocks ();
-    events = Array.length drained.Sink.events;
+    events = Sink.length drained;
     dropped = Sink.total_dropped sink;
     buffered_words = Sink.buffered_words sink;
     (* the post-drain census: an evaporating table must be empty once

@@ -157,9 +157,9 @@ let lab_score s = (100.0 *. (1.0 -. s.fast_ratio)) +. s.thrash
    everything about monitors comes from the residency summary. *)
 let score_stream ~label (d : Sink.drained) =
   let acquires = ref 0 and fast = ref 0 in
-  Array.iter
-    (fun (e : Event.t) ->
-      match e.Event.kind with
+  Sink.iter
+    (fun ~seq:_ ~tid:_ ~kind ~arg:_ ~ord:_ ->
+      match kind with
       | Event.Acquire_fast | Event.Acquire_nested ->
           incr acquires;
           incr fast
@@ -172,7 +172,7 @@ let score_stream ~label (d : Sink.drained) =
       | Event.Notify_all_op | Event.Reaper_scan | Event.Quiescence
       | Event.Tid_overflow | Event.Policy_switch ->
           ())
-    d.Sink.events;
+    d;
   let r = Residency.of_drained d in
   {
     policy = label;

@@ -341,7 +341,8 @@ let generate spec =
     queued_aborts = List.rev !queued_aborts;
   }
 
-let drained g = { Sink.events = g.events; dropped = [] }
+let drained g = Sink.of_events g.events
+let events_of d = Array.init (Sink.length d) (Sink.event d)
 
 (* ------------------------------------------------------------------ *)
 (* Mutation layer.                                                    *)
@@ -395,7 +396,7 @@ let mutate ~seed g =
     in
     go (i + 1)
   in
-  let stream a = { Sink.events = a; dropped = [] } in
+  let stream a = Sink.of_events a in
   let candidates = ref [] in
   let add name expected make =
     candidates := (name, expected, make) :: !candidates

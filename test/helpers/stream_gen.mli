@@ -48,6 +48,9 @@ val generate : spec -> gen
 val drained : gen -> Tl_events.Sink.drained
 (** The stream as a drop-free drain, ready for [Oracle.check]. *)
 
+val events_of : Tl_events.Sink.drained -> Tl_events.Event.t array
+(** A drained stream's events as records, for assertions. *)
+
 type mutation = {
   m_name : string;  (** which fault was injected, e.g. ["dup-deflate"] *)
   m_expected : Tl_events.Oracle.violation_class;

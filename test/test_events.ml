@@ -15,16 +15,22 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
+(* A drained stream's events as records, for assertions. *)
+let evs = Tl_test_helpers.Stream_gen.events_of
+
 (* --- kinds --- *)
 
 let test_kind_int_roundtrip () =
   List.iteri
     (fun i k ->
       check_int "dense numbering" i (Event.kind_to_int k);
-      check "int roundtrip" true (Event.kind_of_int (Event.kind_to_int k) = Some k))
+      check "int roundtrip" true (Event.kind_of_int (Event.kind_to_int k) = k))
     Event.all_kinds;
-  check "below range" true (Event.kind_of_int (-1) = None);
-  check "above range" true (Event.kind_of_int (List.length Event.all_kinds) = None);
+  let rejected i =
+    match Event.kind_of_int i with _ -> false | exception Invalid_argument _ -> true
+  in
+  check "below range" true (rejected (-1));
+  check "above range" true (rejected (List.length Event.all_kinds));
   check_int "n_kinds matches" (List.length Event.all_kinds) Event.n_kinds;
   check "kinds fit kind_bits" true (Event.n_kinds <= 1 lsl Event.kind_bits)
 
@@ -58,6 +64,23 @@ let test_kind_masks () =
 
 (* --- ring --- *)
 
+(* Fold over a ring's stored events in write order (producer
+   quiesced). *)
+let ring_fold f acc ring =
+  let left = ref (Ring.written ring) in
+  let acc = ref acc in
+  Array.iter
+    (fun chunk ->
+      let n = min !left (Array.length chunk / 2) in
+      for i = 0 to n - 1 do
+        let m = chunk.(2 * i) in
+        let kind = Event.kind_of_int (m land ((1 lsl Event.kind_bits) - 1)) in
+        acc := f !acc ~stamp:(m lsr Event.kind_bits) ~kind ~arg:chunk.((2 * i) + 1)
+      done;
+      left := !left - n)
+    (Array.of_list (List.rev (ring.Ring.chunk :: ring.Ring.sealed)));
+  !acc
+
 let test_ring_overflow_drops_suffix () =
   let ring = Ring.create 8 in
   for i = 0 to 10 do
@@ -68,7 +91,7 @@ let test_ring_overflow_drops_suffix () =
   check_int "capacity" 8 (Ring.capacity ring);
   (* the surviving prefix is intact and in write order *)
   let stamps =
-    List.rev (Ring.fold (fun acc ~stamp ~kind:_ ~arg:_ -> stamp :: acc) [] ring)
+    List.rev (ring_fold (fun acc ~stamp ~kind:_ ~arg:_ -> stamp :: acc) [] ring)
   in
   check "prefix, in order" true (stamps = [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
@@ -76,7 +99,7 @@ let test_ring_packs_wide_stamps () =
   let ring = Ring.create 4 in
   let big = 1 lsl 50 in
   Ring.emit ring ~stamp:big ~kind:Event.Quiescence ~arg:(-3);
-  let got = Ring.fold (fun _ ~stamp ~kind ~arg -> Some (stamp, kind, arg)) None ring in
+  let got = ring_fold (fun _ ~stamp ~kind ~arg -> Some (stamp, kind, arg)) None ring in
   check "stamp/kind/arg survive packing" true
     (got = Some (big, Event.Quiescence, -3))
 
@@ -95,7 +118,7 @@ let test_sink_disabled_is_inert () =
   check_int "nothing accepted" 0 (Sink.emitted Sink.disabled);
   check_int "nothing clamped" 0 (Sink.clamped Sink.disabled);
   let d = Sink.drain Sink.disabled in
-  check_int "no events" 0 (Array.length d.Sink.events);
+  check_int "no events" 0 (Sink.length d);
   check "no drops" true (d.Sink.dropped = [])
 
 (* Within one epoch the merge groups by tid; an epoch advance is a
@@ -110,12 +133,14 @@ let test_sink_merge_within_and_across_epochs () =
   Sink.emit sink ~tid:1 ~kind:Event.Acquire_fast ~arg:12;
   Sink.emit sink ~tid:3 ~kind:Event.Acquire_fast ~arg:31;
   let d = Sink.drain sink in
-  check_int "all recorded" 6 (Array.length d.Sink.events);
-  Array.iteri (fun i e -> check_int "seq dense from 0" i e.Event.seq) d.Sink.events;
+  check_int "all recorded" 6 (Sink.length d);
+  for i = 0 to Sink.length d - 1 do
+    check_int "seq dense from 0" i (Sink.seq d i)
+  done;
   check "epoch 0 grouped by tid, epoch 1 after" true
-    (Array.map (fun e -> e.Event.arg) d.Sink.events = [| 10; 11; 20; 30; 12; 31 |]);
+    (d.Sink.args = [| 10; 11; 20; 30; 12; 31 |]);
   check "tids follow the merge" true
-    (Array.map (fun e -> e.Event.tid) d.Sink.events = [| 1; 1; 2; 3; 1; 3 |]);
+    (Array.init (Sink.length d) (Sink.tid d) = [| 1; 1; 2; 3; 1; 3 |]);
   (* drain reads, never consumes, and is deterministic *)
   check "drain is repeatable and identical" true (Sink.drain sink = d)
 
@@ -128,14 +153,14 @@ let test_sink_rejects_out_of_range_tids () =
   Sink.emit sink ~tid:(-7) ~kind:Event.Wait_op ~arg:2;
   Sink.emit sink ~tid:0 ~kind:Event.Wait_op ~arg:3 (* 0 is emit_system's *);
   let d = Sink.drain sink in
-  check_int "nothing recorded" 0 (Array.length d.Sink.events);
+  check_int "nothing recorded" 0 (Sink.length d);
   check_int "rejections counted" 3 (Sink.clamped sink);
   check "no ring created (system stream untouched)" true (Sink.active_tids sink = []);
   check_int "not counted as emitted" 0 (Sink.emitted sink);
   (* the boundary tids are fine *)
   Sink.emit sink ~tid:1 ~kind:Event.Acquire_fast ~arg:4;
   Sink.emit sink ~tid:(Sink.max_tids - 1) ~kind:Event.Acquire_fast ~arg:5;
-  check_int "boundary tids accepted" 2 (Array.length (Sink.drain sink).Sink.events);
+  check_int "boundary tids accepted" 2 (Sink.length (Sink.drain sink));
   check_int "no further clamps" 3 (Sink.clamped sink)
 
 let test_sink_reports_drops_per_tid () =
@@ -166,9 +191,11 @@ let test_drops_leave_no_seq_holes () =
   Sink.emit sink ~tid:2 ~kind:Event.Acquire_fast ~arg:9;
   Sink.emit sink ~tid:2 ~kind:Event.Release_fast ~arg:9;
   let d = Sink.drain sink in
-  check_int "four survivors" 4 (Array.length d.Sink.events);
+  check_int "four survivors" 4 (Sink.length d);
   check "honest drop count" true (d.Sink.dropped = [ (1, 2) ]);
-  Array.iteri (fun i e -> check_int "seq dense despite drops" i e.Event.seq) d.Sink.events;
+  for i = 0 to Sink.length d - 1 do
+    check_int "seq dense despite drops" i (Sink.seq d i)
+  done;
   let report = Oracle.check ~count_width:8 d in
   check "oracle accepts drops without seq holes" true (Oracle.ok report)
 
@@ -178,8 +205,8 @@ let test_sink_one_slot_ring_satisfies_oracle () =
     Sink.emit sink ~tid:1 ~kind:Event.Quiescence ~arg:i
   done;
   let d = Sink.drain sink in
-  check_int "one survivor" 1 (Array.length d.Sink.events);
-  check_int "survivor renumbered to 0" 0 d.Sink.events.(0).Event.seq;
+  check_int "one survivor" 1 (Sink.length d);
+  check_int "survivor renumbered to 0" 0 (Sink.seq d 0);
   check "five drops recorded" true (d.Sink.dropped = [ (1, 5) ]);
   check "oracle accepts the honest stream" true (Oracle.ok (Oracle.check d))
 
@@ -187,9 +214,9 @@ let test_sink_one_slot_ring_satisfies_oracle () =
    drops excuse exactly that many holes, no more. *)
 let test_oracle_drop_aware_density () =
   let ev seq = { Event.seq; tid = 1; kind = Event.Quiescence; arg = seq; ord = 0 } in
-  let holes_ok = { Sink.events = [| ev 0; ev 2 |]; dropped = [ (1, 1) ] } in
+  let holes_ok = Sink.of_events ~dropped:[ (1, 1) ] [| ev 0; ev 2 |] in
   check "1 hole, 1 drop: accepted" true (Oracle.ok (Oracle.check holes_ok));
-  let holes_bad = { Sink.events = [| ev 0; ev 5 |]; dropped = [ (1, 1) ] } in
+  let holes_bad = Sink.of_events ~dropped:[ (1, 1) ] [| ev 0; ev 5 |] in
   let report = Oracle.check holes_bad in
   check "4 holes, 1 drop: malformed" true
     (Oracle.find report Oracle.Stream_malformed <> None)
@@ -208,7 +235,7 @@ let test_system_events_interleave_exactly () =
   Sink.emit sink ~tid:1 ~kind:Event.Acquire_fast ~arg:5;
   Sink.emit sink ~tid:1 ~kind:Event.Release_fast ~arg:5;
   let d = Sink.drain sink in
-  let kinds = Array.map (fun e -> e.Event.kind) d.Sink.events in
+  let kinds = Array.init (Sink.length d) (Sink.kind d) in
   check "system event lands exactly between release and re-acquire" true
     (kinds
     = [|
@@ -216,7 +243,7 @@ let test_system_events_interleave_exactly () =
         Event.Release_fat; Event.Release_fat; Event.Deflate_quiescent;
         Event.Acquire_fast; Event.Release_fast;
       |]);
-  check_int "on the system stream" 0 d.Sink.events.(5).Event.tid;
+  check_int "on the system stream" 0 (Sink.tid d 5);
   check "oracle accepts the interleaving" true
     (Oracle.ok (Oracle.check d))
 
@@ -234,7 +261,7 @@ let test_sink_multithreaded_emit () =
   in
   List.iter Thread.join handles;
   let d = Sink.drain sink in
-  check_int "nothing lost" (threads * per_thread) (Array.length d.Sink.events);
+  check_int "nothing lost" (threads * per_thread) (Sink.length d);
   check "no drops" true (d.Sink.dropped = []);
   (* dense reconstructed seqs; each thread's events keep program order *)
   let last_seq = ref (-1) in
@@ -246,8 +273,100 @@ let test_sink_multithreaded_emit () =
       let prev = Option.value ~default:(-1) (Hashtbl.find_opt last_arg e.Event.tid) in
       check "per-thread program order" true (e.Event.arg > prev);
       Hashtbl.replace last_arg e.Event.tid e.Event.arg)
-    d.Sink.events;
+    (evs d);
   check "double drain deterministic" true (Sink.drain sink = d)
+
+(* Records in, records out: [Sink.of_events] then [Sink.event] is the
+   identity, for any kind, arg and ordinal, tids a sink never issues
+   (past [max_tids], at the column's limits) and seqs with the gaps a
+   parsed dump may carry; the drop list rides along. *)
+let prop_columns_round_trip =
+  let open QCheck.Gen in
+  let tid =
+    frequency
+      [
+        (8, int_range 0 (Sink.max_tids - 1));
+        (2, int_range Sink.max_tids (1 lsl 40));
+        (1, oneofl [ Sink.max_stream_tid; -Sink.max_stream_tid - 1; -1 ]);
+      ]
+  in
+  let event =
+    tup5 tid (oneofl Event.all_kinds)
+      (oneof [ int; oneofl [ min_int; max_int ] ])
+      nat
+      (frequency [ (6, return 1); (1, int_range 2 1000) ])
+  in
+  let gen =
+    pair (list_size (int_range 0 60) event) (list_size (int_range 0 3) (pair nat nat))
+    >|= fun (cells, dropped) ->
+    let seq = ref (-1) in
+    ( Array.of_list
+        (List.map
+           (fun (tid, kind, arg, ord, gap) ->
+             seq := !seq + gap;
+             { Event.seq = !seq; tid; kind; arg; ord })
+           cells),
+      dropped )
+  in
+  QCheck.Test.make ~name:"of_events then event is the identity" ~count:300
+    (QCheck.make gen ~print:(fun (events, _) ->
+         String.concat "; " (Array.to_list (Array.map (Format.asprintf "%a" Event.pp) events))))
+    (fun (events, dropped) ->
+      let d = Sink.of_events ~dropped events in
+      Sink.length d = Array.length events && evs d = events && d.Sink.dropped = dropped)
+
+let test_of_events_rejects_unpackable_tid () =
+  let ev tid = { Event.seq = 0; tid; kind = Event.Quiescence; arg = 0; ord = 0 } in
+  List.iter
+    (fun tid ->
+      match Sink.of_events [| ev tid |] with
+      | _ -> Alcotest.failf "tid %d must not fit the events column" tid
+      | exception Invalid_argument _ -> ())
+    [ Sink.max_stream_tid + 1; max_int; min_int ]
+
+(* A clean stream of [n] events: four threads, each locking its own
+   object fast, nested and through a contended episode. *)
+let clean_sink n =
+  let sink = Sink.create ~ring_capacity:n () in
+  let pattern =
+    [|
+      Event.Acquire_fast; Event.Acquire_nested; Event.Release_nested; Event.Release_fast;
+      Event.Contended_begin; Event.Contended_end; Event.Acquire_fast; Event.Release_fast;
+    |]
+  in
+  for i = 0 to n - 1 do
+    let tid = 1 + (i / Array.length pattern mod 4) in
+    Sink.emit sink ~tid ~kind:pattern.(i mod Array.length pattern) ~arg:(100 + tid);
+    if i mod 1000 = 999 then Sink.advance_epoch sink
+  done;
+  sink
+
+(* Minor-heap words spent by a drain, then by the oracle on what it
+   drained.  An [Event.t] record is 6 words, so a per-event record
+   anywhere between the drain and the verdict would add ~540k words
+   from 10k to 100k events. *)
+let drain_and_check_words n =
+  let sink = clean_sink n in
+  let w0 = Gc.minor_words () in
+  let d = Sink.drain sink in
+  let w1 = Gc.minor_words () in
+  let report = Oracle.check ~count_width:8 d in
+  let w2 = Gc.minor_words () in
+  check "clean stream" true (Oracle.ok report);
+  check_int "every event drained" n (Sink.length d);
+  (w1 -. w0, w2 -. w1)
+
+let test_drain_and_verdict_allocate_no_events () =
+  let drain_small, check_small = drain_and_check_words 10_000 in
+  let drain_big, check_big = drain_and_check_words 100_000 in
+  let flat name small big =
+    if big > small +. 256.0 then
+      Alcotest.failf "%s: %.0f minor words at 10k events, %.0f at 100k" name small big
+  in
+  flat "drain" drain_small drain_big;
+  flat "oracle" check_small check_big;
+  check "drain's minor words are a constant, not a per-event cost" true (drain_big < 2000.0);
+  check "oracle's minor words are a constant, not a per-event cost" true (check_big < 2000.0)
 
 (* --- sampling --- *)
 
@@ -268,7 +387,7 @@ let test_sampling_one_in_n_keeps_whole_objects () =
         Hashtbl.replace per_obj e.Event.arg
           (1 + Option.value ~default:0 (Hashtbl.find_opt per_obj e.Event.arg))
       else incr reaper)
-    d.Sink.events;
+    (evs d);
   let kept = Hashtbl.length per_obj in
   check "a proper subset of objects survives" true (kept > 0 && kept < objects);
   Hashtbl.iter
@@ -284,7 +403,7 @@ let test_sampling_one_in_n_keeps_whole_objects () =
     Sink.emit sink2 ~tid:1 ~kind:Event.Release_fast ~arg:obj
   done;
   let objs d =
-    Array.to_list d.Sink.events
+    Array.to_list (evs d)
     |> List.filter_map (fun (e : Event.t) ->
            if Event.carries_object e.Event.kind then Some e.Event.arg else None)
     |> List.sort_uniq compare
@@ -301,7 +420,7 @@ let test_sampling_contended_only () =
   Sink.emit sink ~tid:2 ~kind:Event.Contended_end ~arg:5;
   Sink.emit_system sink ~kind:Event.Reaper_scan ~arg:1;
   let d = Sink.drain sink in
-  check_int "fast-path kinds suppressed" 4 (Array.length d.Sink.events);
+  check_int "fast-path kinds suppressed" 4 (Sink.length d);
   check_int "no fast acquires" 0 (Sink.count_kind d Event.Acquire_fast);
   check_int "inflation kept" 1 (Sink.count_kind d Event.Inflate_contention);
   check_int "episode boundaries kept" 2
@@ -342,13 +461,15 @@ let prop_drain_reconstruction_is_legal =
       let d = Sink.drain sink in
       let total = 2 * List.fold_left ( + ) 0 counts in
       let dense = ref true in
-      Array.iteri (fun i e -> if e.Event.seq <> i then dense := false) d.Sink.events;
+      for i = 0 to Sink.length d - 1 do
+        if Sink.seq d i <> i then dense := false
+      done;
       (* per-tid projection = that thread's exact program order *)
       let per_tid_ok = ref true in
       List.iteri
         (fun t n ->
           let mine =
-            Array.to_list d.Sink.events
+            Array.to_list (evs d)
             |> List.filter (fun (e : Event.t) -> e.Event.tid = t + 1)
             |> List.map (fun (e : Event.t) -> e.Event.kind)
           in
@@ -358,7 +479,7 @@ let prop_drain_reconstruction_is_legal =
           in
           if mine <> expect then per_tid_ok := false)
         counts;
-      Array.length d.Sink.events = total
+      Sink.length d = total
       && d.Sink.dropped = []
       && !dense && !per_tid_ok
       && Oracle.ok (Oracle.check ~count_width:8 d)
@@ -375,8 +496,8 @@ type step = Emit of Event.kind * int | System of Event.kind * int | Advance
    [0, max_objects) are rejected; per-object ordinals as
    [Stream_gen.stamp] assigns them, in emission order, dropped events
    included) and the drain's contract: the surviving events of every
-   ring, numbered in (stamp, rid, pos) order, and the per-ring overflow
-   counts. *)
+   ring, numbered in (stamp, rid, pos) order, as the four columns
+   [Sink.drained] documents, and the per-ring overflow counts. *)
 let reference_drain ~cap ~system_cap segments =
   let epoch = ref 0 in
   let appends = Hashtbl.create 64 in
@@ -415,10 +536,10 @@ let reference_drain ~cap ~system_cap segments =
     segments;
   (* (stamp, rid, pos) is unique per cell, so the sort never looks
      past it *)
+  let cells = Array.of_list (List.sort compare !cells) in
+  let column f = Array.mapi f cells in
   let events =
-    List.sort compare !cells
-    |> List.mapi (fun seq (_, tid, _, kind, arg, ord) -> { Event.seq; tid; kind; arg; ord })
-    |> Array.of_list
+    column (fun _ (_, tid, _, kind, _, _) -> Event.kind_to_int kind lor (tid lsl Event.kind_bits))
   in
   let dropped =
     Hashtbl.fold
@@ -428,7 +549,11 @@ let reference_drain ~cap ~system_cap segments =
       appends []
     |> List.sort compare
   in
-  { Sink.events; dropped }
+  ( events,
+    column (fun _ (_, _, _, _, arg, _) -> arg),
+    column (fun _ (_, _, _, _, _, ord) -> ord),
+    column (fun seq _ -> seq),
+    dropped )
 
 let replay_segments sink segments =
   List.iter
@@ -483,10 +608,15 @@ let prop_merge_drain_matches_reference_sort =
       replay_segments sink segments;
       let d = Sink.drain sink in
       let rings = List.length (Sink.active_tids sink) in
-      d = reference_drain ~cap ~system_cap segments
+      let events, args, ords, seqs, dropped = reference_drain ~cap ~system_cap segments in
+      d.Sink.events = events && d.Sink.args = args && d.Sink.ords = ords
+      && Array.init (Sink.length d) (Sink.seq d) = seqs
+      (* a drain's seqs are its indices: it stores no column for them *)
+      && d.Sink.seqs = [||]
+      && d.Sink.dropped = dropped
       && Sink.total_dropped sink = List.fold_left (fun n (_, k) -> n + k) 0 d.Sink.dropped
       && Sink.buffered_words sink
-         <= (4 * Array.length d.Sink.events) + (rings * 2 * Ring.initial_slots))
+         <= (4 * Sink.length d) + (rings * 2 * Ring.initial_slots))
 
 (* A ring holds at most max(initial, 2N) slots after N writes and never
    more than its cap, while drop counts and fold order stay those of a
@@ -505,7 +635,7 @@ let prop_ring_grows_with_use =
       done;
       let kept = min n cap in
       let stored =
-        List.rev (Ring.fold (fun acc ~stamp ~kind:_ ~arg -> (stamp, arg) :: acc) [] ring)
+        List.rev (ring_fold (fun acc ~stamp ~kind:_ ~arg -> (stamp, arg) :: acc) [] ring)
       in
       !bounded
       && Ring.written ring = kept
@@ -572,15 +702,12 @@ let test_codec_roundtrip_is_canonical () =
   (* to_string ∘ of_string is the identity on accepted inputs *)
   check_str "byte-for-byte" golden_text (Codec.to_string (Codec.of_string golden_text));
   let with_drops =
-    {
-      Sink.events = (golden_stream ()).Sink.events;
-      dropped = [ (1, 3); (4, 1_000_000) ];
-    }
+    Sink.of_events ~dropped:[ (1, 3); (4, 1_000_000) ] (evs (golden_stream ()))
   in
   let text = Codec.to_string with_drops in
   check_str "byte-for-byte with drops" text (Codec.to_string (Codec.of_string text));
   let back = Codec.of_string text in
-  check "events survive" true (back.Sink.events = with_drops.Sink.events);
+  check "events survive" true (evs back = evs with_drops);
   check "drops survive" true (back.Sink.dropped = with_drops.Sink.dropped);
   let empty = Codec.to_string Sink.empty in
   check_str "empty stream" "# thinlocks-events v2\nevents 0\n" empty;
@@ -591,14 +718,11 @@ let test_codec_boundary_args_roundtrip () =
      binary; both codecs must agree with the original stream *)
   let ev seq tid arg ord = { Event.seq; tid; kind = Event.Wait_op; arg; ord } in
   let d =
-    {
-      Sink.events =
-        [|
-          ev 0 1 max_int max_int; ev 1 (Sink.max_tids - 1) min_int 0; ev 2 3 (-1) 1;
-          ev 3 4 0 (1 lsl 40);
-        |];
-      dropped = [];
-    }
+    Sink.of_events
+      [|
+        ev 0 1 max_int max_int; ev 1 (Sink.max_tids - 1) min_int 0; ev 2 3 (-1) 1;
+        ev 3 4 0 (1 lsl 40);
+      |]
   in
   let via_text = Codec.of_string (Codec.to_string d) in
   check "text boundary round trip" true (via_text = d);
@@ -674,7 +798,7 @@ let drained_arb =
     let* dropped =
       flatten_l (List.map (fun tid -> map (fun n -> (tid, n + 1)) (int_range 0 99)) drop_tids)
     in
-    return { Sink.events; dropped }
+    return (Sink.of_events ~dropped events)
   in
   QCheck.make gen ~print:Codec.to_string
 
@@ -683,7 +807,7 @@ let prop_codec_roundtrip =
     drained_arb (fun d ->
       let text = Codec.to_string d in
       let back = Codec.of_string text in
-      back.Sink.events = d.Sink.events
+      evs back = evs d
       && back.Sink.dropped = d.Sink.dropped
       && String.equal (Codec.to_string back) text)
 
@@ -694,7 +818,7 @@ let prop_codec_bin_roundtrip =
     drained_arb (fun d ->
       let bytes = Codec_bin.to_bytes d in
       let back = Codec_bin.of_bytes bytes in
-      back.Sink.events = d.Sink.events
+      evs back = evs d
       && back.Sink.dropped = d.Sink.dropped
       && String.equal (Codec_bin.to_bytes back) bytes
       (* the auto-detecting entry point must agree with both parsers *)
@@ -782,20 +906,20 @@ let test_thin_emits_protocol_events () =
           check_int "deflation arg = monitor tag" (Tl_heap.Obj_model.id obj) e.Event.arg;
           check_int "deflation on system stream" 0 e.Event.tid
       | _ -> ())
-    d.Sink.events;
+    (evs d);
   (* the deflation's ticket stamp must order it after the last release *)
   let seq_of kind =
     Array.fold_left
       (fun acc (e : Event.t) -> if e.Event.kind = kind then e.Event.seq else acc)
-      (-1) d.Sink.events
+      (-1) (evs d)
   in
   check "deflation sorts after the last fat release" true
     (seq_of Event.Deflate_quiescent > seq_of Event.Release_fat);
   (* every event is a holder-stamped transition of one object: its
      ordinals count 1, 2, ... in emission order, the deflater's last *)
   Array.iteri
-    (fun i (e : Event.t) -> check_int "dense holder ordinals" (i + 1) e.Event.ord)
-    d.Sink.events;
+    (fun i ord -> check_int "dense holder ordinals" (i + 1) ord)
+    d.Sink.ords;
   check "oracle accepts the single-domain stream" true
     (Oracle.ok (Oracle.check ~count_width:1 d))
 
@@ -844,7 +968,7 @@ let test_cjm_emits_protocol_events () =
   let seq_of kind =
     Array.fold_left
       (fun acc (e : Event.t) -> if e.Event.kind = kind then e.Event.seq else acc)
-      (-1) d.Sink.events
+      (-1) (evs d)
   in
   check "create sorts before the wait" true
     (seq_of Event.Cjm_monitor_create < seq_of Event.Wait_op);
@@ -853,7 +977,7 @@ let test_cjm_emits_protocol_events () =
   let ord_of kind =
     Array.fold_left
       (fun acc (e : Event.t) -> if e.Event.kind = kind then e.Event.ord else acc)
-      (-1) d.Sink.events
+      (-1) (evs d)
   in
   check "ordinals follow the lifecycle" true
     (ord_of Event.Acquire_fast < ord_of Event.Cjm_monitor_create
@@ -867,7 +991,7 @@ let test_cjm_emits_protocol_events () =
           check_int "lifecycle arg = object id" (Tl_heap.Obj_model.id obj)
             e.Event.arg
       | _ -> ())
-    d.Sink.events;
+    (evs d);
   check "cjm oracle accepts the stream" true
     (Oracle.ok (Oracle.check ~protocol:Oracle.Cjm d));
   (* conservation: the table is empty again and the census balances *)
@@ -889,8 +1013,8 @@ let test_runtime_and_reaper_events () =
   check_int "reaper scan event" 1 (Sink.count_kind d Event.Reaper_scan);
   let envless =
     Array.exists
-      (fun e -> e.Event.kind = Event.Quiescence && e.Event.tid = 0)
-      d.Sink.events
+      (fun (e : Event.t) -> e.Event.kind = Event.Quiescence && e.Event.tid = 0)
+      (evs d)
   in
   check "env-less quiescence on system stream" true envless
 
@@ -1000,14 +1124,11 @@ let test_diff_ord_only_difference () =
   (* the same events in the same seq order, but the holders stamped a
      different per-object order: a real divergence *)
   let stream ords =
-    {
-      Sink.events =
-        Array.of_list
-          (List.mapi
-             (fun seq (tid, ord) -> { Event.seq; tid; kind = Event.Acquire_fat; arg = 7; ord })
-             ords);
-      dropped = [];
-    }
+    Sink.of_events
+      (Array.of_list
+         (List.mapi
+            (fun seq (tid, ord) -> { Event.seq; tid; kind = Event.Acquire_fat; arg = 7; ord })
+            ords))
   in
   let report = Diff.compare (stream [ (1, 1); (2, 3) ]) (stream [ (1, 1); (2, 2) ]) in
   check "not identical" false (Diff.identical report);
@@ -1062,6 +1183,11 @@ let () =
           Alcotest.test_case "multithreaded emit" `Quick test_sink_multithreaded_emit;
           QCheck_alcotest.to_alcotest prop_drain_reconstruction_is_legal;
           QCheck_alcotest.to_alcotest prop_merge_drain_matches_reference_sort;
+          QCheck_alcotest.to_alcotest prop_columns_round_trip;
+          Alcotest.test_case "unpackable tid rejected" `Quick
+            test_of_events_rejects_unpackable_tid;
+          Alcotest.test_case "drain and verdict allocate no events" `Quick
+            test_drain_and_verdict_allocate_no_events;
         ] );
       ( "sampling",
         [

@@ -21,13 +21,13 @@ let check_int = Alcotest.(check int)
 
 let ev ?(ord = 0) seq tid kind arg = { Event.seq; tid; kind; arg; ord }
 
-let dr evs = { Sink.events = Array.of_list evs; dropped = [] }
+let dr evs = Sink.of_events (Array.of_list evs)
 
 (* seq-dense stream from (tid, kind, arg) triples, its ordinals stamped
    in list order: the list is the order the objects' states changed *)
 let stream triples =
-  { Sink.events = Stream_gen.stamp (Array.of_list (List.map (fun (tid, kind, arg) -> ev 0 tid kind arg) triples));
-    dropped = [] }
+  Sink.of_events
+    (Stream_gen.stamp (Array.of_list (List.map (fun (tid, kind, arg) -> ev 0 tid kind arg) triples)))
 
 let report_str r = Format.asprintf "%a" Oracle.pp r
 
@@ -329,7 +329,7 @@ let test_relaxed_absorbs_emit_window_skew () =
   (* the same seq order with ordinals that agree with it is a real
      ownership violation: t1 acquires while t2 holds *)
   assert_class ~seq:1 Oracle.Ownership_violation
-    { Sink.events = Stream_gen.stamp (Array.of_list skewed); dropped = [] }
+    (Sink.of_events (Stream_gen.stamp (Array.of_list skewed)))
 
 let test_empty_stream_is_clean () =
   assert_clean Sink.empty;
@@ -462,7 +462,7 @@ let sim_stream ?(prefix = []) labels =
           | None -> Alcotest.failf "unknown event in label %S" l)
       | _ -> Alcotest.failf "unparseable label %S" l)
     labels;
-  { Sink.events = Stream_gen.stamp (Array.of_list (List.rev !evs)); dropped = [] }
+  Sink.of_events (Stream_gen.stamp (Array.of_list (List.rev !evs)))
 
 (* the seeded world starts with a live idle monitor: a synthetic
    inflate-confirm-release by a pseudo thread reproduces that state *)
@@ -687,12 +687,13 @@ let test_replay_par_controlled_accepted name domains mode () =
     | Some c -> c
     | None -> Alcotest.fail "controlled replay returned no controller"
   in
-  let n = Array.length d.Sink.events in
+  let n = Sink.length d in
+  let events = Stream_gen.events_of d in
   let switch_positions =
     Array.fold_right
       (fun (e : Event.t) acc ->
         if e.Event.kind = Event.Policy_switch then e.Event.seq :: acc else acc)
-      d.Sink.events []
+      events []
   in
   check "stream carries policy switches" true (switch_positions <> []);
   check "switches land mid-run, not at the edges" true
@@ -711,7 +712,7 @@ let test_replay_par_controlled_accepted name domains mode () =
           (sw.Ctl.to_policy >= 0 && sw.Ctl.to_policy < Ctl.n_policies);
         check "a switch moves" true (sw.Ctl.from_policy <> sw.Ctl.to_policy)
       end)
-    d.Sink.events;
+    events;
   assert_clean ~count_width:1 d
 
 (* The residency summary reads inflations, deflations and aborted
@@ -760,11 +761,7 @@ let test_residency_counts_an_aborted_handshake () =
   done;
   let d = Sink.drain sink in
   assert_clean ~count_width:1 d;
-  let in_stream =
-    Array.fold_left
-      (fun n (e : Event.t) -> if e.Event.kind = Event.Deflate_aborted then n + 1 else n)
-      0 d.Sink.events
-  in
+  let in_stream = Sink.count_kind d Event.Deflate_aborted in
   let stats = Lock_stats.snapshot (Thin.stats ctx) in
   check_int "Deflate_aborted events" 1 in_stream;
   check_int "residency aborted" 1 (Residency.of_drained d).Residency.aborted;
@@ -848,13 +845,13 @@ let test_residency_peak_reinflation_hottest () =
    contributes exactly 1.0. *)
 let test_residency_evaporates_within_one_drain_window () =
   let t = Residency.create () in
-  Residency.feed t (ev 0 1 Event.Acquire_fast 7);
+  Residency.feed t ~seq:0 ~kind:Event.Acquire_fast ~arg:7;
   let before = Residency.summary t in
   check_int "not live before the window" 0 before.Residency.live_now;
   check_int "no inflations yet" 0 before.Residency.inflations;
   (* the whole fat lifetime lands inside one window *)
-  Residency.feed t (ev 1 1 Event.Inflate_overflow 7);
-  Residency.feed t (ev 2 0 Event.Deflate_quiescent 7);
+  Residency.feed t ~seq:1 ~kind:Event.Inflate_overflow ~arg:7;
+  Residency.feed t ~seq:2 ~kind:Event.Deflate_quiescent ~arg:7;
   let after = Residency.summary t in
   check_int "not live after either" 0 after.Residency.live_now;
   check_int "inflation booked" 1 after.Residency.inflations;
@@ -869,7 +866,7 @@ let test_residency_evaporates_within_one_drain_window () =
   check "no open monitors" true (after.Residency.open_monitors = []);
   (* the object's next inflation is a re-inflation even though no
      snapshot ever saw the first monitor *)
-  Residency.feed t (ev 3 1 Event.Inflate_wait 7);
+  Residency.feed t ~seq:3 ~kind:Event.Inflate_wait ~arg:7;
   let again = Residency.summary t in
   check_int "re-inflation detected" 1 again.Residency.reinflations;
   check "still-fat monitor reported" true

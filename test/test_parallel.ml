@@ -281,17 +281,17 @@ let per_object_kind_sequences ~domains trace =
   let d = Sink.drain sink in
   check "no events dropped" true (d.Sink.dropped = []);
   let tbl : (int, Event.kind list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun (e : Event.t) ->
-      match e.Event.kind with
+  Sink.iter
+    (fun ~seq:_ ~tid:_ ~kind ~arg ~ord:_ ->
+      match kind with
       | Event.Acquire_fast | Event.Acquire_nested | Event.Acquire_fat
       | Event.Acquire_fat_queued | Event.Release_fast | Event.Release_nested
       | Event.Release_fat | Event.Inflate_contention | Event.Inflate_wait
       | Event.Inflate_overflow ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt tbl e.Event.arg) in
-          Hashtbl.replace tbl e.Event.arg (e.Event.kind :: prev)
+          let prev = Option.value ~default:[] (Hashtbl.find_opt tbl arg) in
+          Hashtbl.replace tbl arg (kind :: prev)
       | _ -> ())
-    d.Sink.events;
+    d;
   tbl
 
 let test_affinity_replay_is_deterministic () =

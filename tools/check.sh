@@ -56,14 +56,15 @@ rm -f "$build_log"
 stage "dune runtest"
 dune runtest
 
-stage "stress: domain-parallel and oracle suites, 20 runs each"
+stage "stress: domain-parallel, oracle and event suites, 20 runs each"
 # A concurrency test that passes once can still fail on the next
 # interleaving, and a qcheck property on the next seed.  Each run gets
 # its own qcheck seed; a failure prints the suite, the iteration and the
-# seed (rerun with QCHECK_SEED=<seed>).
+# seed (rerun with QCHECK_SEED=<seed>).  test_events' merge property is
+# the drain's reference model, so it runs on 20 seeds too.
 dune build test/test_monitor.exe test/test_stats.exe test/test_parallel.exe \
-  test/test_oracle.exe
-for suite in test_monitor test_stats test_parallel test_oracle; do
+  test/test_oracle.exe test/test_events.exe
+for suite in test_monitor test_stats test_parallel test_oracle test_events; do
   i=1
   while [ "$i" -le 20 ]; do
     seed=$((1998 * 1000 + i))
@@ -153,11 +154,15 @@ assert st["fixed"] and {f["reap"] for f in st["fixed"]} >= \
     {"never", "always-idle", "idle-for-4"}, "storm fixed-policy rows incomplete"
 for f in st["fixed"]:
     assert f["oracle_clean"], "%s-reap storm stream failed the oracle" % f["reap"]
-assert st["controlled"]["oracle_clean"], "controlled storm stream failed the oracle"
+assert st["rounds"] == len(st["controlled_rounds"]) == len(st["tail_ratios"]) >= 1
+for c in st["controlled_rounds"]:
+    assert c["oracle_clean"], "controlled storm stream failed the oracle (round %d)" % c["round"]
 assert 0.0 < st["best_fixed_p99_us"]
 assert st["tail_ratio_p99"] <= 1.25, \
-    "controlled storm p99 %.1f us is %.3fx the best fixed policy (%.1f us)" \
-    % (st["controlled"]["p99_us"], st["tail_ratio_p99"], st["best_fixed_p99_us"])
+    "controlled storm p99 %.1f us is %.3fx the best fixed policy (%.1f us), median of " \
+    "round ratios %r" \
+    % (st["controlled"]["p99_us"], st["tail_ratio_p99"], st["best_fixed_p99_us"],
+       st["tail_ratios"])
 assert st["controlled"]["reaper_scans"] > 0, "controlled storm never scanned"
 assert st["shards"], "controlled storm shard snapshots missing"
 ev = d["scenarios"]["events_overhead"]
@@ -175,9 +180,11 @@ print("  fat backends: inversion rates %s"
       % {b: round(r, 4) for b, r in sorted(inv.items())})
 print("  tracing: %.1f ns/event enabled overhead; %.1f text vs %.1f bin bytes/event"
       % (ev["enabled_ns"], ev["text_bytes_per_event"], ev["bin_bytes_per_event"]))
-print("  controller: score ratios %s; storm tail %.3fx best fixed, %d switch(es)"
+print("  controller: score ratios %s; storm tail %.3fx best fixed (median of %d "
+      "rounds, %.3f-%.3f), %d switch(es)"
       % ({r["bench"]: round(r["score_ratio"], 3) for r in reps},
-         st["tail_ratio_p99"], st["policy_switches"]))
+         st["tail_ratio_p99"], st["rounds"], st["tail_ratio_min"], st["tail_ratio_max"],
+         st["policy_switches"]))
 EOF
 else
   grep -q '"thinlocks-bench-v1"' BENCH.json
