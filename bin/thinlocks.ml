@@ -673,16 +673,7 @@ let replay_par_cmd =
               | PR.Os_domains -> Unix.sleepf 5e-5
               | PR.Fibers -> Tl_fiber.Scheduler.sleep 5e-5
           in
-          let config =
-            {
-              PR.default_config with
-              PR.domains;
-              mode;
-              work_per_op = work;
-              tick_every;
-              backend;
-            }
-          in
+          let config = { PR.domains; mode; work_per_op = work; tick_every; backend } in
           PR.run ~config ~tick ~scheme ~runtime trace
         in
         let contended (r : PR.result) =

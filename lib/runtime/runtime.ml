@@ -5,7 +5,8 @@ type t = {
   (* Quiescence machinery (lifecycle extension): hooks fire at every
      announced quiescence point.  The list is behind an atomic so
      registration never blocks running threads; firing reads one
-     snapshot. *)
+     snapshot.  Oldest first: registration appends, so firing walks the
+     list as it stands and allocates nothing. *)
   quiescence_hooks : (unit -> unit) list Atomic.t;
   quiescence_points : int Atomic.t;
   events : Tl_events.Sink.t Atomic.t;
@@ -44,7 +45,8 @@ let event_sink t = Atomic.get t.events
 
 let rec on_quiescence t f =
   let hooks = Atomic.get t.quiescence_hooks in
-  if not (Atomic.compare_and_set t.quiescence_hooks hooks (f :: hooks)) then on_quiescence t f
+  if not (Atomic.compare_and_set t.quiescence_hooks hooks (hooks @ [ f ])) then
+    on_quiescence t f
 
 let quiescence_point ?env t =
   Atomic.incr t.quiescence_points;
@@ -62,7 +64,7 @@ let quiescence_point ?env t =
   end;
   (* Oldest-first, so a stats hook registered before a reaper hook sees
      the world the reaper is about to change. *)
-  List.iter (fun f -> f ()) (List.rev (Atomic.get t.quiescence_hooks))
+  List.iter (fun f -> f ()) (Atomic.get t.quiescence_hooks)
 
 let quiescence_count t = Atomic.get t.quiescence_points
 

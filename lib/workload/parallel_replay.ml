@@ -1,6 +1,5 @@
 open Tl_core
 module Runtime = Tl_runtime.Runtime
-module Backoff = Tl_runtime.Backoff
 module Ws_deque = Tl_fiber.Ws_deque
 
 type mode = Affinity | Shuffle
@@ -11,7 +10,7 @@ type backend = Os_domains | Fibers
 
 let backend_name = function Os_domains -> "domains" | Fibers -> "fibers"
 
-type lane = { obj : int; first_run : int; end_run : int; mutable cursor : int }
+type lane = { obj : int; first_run : int; end_run : int }
 
 type decomposition = { lane_ops : int array; run_start : int array; all_lanes : lane array }
 
@@ -80,7 +79,7 @@ let decompose (trace : Tracegen.t) =
           end;
           d := !d + if lane_ops.(k) > 0 then 1 else -1
         done;
-        { obj = obj_of.(l); first_run; end_run = !r; cursor = first_run })
+        { obj = obj_of.(l); first_run; end_run = !r })
   in
   { lane_ops; run_start; all_lanes }
 
@@ -88,7 +87,6 @@ type config = {
   domains : int;
   mode : mode;
   work_per_op : int;
-  slice_runs : int;
   tick_every : int;
   backend : backend;
 }
@@ -98,7 +96,6 @@ let default_config =
     domains = 1;
     mode = Affinity;
     work_per_op = 0;
-    slice_runs = 8;
     tick_every = 0;
     backend = Os_domains;
   }
@@ -132,34 +129,49 @@ let fast_ratio (s : Lock_stats.snapshot) =
     float_of_int (s.Lock_stats.acquires_unlocked + s.Lock_stats.acquires_nested)
     /. float_of_int total
 
-(* Deal the schedulable items to the per-domain deques.
+(* A deque item is a range of runs [first, last) packed into one int,
+   so dealing allocates no per-item record. *)
+let run_bits = 31
+let run_mask = (1 lsl run_bits) - 1
+
+(* Deal the schedulable items to the per-domain deques, each created
+   with room for exactly the items dealt to it: the deal is the only
+   push, so no deque ever holds more.
 
    Affinity: the item is a whole lane, sharded by object id — all of an
    object's work starts (and, unless stolen, stays) on one domain.
 
-   Shuffle: the item is a single run wrapped as a one-run lane, dealt
-   round-robin in trace order — consecutive episodes of a hot object
-   land on different domains, which is what manufactures contention. *)
-let deal ~config deques lanes =
-  match config.mode with
-  | Affinity -> Array.iter (fun l -> Ws_deque.push deques.(l.obj mod config.domains) l) lanes
-  | Shuffle ->
-      let i = ref 0 in
-      Array.iter
-        (fun l ->
-          for r = l.first_run to l.end_run - 1 do
-            Ws_deque.push deques.(!i mod config.domains)
-              { l with first_run = r; end_run = r + 1; cursor = r };
-            incr i
-          done)
-        lanes
+   Shuffle: the item is a single run, dealt round-robin in run order —
+   consecutive episodes of a hot object land on different domains,
+   which is what manufactures contention. *)
+let deal ~config lanes =
+  let domains = config.domains in
+  let each f =
+    match config.mode with
+    | Affinity ->
+        Array.iter
+          (fun l -> f (l.obj mod domains) ((l.first_run lsl run_bits) lor l.end_run))
+          lanes
+    | Shuffle ->
+        Array.iter
+          (fun l ->
+            for r = l.first_run to l.end_run - 1 do
+              f (r mod domains) ((r lsl run_bits) lor (r + 1))
+            done)
+          lanes
+  in
+  let counts = Array.make domains 0 in
+  each (fun d _ -> counts.(d) <- counts.(d) + 1);
+  let deques = Array.map (fun n -> Ws_deque.create ~capacity:(max 1 n)) counts in
+  each (fun d item -> Ws_deque.push deques.(d) item);
+  deques
 
 let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.packed)
     ~runtime (trace : Tracegen.t) =
   if config.domains < 1 then invalid_arg "Parallel_replay.run: domains";
-  if config.slice_runs < 1 then invalid_arg "Parallel_replay.run: slice_runs";
   let { lane_ops; run_start; all_lanes = lanes } = decompose trace in
   let total_runs = Array.length run_start - 1 in
+  if total_runs > run_mask then invalid_arg "Parallel_replay.run: too many runs";
   (* Affinity mode gives each domain the objects [obj mod domains];
      allocating them shard by shard keeps one domain's lock words off
      the cache lines another domain's CASes write. *)
@@ -167,12 +179,7 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
     let shards = match config.mode with Affinity -> config.domains | Shuffle -> 1 in
     Tl_heap.Heap.alloc_many ~shards (Tl_heap.Heap.create ()) trace.Tracegen.pool_size
   in
-  (* In shuffle mode every run is its own item, so the deques must be
-     able to hold (in the worst stealing pattern) every item at once. *)
-  let item_count = max 1 total_runs in
-  let deques = Array.init config.domains (fun _ -> Ws_deque.create ~capacity:item_count) in
-  deal ~config deques lanes;
-  let remaining = Atomic.make total_runs in
+  let deques = deal ~config lanes in
   let dummy_tally =
     {
       domain = 0;
@@ -202,8 +209,13 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
     and lanes_started = ref 0
     and steals = ref 0 in
     let since_tick = ref 0 in
-    (* A slice's runs are one contiguous stretch of [lane_ops]. *)
-    let exec_ops lo hi =
+    (* An item runs to its end: only one executor can hold a lane at a
+       time, so handing its remainder back to the deque would add no
+       parallelism, only a round trip.  Its runs are one contiguous
+       stretch of [lane_ops]. *)
+    let exec_item item =
+      let first = item lsr run_bits and last = item land run_mask in
+      let lo = run_start.(first) and hi = run_start.(last) in
       (* Allocation-free on purpose: every minor collection stops all
          domains at once. *)
       for k = lo to hi - 1 do
@@ -214,7 +226,6 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
         end
         else scheme.Scheme_intf.release env pool.(-op - 1);
         if config.work_per_op > 0 then Replay.spin_work config.work_per_op;
-        incr ops_executed;
         if config.tick_every > 0 then begin
           incr since_tick;
           if !since_tick >= config.tick_every then begin
@@ -222,54 +233,36 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
             tick env
           end
         end
-      done
-    in
-    (* [remaining] drops once per slice, by the runs the slice ran: the
-       count stays exact (a slice's runs leave it only once they have
-       all executed), and the uncontended replay pays one shared atomic
-       per slice instead of one per few-op run. *)
-    let exec_slice (lane : lane) =
+      done;
       incr lanes_started;
-      (* The cursor is written once per slice: lanes of different
-         domains can share a cache line. *)
-      let first = lane.cursor in
-      let last = min lane.end_run (first + config.slice_runs) in
-      exec_ops run_start.(first) run_start.(last);
-      lane.cursor <- last;
       runs_executed := !runs_executed + (last - first);
-      ignore (Atomic.fetch_and_add remaining (first - last));
-      if last < lane.end_run then Ws_deque.push dq lane
+      ops_executed := !ops_executed + (hi - lo)
     in
-    (* Through the env parker: a fiber carrier yields where an OS
-       domain would sleep. *)
-    let backoff = Backoff.create ~parker:env.Runtime.parker () in
-    let rec drive () =
+    let rec drain_own () =
       match Ws_deque.pop dq with
-      | Some lane ->
-          Backoff.reset backoff;
-          exec_slice lane;
-          drive ()
-      | None ->
-          if Atomic.get remaining > 0 then begin
-            (* Sweep the victims round-robin starting past ourselves;
-               on a fruitless sweep, back off (yield, then sleep) so a
-               single-core box lets the lane holders run. *)
-            let landed = ref false in
-            for k = 1 to config.domains - 1 do
-              if not !landed then
-                match Ws_deque.steal deques.((d + k) mod config.domains) with
-                | `Stolen lane ->
-                    landed := true;
-                    incr steals;
-                    Backoff.reset backoff;
-                    exec_slice lane
-                | `Empty | `Retry -> ()
-            done;
-            if not !landed then Backoff.once backoff;
-            drive ()
-          end
+      | Some item ->
+          exec_item item;
+          drain_own ()
+      | None -> ()
     in
-    drive ();
+    (* With its own deque empty, a worker sweeps the victims
+       round-robin, starting past itself.  The deal is the only push, so
+       a deque found empty stays empty: a sweep on which every victim
+       reads [`Empty] ends the worker, and one that lost a race
+       ([`Retry]) sweeps again. *)
+    let rec sweep k contended =
+      if k < config.domains then
+        match Ws_deque.steal deques.((d + k) mod config.domains) with
+        | `Stolen item ->
+            incr steals;
+            exec_item item;
+            sweep 1 false
+        | `Retry -> sweep (k + 1) true
+        | `Empty -> sweep (k + 1) contended
+      else if contended then sweep 1 false
+    in
+    drain_own ();
+    sweep 1 false;
     tallies.(d) <-
       {
         domain = d;

@@ -22,21 +22,28 @@
     {b Affinity mode.}  Lanes are sharded to domains by object id
     ([obj mod domains]).  Each domain works its own shard LIFO from a
     {!Ws_deque}; an idle domain steals a {e whole lane} FIFO from a
-    victim.  Because the thief takes every remaining run of the object,
+    victim.  Because the thief takes every run of the object,
     thin-lock ownership locality survives migration: the new executor's
     first acquire CASes an unlocked word, and every later one is a
     nested fast path — no contention is ever manufactured by the
-    scheduler itself.  A lane is re-exposed to thieves every
-    [slice_runs] runs, so one giant hot-object lane cannot strand the
-    other domains.
+    scheduler itself.  Whoever takes a lane runs it to its end: only
+    one executor can hold a lane at a time, so handing its remainder
+    back to thieves would add no parallelism.
 
-    {b Shuffle mode.}  Every run becomes its own single-run lane and
+    {b Shuffle mode.}  Every run becomes its own single-run item and
     runs are dealt round-robin to domains {e ignoring} the object —
     consecutive episodes of the same hot object land on different
     domains on purpose.  Per-object cross-run order is deliberately
     broken (each run is still balanced, so lock discipline holds); this
     is the mode that manufactures real contention: overlapping episodes
     force contention inflation and queued fat acquires.
+
+    {b Termination.}  The deal is the only push: each deque is created
+    with room for exactly the items dealt to it (an item is a packed
+    run range, so dealing allocates no records), and a deque once empty
+    stays empty.  A worker drains its own deque, then sweeps the
+    victims until one whole sweep finds every victim's deque empty — there is no
+    shared count of outstanding work and no idle wait.
 
     {b Statistics.}  The scheme's [Lock_stats] counters are reset once
     before the domains start and snapshot once after they all join —
@@ -58,18 +65,14 @@ type backend = Os_domains | Fibers
     fibers of a {!Tl_fiber.Scheduler} multiplexed over [config.domains]
     carrier domains — the locks, stealing and tallies are untouched;
     only the blocking substrate changes (a contended worker suspends
-    its fiber, and idle backoff yields through the env parker instead
-    of sleeping the carrier). *)
+    its fiber instead of its carrier domain). *)
 
 val backend_name : backend -> string
 
-type lane = { obj : int; first_run : int; end_run : int; mutable cursor : int }
+type lane = { obj : int; first_run : int; end_run : int }
 (** An object's runs in program order: runs [first_run] to
     [end_run - 1] of a {!decomposition}, all of them on object [obj]
-    (0-based pool index).  [cursor] is the next run to execute; it is
-    only ever touched by the lane's current executor, and lanes change
-    hands only through the deque (whose atomics provide the
-    happens-before edge). *)
+    (0-based pool index). *)
 
 type decomposition = {
   lane_ops : int array;
@@ -95,25 +98,24 @@ type config = {
   domains : int;  (** worker domains to spawn (>= 1) *)
   mode : mode;
   work_per_op : int;  (** {!Replay.spin_work} iterations per op *)
-  slice_runs : int;
-      (** runs executed per deque interaction before an unfinished lane
-          is re-pushed (and so re-exposed to thieves); default 8 *)
   tick_every : int;
       (** ops between [tick] callbacks on each domain; 0 = never *)
   backend : backend;  (** what carries a worker; default [Os_domains] *)
 }
 
 val default_config : config
-(** [{ domains = 1; mode = Affinity; work_per_op = 0; slice_runs = 8;
-      tick_every = 0; backend = Os_domains }] *)
+(** [{ domains = 1; mode = Affinity; work_per_op = 0; tick_every = 0;
+      backend = Os_domains }] *)
 
 type domain_tally = {
   domain : int;
   ops_executed : int;
   acquires_executed : int;
   runs_executed : int;
-  lanes_started : int;  (** lanes this domain popped or stole *)
-  steals : int;  (** lanes it took from a victim's deque *)
+  lanes_started : int;
+      (** items this domain popped or stole: lanes in affinity mode,
+          runs in shuffle mode *)
+  steals : int;  (** items it took from a victim's deque *)
   busy : float;  (** seconds from worker start to worker finish *)
 }
 
@@ -143,10 +145,10 @@ val run :
     on the same runtime).  [tick] (default: nothing) runs on the
     executing domain every [config.tick_every] ops — the policy lab
     hangs quiescence announcements (and, on few-core hosts, a voluntary
-    deschedule) off it.  Idle domains steal; when no steal lands they
-    back off with the runtime's yield-then-sleep policy, so starvation
-    cannot livelock the box.  [domains = 1] still spawns one worker
-    domain, keeping the measurement shape uniform across counts. *)
+    deschedule) off it.  A domain that runs out of its own items
+    steals, and finishes once no victim holds any.  [domains = 1]
+    still spawns one worker domain, keeping the measurement shape
+    uniform across counts. *)
 
 val fast_ratio : Tl_core.Lock_stats.snapshot -> float
 (** Thin fast + nested acquires over all acquires (1.0 when there were

@@ -490,6 +490,28 @@ let test_quiescence_hook_reaps () =
   check "2nd announcement deflates" false (Header.is_inflated (Thin.lock_word obj));
   check_int "points counted" 2 (Runtime.quiescence_count runtime)
 
+(* Hooks fire in registration order, and announcing allocates nothing
+   of its own: a replay announces every 64 ops with the reaper hooked,
+   and every minor collection stops every domain. *)
+let test_quiescence_hooks_ordered_and_allocation_free () =
+  let runtime = Runtime.create () in
+  let fired = ref [] in
+  Runtime.on_quiescence runtime (fun () -> fired := `First :: !fired);
+  Runtime.on_quiescence runtime (fun () -> fired := `Second :: !fired);
+  Runtime.quiescence_point runtime;
+  check "oldest hook first" true (List.rev !fired = [ `First; `Second ]);
+  let runtime = Runtime.create () in
+  let count = ref 0 in
+  Runtime.on_quiescence runtime (fun () -> incr count);
+  Runtime.on_quiescence runtime (fun () -> incr count);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Runtime.quiescence_point runtime
+  done;
+  let words = Gc.minor_words () -. before in
+  check_int "both hooks fired every time" 2_000 !count;
+  check_int "minor words allocated by 1000 announcements" 0 (int_of_float words)
+
 (* --- the headline stress: reaper under traffic --- *)
 
 (* Few objects + several domains = constant contention inflations; an
@@ -580,6 +602,8 @@ let () =
           Alcotest.test_case "zero_contended keeps hot locks fat" `Slow
             test_zero_contended_policy_keeps_contended_locks_fat;
           Alcotest.test_case "quiescence-driven reaping" `Quick test_quiescence_hook_reaps;
+          Alcotest.test_case "hooks ordered, announcing allocates nothing" `Quick
+            test_quiescence_hooks_ordered_and_allocation_free;
         ] );
       ( "reaper under traffic",
         [

@@ -204,7 +204,7 @@ let prop_decompose_tiles_in_first_touch_order =
       let lanes_tile =
         Array.for_all
           (fun (l : Parallel_replay.lane) ->
-            let ok = l.first_run = !next_run && l.end_run > l.first_run && l.cursor = l.first_run in
+            let ok = l.first_run = !next_run && l.end_run > l.first_run in
             next_run := l.end_run;
             ok)
           d.all_lanes
@@ -254,6 +254,66 @@ let test_parallel_replay_conserves_ops () =
       (4, Parallel_replay.Shuffle);
     ]
 
+(* Whoever takes an item runs it to its end, so every item is started
+   exactly once — a lane in affinity mode, a run in shuffle mode — and
+   the runs executed add up to the trace's. *)
+let test_items_started_once () =
+  let profile = Option.get (Profiles.find "javacup") in
+  let trace = Tracegen.generate ~seed:7 ~max_syncs:6_000 profile in
+  List.iter
+    (fun (domains, mode) ->
+      let r = replay ~domains ~mode trace in
+      let sum f = Array.fold_left (fun acc t -> acc + f t) 0 r.Parallel_replay.tallies in
+      let items =
+        match mode with
+        | Parallel_replay.Affinity -> r.Parallel_replay.lanes
+        | Parallel_replay.Shuffle -> r.Parallel_replay.runs
+      in
+      let at = Printf.sprintf "%s at %d domains" (Parallel_replay.mode_name mode) domains in
+      check_int ("items started once, " ^ at) items
+        (sum (fun t -> t.Parallel_replay.lanes_started));
+      check_int ("runs executed, " ^ at) r.Parallel_replay.runs
+        (sum (fun t -> t.Parallel_replay.runs_executed)))
+    (List.concat_map
+       (fun d -> [ (d, Parallel_replay.Affinity); (d, Parallel_replay.Shuffle) ])
+       [ 1; 2; 3 ])
+
+(* A lopsided deal: every object falls in shard 0, so in affinity mode
+   the other domains start with empty deques and can only steal.  The
+   replay must still run every op and end: a worker ends once it finds
+   every deque empty, and the runs it leaves are another's to finish. *)
+let test_lopsided_deal_completes () =
+  let objects = 48 and rounds = 12 in
+  let ops = ref [] in
+  for round = 0 to rounds - 1 do
+    for i = 0 to objects - 1 do
+      (* object [4 i] is in shard 0 at 1, 2 and 4 domains *)
+      let op = (4 * i) + 1 in
+      if (round + i) mod 3 = 0 then ops := -op :: -op :: op :: op :: !ops
+      else ops := -op :: op :: !ops
+    done
+  done;
+  let trace =
+    {
+      Tracegen.profile = Option.get (Profiles.find "javalex");
+      pool_size = 4 * objects;
+      ops = Array.of_list (List.rev !ops);
+    }
+  in
+  List.iter
+    (fun domains ->
+      let r = replay ~domains ~mode:Parallel_replay.Affinity trace in
+      check_int
+        (Printf.sprintf "all ops executed at %d domains" domains)
+        (Array.length trace.Tracegen.ops) r.Parallel_replay.ops;
+      check_int
+        (Printf.sprintf "all acquires executed at %d domains" domains)
+        (Tracegen.acquire_count trace) r.Parallel_replay.acquires;
+      check_int
+        (Printf.sprintf "one lane per object at %d domains" domains)
+        objects r.Parallel_replay.lanes)
+    [ 2; 4 ]
+
 (* Affinity-mode determinism: per-object program order is preserved by
    construction (whole-lane stealing), so the sequence of lock-path
    event kinds each object sees must be identical for any domain
@@ -266,11 +326,12 @@ let per_object_kind_sequences ~domains trace =
   let config = { Thin.default_config with Thin.count_width = 1 } in
   let ctx = Thin.create_with ~config ~events:sink runtime in
   let scheme = Scheme_intf.pack (module Thin) ctx in
-  (* A lane can migrate mid-way (a thief steals it between slices), and
-     the sink orders two threads' events only across an epoch boundary:
-     within one epoch the drain sorts by tid.  Advancing the epoch after
-     every op makes the drained per-object order the executed order,
-     whichever domains ran the object's runs. *)
+  (* A lane runs whole on the domain that popped or stole it, but which
+     domain that is varies from run to run, and the sink orders two
+     threads' events only across an epoch boundary: within one epoch
+     the drain sorts by tid.  Advancing the epoch after every op makes
+     the drained per-object order the executed order, whichever domains
+     ran the object's runs. *)
   let pconfig =
     { Parallel_replay.default_config with Parallel_replay.domains; tick_every = 1 }
   in
@@ -336,5 +397,7 @@ let () =
             test_parallel_replay_conserves_ops;
           Alcotest.test_case "affinity replay deterministic" `Quick
             test_affinity_replay_is_deterministic;
+          Alcotest.test_case "every item started once" `Quick test_items_started_once;
+          Alcotest.test_case "lopsided deal completes" `Quick test_lopsided_deal_completes;
         ] );
     ]

@@ -81,6 +81,12 @@ for suite in test_monitor test_stats test_parallel test_oracle test_events; do
   echo "  $suite: 20/20 passed"
 done
 
+stage "benchmark smoke: every workload once untraced, once traced, at reduced size"
+# Each run must pass its correctness gate and print every metric that
+# BENCHMARK.json names.  --force: dune skips an alias whose
+# dependencies are unchanged, and this stage must run every time.
+dune build @benchmark/smoke --force
+
 stage "event-codec golden test"
 dune exec test/test_events.exe -- test codec
 
