@@ -287,36 +287,32 @@ let stress_cmd =
 
 let sim_cmd =
   let run () =
-    print_endline "Exhaustive interleaving check (2 threads x 1 iteration, spin budget 2):";
-    let programs =
-      Array.init 2 (fun i ->
-          Tl_sim.Thinmodel.worker ~tid:(i + 1) ~iterations:1 ~spin_budget:2 ())
+    let explorations =
+      [
+        ( "2 threads x 1 iteration, exhaustive",
+          fun () -> Tl_sim.Explore.explore (Tl_sim.Thin_check.lockers ~threads:2 ~iterations:1) );
+        ( "2 threads x 2 iterations, preemption bound 3",
+          fun () ->
+            Tl_sim.Explore.explore ~preemption_bound:3
+              (Tl_sim.Thin_check.lockers ~threads:2 ~iterations:2) );
+      ]
     in
-    let outcome =
-      Tl_sim.Machine.explore ~max_depth:400 ~mem_size:Tl_sim.Thinmodel.Addr.mem_size
-        ~invariant:(Tl_sim.Thinmodel.mutual_exclusion_invariant ~threads:2)
-        ~final:(Tl_sim.Thinmodel.completion_check ~threads:2 ~iterations:1)
-        programs
+    print_endline "Schedule exploration of the shipped Thin:";
+    let failed =
+      List.fold_left
+        (fun failed (name, explore) ->
+          let outcome = explore () in
+          Format.printf "  %-45s %a@." name Tl_sim.Explore.pp_outcome outcome;
+          failed || outcome.Tl_sim.Explore.violation <> None)
+        false explorations
     in
-    Printf.printf "  paths=%d completed=%d truncated=%d violation=%s\n"
-      outcome.Tl_sim.Machine.explored_paths outcome.Tl_sim.Machine.completed_paths
-      outcome.Tl_sim.Machine.truncated_paths
-      (match outcome.Tl_sim.Machine.violation with
-      | None -> "none"
-      | Some v -> v.Tl_sim.Machine.message);
-    print_endline "\nPer-path operation counts:";
-    let show name counts =
-      Printf.printf "  %-28s %s\n" name
-        (Format.asprintf "%a" Tl_sim.Machine.pp_op_counts counts)
-    in
-    show "acquire (unlocked)" (Tl_sim.Thinmodel.acquire_solo_counts ());
-    show "release (count 0)" (Tl_sim.Thinmodel.release_solo_counts ());
-    show "acquire (nested)" (Tl_sim.Thinmodel.nested_acquire_solo_counts ());
-    show "release (nested)" (Tl_sim.Thinmodel.nested_release_solo_counts ());
-    show "lock+unlock via fat monitor" (Tl_sim.Thinmodel.fat_solo_counts ())
+    print_newline ();
+    print_string (Tl_sim.Thin_check.render_counts ());
+    if failed then exit 1
   in
   Cmd.v
-    (Cmd.info "sim" ~doc:"Model-check the protocol and count per-path operations")
+    (Cmd.info "sim"
+       ~doc:"Model-check the shipped thin lock and count its lock-word accesses per path")
     Term.(const run $ const ())
 
 let events_cmd =

@@ -131,35 +131,3 @@ let with_chaos ?(seed = 0xC4405) ?(yield_probability = 0.1) (scheme : Scheme_int
     notify = wrap2 scheme.Scheme_intf.notify;
     notify_all = wrap2 scheme.Scheme_intf.notify_all;
   }
-
-type stream_outcome = {
-  stream_events : int;
-  stream_objects : int;
-  stream_violations : (int * string) list;
-}
-
-let render (v : Tl_events.Oracle.violation) =
-  let seq =
-    if v.Tl_events.Oracle.seq < 0 then "end of stream"
-    else Printf.sprintf "seq %d" v.Tl_events.Oracle.seq
-  in
-  Printf.sprintf "%s: %s (tid %d, obj %d): %s" seq
-    (Tl_events.Oracle.class_name v.Tl_events.Oracle.cls)
-    v.Tl_events.Oracle.tid v.Tl_events.Oracle.obj_id v.Tl_events.Oracle.detail
-
-let check_stream ?count_width drained =
-  let report = Tl_events.Oracle.check ?count_width drained in
-  {
-    stream_events = report.Tl_events.Oracle.events;
-    stream_objects = report.Tl_events.Oracle.objects;
-    stream_violations =
-      List.map
-        (fun (v : Tl_events.Oracle.violation) ->
-          (v.Tl_events.Oracle.seq, render v))
-        report.Tl_events.Oracle.violations;
-  }
-
-let assert_stream_clean ?count_width drained =
-  match (check_stream ?count_width drained).stream_violations with
-  | [] -> ()
-  | (_, msg) :: _ -> raise (Violation msg)

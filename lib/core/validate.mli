@@ -24,27 +24,3 @@ val with_validation : Scheme_intf.packed -> Scheme_intf.packed
 
 val with_chaos : ?seed:int -> ?yield_probability:float -> Scheme_intf.packed -> Scheme_intf.packed
 (** [yield_probability] defaults to 0.1 per operation edge. *)
-
-(** {2 Stream-level outcomes}
-
-    The shadow monitor validates operations as they run; these entry
-    points validate a run {e after the fact}, from the event stream it
-    left behind, by folding it through [Tl_events.Oracle]'s reference
-    automaton.  The two are complementary: the shadow monitor sees
-    operations the instrumentation might not emit, the oracle sees
-    emitted history the shadow monitor has already forgotten. *)
-
-type stream_outcome = {
-  stream_events : int;
-  stream_objects : int;
-  stream_violations : (int * string) list;
-      (** (seq, rendered violation), seq [-1] for end-of-stream
-          findings; empty = the stream obeys the protocol *)
-}
-
-val check_stream : ?count_width:int -> Tl_events.Sink.drained -> stream_outcome
-(** The protocol oracle's verdict on one drained stream, single- or
-    multi-domain alike; see [Tl_events.Oracle]. *)
-
-val assert_stream_clean : ?count_width:int -> Tl_events.Sink.drained -> unit
-(** @raise Violation with the first oracle finding, if any. *)

@@ -107,8 +107,8 @@ val emit : t -> tid:int -> kind:Event.kind -> arg:int -> unit
     may emit per tid at a time (guaranteed by Tid leasing). *)
 
 val emit_system : t -> kind:Event.kind -> arg:int -> unit
-(** Record one event on the system stream (tid 0): deflations, reaper
-    scans, quiescence announcements made outside any registered thread.
+(** Record one event on the system stream (tid 0): deflations and
+    reaper scans, which run with no thread env in hand.
     Serialised by a mutex and stamped with a fresh ticket, so system
     events order exactly against all mutator events; safe from any
     thread, including concurrently with itself.  A deflation is

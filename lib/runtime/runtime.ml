@@ -48,19 +48,15 @@ let rec on_quiescence t f =
   if not (Atomic.compare_and_set t.quiescence_hooks hooks (hooks @ [ f ])) then
     on_quiescence t f
 
-let quiescence_point ?env t =
+let quiescence_point ~env t =
   Atomic.incr t.quiescence_points;
   let sink = Atomic.get t.events in
   if Tl_events.Sink.enabled sink then begin
     (* Advance first: the announcement is the epoch boundary, so it is
        stamped with the new epoch and sorts after the window it closes. *)
     Tl_events.Sink.advance_epoch sink;
-    let arg = Atomic.get t.quiescence_points in
-    match env with
-    | Some e ->
-        Tl_events.Sink.emit sink ~tid:e.descriptor.Tid.index
-          ~kind:Tl_events.Event.Quiescence ~arg
-    | None -> Tl_events.Sink.emit_system sink ~kind:Tl_events.Event.Quiescence ~arg
+    Tl_events.Sink.emit sink ~tid:env.descriptor.Tid.index ~kind:Tl_events.Event.Quiescence
+      ~arg:(Atomic.get t.quiescence_points)
   end;
   (* Oldest-first, so a stats hook registered before a reaper hook sees
      the world the reaper is about to change. *)

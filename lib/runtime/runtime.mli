@@ -103,12 +103,12 @@ val on_quiescence : t -> (unit -> unit) -> unit
     raise.  Hooks cannot be unregistered — use a flag in the closure to
     disable one. *)
 
-val quiescence_point : ?env:env -> t -> unit
+val quiescence_point : env:env -> t -> unit
 (** Announce a quiescence point: bump the counter and run the hooks on
-    the calling thread.  Safe to call concurrently from any registered
-    thread.  When an event sink is attached ({!set_event_sink}), a
-    [Quiescence] event is recorded, attributed to [env]'s thread (or
-    tid 0 when no [env] is given). *)
+    the calling thread, [env]'s.  Safe to call concurrently from any
+    registered thread, and allocates nothing of its own.  When an event
+    sink is attached ({!set_event_sink}), a [Quiescence] event is
+    recorded, attributed to [env]'s thread. *)
 
 val quiescence_count : t -> int
 (** Total quiescence points announced on this runtime. *)

@@ -333,7 +333,7 @@ let characterize ?(max_syncs = 100_000) ?(seed = 1998) () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     "Scenario census (the ranking of §2) over all benchmark traces under thin\n\
-     locks, plus simulator operation counts per protocol path (§3.3).\n\n";
+     locks, plus the lock-word accesses per protocol path (§3.3).\n\n";
   let unlocked = ref 0 and nested = ref 0 and fat_fast = ref 0 and fat_queued = ref 0 in
   List.iter
     (fun (p : Profiles.t) ->
@@ -356,17 +356,8 @@ let characterize ?(max_syncs = 100_000) ?(seed = 1998) () =
          [ "4. fat, no queue"; string_of_int !fat_fast; Printf.sprintf "%.1f" (pct !fat_fast) ];
          [ "5. fat, queued"; string_of_int !fat_queued; Printf.sprintf "%.1f" (pct !fat_queued) ];
        ]);
-  Buffer.add_string buf "\nSimulator op counts (loads/stores/CAS per path):\n";
-  let show name counts =
-    Buffer.add_string buf
-      (Printf.sprintf "  %-28s %s\n" name
-         (Format.asprintf "%a" Tl_sim.Machine.pp_op_counts counts))
-  in
-  show "acquire (unlocked)" (Tl_sim.Thinmodel.acquire_solo_counts ());
-  show "release (count 0)" (Tl_sim.Thinmodel.release_solo_counts ());
-  show "acquire (nested)" (Tl_sim.Thinmodel.nested_acquire_solo_counts ());
-  show "release (nested)" (Tl_sim.Thinmodel.nested_release_solo_counts ());
-  show "lock+unlock via fat monitor" (Tl_sim.Thinmodel.fat_solo_counts ());
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (Tl_sim.Thin_check.render_counts ());
   Buffer.contents buf
 
 (* ------------- monitor lifecycle (deflation extension) ------------- *)

@@ -34,8 +34,8 @@ val fig6 : ?iterations:int -> unit -> string
 
 val characterize : ?max_syncs:int -> ?seed:int -> unit -> string
 (** §2's scenario-frequency ranking measured over all benchmark
-    traces, plus the simulator's operation counts per protocol path
-    (the "17 instructions" discussion). *)
+    traces, plus the lock-word accesses per protocol path counted on
+    the shipped [Thin] (the "17 instructions" discussion). *)
 
 val monitor_lifecycle : ?cycles:int -> ?threads:int -> unit -> string
 (** The deflation extension's lifecycle census: [threads] threads each

@@ -1006,17 +1006,15 @@ let test_runtime_and_reaper_events () =
   let ctx = Thin.create_with ~events:sink runtime in
   let env = Runtime.main_env runtime in
   Runtime.quiescence_point ~env runtime;
-  Runtime.quiescence_point runtime (* env-less: system stream *);
   ignore (Tl_lifecycle.Reaper.scan_once ctx);
   let d = Sink.drain sink in
-  check_int "quiescence events" 2 (Sink.count_kind d Event.Quiescence);
+  check_int "quiescence events" 1 (Sink.count_kind d Event.Quiescence);
   check_int "reaper scan event" 1 (Sink.count_kind d Event.Reaper_scan);
-  let envless =
-    Array.exists
-      (fun (e : Event.t) -> e.Event.kind = Event.Quiescence && e.Event.tid = 0)
-      (evs d)
-  in
-  check "env-less quiescence on system stream" true envless
+  check "quiescence on the announcing thread's stream" true
+    (Array.exists
+       (fun (e : Event.t) ->
+         e.Event.kind = Event.Quiescence && e.Event.tid = env.Runtime.descriptor.Tl_runtime.Tid.index)
+       (evs d))
 
 let test_untraced_ctx_stays_silent () =
   let runtime = Runtime.create () in

@@ -345,7 +345,7 @@ let test_churn_recycling_streams () =
   let wave = 1024 in
   let objects = Array.init 64 (fun _ -> obj ()) in
   let done_count = ref 0 in
-  Scheduler.run runtime (fun _env ->
+  Scheduler.run runtime (fun env ->
       let config =
         { Thin.default_config with backoff_policy = Backoff.Yield }
       in
@@ -370,7 +370,7 @@ let test_churn_recycling_streams () =
         spawned := !spawned + n;
         List.iter (fun j -> j ()) joins;
         (* quiescence bounds ring residency pressure and epoch skew *)
-        Runtime.quiescence_point runtime
+        Runtime.quiescence_point ~env runtime
       done);
   Alcotest.(check int) "all fibers ran" total !done_count;
   Alcotest.(check int) "no overflow needed" 0 (Scheduler.overflow_waits ());

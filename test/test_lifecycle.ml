@@ -484,9 +484,9 @@ let test_quiescence_hook_reaps () =
   let obj = H.alloc heap in
   Reaper.on_quiescence ~every:2 runtime ctx;
   inflate_idle ctx env obj;
-  Runtime.quiescence_point runtime;
+  Runtime.quiescence_point ~env runtime;
   check "1st announcement: not yet (every=2)" true (Header.is_inflated (Thin.lock_word obj));
-  Runtime.quiescence_point runtime;
+  Runtime.quiescence_point ~env runtime;
   check "2nd announcement deflates" false (Header.is_inflated (Thin.lock_word obj));
   check_int "points counted" 2 (Runtime.quiescence_count runtime)
 
@@ -495,22 +495,36 @@ let test_quiescence_hook_reaps () =
    and every minor collection stops every domain. *)
 let test_quiescence_hooks_ordered_and_allocation_free () =
   let runtime = Runtime.create () in
+  let env = Runtime.main_env runtime in
   let fired = ref [] in
   Runtime.on_quiescence runtime (fun () -> fired := `First :: !fired);
   Runtime.on_quiescence runtime (fun () -> fired := `Second :: !fired);
-  Runtime.quiescence_point runtime;
+  Runtime.quiescence_point ~env runtime;
   check "oldest hook first" true (List.rev !fired = [ `First; `Second ]);
   let runtime = Runtime.create () in
+  let env = Runtime.main_env runtime in
   let count = ref 0 in
   Runtime.on_quiescence runtime (fun () -> incr count);
   Runtime.on_quiescence runtime (fun () -> incr count);
   let before = Gc.minor_words () in
   for _ = 1 to 1_000 do
-    Runtime.quiescence_point runtime
+    Runtime.quiescence_point ~env runtime
   done;
   let words = Gc.minor_words () -. before in
   check_int "both hooks fired every time" 2_000 !count;
   check_int "minor words allocated by 1000 announcements" 0 (int_of_float words)
+
+(* The bare announcement a replay tick makes: an env in hand, no hook,
+   tracing off.  Passing the env must not box it. *)
+let test_announcement_with_env_allocates_nothing () =
+  let runtime = Runtime.create () in
+  let env = Runtime.main_env runtime in
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Runtime.quiescence_point ~env runtime
+  done;
+  check_int "minor words allocated by 1000 announcements with ~env" 0
+    (int_of_float (Gc.minor_words () -. before))
 
 (* --- the headline stress: reaper under traffic --- *)
 
@@ -604,6 +618,8 @@ let () =
           Alcotest.test_case "quiescence-driven reaping" `Quick test_quiescence_hook_reaps;
           Alcotest.test_case "hooks ordered, announcing allocates nothing" `Quick
             test_quiescence_hooks_ordered_and_allocation_free;
+          Alcotest.test_case "announcing with ~env allocates nothing" `Quick
+            test_announcement_with_env_allocates_nothing;
         ] );
       ( "reaper under traffic",
         [

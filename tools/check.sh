@@ -492,6 +492,23 @@ fi
 dune exec bin/thinlocks.exe -- residency "$tmpdir/clean.ev" >/dev/null
 rm -rf "$tmpdir"
 
+stage "sim: real Thin explored, no violation"
+# The shipped lib/core/thin.ml under the schedule explorer: 2 threads x
+# 1 iteration exhaustively, 2 x 2 under a preemption bound; exit 1 on a
+# violation.  The per-path counts are read off the same code.
+if ! out=$(dune exec bin/thinlocks.exe -- sim); then
+  echo "$out"
+  echo "FAIL: thinlocks sim found a violation." >&2
+  exit 1
+fi
+echo "$out"
+for row in "acquire (unlocked) *1 get + 1 CAS\$" "release (count 0) *1 get + 1 set\$"; do
+  if ! echo "$out" | grep -q "$row"; then
+    echo "FAIL: thinlocks sim printed no row matching \"$row\"." >&2
+    exit 1
+  fi
+done
+
 stage "thinlocks all regenerates every table and figure"
 out=$(dune exec bin/thinlocks.exe -- all --max-syncs 2000 --iterations 2000)
 for heading in "Table 1:" "Figure 3:" "Figure 4:" "Figure 5:" "Figure 6:" \
