@@ -126,7 +126,7 @@ let[@inline] stats_block ctx env =
 let[@inline] bump b slot = Array.unsafe_set b slot (Array.unsafe_get b slot + 1)
 
 (* The owner transfers its thin lock into a fresh fat lock.  Only the
-   owner may write the lock word, so plain stores suffice; the monitor
+   owner may write the lock word, so [Atomic.set] suffices; the monitor
    table publishes the fat lock before the inflated word becomes
    visible (both are seq-cst atomics). *)
 let inflate_owned ctx env obj ~locks ~cause =
@@ -299,8 +299,10 @@ and fat_acquire ctx env obj monitor_ref =
 
 let[@inline] owner_store ctx lw ~old_word ~new_word =
   if ctx.unlock_with_cas then begin
-    (* UnlkC&S variant: pay for an atomic op the discipline makes
-       unnecessary. *)
+    (* UnlkC&S variant: a compare-and-swap the discipline makes
+       unnecessary.  The default [Atomic.set] below is no plain store
+       either: OCaml 5.1.1 compiles it to [caml_atomic_exchange]
+       (ROADMAP item 12 proposes the paper's plain store). *)
     if not (Atomic.compare_and_set lw old_word new_word) then
       (* Only the owner writes a thin-held word, so this cannot fail. *)
       assert false
@@ -325,7 +327,7 @@ let release ctx env obj =
     owner_store ctx lw ~old_word:word ~new_word:unlocked_pattern
   end
   else if word lxor env.Runtime.shifted_index < held_by_me_limit then begin
-    (* Thin, mine, count >= 1: decrement with a plain store. *)
+    (* Thin, mine, count >= 1: decrement with an owner store. *)
     if ctx.tracing then emit ctx ~tid:(my_index env) Ev.Release_nested ~arg:obj.Obj_model.id;
     if ctx.record_stats then bump (stats_block ctx env) Lock_stats.c_releases_nested;
     owner_store ctx lw ~old_word:word ~new_word:(word - count_increment)

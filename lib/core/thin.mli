@@ -6,10 +6,14 @@
     - {b acquire, unlocked object}: one compare-and-swap of
       [hdr-bits] → [hdr-bits | my-pre-shifted-index] (§2.3.1);
     - {b acquire, nested}: the one-comparison XOR test, then
-      [word + 256] written with a plain store (§2.3.3);
-    - {b release}: equality test against the count-0 pattern, then a
-      plain store — never an atomic operation, by the discipline that
-      only the owner writes a thin-held lock word (§2.3.2);
+      [word + 256] written back with one [Atomic.set] (§2.3.3);
+    - {b release}: equality test against the count-0 pattern, then one
+      [Atomic.set] of the word — no compare-and-swap, by the discipline
+      that only the owner writes a thin-held lock word (§2.3.2).  The
+      paper's release is a plain store; on OCaml 5.1.1 [Atomic.set] is
+      a call to [caml_atomic_exchange], a full-barrier atomic, so the
+      release is 1 [Atomic.get] + 1 [Atomic.set] (ROADMAP item 12
+      proposes the paper's plain-store variant);
     - {b contention}: spin with backoff; on seizing the thin lock,
       inflate to a fat monitor, permanently (§2.3.4);
     - {b wait / count overflow}: the owner inflates directly,
@@ -26,7 +30,7 @@ type config = {
   backoff_policy : Tl_runtime.Backoff.policy;
   unlock_with_cas : bool;
       (** The [UnlkC&S] variant (Fig. 6): release with a
-          compare-and-swap instead of a plain store. *)
+          compare-and-swap instead of an [Atomic.set]. *)
   extra_fence : bool;
       (** The [MP Sync] variant (Fig. 6): an extra atomic round-trip
           per lock and unlock, standing in for PowerPC

@@ -3,19 +3,16 @@
     One {e owner} thread pushes and pops at the bottom (LIFO — it keeps
     working on what it most recently deferred, which is what preserves
     locality); any number of {e thief} threads steal from the top (FIFO
-    — they take the oldest, coldest item).  This is the run-queue
-    substrate of both the fiber {!Scheduler} (items are runnable
-    fibers) and [Workload.Parallel_replay] (items are whole per-object
-    run queues, so a steal migrates an object's remaining work
-    wholesale and never splits a run).
+    — they take the oldest, coldest item).  This is the run queue of
+    the fiber {!Scheduler}: items are runnable fibers.
 
     The implementation is the classic Chase–Lev algorithm over a
     fixed-size circular buffer of atomic slots: [push]/[pop] touch only
     the bottom index; thieves race each other and the owner's final pop
     on a compare-and-swap of the top index, which only ever increases,
-    so there is no ABA.  Capacity is fixed at creation (the replay
-    scheduler knows its item count up front); [push] raises {!Full}
-    rather than resizing. *)
+    so there is no ABA.  Capacity is fixed at creation; [push] raises
+    {!Full} rather than resizing, and the scheduler then queues the
+    task on its worker's owner-only FIFO. *)
 
 type 'a t
 

@@ -1,6 +1,5 @@
 open Tl_core
 module Runtime = Tl_runtime.Runtime
-module Ws_deque = Tl_fiber.Ws_deque
 
 type mode = Affinity | Shuffle
 
@@ -129,14 +128,16 @@ let fast_ratio (s : Lock_stats.snapshot) =
     float_of_int (s.Lock_stats.acquires_unlocked + s.Lock_stats.acquires_nested)
     /. float_of_int total
 
-(* A deque item is a range of runs [first, last) packed into one int,
-   so dealing allocates no per-item record. *)
+(* An item is a range of runs [first, last) packed into one int. *)
 let run_bits = 31
 let run_mask = (1 lsl run_bits) - 1
 
-(* Deal the schedulable items to the per-domain deques, each created
-   with room for exactly the items dealt to it: the deal is the only
-   push, so no deque ever holds more.
+type deal = { items : int array; bounds : int array; cursors : int Atomic.t array }
+
+(* Deal the schedulable items to the domains with a counting sort by
+   domain, as [decompose] sorts ops by object: domain [d]'s items are
+   the segment [bounds.(d), bounds.(d + 1)) of [items], in deal order,
+   and [cursors.(d)] is the next index of it to hand out.
 
    Affinity: the item is a whole lane, sharded by object id — all of an
    object's work starts (and, unless stolen, stays) on one domain.
@@ -144,10 +145,9 @@ let run_mask = (1 lsl run_bits) - 1
    Shuffle: the item is a single run, dealt round-robin in run order —
    consecutive episodes of a hot object land on different domains,
    which is what manufactures contention. *)
-let deal ~config lanes =
-  let domains = config.domains in
+let deal ~domains mode lanes =
   let each f =
-    match config.mode with
+    match mode with
     | Affinity ->
         Array.iter
           (fun l -> f (l.obj mod domains) ((l.first_run lsl run_bits) lor l.end_run))
@@ -160,11 +160,23 @@ let deal ~config lanes =
             done)
           lanes
   in
-  let counts = Array.make domains 0 in
-  each (fun d _ -> counts.(d) <- counts.(d) + 1);
-  let deques = Array.map (fun n -> Ws_deque.create ~capacity:(max 1 n)) counts in
-  each (fun d item -> Ws_deque.push deques.(d) item);
-  deques
+  let bounds = Array.make (domains + 1) 0 in
+  each (fun d _ -> bounds.(d + 1) <- bounds.(d + 1) + 1);
+  for d = 1 to domains do
+    bounds.(d) <- bounds.(d) + bounds.(d - 1)
+  done;
+  let fill = Array.sub bounds 0 domains in
+  let items = Array.make bounds.(domains) 0 in
+  each (fun d item ->
+      items.(fill.(d)) <- item;
+      fill.(d) <- fill.(d) + 1);
+  { items; bounds; cursors = Array.init domains (fun d -> Atomic.make bounds.(d)) }
+
+(* Owner and thieves claim with the same [fetch_and_add], so each index
+   is handed out once; a claim past the segment's end reads it empty. *)
+let claim deal d =
+  let i = Atomic.fetch_and_add deal.cursors.(d) 1 in
+  if i < deal.bounds.(d + 1) then deal.items.(i) else -1
 
 let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.packed)
     ~runtime (trace : Tracegen.t) =
@@ -179,7 +191,7 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
     let shards = match config.mode with Affinity -> config.domains | Shuffle -> 1 in
     Tl_heap.Heap.alloc_many ~shards (Tl_heap.Heap.create ()) trace.Tracegen.pool_size
   in
-  let deques = deal ~config lanes in
+  let dealt = deal ~domains:config.domains config.mode lanes in
   let dummy_tally =
     {
       domain = 0;
@@ -202,7 +214,6 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
   scheme.Scheme_intf.reset_stats ();
   let worker d env =
     let t0 = Tl_util.Timer.now () in
-    let dq = deques.(d) in
     let ops_executed = ref 0
     and acquires = ref 0
     and runs_executed = ref 0
@@ -210,7 +221,7 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
     and steals = ref 0 in
     let since_tick = ref 0 in
     (* An item runs to its end: only one executor can hold a lane at a
-       time, so handing its remainder back to the deque would add no
+       time, so handing its remainder back to the deal would add no
        parallelism, only a round trip.  Its runs are one contiguous
        stretch of [lane_ops]. *)
     let exec_item item =
@@ -238,31 +249,18 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
       runs_executed := !runs_executed + (last - first);
       ops_executed := !ops_executed + (hi - lo)
     in
-    let rec drain_own () =
-      match Ws_deque.pop dq with
-      | Some item ->
-          exec_item item;
-          drain_own ()
-      | None -> ()
-    in
-    (* With its own deque empty, a worker sweeps the victims
-       round-robin, starting past itself.  The deal is the only push, so
-       a deque found empty stays empty: a sweep on which every victim
-       reads [`Empty] ends the worker, and one that lost a race
-       ([`Retry]) sweeps again. *)
-    let rec sweep k contended =
-      if k < config.domains then
-        match Ws_deque.steal deques.((d + k) mod config.domains) with
-        | `Stolen item ->
-            incr steals;
-            exec_item item;
-            sweep 1 false
-        | `Retry -> sweep (k + 1) true
-        | `Empty -> sweep (k + 1) contended
-      else if contended then sweep 1 false
-    in
-    drain_own ();
-    sweep 1 false;
+    (* Own segment first, then each victim's in turn, starting past
+       itself.  Nothing is dealt after the deal, so a segment once read
+       empty stays empty and the worker ends when the last one does. *)
+    for k = 0 to config.domains - 1 do
+      let v = (d + k) mod config.domains in
+      let item = ref (claim dealt v) in
+      while !item >= 0 do
+        if k > 0 then incr steals;
+        exec_item !item;
+        item := claim dealt v
+      done
+    done;
     tallies.(d) <-
       {
         domain = d;
@@ -281,7 +279,7 @@ let run ?(config = default_config) ?(tick = fun _ -> ()) ~(scheme : Scheme_intf.
         runtime config.domains (fun d env -> worker d env)
   | Fibers ->
       (* The workers become fibers multiplexed over [config.domains]
-         carrier domains: same scheme, same deques, but lock-side
+         carrier domains: same scheme, same deal, but lock-side
          blocking suspends a fiber instead of an OS thread. *)
       Tl_fiber.Scheduler.run ~domains:config.domains runtime (fun _env ->
           Runtime.run_parallel ~name_prefix:"replay"

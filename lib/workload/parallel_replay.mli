@@ -20,9 +20,9 @@
     segment, so a worker executing a lane scans memory in order.
 
     {b Affinity mode.}  Lanes are sharded to domains by object id
-    ([obj mod domains]).  Each domain works its own shard LIFO from a
-    {!Ws_deque}; an idle domain steals a {e whole lane} FIFO from a
-    victim.  Because the thief takes every run of the object,
+    ([obj mod domains]).  Each domain works its own shard in deal
+    order; an idle domain claims a {e whole lane} from a victim's
+    shard.  Because the thief takes every run of the object,
     thin-lock ownership locality survives migration: the new executor's
     first acquire CASes an unlocked word, and every later one is a
     nested fast path — no contention is ever manufactured by the
@@ -38,12 +38,14 @@
     is the mode that manufactures real contention: overlapping episodes
     force contention inflation and queued fat acquires.
 
-    {b Termination.}  The deal is the only push: each deque is created
-    with room for exactly the items dealt to it (an item is a packed
-    run range, so dealing allocates no records), and a deque once empty
-    stays empty.  A worker drains its own deque, then sweeps the
-    victims until one whole sweep finds every victim's deque empty — there is no
-    shared count of outstanding work and no idle wait.
+    {b Termination.}  The deal is one flat [int array] of items (an
+    item is a packed run range), grouped by domain, with one atomic
+    cursor per domain: the owner and thieves alike claim the next item
+    of a segment with one [fetch_and_add].  The deal is the only write
+    of work, so a segment once read empty stays empty.  A worker drains
+    its own segment, then each victim's in turn, and ends when the last
+    one reads empty — there is no shared count of outstanding work and
+    no idle wait.
 
     {b Statistics.}  The scheme's [Lock_stats] counters are reset once
     before the domains start and snapshot once after they all join —
@@ -94,6 +96,18 @@ val decompose : Tracegen.t -> decomposition
     name an object below the trace's [pool_size] (generated traces do;
     {!Trace_io} rejects loaded ones that do not). *)
 
+type deal
+
+val deal : domains:int -> mode -> lane array -> deal
+(** Deal lanes to [domains] domains as {!run} does (see the module
+    comment).  Exposed, like {!decompose}, for tests. *)
+
+val claim : deal -> int -> int
+(** [claim deal d] takes the next item of domain [d]'s segment, runs
+    [first] to [last - 1] packed as [(first lsl 31) lor last], or [-1]
+    once the segment is empty.  Safe from any domain; each item is
+    handed out once. *)
+
 type config = {
   domains : int;  (** worker domains to spawn (>= 1) *)
   mode : mode;
@@ -113,9 +127,9 @@ type domain_tally = {
   acquires_executed : int;
   runs_executed : int;
   lanes_started : int;
-      (** items this domain popped or stole: lanes in affinity mode,
-          runs in shuffle mode *)
-  steals : int;  (** items it took from a victim's deque *)
+      (** items this domain claimed: lanes in affinity mode, runs in
+          shuffle mode *)
+  steals : int;  (** items it claimed from another domain's segment *)
   busy : float;  (** seconds from worker start to worker finish *)
 }
 

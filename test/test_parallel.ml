@@ -1,8 +1,9 @@
-(* Parallel replay: the Chase-Lev deque (sequential model + concurrent
-   no-lost/no-duplicate stealing), trace decomposition invariants, and
-   the scheduler itself — op/acquire conservation, single
-   reset/snapshot stats accounting, and per-object replay determinism
-   across domain counts in affinity mode. *)
+(* Parallel replay: the fiber scheduler's Chase-Lev deque (sequential
+   model + concurrent no-lost/no-duplicate stealing), trace
+   decomposition invariants, the replay's deal (its memory and its
+   claim race), and the replay scheduler itself — op/acquire
+   conservation, single reset/snapshot stats accounting, and per-object
+   replay determinism across domain counts in affinity mode. *)
 
 open Tl_workload
 module Ws_deque = Tl_fiber.Ws_deque
@@ -219,6 +220,79 @@ let prop_decompose_tiles_in_first_touch_order =
       && Array.to_list (Array.map (fun (l : Parallel_replay.lane) -> l.obj) d.all_lanes)
          = first_touch)
 
+(* --- the deal --- *)
+
+(* The deal is one flat int array plus a cursor per domain, so a
+   Shuffle deal of javalex's 100k-sync trace (one item per run) at 2
+   domains fits in one word per item and a few per domain.  Boxed
+   per-slot storage, as in a Chase-Lev deque, costs about 3 words per
+   power-of-two slot plus 2 per item and fails this bound by far. *)
+let test_deal_memory_ledger () =
+  let trace = Tracegen.generate (Option.get (Profiles.find "javalex")) in
+  let d = Parallel_replay.decompose trace in
+  let runs = Array.length d.run_start - 1 in
+  check_int "javalex 100k cuts into 74,967 runs" 74_967 runs;
+  let domains = 2 in
+  let dealt = Parallel_replay.deal ~domains Parallel_replay.Shuffle d.all_lanes in
+  let words = Obj.reachable_words (Obj.repr dealt) in
+  let bound = runs + (8 * domains) + 8 in
+  check (Printf.sprintf "deal of %d items is %d words, at most %d" runs words bound) true
+    (words <= bound)
+
+(* The owner and a thief race one cursor: every item is dealt to
+   domain 0's segment, the main domain claims from it as its owner and
+   a second domain claims only from it.  Each item must be claimed
+   exactly once, whoever wins.  Seeded random pauses between claims
+   vary the interleaving from run to run (the seed is QCHECK_SEED when
+   set, and printed). *)
+let test_claim_race () =
+  let n = 200_000 in
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with Some s -> int_of_string s | None -> 1998
+  in
+  Printf.printf "claim race seed %d\n%!" seed;
+  (* lane [i] is run [i] of object [2 i]: all of them shard to domain 0 *)
+  let lanes =
+    Array.init n (fun i -> { Parallel_replay.obj = 2 * i; first_run = i; end_run = i + 1 })
+  in
+  let dealt = Parallel_replay.deal ~domains:2 Parallel_replay.Affinity lanes in
+  let start = Atomic.make false in
+  let claimer who () =
+    let prng = Random.State.make [| seed; who |] in
+    let got = Array.make n (-1) and k = ref 0 in
+    while not (Atomic.get start) do
+      Domain.cpu_relax ()
+    done;
+    let item = ref (Parallel_replay.claim dealt 0) in
+    while !item >= 0 do
+      got.(!k) <- !item;
+      incr k;
+      if Random.State.int prng 8 = 0 then
+        for _ = 1 to Random.State.int prng 64 do
+          Domain.cpu_relax ()
+        done;
+      item := Parallel_replay.claim dealt 0
+    done;
+    Array.sub got 0 !k
+  in
+  let thief = Domain.spawn (claimer 1) in
+  Atomic.set start true;
+  let mine = claimer 0 () in
+  let stolen = Domain.join thief in
+  Printf.printf "owner claimed %d, thief %d\n%!" (Array.length mine) (Array.length stolen);
+  check_int "domain 1's segment is empty" (-1) (Parallel_replay.claim dealt 1);
+  let times = Array.make n 0 and one_run = ref true in
+  let tally item =
+    let first = item lsr 31 and last = item land ((1 lsl 31) - 1) in
+    if last <> first + 1 then one_run := false;
+    times.(first) <- times.(first) + 1
+  in
+  Array.iter tally mine;
+  Array.iter tally stolen;
+  check "every item is one run" true !one_run;
+  check_int "items claimed" n (Array.length mine + Array.length stolen);
+  check "every item claimed exactly once" true (Array.for_all (( = ) 1) times)
+
 (* --- the scheduler --- *)
 
 let replay ~domains ~mode trace =
@@ -279,9 +353,9 @@ let test_items_started_once () =
        [ 1; 2; 3 ])
 
 (* A lopsided deal: every object falls in shard 0, so in affinity mode
-   the other domains start with empty deques and can only steal.  The
+   the other domains start with empty segments and can only steal.  The
    replay must still run every op and end: a worker ends once it finds
-   every deque empty, and the runs it leaves are another's to finish. *)
+   every segment empty, and the runs it leaves are another's to finish. *)
 let test_lopsided_deal_completes () =
   let objects = 48 and rounds = 12 in
   let ops = ref [] in
@@ -390,6 +464,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_decompose_preserves_trace;
           QCheck_alcotest.to_alcotest prop_decompose_tiles_in_first_touch_order;
+        ] );
+      ( "deal",
+        [
+          Alcotest.test_case "memory ledger" `Quick test_deal_memory_ledger;
+          Alcotest.test_case "claim race" `Quick test_claim_race;
         ] );
       ( "scheduler",
         [
