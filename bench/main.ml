@@ -231,6 +231,48 @@ let bench_shard_sensitivity () =
    private object — once with no reaper and once with an eager reaper
    deflating live monitors the whole time.  The reaper must produce
    non-quiescent deflations without moving the fast path. *)
+(* The reaper's idle tick as its own layer: one quiescence point with
+   the controlled reaper mounted (as the contended replay mounts it) on
+   a table that has churned through 10k monitors and holds none.  The
+   figure is the median over 51 batches of 1000 ticks, per tick. *)
+let idle_tick_ns () =
+  let runtime = Runtime.create () in
+  (* a nest of three overflows a 1-bit count, so each object inflates *)
+  let config = { Tl_core.Thin.default_config with count_width = 1 } in
+  let ctx = Tl_core.Thin.create_with ~config runtime in
+  let env = Runtime.main_env runtime in
+  let table = Tl_core.Thin.montable ctx in
+  let controller =
+    Tl_lifecycle.Controller.create ~nshards:(Tl_monitor.Montable.shard_count table) ()
+  in
+  Tl_lifecycle.Reaper.on_quiescence ~controller runtime ctx;
+  let heap = Tl_heap.Heap.create () in
+  Array.iter
+    (fun obj ->
+      for _ = 1 to 3 do
+        Tl_core.Thin.acquire ctx env obj
+      done;
+      for _ = 1 to 3 do
+        Tl_core.Thin.release ctx env obj
+      done)
+    (Array.init 10_000 (fun _ -> Tl_heap.Heap.alloc heap));
+  let rec drain ticks =
+    if Tl_monitor.Montable.live table > 0 then begin
+      if ticks = 0 then failwith "idle tick: the controlled reaper left monitors live";
+      Runtime.quiescence_point ~env runtime;
+      drain (ticks - 1)
+    end
+  in
+  drain 1_000;
+  let batch = 1_000 in
+  Tl_util.Stats.median
+    (Array.init 51 (fun _ ->
+         let t0 = Tl_util.Timer.now_ns () in
+         for _ = 1 to batch do
+           Runtime.quiescence_point ~env runtime
+         done;
+         Int64.to_float (Tl_util.Timer.elapsed_ns ~since:t0) /. float_of_int batch))
+
 let bench_reaper () =
   section "Lifecycle reaper: non-quiescent deflation under traffic";
   let churn_domains = 3 and nshared = 4 in
@@ -283,6 +325,9 @@ let bench_reaper () =
   Printf.printf "  deflation.retired_monitor_retries: %d\n"
     (extra "deflation.retired_monitor_retries");
   Printf.printf "  reaper scans:                  %d\n" (extra "reaper.scans");
+  let idle_tick = idle_tick_ns () in
+  Printf.printf "  idle tick, controlled reaper:  %.1f ns (empty table after 10k monitors)\n"
+    idle_tick;
   Printf.printf
     "\n  (deflations while lockers are running is the Tasuki-style extension at\n\
     \   work; the two fast-path numbers should agree within noise)\n\n%!";
@@ -293,6 +338,7 @@ let bench_reaper () =
          ("fast_ns_live_reaper", J.Float fast_on);
          ("deflations_non_quiescent", J.Int (extra "deflations.non_quiescent"));
          ("reaper_scans", J.Int (extra "reaper.scans"));
+         ("idle_tick_ns", J.Float idle_tick);
        ])
 
 (* Tracing overhead: the identical private-object lock/unlock loop

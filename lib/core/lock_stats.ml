@@ -137,16 +137,18 @@ let record_notify_all t ~tid = bump (block t tid) c_notify_all_ops
 let record_deflation t = Atomic.incr t.deflations
 let deflation_count t = Atomic.get t.deflations
 
-let add_extra t key n =
-  let rec counter () =
-    let l = Atomic.get t.extra in
-    match List.assoc_opt key l with
-    | Some a -> a
-    | None ->
-        let a = Atomic.make 0 in
-        if Atomic.compare_and_set t.extra l ((key, a) :: l) then a else counter ()
-  in
-  ignore (Atomic.fetch_and_add (counter ()) n)
+type counter = int Atomic.t
+
+let rec counter t key =
+  let l = Atomic.get t.extra in
+  match List.assoc_opt key l with
+  | Some a -> a
+  | None ->
+      let a = Atomic.make 0 in
+      if Atomic.compare_and_set t.extra l ((key, a) :: l) then a else counter t key
+
+let count c n = ignore (Atomic.fetch_and_add c n)
+let add_extra t key n = count (counter t key) n
 
 let register_gauge t key f =
   let rec add () =

@@ -110,9 +110,22 @@ val record_deflation : t -> unit
 
 val deflation_count : t -> int
 
+type counter
+(** A shared counter reported under one [extra] key. *)
+
+val counter : t -> string -> counter
+(** The counter under [key], created (at 0) if absent.  Resolve it once
+    and {!count} through the handle: the lookup walks the key list,
+    the handle does not.  {!reset} zeroes a counter but keeps it, so a
+    handle stays valid for the life of [t]. *)
+
+val count : counter -> int -> unit
+(** Add to a counter: one atomic fetch-and-add.  Lock-free. *)
+
 val add_extra : t -> string -> int -> unit
-(** Scheme-specific counters (e.g. the baselines' monitor-cache probes
-    and evictions); keys are created on first use.  Lock-free. *)
+(** [count (counter t key) n]: a scheme-specific counter (e.g. the
+    baselines' monitor-cache probes and evictions) by key, created on
+    first use.  Lock-free. *)
 
 val register_gauge : t -> string -> (unit -> int) -> unit
 (** Register a sampled value (e.g. live monitors) evaluated at

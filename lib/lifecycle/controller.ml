@@ -168,9 +168,18 @@ let config t = t.cfg
 let nshards t = t.nshards
 let shard_of t i = t.shards.(i land (t.nshards - 1))
 
-let with_lock t f =
+(* [with_lock t f x] runs [f t x] under the mutex.  Callers pass
+   closed functions, so taking the lock allocates nothing: the census
+   feed takes it once per live entry, [scan_complete] once per scan. *)
+let with_lock t f x =
   Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+  match f t x with
+  | v ->
+      Mutex.unlock t.mutex;
+      v
+  | exception e ->
+      Mutex.unlock t.mutex;
+      raise e
 
 (* --- the census feed --- *)
 
@@ -188,38 +197,40 @@ type observation = {
    worth at most one missed re-inflation sample each. *)
 let max_tracked_tags = 1 lsl 14
 
-let observe t (o : observation) =
-  with_lock t (fun () ->
-      let s = shard_of t o.shard in
-      if o.idle_scans >= 1 then s.idle_obs <- s.idle_obs + 1
-      else s.busy_obs <- s.busy_obs + 1;
-      if o.contended_episodes > 0 then s.contended_obs <- s.contended_obs + 1;
-      if not o.pipeline_quiet then s.pipeline_busy <- true;
-      if Hashtbl.mem s.deflated_tags o.tag then begin
-        Hashtbl.remove s.deflated_tags o.tag;
-        s.reinfl_epoch <- s.reinfl_epoch + 1;
-        s.reinflations <- s.reinflations + 1
-      end;
-      if not (Hashtbl.mem s.first_seen o.tag) then begin
-        if Hashtbl.length s.first_seen >= max_tracked_tags then
-          Hashtbl.reset s.first_seen;
-        Hashtbl.replace s.first_seen o.tag t.scan_no
-      end)
+let observe_locked t (o : observation) =
+  let s = shard_of t o.shard in
+  if o.idle_scans >= 1 then s.idle_obs <- s.idle_obs + 1
+  else s.busy_obs <- s.busy_obs + 1;
+  if o.contended_episodes > 0 then s.contended_obs <- s.contended_obs + 1;
+  if not o.pipeline_quiet then s.pipeline_busy <- true;
+  if Hashtbl.mem s.deflated_tags o.tag then begin
+    Hashtbl.remove s.deflated_tags o.tag;
+    s.reinfl_epoch <- s.reinfl_epoch + 1;
+    s.reinflations <- s.reinflations + 1
+  end;
+  if not (Hashtbl.mem s.first_seen o.tag) then begin
+    if Hashtbl.length s.first_seen >= max_tracked_tags then
+      Hashtbl.reset s.first_seen;
+    Hashtbl.replace s.first_seen o.tag t.scan_no
+  end
 
-let note_deflated t ~shard ~tag =
-  with_lock t (fun () ->
-      let s = shard_of t shard in
-      s.defl_epoch <- s.defl_epoch + 1;
-      s.deflations <- s.deflations + 1;
-      if Hashtbl.length s.deflated_tags >= max_tracked_tags then
-        Hashtbl.reset s.deflated_tags;
-      Hashtbl.replace s.deflated_tags tag ();
-      match Hashtbl.find_opt s.first_seen tag with
-      | Some since ->
-          Hashtbl.remove s.first_seen tag;
-          let b = bucket (t.scan_no - since + 1) in
-          s.dwell.(b) <- s.dwell.(b) + 1
-      | None -> ())
+let observe t o = with_lock t observe_locked o
+
+let note_deflated_locked t (shard, tag) =
+  let s = shard_of t shard in
+  s.defl_epoch <- s.defl_epoch + 1;
+  s.deflations <- s.deflations + 1;
+  if Hashtbl.length s.deflated_tags >= max_tracked_tags then
+    Hashtbl.reset s.deflated_tags;
+  Hashtbl.replace s.deflated_tags tag ();
+  match Hashtbl.find_opt s.first_seen tag with
+  | Some since ->
+      Hashtbl.remove s.first_seen tag;
+      let b = bucket (t.scan_no - since + 1) in
+      s.dwell.(b) <- s.dwell.(b) + 1
+  | None -> ()
+
+let note_deflated t ~shard ~tag = with_lock t note_deflated_locked (shard, tag)
 
 (* --- the decision step --- *)
 
@@ -356,22 +367,23 @@ let decide_shard t shard_idx s =
   s.pipeline_busy <- false;
   List.rev !out
 
-let scan_complete t =
-  with_lock t (fun () ->
-      t.scan_no <- t.scan_no + 1;
-      t.scans_in_epoch <- t.scans_in_epoch + 1;
-      if t.scans_in_epoch < t.cfg.epoch_scans then []
-      else begin
-        t.scans_in_epoch <- 0;
-        let out = ref [] in
-        Array.iteri
-          (fun i s -> out := !out @ decide_shard t i s)
-          t.shards;
-        !out
-      end)
+let scan_complete_locked t () =
+  t.scan_no <- t.scan_no + 1;
+  t.scans_in_epoch <- t.scans_in_epoch + 1;
+  if t.scans_in_epoch < t.cfg.epoch_scans then []
+  else begin
+    t.scans_in_epoch <- 0;
+    let out = ref [] in
+    Array.iteri
+      (fun i s -> out := !out @ decide_shard t i s)
+      t.shards;
+    !out
+  end
+
+let scan_complete t = with_lock t scan_complete_locked ()
 
 let policy_for t shard =
-  with_lock t (fun () -> candidates.((shard_of t shard).policy))
+  with_lock t (fun t shard -> candidates.((shard_of t shard).policy)) shard
 
 let engine t =
   Policy.controlled (fun ~shard c ->
@@ -428,7 +440,8 @@ type shard_snapshot = {
 }
 
 let snapshot t =
-  with_lock t (fun () ->
+  with_lock t
+    (fun t () ->
       Array.map
         (fun (s : shard_state) ->
           {
@@ -443,5 +456,6 @@ let snapshot t =
             dwell = Array.copy s.dwell;
           })
         t.shards)
+    ()
 
-let switches_total t = with_lock t (fun () -> t.switches_total)
+let switches_total t = with_lock t (fun t () -> t.switches_total) ()

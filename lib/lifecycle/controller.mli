@@ -125,14 +125,16 @@ type switch = {
 val scan_complete : t -> switch list
 (** End of one census walk.  Returns the switches decided by this
     scan (empty except at epoch boundaries); the caller emits them as
-    [Policy_switch] events. *)
+    [Policy_switch] events.  Between epoch boundaries it takes the
+    mutex, bumps two counts and allocates nothing. *)
 
 val policy_for : t -> int -> Policy.t
 (** The shard's current policy (exploration included). *)
 
 val engine : t -> Policy.engine
 (** The {!Policy.controlled} engine view: per-shard decisions
-    delegated to this controller — what the reaper mounts. *)
+    delegated to this controller — what the reaper mounts.  Each call
+    builds a new engine; the reaper builds one per mount. *)
 
 (** {1 Event packing}
 

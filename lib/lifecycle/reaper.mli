@@ -9,10 +9,19 @@
     - {!on_quiescence}: sweeps driven by runtime quiescence
       announcements ([Runtime.quiescence_point]).
 
-    Scan latency and counts are recorded in the scheme's
-    [Lock_stats] extras (["reaper.scans"], ["reaper.scan_us"]); the
+    Scan counts and latency are recorded in the scheme's [Lock_stats]
+    extras: ["reaper.scans"] and ["reaper.scan_ns"] (integer
+    nanoseconds on the monotonic clock, summed over scans), plus
+    ["reaper.collapsed_scans"] and ["controller.switches"] below.  The
     handshake itself records ["deflations.non_quiescent"] and
-    ["deflation.aborted_handshakes"]. *)
+    ["deflation.aborted_handshakes"].
+
+    A scan costs the highest monitor slot ever allocated (see
+    [Montable.iter_live]), and a scan of an empty table skips the walk.
+    {!start} and {!on_quiescence} resolve their counter handles and
+    policy engine once, when they are started or mounted, so an
+    {!on_quiescence} scan of an empty table with a fixed policy
+    allocates nothing. *)
 
 type scan = {
   scanned : int;  (** live census entries visited *)
@@ -20,7 +29,7 @@ type scan = {
   deflated : int;
   aborted : int;  (** handshakes aborted: the monitor was in use *)
   lost_races : int;  (** another deflater (or the world) got there first *)
-  elapsed : float;  (** seconds *)
+  elapsed : float;  (** seconds, from the monotonic clock's nanoseconds *)
 }
 
 val empty_scan : scan

@@ -20,6 +20,9 @@ type 'a t = {
   slot_width : int;
   generation_mask : int;
   max_slot : int;
+  (* Highest slot ever allocated (0: none): a monotone max that bounds
+     the census walk.  Raised after the slot's chunk is published. *)
+  high : int Atomic.t;
   allocations : int Atomic.t; (* total ever, the inflation census *)
   reuses : int Atomic.t; (* allocations served from a free list *)
   frees : int Atomic.t;
@@ -63,6 +66,7 @@ let create ?(max_index = default_max_slot) ?(generation_width = default_generati
     slot_width = bits_for max_index;
     generation_mask = (1 lsl generation_width) - 1;
     max_slot = max_index;
+    high = Atomic.make 0;
     allocations = Atomic.make 0;
     reuses = Atomic.make 0;
     frees = Atomic.make 0;
@@ -127,6 +131,15 @@ let try_allocate_in t shard value =
          handles minted before the free no longer match. *)
       let generation = if reused then (Atomic.get (cell t slot)).generation else 0 in
       Atomic.set (cell t slot) { value = Some value; generation };
+      (* Only a fresh slot can pass the high-water mark; other shards
+         raise it concurrently, hence the CAS. *)
+      if not reused then begin
+        let rec raise_high () =
+          let h = Atomic.get t.high in
+          if slot > h && not (Atomic.compare_and_set t.high h slot) then raise_high ()
+        in
+        raise_high ()
+      end;
       Mutex.unlock shard.lock;
       ignore (Atomic.fetch_and_add t.allocations 1);
       if reused then ignore (Atomic.fetch_and_add t.reuses 1);
@@ -193,10 +206,13 @@ let free t handle =
 (* Racy-by-design census walk: each cell is read atomically, but the
    set of live entries can change mid-scan.  Callers (the lifecycle
    reaper) must treat every visited entry as a candidate to re-verify,
-   not as a consistent snapshot. *)
+   not as a consistent snapshot.  The walk stops at the high-water
+   slot, read before the spine: a slot's chunk is published before the
+   mark passes it, so the spine read second covers every slot up to
+   the mark. *)
 let iter_live t f =
+  let upper = Atomic.get t.high in
   let spine = Atomic.get t.spine in
-  let upper = min t.max_slot ((Array.length spine * chunk_size) - 1) in
   for slot = 1 to upper do
     let c = Atomic.get spine.(slot lsr chunk_width).(slot land chunk_mask) in
     match c.value with

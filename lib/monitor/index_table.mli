@@ -58,7 +58,9 @@ val iter_live : 'a t -> (handle:int -> 'a -> unit) -> unit
     lock-free and racy by design: entries freed or allocated during the
     scan may or may not be visited, so callers must re-validate each
     candidate (the reaper's deflation handshake does).  Cost is linear
-    in the high-water slot count, not in live entries. *)
+    in the highest slot ever allocated (a monotone mark, never lowered
+    by {!free}), not in the table's capacity: a table that never grew
+    past slot [n] costs [n] cell reads per walk. *)
 
 val allocated : 'a t -> int
 (** Total allocations ever (slot reuses included) — the census. *)

@@ -60,7 +60,8 @@ val find_entry : t -> int -> entry option
 
 val iter_live : t -> (handle:int -> entry -> unit) -> unit
 (** Walk the live-monitor census (see {!Index_table.iter_live} for the
-    racy-snapshot caveats). *)
+    racy-snapshot caveats).  Cost is O(highest slot ever allocated);
+    callers with nothing live skip the walk by testing {!live}. *)
 
 val free : t -> int -> unit
 (** Return a deflated monitor's slot for reuse.  Caller must guarantee

@@ -5,6 +5,8 @@ let now () = Unix.gettimeofday ()
    storm percentiles floor out; integer nanoseconds don't. *)
 let now_ns () = Monotonic_clock.now ()
 
+let now_ns_int () = Int64.to_int (Monotonic_clock.now ())
+
 let elapsed_ns ~since = Int64.sub (Monotonic_clock.now ()) since
 
 let time f =

@@ -12,6 +12,12 @@ val now_ns : unit -> int64
     only µs granularity, so sub-µs waits quantize to 0 and percentile
     floors lie. *)
 
+val now_ns_int : unit -> int
+(** {!now_ns} as an immediate [int] (63 bits hold centuries of
+    nanoseconds).  Reading it allocates nothing, where an [int64]
+    result is boxed when it crosses a module boundary: for timing on
+    paths that must not allocate. *)
+
 val elapsed_ns : since:int64 -> int64
 (** Nanoseconds elapsed since a [now_ns] sample. *)
 

@@ -526,6 +526,53 @@ let test_announcement_with_env_allocates_nothing () =
   check_int "minor words allocated by 1000 announcements with ~env" 0
     (int_of_float (Gc.minor_words () -. before))
 
+(* Single-flight accounting: every announcement either runs a scan or
+   is counted as collapsed into the one in flight, so the two counters
+   sum to the announcements exactly.  Two domains announce with seeded
+   random pauses (the seed is QCHECK_SEED when set, and printed); a
+   never-deflating policy keeps a few monitors live so every scan
+   walks the census. *)
+let test_single_flight_accounting () =
+  let seed =
+    match Sys.getenv_opt "QCHECK_SEED" with Some s -> int_of_string s | None -> 1998
+  in
+  Printf.printf "single-flight seed %d\n%!" seed;
+  let runtime, ctx, heap = direct () in
+  let env = Runtime.main_env runtime in
+  Array.iter (inflate_idle ctx env) (Array.init 8 (fun _ -> H.alloc heap));
+  Reaper.on_quiescence ~policy:Policy.never runtime ctx;
+  let per_domain = 5_000 in
+  Runtime.run_parallel ~backend:Runtime.Domain_backend runtime 2 (fun i env ->
+      let prng = Random.State.make [| seed; i |] in
+      for _ = 1 to per_domain do
+        Runtime.quiescence_point ~env runtime;
+        if Random.State.int prng 4 = 0 then
+          for _ = 1 to Random.State.int prng 256 do
+            Domain.cpu_relax ()
+          done
+      done);
+  let scans = extra_of ctx "reaper.scans" and collapsed = extra_of ctx "reaper.collapsed_scans" in
+  Printf.printf "scans %d, collapsed %d\n%!" scans collapsed;
+  check_int "announcements" (2 * per_domain) (Runtime.quiescence_count runtime);
+  check_int "scans + collapsed = announcements" (2 * per_domain) (scans + collapsed);
+  check_int "the monitors stay live" 8 (Montable.live (Thin.montable ctx))
+
+(* The reaper's idle tick, mounted with a fixed policy on an empty
+   table: the census walk is skipped, and the counters and engine were
+   resolved at mount, so announcing allocates nothing.  (The
+   controller's epoch decisions may allocate, hence the fixed policy.) *)
+let test_idle_reaper_tick_allocates_nothing () =
+  let runtime, ctx, _ = direct () in
+  let env = Runtime.main_env runtime in
+  Reaper.on_quiescence ~policy:Policy.always_idle runtime ctx;
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Runtime.quiescence_point ~env runtime
+  done;
+  check_int "minor words allocated by 1000 reaper ticks" 0
+    (int_of_float (Gc.minor_words () -. before));
+  check_int "every tick scanned" 1_000 (extra_of ctx "reaper.scans")
+
 (* --- the headline stress: reaper under traffic --- *)
 
 (* Few objects + several domains = constant contention inflations; an
@@ -620,6 +667,10 @@ let () =
             test_quiescence_hooks_ordered_and_allocation_free;
           Alcotest.test_case "announcing with ~env allocates nothing" `Quick
             test_announcement_with_env_allocates_nothing;
+          Alcotest.test_case "single-flight: scans + collapsed = announcements" `Quick
+            test_single_flight_accounting;
+          Alcotest.test_case "an idle reaper tick allocates nothing" `Quick
+            test_idle_reaper_tick_allocates_nothing;
         ] );
       ( "reaper under traffic",
         [

@@ -327,6 +327,44 @@ let test_churn_never_exhausts () =
   check_int "census saw all cycles" 1_000 (Index_table.allocated t);
   check_int "nothing live" 0 (Index_table.live t)
 
+(* The census walk is bounded by the highest slot ever allocated, so
+   it must still visit exactly the live handles — each with its value —
+   after any mix of allocations across shards and frees. *)
+let prop_census_is_exact =
+  let gen =
+    QCheck.Gen.(list_size (int_range 0 300) (pair bool (int_bound 1_000)))
+  in
+  let arb =
+    QCheck.make gen
+      ~print:
+        QCheck.Print.(list (pair (fun b -> if b then "alloc" else "free") string_of_int))
+  in
+  QCheck.Test.make ~name:"census: iter_live visits exactly the live handles" ~count:200 arb
+    (fun ops ->
+      let t = Index_table.create ~shards:4 () in
+      let live = ref [] in
+      List.iteri
+        (fun i (alloc, k) ->
+          match !live with
+          | _ :: _ when not alloc ->
+              let h, _ = List.nth !live (k mod List.length !live) in
+              Index_table.free t h;
+              live := List.filter (fun (h', _) -> h' <> h) !live
+          | _ -> live := (Index_table.allocate ~shard_hint:k t i, i) :: !live)
+        ops;
+      let seen = ref [] in
+      Index_table.iter_live t (fun ~handle v -> seen := (handle, v) :: !seen);
+      List.sort compare !seen = List.sort compare !live)
+
+let test_census_of_freed_table_is_empty () =
+  let t = Index_table.create () in
+  let handles = List.init 1_000 (fun i -> Index_table.allocate ~shard_hint:i t i) in
+  List.iter (Index_table.free t) handles;
+  let calls = ref 0 in
+  Index_table.iter_live t (fun ~handle:_ _ -> incr calls);
+  check_int "callbacks on a table with every slot freed" 0 !calls;
+  check_int "live" 0 (Index_table.live t)
+
 let test_concurrent_alloc_free_stress () =
   let t = Index_table.create () in
   let runtime = Runtime.create () in
@@ -559,6 +597,9 @@ let () =
           Alcotest.test_case "freeing recovers from exhaustion" `Quick
             test_free_then_exhaustion_recovers;
           Alcotest.test_case "churn past the slot count" `Quick test_churn_never_exhausts;
+          QCheck_alcotest.to_alcotest prop_census_is_exact;
+          Alcotest.test_case "census of a freed table is empty" `Quick
+            test_census_of_freed_table_is_empty;
           Alcotest.test_case "concurrent allocate/get/free stress" `Slow
             test_concurrent_alloc_free_stress;
           Alcotest.test_case "montable free and find" `Quick test_montable_free_find;

@@ -140,8 +140,9 @@ let test_tid_recycling () =
     s.Lock_stats.depth_hist;
   check_int "every episode released" (fibers * rounds) s.Lock_stats.releases_fast
 
-(* (c) [reset] zeroes every registered block, and the blocks keep
-   counting from zero afterwards. *)
+(* (c) [reset] zeroes every registered block and extra counter, and
+   both keep counting from zero afterwards: a counter handle resolved
+   before the reset stays the key's counter. *)
 let test_reset () =
   let runtime = Runtime.create () in
   let ctx = Thin.create runtime in
@@ -155,8 +156,16 @@ let test_reset () =
   in
   hammer ();
   let stats = Thin.stats ctx in
+  let probe = Lock_stats.counter stats "probe" in
+  let probed () = List.assoc_opt "probe" (Lock_stats.snapshot stats).Lock_stats.extra in
+  Lock_stats.count probe 2;
+  Lock_stats.add_extra stats "probe" 3;
+  Alcotest.(check (option int)) "handle and key share one counter" (Some 5) (probed ());
   check "counts recorded" true (Lock_stats.total_acquires (Lock_stats.snapshot stats) > 0);
   Lock_stats.reset stats;
+  Alcotest.(check (option int)) "extra zeroed, key kept" (Some 0) (probed ());
+  Lock_stats.count probe 1;
+  Alcotest.(check (option int)) "handle counts after reset" (Some 1) (probed ());
   let s = Lock_stats.snapshot stats in
   check_int "acquires zeroed" 0 (Lock_stats.total_acquires s);
   check_int "releases zeroed" 0

@@ -118,6 +118,10 @@ sl = d["scenarios"]["slot_churn"]
 assert sl["census"] >= 1 << 23, \
     "slot churn allocated %d monitors, short of the 2^23 ceiling" % sl["census"]
 assert sl["live"] == 0, "slot churn left %d monitor(s) live" % sl["live"]
+# Reported, not gated: a timing bound on this figure would flip with
+# the host's phase.
+rp = d["scenarios"]["reaper"]
+assert rp["idle_tick_ns"] > 0.0, "reaper idle tick not measured"
 oh = d["scenarios"]["oracle_overhead"]
 assert oh["events"] > 0
 assert oh["violations"] == 0, "oracle flagged a clean replay stream"
@@ -182,6 +186,7 @@ for key in ("sampled_ratio_1_in_8", "contended_only_ratio"):
 print("BENCH.json: %d cjm-micro rows, oracle over %d events, %d churn cycles "
       "(%d slot reuses), cores=%d"
       % (len(cm), oh["events"], sl["cycles"], sl["reuses"], d["cores"]))
+print("  reaper: %.1f ns per idle tick (controlled, empty table)" % rp["idle_tick_ns"])
 print("  fat backends: inversion rates %s"
       % {b: round(r, 4) for b, r in sorted(inv.items())})
 print("  tracing: %.1f ns/event enabled overhead; %.1f text vs %.1f bin bytes/event"
@@ -201,6 +206,7 @@ else
   grep -q '"fat_backend"' BENCH.json
   grep -q '"adjacent_inversions"' BENCH.json
   grep -q '"oracle_overhead"' BENCH.json
+  grep -q '"idle_tick_ns"' BENCH.json
   grep -q '"controller"' BENCH.json
   grep -q '"tail_ratio_p99"' BENCH.json
   grep -q '"chosen_policies"' BENCH.json
