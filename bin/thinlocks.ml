@@ -177,24 +177,18 @@ let trace_cmd =
     Term.(const run $ benchmark_arg $ output_arg $ max_syncs_arg $ seed_arg)
 
 (* Check a traced re-replay with the scheme's own oracle call; exit 1 on
-   a violation or a leaked table entry, 2 if the scheme emits no events. *)
+   a violation or a leaked table entry. *)
 let verify_replay (r : Tl_workload.Policy_lab.replayed) =
   let scheme = r.Tl_workload.Policy_lab.scheme in
-  match scheme.Tl_core.Scheme_intf.verify with
-  | None ->
-      Printf.eprintf "scheme %s emits no lock events: there is no stream to verify\n"
-        scheme.name;
-      exit 2
-  | Some verify ->
-      (match scheme.lifecycle with
-      | Evaporates live when live () <> 0 ->
-          Printf.eprintf "%s: %d table entries leaked after the replay drained\n" scheme.name
-            (live ());
-          exit 1
-      | Evaporates _ | Deflates _ | Static -> ());
-      let report = verify r.drained in
-      Format.printf "%a@." Tl_events.Oracle.pp report;
-      if not (Tl_events.Oracle.ok report) then exit 1
+  (match scheme.Tl_core.Scheme_intf.lifecycle with
+  | Evaporates live when live () <> 0 ->
+      Printf.eprintf "%s: %d table entries leaked after the replay drained\n" scheme.name
+        (live ());
+      exit 1
+  | Evaporates _ | Deflates _ | Static -> ());
+  let report = scheme.verify r.drained in
+  Format.printf "%a@." Tl_events.Oracle.pp report;
+  if not (Tl_events.Oracle.ok report) then exit 1
 
 let replay_cmd =
   let file_arg =
@@ -205,8 +199,7 @@ let replay_cmd =
   let oracle_arg =
     let doc = "After the timed replay, re-replay the trace under the same scheme \
                with event tracing on (1-bit nest count) and verify the stream \
-               with the scheme's protocol oracle; exit 1 on violation.  A \
-               scheme that emits no events has no oracle: exit 2." in
+               with the scheme's protocol oracle; exit 1 on violation." in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
   let run file (entry : Tl_baselines.Registry.entry) oracle =
@@ -239,50 +232,87 @@ let stress_cmd =
     let doc = "Worker threads." in
     Arg.(value & opt int 6 & info [ "threads"; "t" ] ~docv:"N" ~doc)
   in
+  (* Rounds of at most [round_ops] operations a thread: each op emits a
+     handful of events, so a round stays well inside a ring's default
+     capacity and the oracle judges whole streams. *)
+  let round_ops = 5_000 in
   let run (entry : Tl_baselines.Registry.entry) seconds threads =
     let runtime = Tl_runtime.Runtime.create () in
-    let scheme =
-      Tl_core.Validate.with_validation (Tl_core.Validate.with_chaos (entry.make runtime))
-    in
-    let heap = Tl_heap.Heap.create () in
-    let objs = Tl_heap.Heap.alloc_many heap 32 in
     let deadline = Unix.gettimeofday () +. seconds in
-    let ops = Atomic.make 0 in
-    Printf.printf "stressing %s with %d threads for %.1fs (chaos + validation)...\n%!"
-      entry.name threads seconds;
-    (try
-       Tl_runtime.Runtime.run_parallel runtime threads (fun t env ->
-           let prng = Tl_util.Prng.create (t lxor 0x5735) in
-           while Unix.gettimeofday () < deadline do
-             let obj = objs.(Tl_util.Prng.int prng 32) in
-             (match Tl_util.Prng.int prng 8 with
-             | 0 ->
-                 scheme.Tl_core.Scheme_intf.acquire env obj;
-                 scheme.Tl_core.Scheme_intf.acquire env obj;
-                 scheme.Tl_core.Scheme_intf.release env obj;
-                 scheme.Tl_core.Scheme_intf.release env obj
-             | 1 ->
-                 scheme.Tl_core.Scheme_intf.acquire env obj;
-                 scheme.Tl_core.Scheme_intf.wait ?timeout:(Some 0.001) env obj;
-                 scheme.Tl_core.Scheme_intf.release env obj
-             | 2 ->
-                 scheme.Tl_core.Scheme_intf.acquire env obj;
-                 scheme.Tl_core.Scheme_intf.notify_all env obj;
-                 scheme.Tl_core.Scheme_intf.release env obj
-             | _ ->
-                 scheme.Tl_core.Scheme_intf.acquire env obj;
-                 scheme.Tl_core.Scheme_intf.release env obj);
-             ignore (Atomic.fetch_and_add ops 1)
-           done);
-       Printf.printf "OK: %d operations, no semantic violation detected.\n" (Atomic.get ops)
-     with Tl_core.Validate.Violation msg ->
-       Printf.printf "VIOLATION after %d operations: %s\n" (Atomic.get ops) msg;
-       exit 1);
-    Format.printf "%a@." Tl_core.Lock_stats.pp (scheme.Tl_core.Scheme_intf.stats ())
+    let ops = ref 0 and events = ref 0 and rounds = ref 0 in
+    Printf.printf "stressing %s with %d threads for %.1fs (chaos + oracle)...\n%!" entry.name
+      threads seconds;
+    (* One round: a fresh sink, scheme and objects (an inflated header
+       names a monitor of the scheme that inflated it), threads joined
+       before the drain.  Rounds alternate systhreads, where the chaos
+       yields pick the interleavings, with domains, where the threads
+       really overlap. *)
+    let rec round () =
+      let sink = Tl_events.Sink.create () in
+      let scheme =
+        Tl_core.Validate.with_chaos ~seed:(0xC4405 + !rounds) (entry.make ~events:sink runtime)
+      in
+      let objs = Tl_heap.Heap.alloc_many (Tl_heap.Heap.create ()) 32 in
+      let done_ops = Atomic.make 0 in
+      let salt = !rounds in
+      let backend =
+        if salt land 1 = 0 then Tl_runtime.Runtime.Thread_backend
+        else Tl_runtime.Runtime.Domain_backend
+      in
+      Tl_runtime.Runtime.run_parallel ~backend runtime threads (fun t env ->
+          let prng = Tl_util.Prng.create ((t lxor 0x5735) + (salt * 7919)) in
+          let n = ref 0 in
+          while !n < round_ops && Unix.gettimeofday () < deadline do
+            let obj = objs.(Tl_util.Prng.int prng 32) in
+            (match Tl_util.Prng.int prng 8 with
+            | 0 ->
+                scheme.Tl_core.Scheme_intf.acquire env obj;
+                scheme.Tl_core.Scheme_intf.acquire env obj;
+                scheme.Tl_core.Scheme_intf.release env obj;
+                scheme.Tl_core.Scheme_intf.release env obj
+            | 1 ->
+                scheme.Tl_core.Scheme_intf.acquire env obj;
+                scheme.Tl_core.Scheme_intf.wait ?timeout:(Some 0.001) env obj;
+                scheme.Tl_core.Scheme_intf.release env obj
+            | 2 ->
+                scheme.Tl_core.Scheme_intf.acquire env obj;
+                scheme.Tl_core.Scheme_intf.notify_all env obj;
+                scheme.Tl_core.Scheme_intf.release env obj
+            | _ ->
+                scheme.Tl_core.Scheme_intf.acquire env obj;
+                scheme.Tl_core.Scheme_intf.release env obj);
+            incr n
+          done;
+          ignore (Atomic.fetch_and_add done_ops !n));
+      let drained = Tl_events.Sink.drain sink in
+      let report = scheme.Tl_core.Scheme_intf.verify drained in
+      ops := !ops + Atomic.get done_ops;
+      events := !events + Tl_events.Sink.length drained;
+      incr rounds;
+      let dropped = Tl_events.Sink.total_dropped sink in
+      if dropped > 0 then begin
+        Printf.printf "round %d dropped %d event(s): its stream cannot be judged\n" !rounds
+          dropped;
+        exit 1
+      end;
+      if not (Tl_events.Oracle.ok report) then begin
+        Format.printf "VIOLATION in round %d, after %d operations: %a@." !rounds !ops
+          Tl_events.Oracle.pp report;
+        exit 1
+      end;
+      if Unix.gettimeofday () < deadline then round () else scheme
+    in
+    let last = round () in
+    Printf.printf "OK: %d operations in %d round(s), %d events verified by the oracle.\n" !ops
+      !rounds !events;
+    Format.printf "statistics of the last round:@\n%a@." Tl_core.Lock_stats.pp
+      (last.Tl_core.Scheme_intf.stats ())
   in
   Cmd.v
     (Cmd.info "stress"
-       ~doc:"Chaos-stress a scheme under an independent semantics validator")
+       ~doc:
+         "Chaos-stress a scheme in rounds, each traced and judged by the scheme's \
+          protocol oracle; exit 1 on a violation or a dropped event")
     Term.(const run $ scheme_arg $ seconds_arg $ threads_arg)
 
 let sim_cmd =
@@ -636,7 +666,7 @@ let replay_par_cmd =
                count) and verify the drained stream with the scheme's protocol \
                oracle; exit 1 on violation \
                or on a table entry left live by a scheme whose monitors \
-               evaporate.  A scheme that emits no events has no oracle: exit 2." in
+               evaporate." in
     Arg.(value & flag & info [ "oracle" ] ~doc)
   in
   let par_reap_arg =
@@ -801,8 +831,8 @@ let fiber_storm_cmd =
       ~doc:
         "Locking scheme under the storm: any registry entry (thin = header lock \
          word, cjm = headerless transient monitor table, jdk111, ibm112, fat, \
-         mcs, ...).  Traced runs verify with the scheme's own oracle; schemes \
-         that emit no events trace only the system stream."
+         mcs, ...).  Traced runs verify with the scheme's own oracle (the \
+         baselines with the monitor-only protocol)."
   in
   let storm_reap_arg =
     reap_arg

@@ -3,23 +3,38 @@ module Fatlock = Tl_monitor.Fatlock
 module Montable = Tl_monitor.Montable
 module Obj_model = Tl_heap.Obj_model
 module Header = Tl_heap.Header
+module Ev = Tl_events.Event
 
+(* The operations are [Monitor_ops]'s, written out here: this control
+   measures the fat-lock machinery itself, and the extra call into
+   another module per operation read 74.4 against 68.8 ns on
+   [micro -k sync] ([-opaque] dev build, 2-vCPU host). *)
 type ctx = {
-  runtime : Tl_runtime.Runtime.t;
   montable : Montable.t;
   stats : Lock_stats.t;
   backend : Fatlock.backend;
+  events : Tl_events.Sink.t;
+  tracing : bool; (* [Sink.enabled events], cached as in [Thin] *)
 }
 
 let name = "fat"
 
-let create_with ?(backend = Fatlock.Parker) runtime =
-  { runtime; montable = Montable.create (); stats = Lock_stats.create (); backend }
+let create_with ?(backend = Fatlock.Parker) ?(events = Tl_events.Sink.disabled) _runtime =
+  {
+    montable = Montable.create ();
+    stats = Lock_stats.create ();
+    backend;
+    events;
+    tracing = Tl_events.Sink.enabled events;
+  }
 
 let create runtime = create_with runtime
 let stats ctx = ctx.stats
 
 let my_index (env : Tl_runtime.Runtime.env) = env.descriptor.Tl_runtime.Tid.index
+
+let emit ctx env kind obj =
+  Tl_events.Sink.emit ctx.events ~tid:(my_index env) ~kind ~arg:(Obj_model.id obj)
 
 (* Find the object's monitor, installing one on first use.  Losing the
    installation race frees the unused slot back to the table. *)
@@ -43,23 +58,31 @@ let acquire ctx env obj =
   let queued = not (Fatlock.try_acquire env fat) in
   if queued then Fatlock.acquire env fat;
   let depth = Fatlock.count fat in
-  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth
+  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth;
+  if ctx.tracing then emit ctx env (if queued then Ev.Acquire_fat_queued else Ev.Acquire_fat) obj
 
 let release ctx env obj =
-  Fatlock.release env (monitor_of ctx obj);
+  let fat = monitor_of ctx obj in
+  (* stamped before the monitor changes hands *)
+  if ctx.tracing then emit ctx env Ev.Release_fat obj;
+  Fatlock.release env fat;
   Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
 
 let wait ?timeout ctx env obj =
   Lock_stats.record_wait ctx.stats ~tid:(my_index env);
-  Fatlock.wait ?timeout env (monitor_of ctx obj)
+  let fat = monitor_of ctx obj in
+  if ctx.tracing then emit ctx env Ev.Wait_op obj;
+  Fatlock.wait ?timeout env fat
 
 let notify ctx env obj =
   Lock_stats.record_notify ctx.stats ~tid:(my_index env);
-  Fatlock.notify env (monitor_of ctx obj)
+  Fatlock.notify env (monitor_of ctx obj);
+  if ctx.tracing then emit ctx env Ev.Notify_op obj
 
 let notify_all ctx env obj =
   Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
-  Fatlock.notify_all env (monitor_of ctx obj)
+  Fatlock.notify_all env (monitor_of ctx obj);
+  if ctx.tracing then emit ctx env Ev.Notify_all_op obj
 
 let holds ctx env obj =
   let word = Atomic.get (Obj_model.lockword obj) in

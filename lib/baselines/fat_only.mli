@@ -8,6 +8,9 @@
 
 include Tl_core.Scheme_intf.S
 
-val create_with : ?backend:Tl_monitor.Fatlock.backend -> Tl_runtime.Runtime.t -> ctx
+val create_with :
+  ?backend:Tl_monitor.Fatlock.backend -> ?events:Tl_events.Sink.t -> Tl_runtime.Runtime.t -> ctx
 (** [create] with an explicit contended-path backend for the monitors
-    (default [Parker]; see [Fatlock.backend]). *)
+    (default [Parker]; see [Fatlock.backend]).  [events] (default
+    [Sink.disabled]) receives the monitor-protocol stream that
+    [Monitor_ops] describes. *)

@@ -21,7 +21,6 @@ type entry = {
 }
 
 type ctx = {
-  runtime : Tl_runtime.Runtime.t;
   cache_mutex : Mutex.t;
   table : (int, entry) Hashtbl.t;
   mutable free : entry list;
@@ -29,14 +28,21 @@ type ctx = {
   hot : Fatlock.t option array; (* slot 0 unused: index 0 would be ambiguous *)
   mutable hot_used : int;
   params : params;
-  stats : Lock_stats.t;
+  ops : Monitor_ops.t;
+  lookups : Lock_stats.counter;
+  misses : Lock_stats.counter;
+  free_hits : Lock_stats.counter;
+  recycles : Lock_stats.counter;
+  promotions : Lock_stats.counter;
+  hot_fast_ops : Lock_stats.counter;
 }
 
 let name = "ibm112"
 
-let create_with ?(params = default_params) runtime =
+let create_with ?(params = default_params) ?events _runtime =
+  let ops = Monitor_ops.create ?events () in
+  let counter = Lock_stats.counter ops.stats in
   {
-    runtime;
     cache_mutex = Mutex.create ();
     table = Hashtbl.create 64;
     free = [];
@@ -44,13 +50,17 @@ let create_with ?(params = default_params) runtime =
     hot = Array.make (params.hot_slots + 1) None;
     hot_used = 0;
     params;
-    stats = Lock_stats.create ();
+    ops;
+    lookups = counter "cache.lookups";
+    misses = counter "cache.misses";
+    free_hits = counter "cache.free_hits";
+    recycles = counter "cache.recycles";
+    promotions = counter "hot.promotions";
+    hot_fast_ops = counter "hot.fast_ops";
   }
 
 let create runtime = create_with runtime
-let stats ctx = ctx.stats
-
-let my_index (env : Tl_runtime.Runtime.env) = env.descriptor.Tl_runtime.Tid.index
+let stats ctx = ctx.ops.stats
 
 (* Hot encoding in the header word: the shape bit marks "hot-lock
    pointer installed", the 23 index bits name the slot — the
@@ -67,19 +77,19 @@ let hot_lock ctx slot =
    accounting that drives promotion. *)
 let pin ctx obj =
   Mutex.lock ctx.cache_mutex;
-  Lock_stats.add_extra ctx.stats "cache.lookups" 1;
+  Lock_stats.count ctx.lookups 1;
   let id = Obj_model.id obj in
   let entry =
     match Hashtbl.find_opt ctx.table id with
     | Some entry -> entry
     | None ->
-        Lock_stats.add_extra ctx.stats "cache.misses" 1;
+        Lock_stats.count ctx.misses 1;
         let entry =
           match ctx.free with
           | e :: rest ->
               ctx.free <- rest;
               ctx.free_len <- ctx.free_len - 1;
-              Lock_stats.add_extra ctx.stats "cache.free_hits" 1;
+              Lock_stats.count ctx.free_hits 1;
               e
           | [] -> { fat = Fatlock.create (); refs = 0; uses = 0; promoted = false }
         in
@@ -102,7 +112,7 @@ let pin ctx obj =
     let word = Atomic.get (Obj_model.lockword obj) in
     Atomic.set (Obj_model.lockword obj)
       (Header.inflated_word ~hdr:(Header.hdr_bits word) ~monitor_index:slot);
-    Lock_stats.add_extra ctx.stats "hot.promotions" 1
+    Lock_stats.count ctx.promotions 1
   end;
   Mutex.unlock ctx.cache_mutex;
   entry
@@ -118,7 +128,7 @@ let unpin ctx obj entry =
     && Hashtbl.length ctx.table > ctx.params.cache_capacity
   then begin
     Hashtbl.remove ctx.table (Obj_model.id obj);
-    Lock_stats.add_extra ctx.stats "cache.recycles" 1;
+    Lock_stats.count ctx.recycles 1;
     entry.uses <- 0;
     if ctx.free_len < ctx.params.free_list_capacity then begin
       ctx.free <- entry :: ctx.free;
@@ -127,70 +137,29 @@ let unpin ctx obj entry =
   end;
   Mutex.unlock ctx.cache_mutex
 
-let fat_op_acquire ctx env obj fat =
-  let queued = not (Fatlock.try_acquire env fat) in
-  if queued then Fatlock.acquire env fat;
-  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued
-    ~depth:(Fatlock.count fat)
-
-let acquire ctx env obj =
+(* Run [op] on the object's monitor: through the header's hot pointer,
+   or pinned in the cache and unpinned however [op] ends.  [op] is
+   applied in full, so no closure is built per call. *)
+let with_monitor ctx env obj op =
   let slot = hot_slot_of_word (Atomic.get (Obj_model.lockword obj)) in
   if slot > 0 then begin
-    (* Hot path: follow the header pointer straight to the lock. *)
-    Lock_stats.add_extra ctx.stats "hot.fast_ops" 1;
-    fat_op_acquire ctx env obj (hot_lock ctx slot)
+    Lock_stats.count ctx.hot_fast_ops 1;
+    op ctx.ops env obj (hot_lock ctx slot)
   end
   else begin
     let entry = pin ctx obj in
-    fat_op_acquire ctx env obj entry.fat;
-    unpin ctx obj entry
-  end
-
-let release ctx env obj =
-  let slot = hot_slot_of_word (Atomic.get (Obj_model.lockword obj)) in
-  if slot > 0 then begin
-    Lock_stats.add_extra ctx.stats "hot.fast_ops" 1;
-    Fatlock.release env (hot_lock ctx slot);
-    Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
-  end
-  else begin
-    let entry = pin ctx obj in
-    (match Fatlock.release env entry.fat with
-    | () -> Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
+    match op ctx.ops env obj entry.fat with
+    | () -> unpin ctx obj entry
     | exception e ->
         unpin ctx obj entry;
-        raise e);
-    unpin ctx obj entry
+        raise e
   end
 
-let with_monitor ctx obj f =
-  let slot = hot_slot_of_word (Atomic.get (Obj_model.lockword obj)) in
-  if slot > 0 then begin
-    Lock_stats.add_extra ctx.stats "hot.fast_ops" 1;
-    f (hot_lock ctx slot)
-  end
-  else begin
-    let entry = pin ctx obj in
-    (match f entry.fat with
-    | result ->
-        unpin ctx obj entry;
-        result
-    | exception e ->
-        unpin ctx obj entry;
-        raise e)
-  end
-
-let wait ?timeout ctx env obj =
-  Lock_stats.record_wait ctx.stats ~tid:(my_index env);
-  with_monitor ctx obj (fun fat -> Fatlock.wait ?timeout env fat)
-
-let notify ctx env obj =
-  Lock_stats.record_notify ctx.stats ~tid:(my_index env);
-  with_monitor ctx obj (fun fat -> Fatlock.notify env fat)
-
-let notify_all ctx env obj =
-  Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
-  with_monitor ctx obj (fun fat -> Fatlock.notify_all env fat)
+let acquire ctx env obj = with_monitor ctx env obj Monitor_ops.acquire
+let release ctx env obj = with_monitor ctx env obj Monitor_ops.release
+let wait ?timeout ctx env obj = with_monitor ctx env obj (Monitor_ops.wait ?timeout)
+let notify ctx env obj = with_monitor ctx env obj Monitor_ops.notify
+let notify_all ctx env obj = with_monitor ctx env obj Monitor_ops.notify_all
 
 let holds ctx env obj =
   let slot = hot_slot_of_word (Atomic.get (Obj_model.lockword obj)) in

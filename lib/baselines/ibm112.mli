@@ -32,6 +32,8 @@ val default_params : params
 
 include Tl_core.Scheme_intf.S
 
-val create_with : ?params:params -> Tl_runtime.Runtime.t -> ctx
+val create_with : ?params:params -> ?events:Tl_events.Sink.t -> Tl_runtime.Runtime.t -> ctx
+(** [events] (default [Sink.disabled]) receives the monitor-protocol
+    stream that [Monitor_ops] describes, hot and cold paths alike. *)
 
 val hot_slots_used : ctx -> int

@@ -12,32 +12,38 @@ type entry = {
 }
 
 type ctx = {
-  runtime : Tl_runtime.Runtime.t;
   cache_mutex : Mutex.t;
   table : (int, entry) Hashtbl.t;
   mutable free : entry list;
   mutable free_len : int;
   params : params;
-  stats : Lock_stats.t;
+  ops : Monitor_ops.t;
+  lookups : Lock_stats.counter;
+  misses : Lock_stats.counter;
+  free_hits : Lock_stats.counter;
+  recycles : Lock_stats.counter;
 }
 
 let name = "jdk111"
 
-let create_with ?(params = default_params) runtime =
+let create_with ?(params = default_params) ?events _runtime =
+  let ops = Monitor_ops.create ?events () in
+  let counter = Lock_stats.counter ops.stats in
   {
-    runtime;
     cache_mutex = Mutex.create ();
     table = Hashtbl.create 64;
     free = [];
     free_len = 0;
     params;
-    stats = Lock_stats.create ();
+    ops;
+    lookups = counter "cache.lookups";
+    misses = counter "cache.misses";
+    free_hits = counter "cache.free_hits";
+    recycles = counter "cache.recycles";
   }
 
 let create runtime = create_with runtime
-let stats ctx = ctx.stats
-
-let my_index (env : Tl_runtime.Runtime.env) = env.descriptor.Tl_runtime.Tid.index
+let stats ctx = ctx.ops.stats
 
 (* Look the object's monitor up in the cache, pinning it so that it
    cannot be recycled while this operation is in flight.  Holds the
@@ -45,19 +51,19 @@ let my_index (env : Tl_runtime.Runtime.env) = env.descriptor.Tl_runtime.Tid.inde
    bottleneck the paper calls out. *)
 let pin ctx obj =
   Mutex.lock ctx.cache_mutex;
-  Lock_stats.add_extra ctx.stats "cache.lookups" 1;
+  Lock_stats.count ctx.lookups 1;
   let id = Obj_model.id obj in
   let entry =
     match Hashtbl.find_opt ctx.table id with
     | Some entry -> entry
     | None ->
-        Lock_stats.add_extra ctx.stats "cache.misses" 1;
+        Lock_stats.count ctx.misses 1;
         let entry =
           match ctx.free with
           | e :: rest ->
               ctx.free <- rest;
               ctx.free_len <- ctx.free_len - 1;
-              Lock_stats.add_extra ctx.stats "cache.free_hits" 1;
+              Lock_stats.count ctx.free_hits 1;
               e
           | [] -> { fat = Fatlock.create (); refs = 0 }
         in
@@ -82,7 +88,7 @@ let unpin ctx obj entry =
     && Hashtbl.length ctx.table > ctx.params.cache_capacity
   then begin
     Hashtbl.remove ctx.table (Obj_model.id obj);
-    Lock_stats.add_extra ctx.stats "cache.recycles" 1;
+    Lock_stats.count ctx.recycles 1;
     if ctx.free_len < ctx.params.free_list_capacity then begin
       ctx.free <- entry :: ctx.free;
       ctx.free_len <- ctx.free_len + 1
@@ -90,52 +96,21 @@ let unpin ctx obj entry =
   end;
   Mutex.unlock ctx.cache_mutex
 
-let acquire ctx env obj =
+(* Run [op] on the object's pinned monitor, unpinning however it
+   ends.  [op] is applied in full, so no closure is built per call. *)
+let with_monitor ctx env obj op =
   let entry = pin ctx obj in
-  let queued = not (Fatlock.try_acquire env entry.fat) in
-  if queued then Fatlock.acquire env entry.fat;
-  let depth = Fatlock.count entry.fat in
-  Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued ~depth;
-  unpin ctx obj entry
-
-let release ctx env obj =
-  let entry = pin ctx obj in
-  (match Fatlock.release env entry.fat with
-  | () -> Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
+  match op ctx.ops env obj entry.fat with
+  | () -> unpin ctx obj entry
   | exception e ->
       unpin ctx obj entry;
-      raise e);
-  unpin ctx obj entry
+      raise e
 
-let wait ?timeout ctx env obj =
-  let entry = pin ctx obj in
-  Lock_stats.record_wait ctx.stats ~tid:(my_index env);
-  (match Fatlock.wait ?timeout env entry.fat with
-  | () -> ()
-  | exception e ->
-      unpin ctx obj entry;
-      raise e);
-  unpin ctx obj entry
-
-let notify ctx env obj =
-  let entry = pin ctx obj in
-  Lock_stats.record_notify ctx.stats ~tid:(my_index env);
-  (match Fatlock.notify env entry.fat with
-  | () -> ()
-  | exception e ->
-      unpin ctx obj entry;
-      raise e);
-  unpin ctx obj entry
-
-let notify_all ctx env obj =
-  let entry = pin ctx obj in
-  Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
-  (match Fatlock.notify_all env entry.fat with
-  | () -> ()
-  | exception e ->
-      unpin ctx obj entry;
-      raise e);
-  unpin ctx obj entry
+let acquire ctx env obj = with_monitor ctx env obj Monitor_ops.acquire
+let release ctx env obj = with_monitor ctx env obj Monitor_ops.release
+let wait ?timeout ctx env obj = with_monitor ctx env obj (Monitor_ops.wait ?timeout)
+let notify ctx env obj = with_monitor ctx env obj Monitor_ops.notify
+let notify_all ctx env obj = with_monitor ctx env obj Monitor_ops.notify_all
 
 let holds ctx env obj =
   Mutex.lock ctx.cache_mutex;

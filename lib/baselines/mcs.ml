@@ -4,6 +4,7 @@ module Header = Tl_heap.Header
 module Backoff = Tl_runtime.Backoff
 module Parker = Tl_runtime.Parker
 module Index_table = Tl_monitor.Index_table
+module Ev = Tl_events.Event
 
 (* One queue node per acquisition episode.  [must_wait] is the flag
    the waiter spins on; [next] is filled in by the successor.
@@ -34,16 +35,15 @@ type mon = {
 let fresh_mon () =
   { tail = Atomic.make nil; owner = 0; count = 0; holder_node = nil; wait_set = Queue.create () }
 
-type ctx = {
-  runtime : Tl_runtime.Runtime.t;
-  table : mon Index_table.t;
-  stats : Lock_stats.t;
-}
+type ctx = { table : mon Index_table.t; ops : Monitor_ops.t }
 
 let name = "mcs"
 
-let create runtime = { runtime; table = Index_table.create (); stats = Lock_stats.create () }
-let stats ctx = ctx.stats
+let create_with ?events _runtime =
+  { table = Index_table.create (); ops = Monitor_ops.create ?events () }
+
+let create runtime = create_with runtime
+let stats ctx = ctx.ops.stats
 
 let rec monitor_of ctx obj =
   let lw = Obj_model.lockword obj in
@@ -116,37 +116,6 @@ let lock_mon env mon =
     if contended then `Contended else `Fast
   end
 
-let unlock_mon env mon =
-  let me = my_index env in
-  if mon.owner <> me then
-    raise
-      (Tl_monitor.Fatlock.Illegal_monitor_state
-         (Printf.sprintf "mcs release: thread %d is not the owner (%d)" me mon.owner));
-  if mon.count > 1 then mon.count <- mon.count - 1
-  else begin
-    let node = mon.holder_node in
-    assert (node != nil);
-    mon.owner <- 0;
-    mon.count <- 0;
-    mon.holder_node <- nil;
-    mcs_unlock env mon node
-  end
-
-(* MCS has no thin path: every entry, the uncontended swap and a nested
-   re-entry included, is booked as a monitor acquire, queued only when
-   it had to wait for a predecessor. *)
-let acquire ctx env obj =
-  let mon = monitor_of ctx obj in
-  let tid = my_index env in
-  match lock_mon env mon with
-  | `Fast -> Lock_stats.record_acquire_fat ctx.stats ~tid obj ~queued:false ~depth:1
-  | `Nested depth -> Lock_stats.record_acquire_fat ctx.stats ~tid obj ~queued:false ~depth
-  | `Contended -> Lock_stats.record_acquire_fat ctx.stats ~tid obj ~queued:true ~depth:1
-
-let release ctx env obj =
-  unlock_mon env (monitor_of ctx obj);
-  Lock_stats.record_release ctx.stats ~tid:(my_index env) `Fat
-
 let full_unlock env mon =
   let node = mon.holder_node in
   assert (node != nil);
@@ -154,6 +123,38 @@ let full_unlock env mon =
   mon.count <- 0;
   mon.holder_node <- nil;
   mcs_unlock env mon node
+
+let unlock_mon env mon =
+  let me = my_index env in
+  if mon.owner <> me then
+    raise
+      (Tl_monitor.Fatlock.Illegal_monitor_state
+         (Printf.sprintf "mcs release: thread %d is not the owner (%d)" me mon.owner));
+  if mon.count > 1 then mon.count <- mon.count - 1 else full_unlock env mon
+
+(* MCS has no thin path: every entry, the uncontended swap and a nested
+   re-entry included, is booked as a monitor acquire, queued only when
+   it had to wait for a predecessor. *)
+let acquire ctx env obj =
+  let mon = monitor_of ctx obj in
+  let tid = my_index env in
+  let entered = lock_mon env mon in
+  (match entered with
+  | `Fast -> Lock_stats.record_acquire_fat ctx.ops.stats ~tid obj ~queued:false ~depth:1
+  | `Nested depth -> Lock_stats.record_acquire_fat ctx.ops.stats ~tid obj ~queued:false ~depth
+  | `Contended -> Lock_stats.record_acquire_fat ctx.ops.stats ~tid obj ~queued:true ~depth:1);
+  if ctx.ops.tracing then
+    Monitor_ops.emit ctx.ops env
+      (match entered with `Contended -> Ev.Acquire_fat_queued | `Fast | `Nested _ -> Ev.Acquire_fat)
+      obj
+
+let release ctx env obj =
+  let mon = monitor_of ctx obj in
+  (* Stamped before the queue lock changes hands; a release by a
+     non-owner raises after its event and the oracle flags it. *)
+  if ctx.ops.tracing then Monitor_ops.emit ctx.ops env Ev.Release_fat obj;
+  unlock_mon env mon;
+  Lock_stats.record_release ctx.ops.stats ~tid:(my_index env) `Fat
 
 let remove_waiter q w =
   let keep = Queue.create () in
@@ -166,7 +167,8 @@ let wait ?timeout ctx env obj =
   let me = my_index env in
   if mon.owner <> me then
     raise (Tl_monitor.Fatlock.Illegal_monitor_state "mcs wait: not owner");
-  Lock_stats.record_wait ctx.stats ~tid:(my_index env);
+  Lock_stats.record_wait ctx.ops.stats ~tid:(my_index env);
+  if ctx.ops.tracing then Monitor_ops.emit ctx.ops env Ev.Wait_op obj;
   let saved = mon.count in
   let w = { parker = env.Tl_runtime.Runtime.parker; notified = false } in
   Queue.push w mon.wait_set;
@@ -192,7 +194,8 @@ let notify ctx env obj =
   let mon = monitor_of ctx obj in
   if mon.owner <> my_index env then
     raise (Tl_monitor.Fatlock.Illegal_monitor_state "mcs notify: not owner");
-  Lock_stats.record_notify ctx.stats ~tid:(my_index env);
+  Lock_stats.record_notify ctx.ops.stats ~tid:(my_index env);
+  if ctx.ops.tracing then Monitor_ops.emit ctx.ops env Ev.Notify_op obj;
   if not (Queue.is_empty mon.wait_set) then begin
     let w = Queue.pop mon.wait_set in
     w.notified <- true;
@@ -203,7 +206,8 @@ let notify_all ctx env obj =
   let mon = monitor_of ctx obj in
   if mon.owner <> my_index env then
     raise (Tl_monitor.Fatlock.Illegal_monitor_state "mcs notifyAll: not owner");
-  Lock_stats.record_notify_all ctx.stats ~tid:(my_index env);
+  Lock_stats.record_notify_all ctx.ops.stats ~tid:(my_index env);
+  if ctx.ops.tracing then Monitor_ops.emit ctx.ops env Ev.Notify_all_op obj;
   while not (Queue.is_empty mon.wait_set) do
     let w = Queue.pop mon.wait_set in
     w.notified <- true;

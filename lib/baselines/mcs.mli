@@ -15,3 +15,9 @@
     parkers. *)
 
 include Tl_core.Scheme_intf.S
+
+val create_with : ?events:Tl_events.Sink.t -> Tl_runtime.Runtime.t -> ctx
+(** [events] (default [Sink.disabled]) receives the monitor-protocol
+    stream that [Monitor_ops] describes, with the queue lock as the
+    monitor: an uncontended or nested entry is an [Acquire_fat], one
+    that waited for a predecessor an [Acquire_fat_queued]. *)

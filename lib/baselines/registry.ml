@@ -30,13 +30,23 @@ let cjm ?events ?count_width:_ runtime =
     ~verify:(Oracle.check ~protocol:Oracle.Cjm)
     (module Tl_cjm.Cjm) ctx
 
-(* Schemes that emit no events take neither a sink nor a count width. *)
-let plain (type a) (module M : Scheme_intf.S with type ctx = a) (create : _ -> a) ?events:_
-    ?count_width:_ runtime =
-  Scheme_intf.pack (module M) (create runtime)
+(* The baselines: every object is a monitor from the start, so their
+   streams follow the monitor-only protocol.  They have no nest-count
+   field to narrow. *)
+let monitor_verify = Oracle.check ~protocol:Oracle.Monitor
 
-let fat name backend ?events:_ ?count_width:_ runtime =
-  { (Scheme_intf.pack (module Fat_only) (Fat_only.create_with ~backend runtime)) with name }
+let plain (type a) (module M : Scheme_intf.S with type ctx = a)
+    (create : Tl_events.Sink.t option -> Tl_runtime.Runtime.t -> a) ?events ?count_width:_
+    runtime =
+  Scheme_intf.pack ~verify:monitor_verify (module M) (create events runtime)
+
+let fat name backend ?events ?count_width:_ runtime =
+  {
+    (Scheme_intf.pack ~verify:monitor_verify (module Fat_only)
+       (Fat_only.create_with ~backend ?events runtime))
+    with
+    name;
+  }
 
 let entry name describe make = { name; describe; backend = None; make }
 
@@ -72,17 +82,17 @@ let table =
       "thin locks inflating to FIFO ticket-admission monitors (Hapax contended path)"
       { d with fat_backend = Fatlock.Hapax };
     entry "jdk111" "Sun JDK 1.1.1 port: global monitor cache with recycling"
-      (plain (module Jdk111) Jdk111.create);
+      (plain (module Jdk111) (fun events runtime -> Jdk111.create_with ?events runtime));
     entry "ibm112" "IBM JDK 1.1.2: 32 hot locks over a monitor cache"
-      (plain (module Ibm112) Ibm112.create);
+      (plain (module Ibm112) (fun events runtime -> Ibm112.create_with ?events runtime));
     entry "cjm" "Compact Java Monitors: headerless, transient hash-table monitors" cjm;
     fat_entry "fat" "always-inflated control: a dedicated fat monitor per object" Fatlock.Parker;
     fat_entry "fat-hapax" "always-inflated control over FIFO ticket-admission monitors"
       Fatlock.Hapax;
     entry "mcs" "MCS queue locks with monitor semantics layered on top (§4.1)"
-      (plain (module Mcs) Mcs.create);
+      (plain (module Mcs) (fun events runtime -> Mcs.create_with ?events runtime));
     entry "nosync" "no locking at all (Fig. 6 NOP; not a correct monitor!)"
-      (plain (module Nosync) Nosync.create);
+      (plain (module Nosync) (fun events runtime -> Nosync.create_with ?events runtime));
   ]
 
 let names () = List.map (fun e -> e.name) table

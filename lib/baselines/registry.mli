@@ -22,8 +22,8 @@ type entry = {
     Tl_core.Scheme_intf.packed;
       (** A fresh scheme on the runtime.  [events] attaches a lock-event
           sink and [count_width] overrides the thin nest-count width
-          (the lab's overflow pressure); schemes that emit no events
-          or have no nest count ignore them. *)
+          (the lab's overflow pressure); schemes with no nest count
+          ignore it. *)
 }
 
 val names : unit -> string list

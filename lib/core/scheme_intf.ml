@@ -44,12 +44,15 @@ type packed = {
       (* Quiescence-point deflation hook; schemes without a deflatable
          representation keep the default (always [false]). *)
   lifecycle : lifecycle;
-  verify : (Tl_events.Sink.drained -> Tl_events.Oracle.report) option;
+  verify : Tl_events.Sink.drained -> Tl_events.Oracle.report;
       (* The oracle call for this scheme's event stream, with its
-         protocol and nest-count width; [None] when it emits no events. *)
+         protocol and nest-count width. *)
 }
 
-let pack (type a) ?(deflate_idle = fun _ -> false) ?(lifecycle = Static) ?verify
+(* [verify] defaults to the thin-lock oracle with no depth ceiling: the
+   callers that pack a scheme directly pack [Thin]. *)
+let pack (type a) ?(deflate_idle = fun _ -> false) ?(lifecycle = Static)
+    ?(verify = fun d -> Tl_events.Oracle.check d)
     (module M : S with type ctx = a) (ctx : a) : packed =
   {
     name = M.name;

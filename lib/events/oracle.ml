@@ -44,9 +44,13 @@ type mode = Strict | Relaxed
    handshake); [Cjm] is the Compact-Java-Monitors variant: monitors
    materialise with [Cjm_monitor_create] (no Inflate_* step) and vanish
    with [Cjm_monitor_evaporate] — legal only on an unowned, waiter-free
-   monitor, with no handshake events at all.  Each mode treats the
-   other protocol's lifecycle kinds as malformed. *)
-type protocol = Thin_lock | Cjm
+   monitor, with no handshake events at all.  [Monitor] is the owner,
+   count and wait automaton alone: every object starts as an unowned
+   monitor and stays one.  Each protocol treats the lifecycle kinds of
+   the others as malformed. *)
+type protocol = Thin_lock | Cjm | Monitor
+
+let protocol_name = function Thin_lock -> "thin-lock" | Cjm -> "cjm" | Monitor -> "monitor"
 
 type report = {
   events : int;
@@ -88,8 +92,15 @@ type ostate = {
          cannot evaporate while this is set. *)
 }
 
-let initial () =
-  { st = Flat; owner = 0; depth = 0; waiters = IntMap.empty; signals = 0; pending_entry = -1 }
+let initial protocol =
+  {
+    st = (if protocol = Monitor then Fat else Flat);
+    owner = 0;
+    depth = 0;
+    waiters = IntMap.empty;
+    signals = 0;
+    pending_entry = -1;
+  }
 
 let set o st owner depth =
   o.st <- st;
@@ -107,6 +118,9 @@ let describe o =
 exception Broken of violation_class * string
 
 let err cls detail = raise (Broken (cls, detail))
+
+let not_in protocol what =
+  err Stream_malformed (Printf.sprintf "%s event in a %s stream" what (protocol_name protocol))
 
 (* A waiter's internal resumption (reacquire after notify / timeout)
    emits no event, so the automaton resumes a parked thread implicitly
@@ -126,7 +140,7 @@ let resume o t =
 
 (* One event of thread [t] on the object.  [begins.(tid)]: the tid's
    open contended-begin depth on this object. *)
-let rec step ~max_thin ~cjm ~begins o t (kind : Event.kind) =
+let rec step ~max_thin ~protocol ~begins o t (kind : Event.kind) =
   let mine = o.owner = t in
   match kind with
   | Event.Acquire_fast -> (
@@ -184,14 +198,14 @@ let rec step ~max_thin ~cjm ~begins o t (kind : Event.kind) =
       match o.st with
       | Fat when mine -> if o.depth > 1 then o.depth <- o.depth - 1 else set o Fat 0 0
       | Fat when o.owner = 0 ->
-          if resume o t then step ~max_thin ~cjm ~begins o t kind
+          if resume o t then step ~max_thin ~protocol ~begins o t kind
           else err Unlock_without_lock "fat release of an unowned monitor"
       | Fat -> err Ownership_violation "fat release by a non-owner"
       | Inflating -> err Ownership_violation "fat release on an object mid-inflation"
       | Flat -> err Unlock_without_lock "release of an unlocked object"
       | Thin -> err Stale_handle "fat release on a thin-locked object")
   | Event.Inflate_contention -> (
-      if cjm then err Stream_malformed "thin-lock inflation event in a cjm stream";
+      if protocol <> Thin_lock then not_in protocol "thin-lock inflation";
       match o.st with
       | Flat -> set o Inflating t 1
       | Thin ->
@@ -200,14 +214,14 @@ let rec step ~max_thin ~cjm ~begins o t (kind : Event.kind) =
              unlocked word first)"
       | Inflating | Fat -> err Reinflation_of_retired "inflation of an already-inflated object")
   | Event.Inflate_overflow -> (
-      if cjm then err Stream_malformed "thin-lock inflation event in a cjm stream";
+      if protocol <> Thin_lock then not_in protocol "thin-lock inflation";
       match o.st with
       | Thin when mine -> set o Inflating t (o.depth + 1)
       | Thin -> err Ownership_violation "overflow inflation of another thread's thin lock"
       | Flat -> err Count_error "overflow inflation with no held thin lock"
       | Inflating | Fat -> err Reinflation_of_retired "inflation of an already-inflated object")
   | Event.Inflate_wait -> (
-      if cjm then err Stream_malformed "thin-lock inflation event in a cjm stream";
+      if protocol <> Thin_lock then not_in protocol "thin-lock inflation";
       match o.st with
       | Thin when mine -> o.st <- Fat
       | Thin -> err Ownership_violation "wait inflation of another thread's thin lock"
@@ -219,7 +233,7 @@ let rec step ~max_thin ~cjm ~begins o t (kind : Event.kind) =
           o.waiters <- IntMap.add t o.depth o.waiters;
           set o Fat 0 0
       | Fat when o.owner = 0 ->
-          if resume o t then step ~max_thin ~cjm ~begins o t kind
+          if resume o t then step ~max_thin ~protocol ~begins o t kind
           else err Ownership_violation "wait by a thread not owning the monitor"
       | Fat -> err Ownership_violation "wait by a non-owner"
       | Inflating -> err Ownership_violation "wait on an object mid-inflation"
@@ -231,13 +245,13 @@ let rec step ~max_thin ~cjm ~begins o t (kind : Event.kind) =
           let w = IntMap.cardinal o.waiters in
           o.signals <- (if kind = Event.Notify_all_op then w else min w (o.signals + 1))
       | Fat when o.owner = 0 ->
-          if resume o t then step ~max_thin ~cjm ~begins o t kind
+          if resume o t then step ~max_thin ~protocol ~begins o t kind
           else err Ownership_violation "notify by a thread not owning the monitor"
       | Fat -> err Ownership_violation "notify by a non-owner"
       | Inflating -> err Ownership_violation "notify on an object mid-inflation"
       | Flat | Thin -> err Ownership_violation "notify without holding the lock")
   | Event.Deflate_quiescent | Event.Deflate_concurrent -> (
-      if cjm then err Stream_malformed "thin-lock deflation event in a cjm stream";
+      if protocol <> Thin_lock then not_in protocol "thin-lock deflation";
       match o.st with
       | Fat when o.owner = 0 && IntMap.is_empty o.waiters ->
           o.st <- Flat;
@@ -249,12 +263,12 @@ let rec step ~max_thin ~cjm ~begins o t (kind : Event.kind) =
       | Flat | Thin ->
           err Deflation_without_handshake "deflation of an object with no live monitor")
   | Event.Deflate_aborted -> (
-      if cjm then err Stream_malformed "thin-lock deflation event in a cjm stream";
+      if protocol <> Thin_lock then not_in protocol "thin-lock deflation";
       match o.st with
       | Fat | Inflating -> ()
       | Flat | Thin -> err Stale_handle "aborted deflation handshake with no live monitor")
   | Event.Cjm_monitor_create -> (
-      if not cjm then err Stream_malformed "cjm lifecycle event in a thin-lock stream";
+      if protocol <> Cjm then not_in protocol "cjm lifecycle";
       match o.st with
       (* Covers both creation paths: a contender materialising a
          monitor on behalf of the inline owner (t <> owner), and the
@@ -268,7 +282,7 @@ let rec step ~max_thin ~cjm ~begins o t (kind : Event.kind) =
       | Inflating | Fat ->
           err Reinflation_of_retired "monitor created while one is already live")
   | Event.Cjm_monitor_evaporate -> (
-      if not cjm then err Stream_malformed "cjm lifecycle event in a thin-lock stream";
+      if protocol <> Cjm then not_in protocol "cjm lifecycle";
       match o.st with
       | Fat when o.owner = 0 && o.pending_entry >= 0 ->
           err Deflation_without_handshake
@@ -561,7 +575,7 @@ let duplicate g id n =
 (* Object [id]'s routable events are [bucketed.(lo .. hi - 1)]: copy
    them into the scratch [slots], gather their keys, and check them
    there. *)
-let verify_object ~max_thin ~cjm ~require_unlocked_end push g id bucketed lo hi =
+let verify_object ~max_thin ~protocol ~require_unlocked_end push g id bucketed lo hi =
   let n = hi - lo and ords = g.stream.Sink.ords in
   Array.blit bucketed lo g.slots 0 n;
   for p = 0 to n - 1 do
@@ -576,11 +590,11 @@ let verify_object ~max_thin ~cjm ~require_unlocked_end push g id bucketed lo hi 
       match duplicate g id n with
       | Some v -> push v
       | None ->
-          let o = initial () in
+          let o = initial protocol in
           let rec go i =
             if i >= n then finish_object ~require_unlocked_end push id o
             else
-              match step ~max_thin ~cjm ~begins:g.begins o (slot_tid g i) (slot_kind g i) with
+              match step ~max_thin ~protocol ~begins:g.begins o (slot_tid g i) (slot_kind g i) with
               | () -> go (i + 1)
               | exception Broken (cls, detail) ->
                   let e = slot_index g i in
@@ -604,7 +618,7 @@ let seen_mask = 4095
    [group_of] by the id's low bits resolves a storm's thousand hot
    objects without hashing; slot [s] starts out holding [s + 1], an id
    that cannot map to it. *)
-let run ~max_thin ~cjm ~require_unlocked_end (d : Sink.drained) push =
+let run ~max_thin ~protocol ~require_unlocked_end (d : Sink.drained) push =
   let events = d.Sink.events and args = d.Sink.args in
   let n = Array.length events in
   let group_of = IntTbl.create 64 in
@@ -673,7 +687,7 @@ let run ~max_thin ~cjm ~require_unlocked_end (d : Sink.drained) push =
   IntTbl.fold (fun id g acc -> (id, g) :: acc) group_of []
   |> List.sort compare
   |> List.iter (fun (id, g) ->
-         verify_object ~max_thin ~cjm ~require_unlocked_end push gs id bucketed start.(g)
+         verify_object ~max_thin ~protocol ~require_unlocked_end push gs id bucketed start.(g)
            start.(g + 1));
   !groups
 
@@ -690,11 +704,10 @@ let check ?mode:_ ?(protocol = Thin_lock) ?count_width ?(require_unlocked_end = 
         if w < 1 || w > 8 then invalid_arg "Oracle.check: count_width"
         else 1 lsl w
   in
-  let cjm = protocol = Cjm in
   let violations = ref [] in
   let push v = violations := v :: !violations in
   structural d push;
-  let objects = run ~max_thin ~cjm ~require_unlocked_end d push in
+  let objects = run ~max_thin ~protocol ~require_unlocked_end d push in
   let key v = if v.seq < 0 then max_int else v.seq in
   let violations =
     List.stable_sort (fun a b -> compare (key a) (key b)) (List.rev !violations)

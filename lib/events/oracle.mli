@@ -68,7 +68,7 @@ type mode = Strict | Relaxed
 (** Accepted by {!check} and ignored: one engine decides every stream.
     Kept only so that callers which still pass it build. *)
 
-type protocol = Thin_lock | Cjm
+type protocol = Thin_lock | Cjm | Monitor
 (** The locking protocol the stream claims to follow.  [Thin_lock]
     (default) is the paper's automaton: [Inflate_*] transitions and
     Tasuki [Deflate_*] handshake steps.  [Cjm] is the
@@ -76,9 +76,13 @@ type protocol = Thin_lock | Cjm
     [Cjm_monitor_create] on a thin-held object (the contender — or the
     waiting owner — carries the inline depth into the monitor) and
     vanishes with [Cjm_monitor_evaporate], legal only while the monitor
-    is unowned with no parked waiters; there is no handshake.  Each
-    protocol treats the other's lifecycle kinds as
-    [Stream_malformed]. *)
+    is unowned with no parked waiters; there is no handshake.
+    [Monitor] is the owner, count and wait automaton alone, for schemes
+    whose every object is a monitor from the start (jdk111, ibm112,
+    fat, mcs, nosync): an object starts as an unowned monitor and only
+    [Acquire_fat*], [Release_fat], [Wait_op] and [Notify*_op] move it.
+    Each protocol treats the lifecycle kinds of the others (inflation,
+    deflation, CJM creation and evaporation) as [Stream_malformed]. *)
 
 type report = {
   events : int;
@@ -95,7 +99,7 @@ val check :
   report
 (** Verify one drained stream.  [protocol] (default [Thin_lock])
     selects the reference automaton variant — pass [Cjm] for streams
-    produced by the [cjm] scheme.  [count_width] (the replay's nest-count
+    produced by the [cjm] scheme, [Monitor] for the baselines'.  [count_width] (the replay's nest-count
     field width, 1–8) arms the thin-depth ceiling check: depth may not
     exceed [2^count_width] without an overflow inflation; omitted, the
     ceiling check is off.  [require_unlocked_end] (default [true])

@@ -250,10 +250,7 @@ let run ?(trace = true) ?(oracle = true) config =
     deflations = stats.Tl_core.Lock_stats.deflations;
     controller = Option.map Controller.snapshot controller;
     policy_switches = Option.fold ~none:0 ~some:Controller.switches_total controller;
-    oracle =
-      (match scheme.verify with
-      | Some verify when trace && oracle -> Some (verify drained)
-      | _ -> None);
+    oracle = (if trace && oracle then Some (scheme.verify drained) else None);
   }
 
 let pp ppf (r : result) =

@@ -103,8 +103,7 @@ val run : ?trace:bool -> ?oracle:bool -> config -> result
 (** Run one storm on a fresh runtime and scheduler.  [trace] (default
     true) attaches an event sink whose rings grow with use; [oracle]
     (default true, requires [trace]) verifies the drained stream with
-    the scheme's [verify] (none for a scheme that
-    emits no events).  Untraced runs are the configuration for pure
+    the scheme's [verify].  Untraced runs are the configuration for pure
     throughput numbers.
     @raise Invalid_argument on a degenerate config, or a [reap] for a
     scheme that does not deflate. *)

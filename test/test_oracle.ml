@@ -630,8 +630,49 @@ let test_contended_object_stamps_clean (entry : Tl_baselines.Registry.entry) () 
       done);
   let d = Sink.drain sink in
   check "no drops" true (d.Sink.dropped = []);
-  let r = (Option.get scheme.verify) d in
+  let r = scheme.verify d in
   if not (Oracle.ok r) then Alcotest.failf "expected clean, got: %s" (report_str r)
+
+(* --- the monitor-only protocol (the baselines' streams) --- *)
+
+(* Each case: a stream, and the class it must be flagged as under
+   [Monitor] ([None]: clean). *)
+let monitor_cases =
+  [
+    ( "nested acquire, wait, notify, release",
+      [
+        (1, Event.Acquire_fat, 5);
+        (1, Event.Acquire_fat, 5);
+        (1, Event.Wait_op, 5);
+        (2, Event.Acquire_fat_queued, 5);
+        (2, Event.Notify_op, 5);
+        (2, Event.Release_fat, 5);
+        (1, Event.Release_fat, 5);
+        (1, Event.Release_fat, 5);
+      ],
+      None );
+    ( "deflation is malformed",
+      [ (1, Event.Acquire_fat, 5); (1, Event.Release_fat, 5); (0, Event.Deflate_quiescent, 5) ],
+      Some Oracle.Stream_malformed );
+    ("inflation is malformed", [ (1, Event.Inflate_contention, 5) ], Some Oracle.Stream_malformed);
+    ( "cjm monitor creation is malformed",
+      [ (1, Event.Acquire_fat, 5); (2, Event.Cjm_monitor_create, 5) ],
+      Some Oracle.Stream_malformed );
+    ( "release by a non-owner",
+      [ (1, Event.Acquire_fat, 5); (2, Event.Release_fat, 5); (1, Event.Release_fat, 5) ],
+      Some Oracle.Ownership_violation );
+    ( "release of an unowned monitor",
+      [ (1, Event.Release_fat, 5) ],
+      Some Oracle.Unlock_without_lock );
+  ]
+
+let test_monitor_protocol (triples, want) () =
+  let r = Oracle.check ~protocol:Oracle.Monitor (stream triples) in
+  match want with
+  | None -> if not (Oracle.ok r) then Alcotest.failf "expected clean, got: %s" (report_str r)
+  | Some cls ->
+      if Option.is_none (Oracle.find r cls) then
+        Alcotest.failf "expected %s, got: %s" (Oracle.class_name cls) (report_str r)
 
 (* --- Policy_switch events in verified streams --- *)
 
@@ -1013,7 +1054,17 @@ let () =
           Alcotest.test_case "same, cjm" `Quick
             (test_contended_object_stamps_clean
                (Tl_baselines.Registry.find_entry_exn "cjm"));
-        ] );
+        ]
+        @ List.map
+            (fun name ->
+              Alcotest.test_case ("same, " ^ name) `Quick
+                (test_contended_object_stamps_clean (Tl_baselines.Registry.find_entry_exn name)))
+            [ "jdk111"; "ibm112"; "fat"; "mcs" ] );
+      ( "monitor protocol",
+        List.map
+          (fun (name, triples, want) ->
+            Alcotest.test_case name `Quick (test_monitor_protocol (triples, want)))
+          monitor_cases );
       ( "policy switches",
         [
           Alcotest.test_case "mid-stream switches accepted both modes" `Quick

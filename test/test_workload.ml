@@ -353,8 +353,8 @@ let test_policy_lab_policy_of_string () =
 
 (* A small traced storm per registry entry (nosync excepted: it is not
    a monitor): every fiber completes, an evaporating table drains, and
-   a scheme that emits events verifies clean under the oracle
-   with its own protocol.  MCS is the regression case for the carrier
+   the stream verifies clean under the oracle with the scheme's own
+   protocol.  MCS is the regression case for the carrier
    rule: its queue spin must yield through the fiber parker, or a
    waiter never lets a holder on the same carrier run. *)
 let test_storm_every_scheme () =
@@ -368,13 +368,12 @@ let test_storm_every_scheme () =
       check_int (name ^ " completes every fiber") config.fibers r.Fiber_storm.completed;
       check_int (name ^ " leaks nothing") 0 r.Fiber_storm.leaked_entries;
       check_int (name ^ " drops nothing") 0 r.Fiber_storm.dropped;
-      let traces = Option.is_some (entry.make (Runtime.create ())).Tl_core.Scheme_intf.verify in
       match r.Fiber_storm.oracle with
       | Some rep ->
           if not (Tl_events.Oracle.ok rep) then
             Alcotest.failf "%s storm stream rejected: %s" name
               (Format.asprintf "%a" Tl_events.Oracle.pp rep)
-      | None -> check (name ^ " has an oracle verdict iff it traces") false traces)
+      | None -> Alcotest.failf "%s traced storm returned no oracle verdict" name)
     (List.filter
        (fun n -> not (String.equal n "nosync"))
        (Tl_baselines.Registry.names ()))

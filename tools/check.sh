@@ -318,28 +318,28 @@ for scheme in thin cjm; do
   storm_gate --fibers 1000000 --no-trace --scheme "$scheme"
 done
 
-stage "fiber storm over the baselines (untraced, 20k fibers each): any registry entry runs"
+stage "fiber storm over the baselines (traced, 20k fibers each, oracle must be clean)"
 # MCS is the carrier-rule regression: a waiter that slept or busy-spun
 # its carrier instead of yielding would never let a holder queued on
 # the same domain run, and this stage would hang.
 for scheme in jdk111 ibm112 fat mcs; do
-  dune exec bin/thinlocks.exe -- fiber-storm --fibers 20000 --domains 1 --no-trace \
-    --scheme "$scheme" >/dev/null
-  echo "  $scheme: every fiber completed"
+  storm_gate --fibers 20000 --domains 1 --scheme "$scheme"
+  echo "  $scheme: every fiber completed, monitor-protocol oracle clean"
 done
 
-stage "replay --oracle verifies the named scheme (exit non-zero without events)"
+stage "replay --oracle verifies the named scheme under its own protocol"
 tmpdir=$(mktemp -d)
 dune exec bin/thinlocks.exe -- trace -b javalex --max-syncs 2000 -o "$tmpdir/t.trace" >/dev/null
-dune exec bin/thinlocks.exe -- replay "$tmpdir/t.trace" --scheme cjm --oracle >/dev/null
-if dune exec bin/thinlocks.exe -- replay "$tmpdir/t.trace" --scheme jdk111 --oracle \
-  >/dev/null 2>&1; then
-  rm -rf "$tmpdir"
-  echo "FAIL: replay --scheme jdk111 --oracle reported a verdict for a scheme with no events." >&2
-  exit 1
-fi
+for scheme in cjm jdk111 ibm112 fat fat-hapax mcs; do
+  if ! dune exec bin/thinlocks.exe -- replay "$tmpdir/t.trace" --scheme "$scheme" --oracle \
+    >/dev/null; then
+    rm -rf "$tmpdir"
+    echo "FAIL: replay --scheme $scheme --oracle did not verify clean." >&2
+    exit 1
+  fi
+done
 rm -rf "$tmpdir"
-echo "  cjm verified under its own protocol; jdk111 refused"
+echo "  cjm, jdk111, ibm112, fat, fat-hapax and mcs verified clean"
 
 stage "parallel replay smoke (2 domains, shuffle, must contend)"
 replay_par_gate -b javacup --domains 2 --shuffle \
@@ -471,6 +471,17 @@ for domains in 1 2 4; do
   replay_par_gate -b javacup --scheme cjm \
     --domains "$domains" --shuffle --interleave --max-syncs 6000 --oracle
   echo "  cjm oracle clean at $domains domain(s), both decompositions"
+done
+
+stage "baselines: monitor-protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
+for scheme in jdk111 ibm112 fat mcs; do
+  for domains in 1 2 4; do
+    replay_par_gate -b javacup --scheme "$scheme" --domains "$domains" \
+      --max-syncs 6000 --oracle
+    replay_par_gate -b javacup --scheme "$scheme" --domains "$domains" \
+      --shuffle --interleave --max-syncs 6000 --oracle
+  done
+  echo "  $scheme oracle clean at 1, 2 and 4 domains, both decompositions"
 done
 
 stage "fiber backend: replay-par and policy-lab run the same workers as fibers"
