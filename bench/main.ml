@@ -861,7 +861,10 @@ let bench_vm_macros () =
         let source = In_channel.with_open_bin path In_channel.input_all in
         let timed scheme_name =
           let t0 = Unix.gettimeofday () in
-          let vm = Tl_lang.Driver.run_source ~scheme_name source in
+          let vm =
+            Tl_lang.Driver.run_source ~scheme_of:(Tl_baselines.Registry.find_exn scheme_name)
+              source
+          in
           (Unix.gettimeofday () -. t0, Tl_jvm.Vm.sync_op_count vm)
         in
         (* median of 3 like the paper's methodology (median of samples) *)

@@ -67,21 +67,19 @@ let run file scheme_name reap safepoint_interval stats disasm time =
       0
     end
     else begin
+      let entry = Tl_baselines.Registry.find_entry_exn scheme_name in
       let scheme_of =
         match reap with
-        | None -> None
+        | None -> fun runtime -> entry.make runtime
         | Some policy_name -> (
             match Tl_lifecycle.Policy.of_string policy_name with
-            | Some policy ->
-                Some (reaping_scheme (Tl_baselines.Registry.find_entry_exn scheme_name) policy)
+            | Some policy -> reaping_scheme entry policy
             | None ->
                 Printf.eprintf "unknown policy %S\n" policy_name;
                 exit 1)
       in
       let t0 = Unix.gettimeofday () in
-      let vm =
-        Tl_lang.Driver.run_file ~scheme_name ?scheme_of ~safepoint_interval ~echo:true file
-      in
+      let vm = Tl_lang.Driver.run_file ~scheme_of ~safepoint_interval ~echo:true file in
       let elapsed = Unix.gettimeofday () -. t0 in
       if time then Printf.printf "[%.3fs under %s]\n" elapsed scheme_name;
       if stats then begin

@@ -457,98 +457,13 @@ let backend_arg =
         Tl_workload.Parallel_replay.Os_domains
     & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
-let fat_backend_arg =
-  let doc =
-    "Contended-path engine for inflated fat monitors: $(b,parker) (entry \
-     queue with spin-before-park) or $(b,hapax) (constant-time FIFO \
-     ticket admission).  Selects the --scheme's registry sibling with \
-     that engine (thin + hapax is thin-hapax); omitted, the scheme runs \
-     as named (thin and fat use parker)."
-  in
-  let engines =
-    List.map (fun b -> (Tl_monitor.Fatlock.backend_name b, b)) Tl_monitor.Fatlock.all_backends
-  in
-  Arg.(value & opt (some (enum engines)) None & info [ "fat-backend" ] ~docv:"ENGINE" ~doc)
-
-(* The entry a --scheme/--fat-backend pair names, by registry data. *)
-let with_fat_backend (entry : Tl_baselines.Registry.entry) = function
-  | None -> entry
-  | Some b -> (
-      match Tl_baselines.Registry.with_fat_backend entry b with
-      | Some e -> e
-      | None ->
-          Printf.eprintf "scheme %s has no pluggable fat backend (--fat-backend %s)\n"
-            entry.name (Tl_monitor.Fatlock.backend_name b);
-          exit 2)
-
-(* Controller knobs, shared by every subcommand that can mount the
-   self-tuning reaper (--reap controlled). *)
-let controller_config_term =
-  let module Ctl = Tl_lifecycle.Controller in
-  let d = Ctl.default_config in
-  let epoch_scans_arg =
-    let doc = "Controller decision-epoch length, in census scans." in
-    Arg.(value & opt int d.Ctl.epoch_scans & info [ "ctl-epoch-scans" ] ~docv:"N" ~doc)
-  in
-  let patience_arg =
-    let doc = "Consecutive epochs a challenger policy must stay better before the \
-               controller switches a shard (the hysteresis bound)." in
-    Arg.(value & opt int d.Ctl.patience & info [ "ctl-patience" ] ~docv:"N" ~doc)
-  in
-  let margin_arg =
-    let doc = "Relative cost margin a challenger must win by (0.25 = 25%)." in
-    Arg.(value & opt float d.Ctl.margin & info [ "ctl-margin" ] ~docv:"F" ~doc)
-  in
-  let thrash_arg =
-    let doc = "Cost units charged per re-inflation a deflation provokes." in
-    Arg.(value & opt float d.Ctl.thrash_weight & info [ "ctl-thrash-weight" ] ~docv:"F" ~doc)
-  in
-  let budget_arg =
-    let doc = "Exploration token budget per shard (0 disables excursions)." in
-    Arg.(value & opt int d.Ctl.explore_budget & info [ "ctl-explore-budget" ] ~docv:"N" ~doc)
-  in
-  let refill_arg =
-    let doc = "Epochs between exploration-token refills (0 = never refill)." in
-    Arg.(value & opt int d.Ctl.explore_refill & info [ "ctl-explore-refill" ] ~docv:"N" ~doc)
-  in
-  let initial_arg =
-    let doc = "Policy every shard starts on (never, zero-contended-episodes, \
-               idle-for-4, always-idle)." in
-    Arg.(
-      value
-      & opt string (Ctl.policy_name d.Ctl.initial_policy)
-      & info [ "ctl-initial" ] ~docv:"POLICY" ~doc)
-  in
-  let build epoch_scans patience margin thrash_weight explore_budget explore_refill
-      initial =
-    match Ctl.policy_index initial with
-    | None ->
-        Printf.eprintf "unknown --ctl-initial policy %S\n" initial;
-        exit 2
-    | Some initial_policy ->
-        {
-          d with
-          Ctl.epoch_scans;
-          patience;
-          margin;
-          thrash_weight;
-          explore_budget;
-          explore_refill;
-          initial_policy;
-        }
-  in
-  Term.(
-    const build $ epoch_scans_arg $ patience_arg $ margin_arg $ thrash_arg
-    $ budget_arg $ refill_arg $ initial_arg)
-
 let reap_arg ~doc = Arg.(value & opt string "none" & info [ "reap" ] ~docv:"MODE" ~doc)
 
-(* A --reap value: none, a shipped policy name, or controlled (tuned by
-   the --ctl-* knobs). *)
-let parse_reap ~ctl = function
+(* A --reap value: none, a shipped policy name, or controlled. *)
+let parse_reap = function
   | "none" -> None
   | r -> (
-      match Tl_workload.Policy_lab.reap_of_string ~controller:ctl r with
+      match Tl_workload.Policy_lab.reap_of_string r with
       | Some reap -> Some reap
       | None ->
           Printf.eprintf "unknown --reap mode %S (none, controlled or a policy name)\n" r;
@@ -591,12 +506,11 @@ let policy_lab_cmd =
          controller to each table of a deflating scheme so it ranks against \
          the fixed policies ($(b,none) = fixed policies only)."
   in
-  let run max_syncs seed benchmarks domains affinity backend entry fat_backend reap ctl =
-    let entry = with_fat_backend entry fat_backend in
+  let run max_syncs seed benchmarks domains affinity backend entry reap =
     let controlled =
       match reap with
       | "none" -> None
-      | "controlled" -> Some ctl
+      | "controlled" -> Some Tl_lifecycle.Controller.default_config
       | r ->
           Printf.eprintf
             "policy-lab --reap takes none or controlled (fixed policies are \
@@ -621,8 +535,7 @@ let policy_lab_cmd =
        ~doc:"Score every deflation policy against macro traces via the event stream")
     Term.(
       const run $ lab_max_syncs_arg $ seed_arg $ benchmarks_arg $ domains_arg
-      $ affinity_arg $ backend_arg $ lab_scheme_arg $ fat_backend_arg $ lab_reap_arg
-      $ controller_config_term)
+      $ affinity_arg $ backend_arg $ lab_scheme_arg $ lab_reap_arg)
 
 let replay_par_cmd =
   let module PR = Tl_workload.Parallel_replay in
@@ -679,9 +592,8 @@ let replay_par_cmd =
          Policy_switch decisions land in the verified stream."
   in
   let run benchmark domains shuffle entry work tick_every interleave expect oracle backend
-      max_syncs seed fat_backend reap ctl =
-    let entry = with_fat_backend entry fat_backend in
-    let reap = parse_reap ~ctl reap in
+      max_syncs seed reap =
+    let reap = parse_reap reap in
     match Tl_workload.Profiles.find benchmark with
     | None ->
         Printf.eprintf "unknown benchmark %S\n" benchmark;
@@ -691,7 +603,7 @@ let replay_par_cmd =
         let mode = if shuffle then PR.Shuffle else PR.Affinity in
         let attempt () =
           let runtime = Tl_runtime.Runtime.create () in
-          let scheme = entry.make runtime in
+          let scheme = entry.Tl_baselines.Registry.make runtime in
           let tick env =
             Tl_runtime.Runtime.quiescence_point ~env runtime;
             if interleave then
@@ -779,8 +691,7 @@ let replay_par_cmd =
     Term.(
       const run $ benchmark_arg $ domains_arg $ shuffle_arg $ scheme_arg $ work_arg
       $ tick_every_arg $ interleave_arg $ expect_contention_arg $ oracle_arg
-      $ backend_arg $ max_syncs_arg $ seed_arg $ fat_backend_arg $ par_reap_arg
-      $ controller_config_term)
+      $ backend_arg $ max_syncs_arg $ seed_arg $ par_reap_arg)
 
 let fiber_storm_cmd =
   let module FS = Tl_workload.Fiber_storm in
@@ -844,7 +755,7 @@ let fiber_storm_cmd =
          announcements."
   in
   let run fibers domains objects zipf ops in_flight rate no_yield no_trace no_oracle
-      entry fat_backend reap ctl seed =
+      entry reap seed =
     let config =
       {
         FS.default_config with
@@ -856,8 +767,8 @@ let fiber_storm_cmd =
         in_flight;
         arrival_rate = rate;
         yield_in_cs = not no_yield;
-        scheme = with_fat_backend entry fat_backend;
-        reap = parse_reap ~ctl reap;
+        scheme = entry;
+        reap = parse_reap reap;
         seed;
       }
     in
@@ -886,8 +797,7 @@ let fiber_storm_cmd =
     Term.(
       const run $ fibers_arg $ domains_arg $ objects_arg $ zipf_arg $ ops_arg
       $ in_flight_arg $ rate_arg $ no_yield_arg $ no_trace_arg $ no_oracle_arg
-      $ storm_scheme_arg $ fat_backend_arg $ storm_reap_arg
-      $ controller_config_term $ seed_arg)
+      $ storm_scheme_arg $ storm_reap_arg $ seed_arg)
 
 (* Auto-detect on the format tag: text and binary dumps both start
    with a distinctive magic line. *)

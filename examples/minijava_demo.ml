@@ -52,7 +52,9 @@ let () =
   List.iter
     (fun scheme_name ->
       let t0 = Unix.gettimeofday () in
-      let vm = Tl_lang.Driver.run_source ~scheme_name source in
+      let vm =
+        Tl_lang.Driver.run_source ~scheme_of:(Tl_baselines.Registry.find_exn scheme_name) source
+      in
       let elapsed = Unix.gettimeofday () -. t0 in
       let stats = (Tl_jvm.Vm.scheme vm).Tl_core.Scheme_intf.stats () in
       Printf.printf "--- %s: %.3fs, %d sync ops on %d objects ---\n" scheme_name elapsed

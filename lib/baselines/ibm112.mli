@@ -8,13 +8,13 @@
     pointer to the hot lock is placed in the header of the object"
     (paper §3).
 
-    Cold objects go through the same global monitor cache as
-    {!Jdk111}; an object whose monitor's use count crosses the
-    promotion threshold while a hot slot is free gets a hot-slot index
-    written into its header word, after which its lock operations
-    bypass the cache entirely.  Once all slots are taken, later
-    heavily-used objects stay cold — the working-set cliff of Figs. 4
-    and 5.
+    Cold objects go through {!Jdk111}'s monitor cache itself
+    ({!Jdk111.layered}), whose pin hook counts each entry's uses.  An
+    object whose use count reaches the promotion threshold while a hot
+    slot is free gets a hot-slot index written into its header word,
+    after which its lock operations bypass the cache entirely.  Once
+    all slots are taken, later heavily-used objects stay cold — the
+    working-set cliff of Figs. 4 and 5.
 
     Extra statistics keys: those of the cache, plus [hot.promotions]
     and [hot.fast_ops]. *)
@@ -24,8 +24,7 @@ type params = {
   promotion_threshold : int;
       (** Monitor operations before an object is considered hot
           (default 8). *)
-  cache_capacity : int;
-  free_list_capacity : int;
+  cache : Jdk111.params;  (** the cold path's monitor cache *)
 }
 
 val default_params : params
@@ -37,3 +36,6 @@ val create_with : ?params:params -> ?events:Tl_events.Sink.t -> Tl_runtime.Runti
     stream that [Monitor_ops] describes, hot and cold paths alike. *)
 
 val hot_slots_used : ctx -> int
+
+val resident_monitors : ctx -> int
+(** Entries in the cold cache, promoted ones included (for tests). *)

@@ -9,6 +9,7 @@ let default_params = { cache_capacity = 64; free_list_capacity = 64 }
 type entry = {
   fat : Fatlock.t;
   mutable refs : int; (* threads inside an operation on this entry *)
+  mutable uses : int; (* locking frequency, counted by a layer's [on_pin] *)
 }
 
 type ctx = {
@@ -18,6 +19,7 @@ type ctx = {
   mutable free_len : int;
   params : params;
   ops : Monitor_ops.t;
+  on_pin : Obj_model.t -> entry -> unit;
   lookups : Lock_stats.counter;
   misses : Lock_stats.counter;
   free_hits : Lock_stats.counter;
@@ -26,9 +28,8 @@ type ctx = {
 
 let name = "jdk111"
 
-let create_with ?(params = default_params) ?events _runtime =
-  let ops = Monitor_ops.create ?events () in
-  let counter = Lock_stats.counter ops.stats in
+let layered ~on_pin params ops =
+  let counter = Lock_stats.counter ops.Monitor_ops.stats in
   {
     cache_mutex = Mutex.create ();
     table = Hashtbl.create 64;
@@ -36,11 +37,15 @@ let create_with ?(params = default_params) ?events _runtime =
     free_len = 0;
     params;
     ops;
+    on_pin;
     lookups = counter "cache.lookups";
     misses = counter "cache.misses";
     free_hits = counter "cache.free_hits";
     recycles = counter "cache.recycles";
   }
+
+let create_with ?(params = default_params) ?events _runtime =
+  layered ~on_pin:(fun _ _ -> ()) params (Monitor_ops.create ?events ())
 
 let create runtime = create_with runtime
 let stats ctx = ctx.ops.stats
@@ -65,12 +70,13 @@ let pin ctx obj =
               ctx.free_len <- ctx.free_len - 1;
               Lock_stats.count ctx.free_hits 1;
               e
-          | [] -> { fat = Fatlock.create (); refs = 0 }
+          | [] -> { fat = Fatlock.create (); refs = 0; uses = 0 }
         in
         Hashtbl.replace ctx.table id entry;
         entry
   in
   entry.refs <- entry.refs + 1;
+  ctx.on_pin obj entry;
   Mutex.unlock ctx.cache_mutex;
   entry
 
@@ -89,6 +95,7 @@ let unpin ctx obj entry =
   then begin
     Hashtbl.remove ctx.table (Obj_model.id obj);
     Lock_stats.count ctx.recycles 1;
+    entry.uses <- 0;
     if ctx.free_len < ctx.params.free_list_capacity then begin
       ctx.free <- entry :: ctx.free;
       ctx.free_len <- ctx.free_len + 1

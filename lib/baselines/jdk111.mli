@@ -34,3 +34,39 @@ val create_with : ?params:params -> ?events:Tl_events.Sink.t -> Tl_runtime.Runti
 
 val resident_monitors : ctx -> int
 (** Entries currently in the cache (for tests). *)
+
+(** {1 The cache as a layer}
+
+    {!Ibm112} is this cache "slightly modified to record locking
+    frequency" (paper §3): it builds its hot locks over a cache made by
+    {!layered} and runs its cold objects through {!with_monitor}. *)
+
+type entry = {
+  fat : Tl_monitor.Fatlock.t;
+  mutable refs : int;
+      (** pins: operations in flight on the entry.  An entry is evicted
+          only at 0, so a layer that keeps the monitor for good (a hot
+          slot) adds a pin it never removes. *)
+  mutable uses : int;
+      (** locking frequency, counted by the layer's [on_pin]; the cache
+          zeroes it when it evicts the entry and never reads it *)
+}
+
+val layered :
+  on_pin:(Tl_heap.Obj_model.t -> entry -> unit) -> params -> Monitor_ops.t -> ctx
+(** A cache that calls [on_pin obj entry] on every pin, after the
+    lookup, under the cache mutex.  [create_with] is [layered] with an
+    [on_pin] that does nothing. *)
+
+val with_monitor :
+  ctx ->
+  Tl_runtime.Runtime.env ->
+  Tl_heap.Obj_model.t ->
+  (Monitor_ops.t ->
+  Tl_runtime.Runtime.env ->
+  Tl_heap.Obj_model.t ->
+  Tl_monitor.Fatlock.t ->
+  unit) ->
+  unit
+(** Run one [Monitor_ops] operation on the object's cached monitor,
+    pinned for its duration. *)

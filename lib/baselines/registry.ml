@@ -5,7 +5,6 @@ module Oracle = Tl_events.Oracle
 type entry = {
   name : string;
   describe : string;
-  backend : (string * Fatlock.backend) option;
   make :
     ?events:Tl_events.Sink.t -> ?count_width:int -> Tl_runtime.Runtime.t -> Scheme_intf.packed;
 }
@@ -48,23 +47,14 @@ let fat name backend ?events ?count_width:_ runtime =
     name;
   }
 
-let entry name describe make = { name; describe; backend = None; make }
-
-(* [family]: the entry belongs to the set of thin schemes that differ
-   only in their fat monitors' engine, which [with_fat_backend] walks. *)
-let thin_entry ?(family = false) name describe config =
-  {
-    (entry name describe (thin name config)) with
-    backend = (if family then Some ("thin", config.Thin.fat_backend) else None);
-  }
-
-let fat_entry name describe backend =
-  { (entry name describe (fat name backend)) with backend = Some ("fat", backend) }
+let entry name describe make = { name; describe; make }
+let thin_entry name describe config = entry name describe (thin name config)
+let fat_entry name describe backend = entry name describe (fat name backend)
 
 let table =
   let d = Thin.default_config in
   [
-    thin_entry ~family:true "thin" "thin locks, paper's final configuration" d;
+    thin_entry "thin" "thin locks, paper's final configuration" d;
     thin_entry "thin-unlkcas" "thin locks releasing with compare-and-swap (Fig. 6 UnlkC&S)"
       { d with unlock_with_cas = true };
     thin_entry "thin-mpsync" "thin locks with an extra fence per operation (Fig. 6 MP Sync)"
@@ -78,7 +68,7 @@ let table =
     thin_entry "thin-count4" "thin locks with a 4-bit nest count" { d with count_width = 4 };
     thin_entry "thin-nostats" "thin locks without statistics recording (pure-time runs)"
       { d with record_stats = false };
-    thin_entry ~family:true "thin-hapax"
+    thin_entry "thin-hapax"
       "thin locks inflating to FIFO ticket-admission monitors (Hapax contended path)"
       { d with fat_backend = Fatlock.Hapax };
     entry "jdk111" "Sun JDK 1.1.1 port: global monitor cache with recycling"
@@ -108,10 +98,4 @@ let find_entry_exn name =
 let find_exn name runtime = (find_entry_exn name).make runtime
 let describe name = Option.map (fun e -> e.describe) (find name)
 
-let with_fat_backend e b =
-  match e.backend with
-  | None -> None
-  | Some (family, _) -> List.find_opt (fun s -> s.backend = Some (family, b)) table
-
 let paper_trio = [ "jdk111"; "ibm112"; "thin" ]
-let fig6_variants = [ "nosync"; "thin"; "thin-mpsync"; "thin-unlkcas" ]

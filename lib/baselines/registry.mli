@@ -11,10 +11,6 @@
 type entry = {
   name : string;
   describe : string;  (** one line for listings *)
-  backend : (string * Tl_monitor.Fatlock.backend) option;
-      (** [(family, engine)]: the entries of one family differ only in
-          their fat monitors' contended path ({!with_fat_backend});
-          [None] for schemes with no pluggable fat backend *)
   make :
     ?events:Tl_events.Sink.t ->
     ?count_width:int ->
@@ -41,13 +37,5 @@ val find_exn : string -> Tl_runtime.Runtime.t -> Tl_core.Scheme_intf.packed
 val describe : string -> string option
 (** One-line description of a scheme. *)
 
-val with_fat_backend : entry -> Tl_monitor.Fatlock.backend -> entry option
-(** The entry of the same family whose monitors use the given
-    contended-path engine ([thin] with [Hapax] is [thin-hapax]);
-    [None] when the entry has no family. *)
-
 val paper_trio : string list
 (** [["jdk111"; "ibm112"; "thin"]] — the three systems of §3. *)
-
-val fig6_variants : string list
-(** Scheme names for the Fig. 6 tradeoff study. *)

@@ -148,7 +148,6 @@ let rec counter t key =
       if Atomic.compare_and_set t.extra l ((key, a) :: l) then a else counter t key
 
 let count c n = ignore (Atomic.fetch_and_add c n)
-let add_extra t key n = count (counter t key) n
 
 let register_gauge t key f =
   let rec add () =

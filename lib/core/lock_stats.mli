@@ -18,8 +18,8 @@
     runtime (two runtimes may lease the same index at once).
 
     Counters recorded without an env — deflations (the deflater walks
-    the monitor table) and the scheme-specific {!add_extra} keys — are
-    shared atomics, as are the gauges. *)
+    the monitor table) and the scheme-specific {!counter}s — are shared
+    atomics, as are the gauges. *)
 
 type t
 
@@ -121,11 +121,6 @@ val counter : t -> string -> counter
 
 val count : counter -> int -> unit
 (** Add to a counter: one atomic fetch-and-add.  Lock-free. *)
-
-val add_extra : t -> string -> int -> unit
-(** [count (counter t key) n]: a scheme-specific counter (e.g. the
-    baselines' monitor-cache probes and evictions) by key, created on
-    first use.  Lock-free. *)
 
 val register_gauge : t -> string -> (unit -> int) -> unit
 (** Register a sampled value (e.g. live monitors) evaluated at

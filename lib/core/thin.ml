@@ -58,6 +58,11 @@ type ctx = {
       (* [Sink.enabled events], cached in the ctx so the fast path pays
          one field load and an untaken branch when tracing is off —
          never a cross-module call *)
+  stale_monitor_reads : Lock_stats.counter;
+  retired_monitor_retries : Lock_stats.counter;
+  spin_avoided_parks : Lock_stats.counter;
+  non_quiescent_deflations : Lock_stats.counter;
+  aborted_handshakes : Lock_stats.counter;
 }
 
 let name = "thin"
@@ -74,6 +79,10 @@ let create_with ?(config = default_config) ?(events = Tl_events.Sink.disabled) r
   Lock_stats.register_gauge stats "monitors.slot_reuses" (fun () -> Montable.reuses montable);
   Lock_stats.register_gauge stats "events.clamped" (fun () ->
       Tl_events.Sink.clamped events);
+  (* Slow-path counters, resolved once.  Without statistics nothing
+     counts them, so they resolve against statistics nothing reads and
+     the snapshot lists only the gauges. *)
+  let counter = Lock_stats.counter (if config.record_stats then stats else Lock_stats.create ()) in
   {
     runtime;
     montable;
@@ -87,12 +96,16 @@ let create_with ?(config = default_config) ?(events = Tl_events.Sink.disabled) r
     fence_pad = Atomic.make 0;
     events;
     tracing = Tl_events.Sink.enabled events;
+    stale_monitor_reads = counter "stale_monitor_reads";
+    retired_monitor_retries = counter "deflation.retired_monitor_retries";
+    spin_avoided_parks = counter "fatlock.spin_avoided_parks";
+    non_quiescent_deflations = counter "deflations.non_quiescent";
+    aborted_handshakes = counter "deflation.aborted_handshakes";
   }
 
 let create runtime = create_with runtime
 
 let stats ctx = ctx.stats
-let config_of ctx = ctx.config
 let montable ctx = ctx.montable
 let events ctx = ctx.events
 
@@ -253,7 +266,7 @@ and fat_acquire ctx env obj monitor_ref =
          and its slot reclaimed (detected by the generation tag).  The
          deflater rewrote the lock word before freeing the slot, so a
          fresh read makes progress. *)
-      if ctx.record_stats then Lock_stats.add_extra ctx.stats "stale_monitor_reads" 1;
+      if ctx.record_stats then Lock_stats.count ctx.stale_monitor_reads 1;
       acquire ctx env obj
   | Some fat -> (
       (* Entry-side of the deflation handshake: a monitor retired by a
@@ -262,8 +275,7 @@ and fat_acquire ctx env obj monitor_ref =
          progress.  Retirement is sticky and re-inflation allocates a
          fresh monitor, so our reference can never resurrect. *)
       let retired_retry () =
-        if ctx.record_stats then
-          Lock_stats.add_extra ctx.stats "deflation.retired_monitor_retries" 1;
+        if ctx.record_stats then Lock_stats.count ctx.retired_monitor_retries 1;
         (* The deflater is between retiring and rewriting the word; give
            it the processor rather than spinning through the latch.
            Through the parker, so a fiber yields its carrier domain's
@@ -289,7 +301,7 @@ and fat_acquire ctx env obj monitor_ref =
                 Lock_stats.record_acquire_fat ctx.stats ~tid:(my_index env) obj ~queued
                   ~depth:(Fatlock.count fat);
                 if entry = Fatlock.Entry_spun then
-                  Lock_stats.add_extra ctx.stats "fatlock.spin_avoided_parks" 1
+                  Lock_stats.count ctx.spin_avoided_parks 1
               end;
               if ctx.tracing then
                 emit ctx ~tid:(my_index env)
@@ -447,7 +459,7 @@ let deflate_lockword ctx ~cause lw =
           if ctx.record_stats then begin
             Lock_stats.record_deflation ctx.stats;
             match cause with
-            | `Concurrent -> Lock_stats.add_extra ctx.stats "deflations.non_quiescent" 1
+            | `Concurrent -> Lock_stats.count ctx.non_quiescent_deflations 1
             | `Quiescent -> ()
           end;
           `Deflated
@@ -455,8 +467,7 @@ let deflate_lockword ctx ~cause lw =
         else begin
           if ctx.tracing then emit_system ctx Ev.Deflate_aborted ~arg:(Fatlock.tag fat);
           finish word;
-          if ctx.record_stats then
-            Lock_stats.add_extra ctx.stats "deflation.aborted_handshakes" 1;
+          if ctx.record_stats then Lock_stats.count ctx.aborted_handshakes 1;
           `Busy
         end
   end

@@ -63,7 +63,6 @@ val create_with :
     branch; an enabled one records every protocol step
     ([Tl_events.Event.kind]) as it happens. *)
 
-val config_of : ctx -> config
 val montable : ctx -> Tl_monitor.Montable.t
 (** Exposed for tests and for the deflation extension. *)
 

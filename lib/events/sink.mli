@@ -55,9 +55,6 @@ val disabled : t
 (** The null sink: {!enabled} is [false], {!emit} is a no-op, {!drain}
     is empty.  Shared; never records. *)
 
-val default_capacity : int
-(** Per-ring default cap: 65536 events. *)
-
 val max_objects : int
 (** Object ids an event may name: [\[0, max_objects)] = [\[0, 2^28)]
     (the arg word packs the id beside its ordinal, see {!Ring}).
@@ -83,7 +80,7 @@ type sampling =
 val create :
   ?ring_capacity:int -> ?system_capacity:int -> ?sampling:sampling -> unit -> t
 (** An enabled sink whose rings each hold at most [ring_capacity]
-    events (default {!default_capacity}); events past the cap are
+    events (default 65536); events past the cap are
     dropped and counted.  The cap reserves nothing: a ring starts at
     [Ring.initial_slots] and grows with the events it is given (see
     {!Ring}), so a generous cap costs memory only when it is used.

@@ -543,4 +543,3 @@ let overflow_waits () =
   | Some w -> Atomic.get w.w_sched.overflow_count
   | None -> 0
 
-let in_fiber_context () = current_worker () <> None

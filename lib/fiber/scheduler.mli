@@ -79,6 +79,3 @@ val overflow_waits : unit -> int
     spawning fiber found all 15-bit indices leased and had to wait for
     a release.  Fiber context only; returns 0 elsewhere. *)
 
-val in_fiber_context : unit -> bool
-(** [true] when the caller is running on a worker of some scheduler
-    (i.e. inside a fiber). *)

@@ -50,7 +50,6 @@ let deflating_bit = 32
 let deflating_mask = 1 lsl deflating_bit
 let is_deflating word = word land deflating_mask <> 0
 let set_deflating word = word lor deflating_mask
-let clear_deflating word = word land lnot deflating_mask
 
 let nested_limit = max_thin_count lsl count_offset
 

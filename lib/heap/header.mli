@@ -23,7 +23,7 @@ val hdr_width : int
 
 (** [count_offset] = 8, [count_width] = 8; [tid_offset] = 16 (thread
     indices are stored pre-shifted by this), [tid_width] = 15;
-    [shape_bit] = 31; [lock_field_mask] covers bits 31..8;
+    [shape_bit] = 31, so the lock field covers bits 31..8;
     [monitor_index_width] = 23. *)
 
 val count_offset : int
@@ -32,8 +32,6 @@ val count_width : int
 val tid_offset : int
 val tid_width : int
 val shape_bit : int
-val shape_mask : int
-val lock_field_mask : int
 val monitor_index_width : int
 
 val monitor_slot_width : int
@@ -98,13 +96,10 @@ val monitor_generation : int -> int
 val deflating_bit : int
 (** 32. *)
 
-val deflating_mask : int
-
 val is_deflating : int -> bool
 (** Is a deflation handshake in progress on this (inflated) word? *)
 
 val set_deflating : int -> int
-val clear_deflating : int -> int
 
 val nested_limit : int
 (** [255 lsl 8] — the single unsigned immediate the nested-lock check

@@ -53,5 +53,4 @@ let type_error expected v =
 let truthy = function Bool b -> b | v -> type_error "boolean" v
 let as_int = function Int n -> n | v -> type_error "int" v
 let as_bool = function Bool b -> b | v -> type_error "boolean" v
-let as_str = function Str s -> s | v -> type_error "String" v
 let as_ref = function Ref r -> r | v -> type_error "object" v

@@ -46,6 +46,5 @@ exception Type_error of string
 
 val as_int : t -> int
 val as_bool : t -> bool
-val as_str : t -> string
 val as_ref : t -> jobject
 (** All raise {!Type_error} with a descriptive message on mismatch. *)

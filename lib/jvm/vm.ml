@@ -84,8 +84,6 @@ let create ?scheme_of ?(echo = false) ?(safepoint_interval = default_safepoint_i
   in
   { t with class_locks }
 
-let class_lock_object t class_id = t.class_locks.(class_id)
-
 let print_out t s =
   Mutex.lock t.out_mutex;
   Buffer.add_string t.out s;
@@ -346,11 +344,6 @@ and spawn_runnable t obj =
   Mutex.lock t.handles_mutex;
   t.handles <- handle :: t.handles;
   Mutex.unlock t.handles_mutex
-
-let call_static t env ~class_name name args =
-  match class_by_name t.program class_name with
-  | None -> error "no class named %s" class_name
-  | Some c -> invoke_resolved t env ~class_id:c.c_id ~name Value.Null args
 
 let join_all_threads t =
   (* Threads may spawn more threads; drain until stable. *)

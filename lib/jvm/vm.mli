@@ -44,17 +44,6 @@ val heap : t -> Tl_heap.Heap.t
 val scheme : t -> Tl_core.Scheme_intf.packed
 val program : t -> Classfile.program
 
-val new_object : t -> int -> Value.jobject
-(** Allocate an instance of the class id (with native state if the
-    class declares a native kind).  Constructors are not run. *)
-
-val call_method :
-  t -> Tl_runtime.Runtime.env -> Value.t -> string -> Value.t array -> Value.t
-(** Virtual call on a receiver value (dispatch on its class). *)
-
-val call_static :
-  t -> Tl_runtime.Runtime.env -> class_name:string -> string -> Value.t array -> Value.t
-
 val run_main : t -> Value.t
 (** Execute [main] of the program's main class on the runtime's main
     environment, then join all spawned threads.  Returns main's
@@ -83,5 +72,3 @@ val safepoint_polls : t -> int
 (** Safepoint polls executed so far (across all VM threads); roughly
     [polls / interval] quiescence points have been announced. *)
 
-val class_lock_object : t -> int -> Value.jobject
-(** The per-class object static synchronized methods lock. *)

@@ -46,9 +46,3 @@ type class_decl = {
 
 type program = class_decl list
 
-let type_to_string = function
-  | Tint -> "int"
-  | Tbool -> "boolean"
-  | Tstring -> "String"
-  | Tclass c -> c
-  | Tvoid -> "void"

@@ -52,4 +52,3 @@ type class_decl = {
 
 type program = class_decl list
 
-val type_to_string : typ -> string

@@ -1,26 +1,19 @@
 let compile_source ?main_class source = Compiler.compile ?main_class (Parser.parse source)
 
-let make_vm ?scheme_of ?echo ?safepoint_interval program =
-  Tl_jvm.Vm.create ?scheme_of ?echo ?safepoint_interval ~natives:Tl_jvm.Jlib.natives
-    ~native_states:Tl_jvm.Jlib.native_states program
-
-let run_source ?(scheme_name = "thin") ?scheme_of ?echo ?safepoint_interval ?main_class
-    source =
+let run_source ?scheme_of ?echo ?safepoint_interval ?main_class source =
   let program = compile_source ?main_class source in
-  let scheme_of =
-    match scheme_of with
-    | Some f -> f
-    | None -> Tl_baselines.Registry.find_exn scheme_name
+  let vm =
+    Tl_jvm.Vm.create ?scheme_of ?echo ?safepoint_interval ~natives:Tl_jvm.Jlib.natives
+      ~native_states:Tl_jvm.Jlib.native_states program
   in
-  let vm = make_vm ~scheme_of ?echo ?safepoint_interval program in
   ignore (Tl_jvm.Vm.run_main vm);
   vm
 
-let run_file ?scheme_name ?scheme_of ?echo ?safepoint_interval ?main_class path =
+let run_file ?scheme_of ?echo ?safepoint_interval ?main_class path =
   let ic = open_in_bin path in
   let source =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  run_source ?scheme_name ?scheme_of ?echo ?safepoint_interval ?main_class source
+  run_source ?scheme_of ?echo ?safepoint_interval ?main_class source

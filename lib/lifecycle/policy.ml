@@ -1,13 +1,7 @@
 type candidate = { idle_scans : int; contended_episodes : int }
 type t = { name : string; decide : candidate -> bool }
 
-module type S = sig
-  val name : string
-  val decide : candidate -> bool
-end
-
 let v ~name decide = { name; decide }
-let of_module (module P : S) = { name = P.name; decide = P.decide }
 let never = { name = "never"; decide = (fun _ -> false) }
 let always_idle = { name = "always-idle"; decide = (fun c -> c.idle_scans >= 1) }
 
@@ -36,7 +30,6 @@ type engine =
 
 let fixed p = Fixed p
 let controlled ?(name = "controlled") decide = Controlled { name; decide }
-let engine_name = function Fixed p -> p.name | Controlled c -> c.name
 
 let engine_decide engine ~shard c =
   match engine with

@@ -20,15 +20,7 @@ type candidate = {
 
 type t = { name : string; decide : candidate -> bool }
 
-(** Policies are also pluggable as modules, for engines defined in
-    their own compilation unit. *)
-module type S = sig
-  val name : string
-  val decide : candidate -> bool
-end
-
 val v : name:string -> (candidate -> bool) -> t
-val of_module : (module S) -> t
 
 val never : t
 (** The paper's §2.3 position: inflation is permanent. *)
@@ -74,5 +66,4 @@ val fixed : t -> engine
 val controlled : ?name:string -> (shard:int -> candidate -> bool) -> engine
 (** Default name ["controlled"]. *)
 
-val engine_name : engine -> string
 val engine_decide : engine -> shard:int -> candidate -> bool

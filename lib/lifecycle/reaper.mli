@@ -32,8 +32,6 @@ type scan = {
   elapsed : float;  (** seconds, from the monotonic clock's nanoseconds *)
 }
 
-val empty_scan : scan
-val add_scans : scan -> scan -> scan
 val pp_scan : Format.formatter -> scan -> unit
 
 val scan_once : ?policy:Policy.t -> ?controller:Controller.t -> Tl_core.Thin.ctx -> scan

@@ -20,7 +20,6 @@ let create ?shards () = Index_table.create ~max_index:max_slot ~generation_width
 let allocate ?shard_hint t ~lockword fat = Index_table.allocate ?shard_hint t { fat; lockword }
 let get t handle = (Index_table.get t handle).fat
 let find t handle = Option.map (fun e -> e.fat) (Index_table.find t handle)
-let find_entry t handle = Index_table.find t handle
 let iter_live t f = Index_table.iter_live t f
 let free t handle = Index_table.free t handle
 let allocated t = Index_table.allocated t

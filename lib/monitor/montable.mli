@@ -54,10 +54,6 @@ val find : t -> int -> Fatlock.t option
 (** Like {!get}, [None] on stale/unallocated handles — the form the
     lock protocol uses where a stale read is survivable. *)
 
-val find_entry : t -> int -> entry option
-(** The full entry (fat lock + lock-word back-reference); the reaper's
-    view. *)
-
 val iter_live : t -> (handle:int -> entry -> unit) -> unit
 (** Walk the live-monitor census (see {!Index_table.iter_live} for the
     racy-snapshot caveats).  Cost is O(highest slot ever allocated);

@@ -119,10 +119,6 @@ let summary xs =
     p90 = percentile_sorted ys 90.0;
   }
 
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d median=%.4g mean=%.4g sd=%.3g min=%.4g max=%.4g"
-    s.count s.median s.mean s.stddev s.min s.max
-
 module Histogram = struct
   type t = { mutable buckets : int array; mutable total : int }
 

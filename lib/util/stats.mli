@@ -37,8 +37,6 @@ val sort_nonneg_ints : int array -> unit
 
 val summary : float array -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** Integer-valued histograms with unit buckets, used for nesting-depth
     and scenario censuses. *)
 module Histogram : sig

@@ -34,6 +34,3 @@ val grouped_bar_chart :
     series (all scaled to the global maximum), labelled with the series
     name — the textual analogue of the paper's grouped bar figures. *)
 
-val fnum : float -> string
-(** Compact human-friendly float: trims trailing zeroes, keeps 4
-    significant digits. *)

@@ -27,4 +27,3 @@ let seconds_to_string s =
   else if abs < 1.0 then Printf.sprintf "%.2fms" (s *. 1e3)
   else Printf.sprintf "%.3fs" s
 
-let pp_seconds ppf s = Format.pp_print_string ppf (seconds_to_string s)

@@ -29,7 +29,5 @@ val median_of_runs : ?runs:int -> (unit -> unit) -> float
     returns the median elapsed seconds — the paper's methodology
     (median of repeated samples). *)
 
-val pp_seconds : Format.formatter -> float -> unit
-(** Renders a duration with an adaptive unit (ns/us/ms/s). *)
 
 val seconds_to_string : float -> string

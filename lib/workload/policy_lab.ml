@@ -34,8 +34,8 @@ let reap_name = function
   | Reap_fixed p -> p.Policy.name
   | Reap_controlled _ -> "controlled"
 
-let reap_of_string ?(controller = Controller.default_config) name =
-  if String.equal name "controlled" then Some (Reap_controlled controller)
+let reap_of_string name =
+  if String.equal name "controlled" then Some (Reap_controlled Controller.default_config)
   else Option.map (fun p -> Reap_fixed p) (Policy.of_string name)
 
 let attach_reaper ?reap runtime (scheme : Scheme_intf.packed) =

@@ -41,11 +41,10 @@ type reap =
 val reap_name : reap -> string
 (** The policy's name, or ["controlled"]. *)
 
-val reap_of_string :
-  ?controller:Tl_lifecycle.Controller.config -> string -> reap option
+val reap_of_string : string -> reap option
 (** Shipped-policy names ([Tl_lifecycle.Policy.of_string]) resolve to
-    [Reap_fixed]; ["controlled"] to [Reap_controlled controller]
-    (default {!Tl_lifecycle.Controller.default_config}). *)
+    [Reap_fixed]; ["controlled"] to [Reap_controlled] with
+    {!Tl_lifecycle.Controller.default_config}. *)
 
 val attach_reaper :
   ?reap:reap ->
@@ -124,15 +123,12 @@ type score = {
   dropped : int;  (** ring-overflow losses — 0 in lab replays *)
 }
 
-val score_stream : label:string -> Tl_events.Sink.drained -> score
-(** Reduce a drained stream to a row named [label]. *)
-
 val lab_score : score -> float
 (** Composite ranking key: slow-path percentage + thrash; lower is
     better. *)
 
 val score : ?reap:reap -> replayed -> score
-(** {!score_stream} of the replay, labelled by what drove deflation:
+(** The replay's drained stream reduced to one row, labelled by what drove deflation:
     the reap mode's name, [<scheme> (evaporate)] for a scheme whose
     monitors evaporate, or the scheme's name. *)
 

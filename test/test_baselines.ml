@@ -81,6 +81,60 @@ let test_cache_monitor_stable_while_held () =
   Jdk111.release ctx env held;
   check "released" false (Jdk111.holds ctx env held)
 
+(* ibm112's cold path is jdk111's cache.  With promotion out of reach
+   and the same small cache, one op sequence must leave both with the
+   same cache counters and residents.  The sequence holds up to three
+   objects at once (re-entrantly when it draws one twice), so eviction
+   meets held and idle entries, and evicted monitors come back through
+   the free list. *)
+let cache_footprint scheme =
+  let runtime = Runtime.create () in
+  let (s : Scheme_intf.packed), resident = scheme runtime in
+  let env = Runtime.main_env runtime in
+  let objs = H.alloc_many (H.create ()) 40 in
+  let rng = Tl_util.Prng.create 7 in
+  let held = Queue.create () in
+  for _ = 1 to 3000 do
+    if Queue.length held = 3 || (Queue.length held > 0 && Tl_util.Prng.bool rng) then
+      s.release env (Queue.pop held)
+    else begin
+      let obj = Tl_util.Prng.pick rng objs in
+      s.acquire env obj;
+      s.notify env obj;
+      Queue.push obj held
+    end
+  done;
+  Queue.iter (s.release env) held;
+  let snap = s.stats () in
+  ( List.map
+      (fun k -> (k, extra_or_zero snap k))
+      [ "cache.lookups"; "cache.misses"; "cache.free_hits"; "cache.recycles" ],
+    resident () )
+
+let test_ibm112_cold_path_is_jdk111 () =
+  let jdk111 runtime =
+    let params = { Jdk111.cache_capacity = 8; free_list_capacity = 4 } in
+    let ctx = Jdk111.create_with ~params runtime in
+    (Scheme_intf.pack (module Jdk111) ctx, fun () -> Jdk111.resident_monitors ctx)
+  in
+  let ibm112 runtime =
+    let params =
+      {
+        Ibm112.default_params with
+        promotion_threshold = max_int;
+        cache = { Jdk111.cache_capacity = 8; free_list_capacity = 4 };
+      }
+    in
+    let ctx = Ibm112.create_with ~params runtime in
+    (Scheme_intf.pack (module Ibm112) ctx, fun () -> Ibm112.resident_monitors ctx)
+  in
+  let counters, resident = cache_footprint jdk111 in
+  check "the sequence recycles" true (List.assoc "cache.recycles" counters > 100);
+  check "the sequence reuses the free list" true (List.assoc "cache.free_hits" counters > 100);
+  let ibm_counters, ibm_resident = cache_footprint ibm112 in
+  Alcotest.(check (list (pair string int))) "cache counters" counters ibm_counters;
+  check_int "resident monitors" resident ibm_resident
+
 (* --- hot locks (ibm112) specifics --- *)
 
 let hot_world ?(params = Ibm112.default_params) () =
@@ -232,6 +286,8 @@ let specific_cases =
       test_cache_small_working_set_stays_resident;
     Alcotest.test_case "jdk111: monitor stable while held" `Quick
       test_cache_monitor_stable_while_held;
+    Alcotest.test_case "ibm112: cold path caches as jdk111 does" `Quick
+      test_ibm112_cold_path_is_jdk111;
     Alcotest.test_case "ibm112: promotion to hot slot" `Quick test_hot_promotion;
     Alcotest.test_case "ibm112: slot exhaustion leaves objects cold" `Quick
       test_hot_slot_exhaustion;

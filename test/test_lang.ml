@@ -108,7 +108,8 @@ let test_compile_errors () =
 
 (* --- end-to-end programs --- *)
 
-let run ?scheme_name src = Driver.run_source ?scheme_name src
+let run ?(scheme_name = "thin") src =
+  Driver.run_source ~scheme_of:(Tl_baselines.Registry.find_exn scheme_name) src
 
 let test_hello () =
   let vm = run {| class Main { static void main() { System.println("hello"); } } |} in

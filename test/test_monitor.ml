@@ -212,7 +212,7 @@ let prop_hapax_fifo_admission =
       && Hapax.pipeline_empty h
       && List.for_all2 ( = ) grants (List.init n Fun.id))
 
-(* The CLI's --fat-backend enum maps each backend's name back to it, so
+(* BENCH.json's [fat_backend] rows are keyed by each backend's name, so
    no two backends may share a name. *)
 let test_backend_names_distinct () =
   let names = List.map Fatlock.backend_name Fatlock.all_backends in

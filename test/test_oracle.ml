@@ -549,56 +549,32 @@ let policy name = Option.get (Tl_lifecycle.Policy.of_string name)
 let reap name = Policy_lab.Reap_fixed (policy name)
 let thin = Tl_baselines.Registry.find_entry_exn "thin"
 
-(* The thin scheme whose fat monitors use [backend]. *)
-let thin_on backend = Option.get (Tl_baselines.Registry.with_fat_backend thin backend)
+(* Thin locks whose fat monitors admit through Hapax tickets. *)
+let thin_hapax = Tl_baselines.Registry.find_entry_exn "thin-hapax"
 
 let trace_of name =
   Tracegen.generate ~seed:1998 ~max_syncs:6_000
     (Option.get (Profiles.find name))
 
-let test_replay_stream_accepted name () =
-  let d = (Policy_lab.replay_traced ~reap:(reap "always-idle") thin (trace_of name)).drained in
-  check "no drops" true (d.Sink.dropped = []);
-  let r = Oracle.check ~count_width:1 d in
-  if not (Oracle.ok r) then
-    Alcotest.failf "%s replay rejected: %s" name (report_str r)
-
-let test_replay_par_stream_accepted name domains mode () =
-  let _res, { Policy_lab.drained = d; _ } =
-    Policy_lab.replay_traced_par ~domains ~mode ~reap:(reap "always-idle") thin (trace_of name)
-  in
-  check "no drops" true (d.Sink.dropped = []);
-  let r = Oracle.check ~count_width:1 d in
-  if not (Oracle.ok r) then
-    Alcotest.failf "%s par replay (%d domains) rejected: %s" name domains
-      (report_str r)
-
-(* Same acceptance checks with a non-default contended-path backend:
+(* [entry] defaults to thin; thin-hapax runs the same checks, since
    hapax admission must emit streams the protocol oracle verifies like
    the parker entry queue's. *)
-let test_replay_backend_stream_accepted name backend () =
-  let d =
-    (Policy_lab.replay_traced ~reap:(reap "always-idle") (thin_on backend) (trace_of name))
-      .drained
-  in
+let test_replay_stream_accepted ?(entry = thin) name () =
+  let d = (Policy_lab.replay_traced ~reap:(reap "always-idle") entry (trace_of name)).drained in
   check "no drops" true (d.Sink.dropped = []);
   let r = Oracle.check ~count_width:1 d in
   if not (Oracle.ok r) then
-    Alcotest.failf "%s %s replay rejected: %s" name
-      (Tl_monitor.Fatlock.backend_name backend)
-      (report_str r)
+    Alcotest.failf "%s %s replay rejected: %s" name entry.name (report_str r)
 
-let test_replay_par_backend_stream_accepted name domains mode backend () =
+let test_replay_par_stream_accepted ?(entry = thin) name domains mode () =
   let _res, { Policy_lab.drained = d; _ } =
-    Policy_lab.replay_traced_par ~domains ~mode ~reap:(reap "always-idle") (thin_on backend)
-      (trace_of name)
+    Policy_lab.replay_traced_par ~domains ~mode ~reap:(reap "always-idle") entry (trace_of name)
   in
   check "no drops" true (d.Sink.dropped = []);
   let r = Oracle.check ~count_width:1 d in
   if not (Oracle.ok r) then
-    Alcotest.failf "%s %s par replay (%d domains) rejected: %s" name
-      (Tl_monitor.Fatlock.backend_name backend)
-      domains (report_str r)
+    Alcotest.failf "%s %s par replay (%d domains) rejected: %s" name entry.name domains
+      (report_str r)
 
 (* --- holder stamping under real contention --- *)
 
@@ -1040,17 +1016,17 @@ let () =
           Alcotest.test_case "mocha par 4 domains (affinity)" `Quick
             (test_replay_par_stream_accepted "mocha" 4 Parallel_replay.Affinity);
           Alcotest.test_case "javacup hapax strict" `Quick
-            (test_replay_backend_stream_accepted "javacup" Tl_monitor.Fatlock.Hapax);
+            (test_replay_stream_accepted ~entry:thin_hapax "javacup");
           Alcotest.test_case "javacup par 2 domains (shuffle, hapax)" `Quick
-            (test_replay_par_backend_stream_accepted "javacup" 2
-               Parallel_replay.Shuffle Tl_monitor.Fatlock.Hapax);
+            (test_replay_par_stream_accepted ~entry:thin_hapax "javacup" 2
+               Parallel_replay.Shuffle);
         ] );
       ( "holder stamping",
         [
           Alcotest.test_case "two domains hammer one object" `Quick
             (test_contended_object_stamps_clean thin);
           Alcotest.test_case "same, hapax backend" `Quick
-            (test_contended_object_stamps_clean (thin_on Tl_monitor.Fatlock.Hapax));
+            (test_contended_object_stamps_clean thin_hapax);
           Alcotest.test_case "same, cjm" `Quick
             (test_contended_object_stamps_clean
                (Tl_baselines.Registry.find_entry_exn "cjm"));

@@ -9,7 +9,10 @@ let program_dir = "../examples/programs"
 let read path = In_channel.with_open_bin path In_channel.input_all
 
 let run_program ~scheme_name file =
-  let vm = Tl_lang.Driver.run_source ~scheme_name (read (Filename.concat program_dir file)) in
+  let vm =
+    Tl_lang.Driver.run_source ~scheme_of:(Tl_baselines.Registry.find_exn scheme_name)
+      (read (Filename.concat program_dir file))
+  in
   Tl_jvm.Vm.output vm
 
 let schemes = [ "thin"; "jdk111"; "ibm112"; "fat"; "mcs"; "thin-unlkcas"; "thin-count2" ]
@@ -42,7 +45,8 @@ let test_sync_census_matches_across_schemes () =
     List.map
       (fun scheme_name ->
         let vm =
-          Tl_lang.Driver.run_source ~scheme_name
+          Tl_lang.Driver.run_source
+            ~scheme_of:(Tl_baselines.Registry.find_exn scheme_name)
             (read (Filename.concat program_dir "compilerish.mj"))
         in
         Tl_jvm.Vm.sync_op_count vm)

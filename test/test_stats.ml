@@ -159,7 +159,7 @@ let test_reset () =
   let probe = Lock_stats.counter stats "probe" in
   let probed () = List.assoc_opt "probe" (Lock_stats.snapshot stats).Lock_stats.extra in
   Lock_stats.count probe 2;
-  Lock_stats.add_extra stats "probe" 3;
+  Lock_stats.count (Lock_stats.counter stats "probe") 3;
   Alcotest.(check (option int)) "handle and key share one counter" (Some 5) (probed ());
   check "counts recorded" true (Lock_stats.total_acquires (Lock_stats.snapshot stats) > 0);
   Lock_stats.reset stats;

@@ -440,9 +440,9 @@ echo "  thin-nostats: statistics off, --expect-contention refused"
 stage "hapax backend: protocol oracle over replay-par streams (1/2/4 domains)"
 for domains in 1 2 4; do
   replay_par_gate -b javacup --domains "$domains" \
-    --fat-backend hapax --max-syncs 6000 --oracle
+    --scheme thin-hapax --max-syncs 6000 --oracle
   replay_par_gate -b javacup --domains "$domains" \
-    --fat-backend hapax --shuffle --interleave --max-syncs 6000 --oracle
+    --scheme thin-hapax --shuffle --interleave --max-syncs 6000 --oracle
   echo "  hapax oracle clean at $domains domain(s), both decompositions"
 done
 
@@ -457,11 +457,11 @@ stage "fiber storm under the feedback controller (100k fibers, oracle must be cl
 storm_gate --fibers 100000 --domains 1 --reap controlled
 
 stage "fiber storm on the hapax backend (100k fibers, window 4096, oracle must be clean)"
-storm_gate --fibers 100000 --domains 1 --fat-backend hapax
+storm_gate --fibers 100000 --domains 1 --scheme thin-hapax
 
 stage "fiber storm per fat backend (10k fibers, 2 domains, window 512, oracle must be clean)"
-for backend in parker hapax; do
-  storm_gate --fibers 10000 --domains 2 --in-flight 512 --fat-backend "$backend"
+for scheme in thin thin-hapax; do
+  storm_gate --fibers 10000 --domains 2 --in-flight 512 --scheme "$scheme"
 done
 
 stage "cjm protocol oracle over replay-par streams (affinity + shuffle, 1/2/4 domains)"
